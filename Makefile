@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install kernel-ext test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify clean
+.PHONY: install kernel-ext test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify startup-profile clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -96,6 +96,26 @@ verify:
 	python -m repro separation --n 2
 	python -m repro ledger --n 2
 	python -m repro power
+
+# Start-up import profile (docs/performance.md, "Start-up cost"):
+# warm the .pyc files with PYTHONDONTWRITEBYTECODE unset (with it set,
+# every start recompiles every module), then print the 20 slowest
+# `python -X importtime` entries by cumulative time for a warm
+# `repro explore --cache` hit and for `import repro.api`.
+STARTUP_CACHE := $(or $(TMPDIR),/tmp)/repro-startup-profile
+STARTUP_EXPLORE := explore --n 3 --cache --cache-dir $(STARTUP_CACHE) --format json
+IMPORTTIME_TOP := sort -t'|' -k2 -n -r | head -20
+
+startup-profile:
+	rm -rf $(STARTUP_CACHE)
+	env -u PYTHONDONTWRITEBYTECODE python -m repro $(STARTUP_EXPLORE) > /dev/null
+	env -u PYTHONDONTWRITEBYTECODE python -c "import repro.api"
+	@echo "--- warm repro explore --cache hit: slowest imports (us, cumulative) ---"
+	@env -u PYTHONDONTWRITEBYTECODE python -X importtime -m repro \
+		$(STARTUP_EXPLORE) 2>&1 > /dev/null | $(IMPORTTIME_TOP)
+	@echo "--- import repro.api: slowest imports (us, cumulative) ---"
+	@env -u PYTHONDONTWRITEBYTECODE python -X importtime -c "import repro.api" \
+		2>&1 | $(IMPORTTIME_TOP)
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache

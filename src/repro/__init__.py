@@ -31,146 +31,121 @@ See ``examples/`` for full scenarios and ``EXPERIMENTS.md`` for the
 paper-versus-measured record.
 """
 
-from .errors import (
-    AnalysisError,
-    CacheIntegrityError,
-    ExplorationBudgetExceeded,
-    InvalidOperationError,
-    InvalidRequestError,
-    KernelUnavailableError,
-    NotLinearizableError,
-    ProtocolError,
-    ReproError,
-    SchedulingError,
-    ServerOverloadedError,
-    SpecificationError,
-    classify_error,
-    error_report,
-)
-from .types import ABORT, BOTTOM, DONE, NIL, Operation, op
-from .objects import (
-    CompareAndSwapSpec,
-    FetchAndAddSpec,
-    MConsensusSpec,
-    QueueSpec,
-    RegisterSpec,
-    SequentialSpec,
-    SharedObject,
-    StickyBitSpec,
-    SwapSpec,
-    TestAndSetSpec,
-    register_array,
-)
-from .core import (
-    AbortableDacSpec,
-    CombinedPacSpec,
-    DacTask,
-    NKSetAgreementSpec,
-    NPacSpec,
-    SetAgreementBundleSpec,
-    SetAgreementPower,
-    StrongSetAgreementSpec,
-    UNBOUNDED,
-    check_theorem_3_5,
-    is_legal_history,
-    make_on,
-    make_on_prime,
-    on_power,
-    on_prime_power,
-    separation_pair,
-)
-from .runtime import (
-    GeneratorProcess,
-    ProcessAutomaton,
-    RoundRobinScheduler,
-    SeededScheduler,
-    SoloScheduler,
-    System,
-)
-from .analysis import (
-    Explorer,
-    LinearizabilityChecker,
-    check_linearizable,
-    classify,
-    find_critical_configuration,
-)
-from .protocols import (
-    ConsensusTask,
-    DacDecisionTask,
-    KSetAgreementTask,
-    UniversalConstruction,
-    algorithm2_processes,
-    all_candidates,
-    check_implementation,
-    on_prime_from_consensus_and_sa,
-)
+import sys
+from importlib import import_module
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ABORT",
-    "AbortableDacSpec",
-    "AnalysisError",
-    "BOTTOM",
-    "CacheIntegrityError",
-    "CombinedPacSpec",
-    "CompareAndSwapSpec",
-    "ConsensusTask",
-    "DONE",
-    "DacDecisionTask",
-    "DacTask",
-    "ExplorationBudgetExceeded",
-    "Explorer",
-    "FetchAndAddSpec",
-    "GeneratorProcess",
-    "InvalidOperationError",
-    "InvalidRequestError",
-    "KSetAgreementTask",
-    "KernelUnavailableError",
-    "LinearizabilityChecker",
-    "MConsensusSpec",
-    "NIL",
-    "NKSetAgreementSpec",
-    "NPacSpec",
-    "NotLinearizableError",
-    "Operation",
-    "ProcessAutomaton",
-    "ProtocolError",
-    "QueueSpec",
-    "RegisterSpec",
-    "ReproError",
-    "RoundRobinScheduler",
-    "SchedulingError",
-    "SeededScheduler",
-    "SequentialSpec",
-    "ServerOverloadedError",
-    "SetAgreementBundleSpec",
-    "SetAgreementPower",
-    "SharedObject",
-    "SoloScheduler",
-    "SpecificationError",
-    "StickyBitSpec",
-    "StrongSetAgreementSpec",
-    "SwapSpec",
-    "System",
-    "TestAndSetSpec",
-    "UNBOUNDED",
-    "UniversalConstruction",
-    "algorithm2_processes",
-    "all_candidates",
-    "check_implementation",
-    "check_linearizable",
-    "check_theorem_3_5",
-    "classify",
-    "classify_error",
-    "error_report",
-    "find_critical_configuration",
-    "is_legal_history",
-    "make_on",
-    "make_on_prime",
-    "on_power",
-    "on_prime_power",
-    "op",
-    "register_array",
-    "separation_pair",
-]
+
+def _lazy_exports(
+    package: str, table: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """PEP 562 ``(__getattr__, __dir__, __all__)`` for ``package``.
+
+    ``table`` maps a submodule to the names the package exports from
+    it. A name is imported from ``package.<submodule>`` on first access
+    and then cached in the package namespace, so ``import package``
+    loads nothing and a command pays only for the names it touches.
+    The table's submodules are attributes too, as eager imports made
+    them. Every package ``__init__`` that re-exports uses this helper.
+    """
+    origin = {name: sub for sub, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        sub = origin.get(name)
+        if sub is None:
+            if name in table:
+                return import_module(f"{package}.{name}")
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(import_module(f"{package}.{sub}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__, sorted(origin)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "errors": (
+            "AnalysisError",
+            "CacheIntegrityError",
+            "ExplorationBudgetExceeded",
+            "InvalidOperationError",
+            "InvalidRequestError",
+            "KernelUnavailableError",
+            "NotLinearizableError",
+            "ProtocolError",
+            "ReproError",
+            "SchedulingError",
+            "ServerOverloadedError",
+            "SpecificationError",
+            "classify_error",
+            "error_report",
+        ),
+        "types": ("ABORT", "BOTTOM", "DONE", "NIL", "Operation", "op"),
+        "objects": (
+            "CompareAndSwapSpec",
+            "FetchAndAddSpec",
+            "MConsensusSpec",
+            "QueueSpec",
+            "RegisterSpec",
+            "SequentialSpec",
+            "SharedObject",
+            "StickyBitSpec",
+            "SwapSpec",
+            "TestAndSetSpec",
+            "register_array",
+        ),
+        "core": (
+            "AbortableDacSpec",
+            "CombinedPacSpec",
+            "DacTask",
+            "NKSetAgreementSpec",
+            "NPacSpec",
+            "SetAgreementBundleSpec",
+            "SetAgreementPower",
+            "StrongSetAgreementSpec",
+            "UNBOUNDED",
+            "check_theorem_3_5",
+            "is_legal_history",
+            "make_on",
+            "make_on_prime",
+            "on_power",
+            "on_prime_power",
+            "separation_pair",
+        ),
+        "runtime": (
+            "GeneratorProcess",
+            "ProcessAutomaton",
+            "RoundRobinScheduler",
+            "SeededScheduler",
+            "SoloScheduler",
+            "System",
+        ),
+        "analysis": (
+            "Explorer",
+            "LinearizabilityChecker",
+            "check_linearizable",
+            "classify",
+            "find_critical_configuration",
+        ),
+        "protocols": (
+            "ConsensusTask",
+            "DacDecisionTask",
+            "KSetAgreementTask",
+            "UniversalConstruction",
+            "algorithm2_processes",
+            "all_candidates",
+            "check_implementation",
+            "on_prime_from_consensus_and_sa",
+        ),
+    },
+)

@@ -34,8 +34,8 @@ packed-kernel rework its bookkeeping is built on four layers (see
 * **packed encoding** — every configuration is a fixed-width row of
   small integer codes (one per process local state, process status, and
   object state; :mod:`repro.analysis.kernel.encoding`), interned to a
-  dense id by the kernel backend. The PR-2 ``InternTable`` survives as
-  :class:`PackedConfigTable`, the same bijection API backed by rows;
+  dense id by the kernel backend; :class:`PackedConfigTable` is the
+  configuration <-> id bijection over those rows;
 * **batch frontier expansion** — :meth:`explore` hands the whole BFS to
   :meth:`KernelBackend.run_bfs`, which returns discovery order, parent
   edge triples, and truncation state in one call; applying a transition
@@ -188,11 +188,11 @@ class Edge:
 
 
 class PackedConfigTable:
-    """The ``InternTable`` bijection, backed by packed kernel rows.
+    """The configuration <-> dense-id bijection, over packed kernel rows.
 
-    Keeps the exact PR-2 API (``intern``/``canonical``/``id_of``/
-    ``get_id``/``value``/``in``/``len``) so every analysis keyed on
-    intern ids works unchanged, but ids are allocated by the kernel
+    The interning API (``intern``/``canonical``/``id_of``/
+    ``get_id``/``value``/``in``/``len``) is what every analysis keyed
+    on intern ids uses; ids are allocated by the kernel
     backend over structural integer rows. ``Configuration`` objects are
     materialized lazily: :meth:`value` decodes a row on first request
     and caches the instance, and configurations interned *as objects*

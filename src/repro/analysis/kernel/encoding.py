@@ -1,9 +1,8 @@
 """Structural integer encoding of configurations (the packed word).
 
-The PR-2 :class:`~repro.analysis.intern.InternTable` interns whole
-:class:`~repro.analysis.explorer.Configuration` objects — one deep
-tuple hash per lookup. The kernel goes one level deeper and interns the
-*slots*: every process local state, process status, and object state is
+Interning whole :class:`~repro.analysis.explorer.Configuration`
+objects costs one deep tuple hash per lookup. The kernel goes one level
+deeper and interns the *slots*: every process local state, process status, and object state is
 mapped to a small per-slot integer code, so a configuration becomes a
 fixed-width row of ``2·P + M`` codes (``P`` processes, ``M`` objects)::
 
@@ -53,8 +52,8 @@ class PackedEncoder:
     around a fixed process/object count, and codes are allocated in
     first-seen order per slot. ``encode`` allocates; the ``peek``
     variants never allocate (they answer None for unseen values), which
-    is what keeps :meth:`InternTable.get_id`-style queries
-    side-effect-free.
+    is what keeps :meth:`~repro.analysis.explorer.PackedConfigTable.get_id`
+    queries side-effect-free.
     """
 
     __slots__ = (

@@ -30,12 +30,10 @@ checks, candidate refutation).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -127,6 +125,8 @@ def _run_batch(batch: Sequence[Tuple[int, Callable, tuple, dict]]):
 def _default_context():
     """Prefer ``fork`` where available (cheap workers, inherited
     imports); fall back to the platform default elsewhere."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -223,6 +223,10 @@ class VerificationPool:
         return results
 
     def _run_pooled(self, tagged):
+        # Imported only when a pool starts (``jobs > 1``): serial runs
+        # and cache hits never pay for multiprocessing's import.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = self._chunks(tagged)
         try:
             pickle.dumps(chunks)

@@ -63,23 +63,20 @@ from typing import List, Optional, Sequence
 
 from . import obs
 from .errors import InvalidRequestError, ReproError, error_report
-from .analysis.explorer import Explorer
-from .core.pac import NPacSpec
-from .core.power import (
-    combined_pac_power,
-    m_consensus_power,
-    on_power,
-    register_power,
-    strong_sa_power,
-)
-from .protocols.candidates import all_candidates
-from .protocols.dac_from_pac import algorithm2_processes
-from .protocols.tasks import DacDecisionTask
 from .reports import Finding, Report, render_report
-from .types import op
+
+# Engine modules are imported inside the handlers that use them, so a
+# command loads only its own path (see "Start-up cost" in
+# docs/performance.md).
 
 
 def _cmd_demo(_args: argparse.Namespace) -> Report:
+    from .analysis.explorer import Explorer
+    from .core.pac import NPacSpec
+    from .protocols.dac_from_pac import algorithm2_processes
+    from .protocols.tasks import DacDecisionTask
+    from .types import op
+
     spec = NPacSpec(2)
     _state, responses = spec.run(
         [op("propose", "hello", 1), op("decide", 1)]
@@ -206,9 +203,14 @@ def _cmd_cache(args: argparse.Namespace) -> Report:
 
 
 def _cmd_separation(args: argparse.Namespace) -> Report:
-    n = args.n
-    from .core.power import on_prime_power
+    from .analysis.explorer import Explorer
+    from .core.pac import NPacSpec
+    from .core.power import on_power, on_prime_power
     from .protocols.candidates import dac_via_consensus, dac_via_sa_arbiter
+    from .protocols.dac_from_pac import algorithm2_processes
+    from .protocols.tasks import DacDecisionTask
+
+    n = args.n
 
     def failed(kind: str, line: str, lines: List[str]) -> Report:
         lines.append(line)
@@ -326,6 +328,14 @@ def _cmd_ledger(args: argparse.Namespace) -> Report:
 
 
 def _cmd_power(_args: argparse.Namespace) -> Report:
+    from .core.power import (
+        combined_pac_power,
+        m_consensus_power,
+        on_power,
+        register_power,
+        strong_sa_power,
+    )
+
     powers = [
         register_power(),
         m_consensus_power(2),
@@ -345,6 +355,8 @@ def _cmd_power(_args: argparse.Namespace) -> Report:
 
 
 def _cmd_list_candidates(_args: argparse.Namespace) -> Report:
+    from .protocols.candidates import all_candidates
+
     candidates = all_candidates()
     lines = [
         f"{candidate.name:55s} expected: {candidate.expected_failure}"

@@ -11,95 +11,61 @@
   certified bounds.
 """
 
-from .combined import CombinedPacSpec, CombinedPacState
-from .dac import AbortableDacSpec, DacTask, DacVerdict
-from .hierarchy import HierarchyProbe, ProbeCell, builtin_catalog
-from .pac import (
-    NPacSpec,
-    PacState,
-    TheoremCheck,
-    check_theorem_3_5,
-    is_legal_history,
-    upset_after,
-)
-from .power_certification import (
-    Certification,
-    certify_bundle_level,
-    certify_combined_pac,
-    certify_m_consensus,
-    certify_power_prefix,
-    certify_registers,
-    certify_strong_sa,
-)
-from .relations import Edge as RelationEdge, Ledger, SeparationReport, paper_ledger, separation_report
-from .power import (
-    PowerBound,
-    SetAgreementPower,
-    combined_pac_power,
-    m_consensus_power,
-    on_power,
-    on_prime_power,
-    register_power,
-    strong_sa_power,
-)
-from .separation import (
-    SeparationPair,
-    SetAgreementBundleSpec,
-    make_on,
-    make_on_prime,
-    separation_pair,
-)
-from .set_agreement import (
-    NKSetAgreementSpec,
-    NKSaState,
-    StrongSetAgreementSpec,
-    UNBOUNDED,
-    sa_family_for_power,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AbortableDacSpec",
-    "CombinedPacSpec",
-    "CombinedPacState",
-    "DacTask",
-    "DacVerdict",
-    "NKSaState",
-    "NKSetAgreementSpec",
-    "NPacSpec",
-    "PacState",
-    "Ledger",
-    "RelationEdge",
-    "SeparationReport",
-    "paper_ledger",
-    "separation_report",
-    "PowerBound",
-    "Certification",
-    "HierarchyProbe",
-    "ProbeCell",
-    "builtin_catalog",
-    "certify_bundle_level",
-    "certify_combined_pac",
-    "certify_m_consensus",
-    "certify_power_prefix",
-    "certify_registers",
-    "certify_strong_sa",
-    "SeparationPair",
-    "SetAgreementBundleSpec",
-    "SetAgreementPower",
-    "StrongSetAgreementSpec",
-    "TheoremCheck",
-    "UNBOUNDED",
-    "check_theorem_3_5",
-    "combined_pac_power",
-    "is_legal_history",
-    "m_consensus_power",
-    "make_on",
-    "make_on_prime",
-    "on_power",
-    "on_prime_power",
-    "register_power",
-    "sa_family_for_power",
-    "separation_pair",
-    "strong_sa_power",
-    "upset_after",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "combined": ("CombinedPacSpec", "CombinedPacState"),
+        "dac": ("AbortableDacSpec", "DacTask", "DacVerdict"),
+        "hierarchy": ("HierarchyProbe", "ProbeCell", "builtin_catalog"),
+        "pac": (
+            "NPacSpec",
+            "PacState",
+            "TheoremCheck",
+            "check_theorem_3_5",
+            "is_legal_history",
+            "upset_after",
+        ),
+        "power_certification": (
+            "Certification",
+            "certify_bundle_level",
+            "certify_combined_pac",
+            "certify_m_consensus",
+            "certify_power_prefix",
+            "certify_registers",
+            "certify_strong_sa",
+        ),
+        "relations": (
+            "RelationEdge",
+            "Ledger",
+            "SeparationReport",
+            "paper_ledger",
+            "separation_report",
+        ),
+        "power": (
+            "PowerBound",
+            "SetAgreementPower",
+            "combined_pac_power",
+            "m_consensus_power",
+            "on_power",
+            "on_prime_power",
+            "register_power",
+            "strong_sa_power",
+        ),
+        "separation": (
+            "SeparationPair",
+            "SetAgreementBundleSpec",
+            "make_on",
+            "make_on_prime",
+            "separation_pair",
+        ),
+        "set_agreement": (
+            "NKSetAgreementSpec",
+            "NKSaState",
+            "StrongSetAgreementSpec",
+            "UNBOUNDED",
+            "sa_family_for_power",
+        ),
+    },
+)

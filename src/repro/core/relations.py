@@ -40,6 +40,10 @@ class Edge:
     evidence: str
 
 
+#: The name :mod:`repro.core` exports :class:`Edge` under.
+RelationEdge = Edge
+
+
 class Ledger:
     """An evidence-backed implementability relation between families."""
 

@@ -21,29 +21,19 @@ Layering:
   verification pool, merged deterministically.
 """
 
-from .corpus import CorpusStats, FuzzCorpus, corpus_fingerprint
-from .executor import CYCLE, SAFETY, FuzzExecutor, GeneRun, Genes
-from .shrink import replay_shrunk, shrink_genes
-from .target import (
-    FuzzTarget,
-    algorithm2_target,
-    candidate_target,
-    target_from_spec,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CYCLE",
-    "SAFETY",
-    "CorpusStats",
-    "FuzzCorpus",
-    "FuzzExecutor",
-    "FuzzTarget",
-    "GeneRun",
-    "Genes",
-    "algorithm2_target",
-    "candidate_target",
-    "corpus_fingerprint",
-    "replay_shrunk",
-    "shrink_genes",
-    "target_from_spec",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "corpus": ("CorpusStats", "FuzzCorpus", "corpus_fingerprint"),
+        "executor": ("CYCLE", "SAFETY", "FuzzExecutor", "GeneRun", "Genes"),
+        "shrink": ("replay_shrunk", "shrink_genes"),
+        "target": (
+            "FuzzTarget",
+            "algorithm2_target",
+            "candidate_target",
+            "target_from_spec",
+        ),
+    },
+)

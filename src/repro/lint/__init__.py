@@ -33,26 +33,21 @@ Run ``python -m repro lint`` (or ``repro-lint``); suppress a single
 line with ``# repro: noqa[R00x] justification``. See ``docs/lint.md``.
 """
 
-from .engine import (
-    Finding,
-    LintReport,
-    ModuleContext,
-    ProjectRule,
-    Rule,
-    all_rules,
-    lint_paths,
-    register,
-)
-from .sarif import render_sarif
+from .. import _lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "ModuleContext",
-    "ProjectRule",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "register",
-    "render_sarif",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "Finding",
+            "LintReport",
+            "ModuleContext",
+            "ProjectRule",
+            "Rule",
+            "all_rules",
+            "lint_paths",
+            "register",
+        ),
+        "sarif": ("render_sarif",),
+    },
+)

@@ -19,8 +19,6 @@ import argparse
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .engine import all_rules, lint_paths
-
 
 def default_target() -> Path:
     """The installed ``repro`` package tree — lints itself by default."""
@@ -73,6 +71,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_lint(args: argparse.Namespace) -> int:
+    # Imported here, not at the top: every ``repro`` command builds the
+    # lint subparser through :func:`add_lint_arguments`.
+    from .engine import all_rules, lint_paths
+
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.rule_id}  {rule.severity:7s}  {rule.title}")

@@ -12,52 +12,37 @@ The paper's own objects — ``n``-PAC, ``n``-DAC, 2-SA, ``(n, m)``-PAC,
 ``O_n``, ``O'_n`` — live in :mod:`repro.core`.
 """
 
-from .adopt_commit import ADOPT, COMMIT, AdoptCommitSpec, AdoptCommitState
-from .base import (
-    FirstOutcomeOracle,
-    MaximizingOracle,
-    MinimizingOracle,
-    ResponseOracle,
-    ScriptedOracle,
-    SeededOracle,
-    SharedObject,
-)
-from .classic import (
-    CompareAndSwapSpec,
-    FetchAndAddSpec,
-    QueueSpec,
-    StickyBitSpec,
-    SwapSpec,
-    TestAndSetSpec,
-)
-from .consensus import ConsensusState, MConsensusSpec
-from .register import RegisterSpec, register_array
-from .snapshot import SnapshotSpec
-from .spec import Outcome, SequentialSpec
+from .. import _lazy_exports
 
-__all__ = [
-    "ADOPT",
-    "AdoptCommitSpec",
-    "AdoptCommitState",
-    "COMMIT",
-    "CompareAndSwapSpec",
-    "ConsensusState",
-    "FetchAndAddSpec",
-    "FirstOutcomeOracle",
-    "MConsensusSpec",
-    "MaximizingOracle",
-    "MinimizingOracle",
-    "Outcome",
-    "QueueSpec",
-    "RegisterSpec",
-    "ResponseOracle",
-    "ScriptedOracle",
-    "SeededOracle",
-    "SequentialSpec",
-    "SharedObject",
-    "SnapshotSpec",
-    "StickyBitSpec",
-    "SwapSpec",
-    "TestAndSetSpec",
-    "register_array",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "adopt_commit": (
+            "ADOPT",
+            "COMMIT",
+            "AdoptCommitSpec",
+            "AdoptCommitState",
+        ),
+        "base": (
+            "FirstOutcomeOracle",
+            "MaximizingOracle",
+            "MinimizingOracle",
+            "ResponseOracle",
+            "ScriptedOracle",
+            "SeededOracle",
+            "SharedObject",
+        ),
+        "classic": (
+            "CompareAndSwapSpec",
+            "FetchAndAddSpec",
+            "QueueSpec",
+            "StickyBitSpec",
+            "SwapSpec",
+            "TestAndSetSpec",
+        ),
+        "consensus": ("ConsensusState", "MConsensusSpec"),
+        "register": ("RegisterSpec", "register_array"),
+        "snapshot": ("SnapshotSpec",),
+        "spec": ("Outcome", "SequentialSpec"),
+    },
+)

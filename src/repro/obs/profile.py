@@ -16,18 +16,21 @@ renders it as an informational table.
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List
 
 from . import runtime
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import cProfile
 
 #: How many rows of the cumulative-time table go into the trace.
 TOP_N = 15
 
 
 def _top_rows(profiler: cProfile.Profile, top_n: int) -> List[Dict[str, Any]]:
+    import pstats
+
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
     rows: List[Dict[str, Any]] = []
@@ -56,6 +59,10 @@ def profile_phase(phase: str, top_n: int = TOP_N) -> Iterator[None]:
     if not runtime.profiling():
         yield
         return
+    # Imported only when profiling is on: every instrumented phase
+    # passes through here, and the profiler is opt-in.
+    import cProfile
+
     session = runtime.current()
     assert session is not None and session.tracer is not None
     profiler = cProfile.Profile()

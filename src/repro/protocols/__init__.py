@@ -15,119 +15,73 @@
 * :mod:`repro.protocols.universal` — Herlihy's universal construction.
 """
 
-from .candidates import (
-    CandidateSystem,
-    ScanningRacerProcess,
-    consensus_via_queue,
-    consensus_via_test_and_set,
-    all_candidates,
-    consensus_via_exhausted_consensus,
-    consensus_via_pac_retry,
-    consensus_via_strong_sa,
-    dac_via_consensus,
-    dac_via_sa_arbiter,
-)
-from .consensus import (
-    CasConsensusProcess,
-    CombinedPacConsensusProcess,
-    OneShotConsensusProcess,
-    QueueConsensusProcess,
-    StickyBitConsensusProcess,
-    TestAndSetConsensusProcess,
-    one_shot_consensus_processes,
-    queue_consensus_objects,
-)
-from .dac_from_pac import Algorithm2Process, algorithm2_processes
-from .embodiment import (
-    bundle_from_consensus_and_sa,
-    combined_pac_from_parts,
-    consensus_from_combined,
-    on_prime_from_consensus_and_sa,
-    pac_from_combined,
-)
-from .obstruction_free import (
-    ObstructionFreeConsensusProcess,
-    adopt_commit_round_objects,
-    obstruction_free_processes,
-)
-from .snapshot import AfekSnapshotImplementation
-from .implementation import (
-    ClientRunResult,
-    Implementation,
-    RedirectImplementation,
-    check_implementation,
-    run_clients,
-)
-from .set_agreement import (
-    BundleProcess,
-    collection_partition,
-    GroupConsensusProcess,
-    NkSaProcess,
-    StrongSaProcess,
-    bundle_processes,
-    group_partition_objects,
-    group_partition_processes,
-    strong_sa_processes,
-    trivial_processes,
-)
-from .tasks import (
-    ConsensusTask,
-    DacDecisionTask,
-    DecisionTask,
-    KSetAgreementTask,
-    SafetyVerdict,
-)
-from .universal import UniversalConstruction
+from .. import _lazy_exports
 
-__all__ = [
-    "AfekSnapshotImplementation",
-    "Algorithm2Process",
-    "BundleProcess",
-    "CandidateSystem",
-    "CasConsensusProcess",
-    "ClientRunResult",
-    "CombinedPacConsensusProcess",
-    "ConsensusTask",
-    "DacDecisionTask",
-    "DecisionTask",
-    "GroupConsensusProcess",
-    "Implementation",
-    "KSetAgreementTask",
-    "NkSaProcess",
-    "ObstructionFreeConsensusProcess",
-    "OneShotConsensusProcess",
-    "QueueConsensusProcess",
-    "RedirectImplementation",
-    "SafetyVerdict",
-    "ScanningRacerProcess",
-    "StickyBitConsensusProcess",
-    "StrongSaProcess",
-    "TestAndSetConsensusProcess",
-    "UniversalConstruction",
-    "adopt_commit_round_objects",
-    "algorithm2_processes",
-    "all_candidates",
-    "bundle_from_consensus_and_sa",
-    "bundle_processes",
-    "check_implementation",
-    "collection_partition",
-    "combined_pac_from_parts",
-    "consensus_from_combined",
-    "consensus_via_exhausted_consensus",
-    "consensus_via_pac_retry",
-    "consensus_via_queue",
-    "consensus_via_strong_sa",
-    "consensus_via_test_and_set",
-    "dac_via_consensus",
-    "dac_via_sa_arbiter",
-    "group_partition_objects",
-    "obstruction_free_processes",
-    "group_partition_processes",
-    "on_prime_from_consensus_and_sa",
-    "one_shot_consensus_processes",
-    "pac_from_combined",
-    "queue_consensus_objects",
-    "run_clients",
-    "strong_sa_processes",
-    "trivial_processes",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "candidates": (
+            "CandidateSystem",
+            "ScanningRacerProcess",
+            "consensus_via_queue",
+            "consensus_via_test_and_set",
+            "all_candidates",
+            "consensus_via_exhausted_consensus",
+            "consensus_via_pac_retry",
+            "consensus_via_strong_sa",
+            "dac_via_consensus",
+            "dac_via_sa_arbiter",
+        ),
+        "consensus": (
+            "CasConsensusProcess",
+            "CombinedPacConsensusProcess",
+            "OneShotConsensusProcess",
+            "QueueConsensusProcess",
+            "StickyBitConsensusProcess",
+            "TestAndSetConsensusProcess",
+            "one_shot_consensus_processes",
+            "queue_consensus_objects",
+        ),
+        "dac_from_pac": ("Algorithm2Process", "algorithm2_processes"),
+        "embodiment": (
+            "bundle_from_consensus_and_sa",
+            "combined_pac_from_parts",
+            "consensus_from_combined",
+            "on_prime_from_consensus_and_sa",
+            "pac_from_combined",
+        ),
+        "obstruction_free": (
+            "ObstructionFreeConsensusProcess",
+            "adopt_commit_round_objects",
+            "obstruction_free_processes",
+        ),
+        "snapshot": ("AfekSnapshotImplementation",),
+        "implementation": (
+            "ClientRunResult",
+            "Implementation",
+            "RedirectImplementation",
+            "check_implementation",
+            "run_clients",
+        ),
+        "set_agreement": (
+            "BundleProcess",
+            "collection_partition",
+            "GroupConsensusProcess",
+            "NkSaProcess",
+            "StrongSaProcess",
+            "bundle_processes",
+            "group_partition_objects",
+            "group_partition_processes",
+            "strong_sa_processes",
+            "trivial_processes",
+        ),
+        "tasks": (
+            "ConsensusTask",
+            "DacDecisionTask",
+            "DecisionTask",
+            "KSetAgreementTask",
+            "SafetyVerdict",
+        ),
+        "universal": ("UniversalConstruction",),
+    },
+)

@@ -6,49 +6,33 @@ objects under an adversarial scheduler
 is the step loop; :mod:`repro.runtime.history` records what happened.
 """
 
-from .events import Abort, Action, Decide, Halt, Invoke, Step
-from .history import (
-    CompletedOp,
-    ConcurrentHistory,
-    Inv,
-    Res,
-    RunHistory,
-)
-from .process import FunctionalAutomaton, GeneratorProcess, ProcessAutomaton
-from .scheduler import (
-    AlternatingScheduler,
-    BlockingScheduler,
-    RoundRobinScheduler,
-    ScriptedScheduler,
-    SeededScheduler,
-    SoloScheduler,
-    Scheduler,
-)
-from .system import ObjectTable, ProcessStatus, System
+from .. import _lazy_exports
 
-__all__ = [
-    "Abort",
-    "Action",
-    "AlternatingScheduler",
-    "BlockingScheduler",
-    "CompletedOp",
-    "ConcurrentHistory",
-    "Decide",
-    "FunctionalAutomaton",
-    "GeneratorProcess",
-    "Halt",
-    "Inv",
-    "Invoke",
-    "ObjectTable",
-    "ProcessAutomaton",
-    "ProcessStatus",
-    "Res",
-    "RoundRobinScheduler",
-    "RunHistory",
-    "Scheduler",
-    "ScriptedScheduler",
-    "SeededScheduler",
-    "SoloScheduler",
-    "Step",
-    "System",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "events": ("Abort", "Action", "Decide", "Halt", "Invoke", "Step"),
+        "history": (
+            "CompletedOp",
+            "ConcurrentHistory",
+            "Inv",
+            "Res",
+            "RunHistory",
+        ),
+        "process": (
+            "FunctionalAutomaton",
+            "GeneratorProcess",
+            "ProcessAutomaton",
+        ),
+        "scheduler": (
+            "AlternatingScheduler",
+            "BlockingScheduler",
+            "RoundRobinScheduler",
+            "ScriptedScheduler",
+            "SeededScheduler",
+            "SoloScheduler",
+            "Scheduler",
+        ),
+        "system": ("ObjectTable", "ProcessStatus", "System"),
+    },
+)
