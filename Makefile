@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install kernel-ext test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify startup-profile clean
+.PHONY: install kernel-ext kernel-ext-asan test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify startup-profile clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -10,6 +10,25 @@ install:
 # pure-Python default backend).
 kernel-ext:
 	python -m repro.analysis.kernel._build
+
+# Build the compiled kernel in place under AddressSanitizer and UBSan
+# (gcc), run the kernel unit and property suites against it with the
+# sanitizer runtimes preloaded (the interpreter itself is not
+# instrumented), then rebuild the optimized extension. Any sanitizer
+# report fails the run and reaches the terminal (pytest captures at
+# the sys level only, so an aborting report is never swallowed).
+KERNEL_DIR := src/repro/analysis/kernel
+SANITIZE := -O1 -g -fsanitize=address,undefined -fno-omit-frame-pointer
+kernel-ext-asan:
+	gcc $(SANITIZE) -fPIC -shared \
+		-I "$$(python -c 'import sysconfig; print(sysconfig.get_path("include"))')" \
+		$(KERNEL_DIR)/_ckernel.c \
+		-o "$(KERNEL_DIR)/_ckernel$$(python -c 'import sysconfig; print(sysconfig.get_config_var("EXT_SUFFIX"))')"
+	LD_PRELOAD="$$(gcc -print-file-name=libasan.so) $$(gcc -print-file-name=libubsan.so)" \
+	ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+	sh -c 'python -c "import sys; from repro.analysis.kernel import compiled_available; sys.exit(0 if compiled_available() else 1)" && \
+		python -m pytest -q --capture=sys tests/analysis/test_kernel.py tests/property/test_hypothesis_kernel.py'; \
+	status=$$?; python -m repro.analysis.kernel._build; exit $$status
 
 test:
 	pytest tests/

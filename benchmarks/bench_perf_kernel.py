@@ -13,23 +13,9 @@ smoke) through every available kernel backend and records, per backend:
   backend replay with zero callbacks, the regime where the backends'
   raw loop speed is actually visible.
 
-When the compiled backend is present the entry grows a third regime:
-
-* **tables** — protocol semantics pre-compiled into flat lookup
-  tables (:mod:`repro.analysis.kernel.tables`), so the cold BFS runs
-  callback-free with the GIL released. Table compilation and loading
-  happen outside the timed window (``tables_compile_seconds`` records
-  the one-off cost); the timed region is the first exploration of a
-  fresh graph, which is what "cold" means once the Amdahl-bound
-  callbacks are gone. ``tables_threads2_*`` re-runs the same cold walk
-  with ``--kernel-threads 2`` to show the frontier-threading delta,
-  and at full scale an ``n7_*`` block records the same trio one size
-  up (n=7), the instance the ≥1M configs/sec target is pinned on.
-
-The discovery orders are asserted identical across backends, table
-modes, and thread counts before anything is recorded — the speedup is
-never bought with a result change (``orders_identical`` covers every
-combination measured). ``cpu_count`` rides along because these are
+The discovery orders are asserted identical across backends before
+anything is recorded — the speedup is never bought with a result
+change (``orders_identical``). ``cpu_count`` rides along because these are
 single-process numbers: they compose with (not compete against) the
 pool speedup.
 
@@ -39,11 +25,10 @@ never fails over a missing optional accelerator.
 """
 
 import multiprocessing
-import time
 
 from _perf_report import perf_scale, record, timed
 from repro.analysis.explorer import Explorer
-from repro.analysis.kernel import compile_tables, compiled_available
+from repro.analysis.kernel import compiled_available
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import DacDecisionTask
@@ -59,87 +44,9 @@ def _protocol(n, inputs):
     return {"PAC": NPacSpec(n)}, algorithm2_processes(inputs)
 
 
-def _make_explorer(n, inputs, kernel, **kwargs):
+def _make_explorer(n, inputs, kernel):
     objects, processes = _protocol(n, inputs)
-    return Explorer(objects, processes, kernel=kernel, **kwargs)
-
-
-def _bench_tables(n, inputs, repeats, fields, prefix):
-    """Measure the table-compiled cold/warm/threaded regime at ``n``.
-
-    Returns the cold discovery order so the caller can fold it into the
-    cross-combination ``orders_identical`` assertion. Explorer
-    construction (table load) happens outside the timed window; each
-    cold repeat explores a fresh graph.
-    """
-    objects, processes = _protocol(n, inputs)
-    start = time.perf_counter()
-    tables = compile_tables(objects, processes)
-    compile_seconds = time.perf_counter() - start
-
-    def cold_run(threads):
-        explorers = [
-            Explorer(
-                objects,
-                processes,
-                kernel="compiled",
-                tables=tables,
-                threads=threads,
-            )
-            for _ in range(repeats)
-        ]
-        fresh = iter(explorers)
-        return timed(
-            lambda: next(fresh).explore(max_configurations=_BUDGET),
-            repeats=repeats,
-        )
-
-    cold_timing = cold_run(threads=1)
-    result = cold_timing.result
-    assert result.complete
-    configs = len(result.order_ids)
-
-    threads2_timing = cold_run(threads=2)
-    assert threads2_timing.result.order_ids == result.order_ids
-
-    warm_explorer = Explorer(
-        objects, processes, kernel="compiled", tables=tables
-    )
-    warm_explorer.explore(max_configurations=_BUDGET)  # populate
-    warm_timing = timed(
-        lambda: warm_explorer.explore(max_configurations=_BUDGET),
-        repeats=repeats,
-    )
-    assert warm_timing.result.order_ids == result.order_ids
-
-    fields.update(
-        {
-            f"{prefix}configurations": configs,
-            f"{prefix}tables_entries": tables.entries,
-            f"{prefix}tables_complete": tables.complete,
-            f"{prefix}tables_compile_seconds": compile_seconds,
-            f"{prefix}tables_cold_wall_seconds": cold_timing.median,
-            f"{prefix}tables_cold_best_wall_seconds": cold_timing.best,
-            f"{prefix}tables_cold_configs_per_sec": (
-                configs / cold_timing.median
-            ),
-            f"{prefix}tables_warm_wall_seconds": warm_timing.median,
-            f"{prefix}tables_warm_best_wall_seconds": warm_timing.best,
-            f"{prefix}tables_warm_configs_per_sec": (
-                configs / warm_timing.median
-            ),
-            f"{prefix}tables_threads2_cold_wall_seconds": (
-                threads2_timing.median
-            ),
-            f"{prefix}tables_threads2_cold_best_wall_seconds": (
-                threads2_timing.best
-            ),
-            f"{prefix}tables_threads2_cold_configs_per_sec": (
-                configs / threads2_timing.median
-            ),
-        }
-    )
-    return result.order_ids
+    return Explorer(objects, processes, kernel=kernel)
 
 
 class TestKernelBackends:
@@ -209,26 +116,6 @@ class TestKernelBackends:
                 fields["python_warm_wall_seconds"]
                 / fields["compiled_warm_wall_seconds"]
             )
-
-            # Table-compiled regime at the same n, plus the n=7 block
-            # at full scale — the instance the ≥1M configs/sec target
-            # is pinned on.
-            tables_order = _bench_tables(n, inputs, repeats, fields, "")
-            assert tables_order == orders["python"]
-            fields["tables_cold_speedup"] = (
-                fields["compiled_cold_wall_seconds"]
-                / fields["tables_cold_wall_seconds"]
-            )
-            if perf_scale() != "tiny":
-                n7_inputs = DacDecisionTask.paper_initial_inputs(7)
-                n7_order = _bench_tables(
-                    7, n7_inputs, repeats, fields, "n7_"
-                )
-                n7_python = _make_explorer(7, n7_inputs, "python").explore(
-                    max_configurations=_BUDGET
-                )
-                assert n7_python.complete
-                assert n7_order == n7_python.order_ids
             fields["orders_identical"] = True
 
         record("kernel_configs_per_second", **fields)

@@ -89,14 +89,7 @@ from ..runtime.events import Abort, Decide, Halt, Invoke
 from ..runtime.process import ProcessAutomaton
 from ..types import ProcessId, Value
 from ..protocols.tasks import DecisionTask, SafetyVerdict
-from .kernel import (
-    PackedEncoder,
-    ProtocolTables,
-    compile_tables,
-    make_backend,
-    select_tables,
-    select_threads,
-)
+from .kernel import PackedEncoder, make_backend
 from .kernel.encoding import FIELD_BITS  # noqa: F401  (re-exported for docs)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -644,18 +637,8 @@ class Explorer:
     or ``"auto"`` (compiled when available). ``None`` defers to the
     ``REPRO_KERNEL`` environment variable. Backends are byte-identical
     — same orders, ids, verdicts, digests — so the choice is purely a
-    throughput knob.
-
-    ``tables`` pre-compiles protocol semantics into flat tables ahead
-    of exploration (see :mod:`repro.analysis.kernel.tables`): pass a
-    :class:`ProtocolTables` compiled from the *same* ``objects`` and
-    ``processes`` (caller's contract — only the process/object counts
-    are checked), ``True``/``"on"`` to compile here, ``False``/``"off"``
-    to stay on callbacks, or ``None`` to defer to
-    ``REPRO_KERNEL_TABLES``. ``threads`` (or ``REPRO_KERNEL_THREADS``)
-    partitions each BFS frontier across OS threads in the compiled
-    backend. Both knobs are observable-identical on/off and for every
-    thread count — throughput only.
+    throughput knob, and the only one: each backend has one
+    exploration path (first-miss callbacks, one serial BFS walk).
 
     All caches (intern table, successor memo, decision-set table) are
     per-instance: one :class:`Explorer` = one protocol instance whose
@@ -667,8 +650,6 @@ class Explorer:
         objects: Mapping[str, SequentialSpec],
         processes: Sequence[ProcessAutomaton],
         kernel: Optional[str] = None,
-        tables=None,
-        threads: Optional[int] = None,
     ) -> None:
         for automaton in processes:
             if not automaton.supports_snapshot:
@@ -731,49 +712,6 @@ class Explorer:
         self._segment_cache: Dict[Tuple[int, ...], Tuple] = {}
         #: id -> reachable decision set (shared valency memo).
         self._decision_sets: Dict[int, FrozenSet[Value]] = {}
-        # -- compiled protocol tables --------------------------------
-        #: Frontier threads for the batch BFS; results are
-        #: byte-identical for every count (wall-clock knob only).
-        self.kernel_threads: int = select_threads(threads)
-        #: The loaded ProtocolTables, or None in callback mode.
-        self.kernel_tables: Optional[ProtocolTables] = None
-        if isinstance(tables, ProtocolTables):
-            self._load_tables(tables)
-        elif select_tables(tables):
-            self._load_tables(compile_tables(objects, processes))
-
-    def _load_tables(self, tables: ProtocolTables) -> None:
-        """Adopt pre-compiled protocol tables (see ``kernel.tables``).
-
-        Replays the compiler's first-seen slot-code and edge-id
-        allocation sequences into this instance's encoder and edge
-        table — first-seen allocation reproduces identical codes —
-        then bulk-loads the backend maps. Keys the compiler did not
-        cover stay absent (the fallback sentinel) and take the
-        first-miss callback path unchanged.
-        """
-        if tables.n_processes != len(self.processes) or tables.n_objects != len(
-            self.specs
-        ):
-            raise AnalysisError(
-                "compiled tables do not match this protocol instance: "
-                f"tables are for {tables.n_processes} processes / "
-                f"{tables.n_objects} objects, explorer has "
-                f"{len(self.processes)} / {len(self.specs)}"
-            )
-        encoder = self._encoder
-        for pid, allocation in enumerate(tables.local_values):
-            for value in allocation:
-                encoder.local_code(pid, value)
-        for value in tables.status_values:
-            encoder.status_code(value)
-        for obj_index, allocation in enumerate(tables.object_values):
-            for value in allocation:
-                encoder.object_code(obj_index, value)
-        for pid, choice, response in tables.edges:
-            self._edge_id(pid, choice, response)
-        self._backend.load_tables(tables.invoke_entries, tables.delta_entries)
-        self.kernel_tables = tables
 
     # -- configuration construction -----------------------------------------
 
@@ -1039,9 +977,7 @@ class Explorer:
                 )
 
         order_ids, parent_triples, complete, expansions, rounds = (
-            self._backend.run_bfs(
-                start_id, max_configurations, on_round, self.kernel_threads
-            )
+            self._backend.run_bfs(start_id, max_configurations, on_round)
         )
         if strict and not complete:
             raise ExplorationBudgetExceeded(

@@ -12,7 +12,15 @@ Selection order: an explicit ``kernel=`` argument beats the
 ``REPRO_KERNEL`` environment variable beats ``auto`` (compiled when the
 extension imports, python otherwise). Requesting ``compiled`` when the
 extension is absent is an error, never a silent fallback — ``auto`` is
-the spelling for "fastest available".
+the spelling for "fastest available". ``REPRO_KERNEL`` is a user-set
+default only: nothing in the package writes it, and the request layer
+(:mod:`repro.api`) hands ``kernel=`` explicitly to every explorer it
+builds, pool workers included.
+
+The backend is the only knob. Exploration is one path per backend —
+first-miss callbacks memoized in flat maps, one serial BFS walk — and
+repeated instances are served at graph level by the exploration
+cache (``docs/performance.md``, "Knob ledger").
 
 Both backends produce identical configuration ids, edge ids, and BFS
 orders by construction: ids are allocated in discovery order and all
@@ -21,64 +29,34 @@ allocation) run through the same Python callbacks in the same
 deterministic sequence. Verdicts, seed digests, and cache keys are
 therefore byte-for-byte backend-independent, which is why the content-
 addressed cache fingerprint deliberately excludes the kernel name.
-
-Two further knobs ride the same environment-pinning scheme:
-
-* ``REPRO_KERNEL_TABLES`` / ``--kernel-tables`` — pre-compile protocol
-  semantics into flat tables (:mod:`~repro.analysis.kernel.tables`)
-  ahead of exploration, removing first-miss Python callbacks from the
-  cold path. Off by default.
-* ``REPRO_KERNEL_THREADS`` / ``--kernel-threads`` — partition each BFS
-  frontier across OS threads in the compiled backend's GIL-free plan
-  phase. Observable results are byte-identical for every thread count
-  (the commit phase is serial in frontier order), so this is purely a
-  wall-clock knob.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ...errors import AnalysisError
 from .encoding import FIELD_BITS, MAX_CODE, PackedEncoder
 from ._pycore import PyKernel
-from .tables import DEFAULT_ENTRY_BUDGET, ProtocolTables, compile_tables
 
 __all__ = [
-    "DEFAULT_ENTRY_BUDGET",
     "FIELD_BITS",
     "MAX_CODE",
     "KERNEL_CHOICES",
-    "TABLES_CHOICES",
     "PackedEncoder",
-    "ProtocolTables",
     "PyKernel",
-    "compile_tables",
     "compiled_available",
-    "kernel_env",
     "make_backend",
     "select",
-    "select_tables",
-    "select_threads",
 ]
 
 #: Valid values for ``--kernel`` / ``REPRO_KERNEL`` / ``kernel=``.
 KERNEL_CHOICES = ("auto", "python", "compiled")
 
-#: Valid values for ``--kernel-tables`` / ``REPRO_KERNEL_TABLES``.
-TABLES_CHOICES = ("on", "off")
-
-#: Environment variable consulted when no explicit kernel is passed.
-#: Set by the CLI so forked/spawned pool workers inherit the choice.
+#: Environment variable consulted when no explicit kernel is passed:
+#: a user-set default only — the library never writes it.
 ENV_VAR = "REPRO_KERNEL"
-
-#: Environment twin of ``--kernel-tables`` ("on"/"1" or "off"/"0").
-TABLES_ENV_VAR = "REPRO_KERNEL_TABLES"
-
-#: Environment twin of ``--kernel-threads`` (a positive integer).
-THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
 
 def compiled_available() -> bool:
@@ -119,48 +97,6 @@ def select(kernel: Optional[str] = None) -> str:
     return kernel
 
 
-def select_tables(tables=None) -> bool:
-    """Resolve a table-compilation request to a concrete bool.
-
-    ``tables=None`` defers to ``REPRO_KERNEL_TABLES`` and then to off
-    (callback mode). Accepts bools or the ``"on"``/``"off"`` spellings
-    (plus ``"1"``/``"0"``) used by the CLI and the environment.
-    """
-    if tables is None:
-        tables = os.environ.get(TABLES_ENV_VAR) or "off"
-    if isinstance(tables, bool):
-        return tables
-    if tables in ("on", "1", "true"):
-        return True
-    if tables in ("off", "0", "false", ""):
-        return False
-    raise AnalysisError(
-        f"unknown kernel tables mode {tables!r}; choose one of {TABLES_CHOICES}"
-    )
-
-
-def select_threads(threads: Optional[int] = None) -> int:
-    """Resolve a frontier-thread request to a concrete positive count.
-
-    ``threads=None`` defers to ``REPRO_KERNEL_THREADS`` and then to 1
-    (serial). Results are byte-identical for every count by contract,
-    so validation is the only job here.
-    """
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR) or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{THREADS_ENV_VAR} must be a positive integer, not {raw!r}"
-            ) from None
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise AnalysisError(
-            f"kernel threads must be a positive integer, not {threads!r}"
-        )
-    return threads
-
-
 def make_backend(
     kernel: Optional[str],
     n_fields: int,
@@ -183,41 +119,3 @@ def make_backend(
         )
     return PyKernel(n_fields, n_processes, resolve_invoke, compute_deltas), name
 
-
-@contextlib.contextmanager
-def kernel_env(
-    kernel: Optional[str],
-    tables=None,
-    threads: Optional[int] = None,
-) -> Iterator[None]:
-    """Pin the kernel environment knobs for the duration of a block.
-
-    The API façades use this so pool workers — which re-build explorers
-    from module-level entry points — inherit the caller's kernel,
-    tables, and threads choices through the process environment under
-    both fork and spawn starts. ``None`` leaves a knob untouched.
-    """
-    if kernel is not None and kernel not in KERNEL_CHOICES:
-        raise AnalysisError(
-            f"unknown kernel {kernel!r}; choose one of {KERNEL_CHOICES}"
-        )
-    pins = {}
-    if kernel is not None:
-        pins[ENV_VAR] = kernel
-    if tables is not None:
-        pins[TABLES_ENV_VAR] = "on" if select_tables(tables) else "off"
-    if threads is not None:
-        pins[THREADS_ENV_VAR] = str(select_threads(threads))
-    if not pins:
-        yield
-        return
-    previous = {name: os.environ.get(name) for name in pins}
-    os.environ.update(pins)
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value

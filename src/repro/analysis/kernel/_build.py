@@ -77,7 +77,6 @@ def build_command(compiler: str, output: Path) -> List[str]:
         "-O2",
         "-fPIC",
         "-shared",
-        "-pthread",
         "-I",
         include_dir,
         str(SOURCE),

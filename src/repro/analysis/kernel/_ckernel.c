@@ -5,24 +5,19 @@
  * state — the packed encoding of repro.analysis.kernel.encoding), an
  * open-addressing row hash table, the per-(pid, local[, object-state])
  * invoke and delta tables, and the recorded adjacency lists. The BFS
- * (run_bfs) runs entirely in C; protocol semantics reach it two ways:
- *
- * - load_tables bulk-ingests compiled protocol tables (see
- *   repro.analysis.kernel.tables) ahead of exploration;
- * - on a table miss the kernel calls back into the explorer
- *   (resolve_invoke / compute_deltas) exactly once per key — the
- *   not-yet-compiled fallback sentinel is simply an empty map slot.
+ * (run_bfs) runs entirely in C; protocol semantics reach it through
+ * the explorer's callbacks (resolve_invoke / compute_deltas), called
+ * exactly once per key on a map miss and memoized forever after — an
+ * empty map slot is the not-yet-seen sentinel.
  *
  * run_bfs expands each frontier in two phases: a *plan* phase that
- * computes every successor row from the tables alone — pure C over
- * immutable state, so the GIL is released and the frontier can be
- * partitioned across OS threads — and a serial *commit* phase that
- * interns the planned rows in frontier order (falling back to the
- * GIL-holding callbacks for cids whose tables missed). Because the
- * commit replays the exact serial discovery sequence, configuration
- * ids, edge order, budget truncation, orders, parents, and digests
- * are byte-identical across backends, table/callback modes, and
- * thread counts.
+ * computes every successor row from the memo maps alone — pure C over
+ * immutable state, so it runs with the GIL released — and a *commit*
+ * phase that interns the planned rows in frontier order (falling back
+ * to the GIL-holding callbacks for cids whose maps missed). Because
+ * the commit replays the exact discovery sequence, configuration ids,
+ * edge order, budget truncation, orders, parents, and digests are
+ * byte-identical to the python backend.
  *
  * All heap state uses the PyMem_Raw* allocators, which are legal
  * without the GIL; the low-level helpers never set Python errors
@@ -41,18 +36,9 @@
 #include <stdint.h>
 #include <string.h>
 
-#ifndef _WIN32
-#include <pthread.h>
-#define REPRO_KERNEL_PTHREADS 1
-#endif
-
 /* Must match repro.analysis.kernel.encoding.FIELD_BITS: slot codes are
  * allocated below 1 << 24, so they always fit a uint32 field. */
 #define FIELD_BITS 24
-
-/* Upper bound for --kernel-threads: beyond this, frontier partitioning
- * overhead dwarfs any win on the graph sizes the explorer bounds. */
-#define MAX_PLAN_THREADS 16
 
 /* ---------------------------------------------------------------------
  * Growable int32 buffer
@@ -437,13 +423,9 @@ kernel_parse_row(KernelState *self, PyObject *codes, uint32_t *out)
     return 0;
 }
 
-/* Resolve the delta set for (pid, local, obj_index, obj_code), calling
- * back into Python on the first miss. Returns the delta-set id, -1 on
- * error. */
 /* Parse `outcomes` — a sequence of (eid, new_local, new_status,
  * new_obj) 4-tuples — into a new delta set registered under `dkey`.
- * Shared by the first-miss callback path and load_tables. Returns the
- * delta-set id, -1 with a Python error set. GIL held. */
+ * Returns the delta-set id, -1 with a Python error set. GIL held. */
 static Py_ssize_t
 kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
 {
@@ -510,6 +492,9 @@ kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
     return index;
 }
 
+/* Resolve the delta set for (pid, local, obj_index, obj_code), calling
+ * back into Python on the first miss. Returns the delta-set id, -1 on
+ * error. */
 static Py_ssize_t
 kernel_delta_set(KernelState *self, int pid, uint32_t local, int obj_index,
                  uint32_t obj_code)
@@ -661,7 +646,7 @@ intbuf_as_list(const int32_t *data, Py_ssize_t len)
 }
 
 /* ---------------------------------------------------------------------
- * Two-phase BFS: GIL-free plan, serial commit
+ * Two-phase BFS: GIL-free plan, then commit
  * ------------------------------------------------------------------ */
 
 typedef struct {
@@ -691,45 +676,42 @@ planbuf_reserve(PlanBuf *buf, Py_ssize_t extra)
 
 /* Per-frontier-member plan verdicts. */
 #define PLAN_RECORDED 0 /* adjacency already recorded: nothing planned */
-#define PLAN_ROWS 1     /* successor rows planned in the job's PlanBuf */
+#define PLAN_ROWS 1     /* successor rows planned in Plan.rows */
 #define PLAN_CALLBACK 2 /* table miss: commit takes the callback path */
 
 typedef struct {
-    KernelState *self;
-    const int32_t *frontier;
-    Py_ssize_t begin; /* this job's frontier block: [begin, end) */
-    Py_ssize_t end;
-    unsigned char *flags; /* shared, indexed by frontier position */
-    PlanBuf plan;
-    Py_ssize_t read; /* commit-phase cursor into plan.data */
-    int oom;
-} PlanJob;
+    unsigned char *flags; /* indexed by frontier position */
+    Py_ssize_t flags_cap;
+    PlanBuf rows;
+    Py_ssize_t read; /* commit-phase cursor into rows.data */
+} Plan;
 
-/* Plan one contiguous frontier block from the tables alone: pure C
- * over state no other thread writes, so it runs with the GIL released
- * and blocks run in parallel. Per PLAN_ROWS cid the plan records
- * [n_edges, then per edge: eid followed by the full successor row];
- * any invoke/delta table miss discards the cid's partial record and
- * flags it PLAN_CALLBACK for the commit phase. */
-static void
-plan_block(PlanJob *job)
+/* Plan a whole frontier from the memo maps alone: pure C over state
+ * nothing else writes meanwhile, so it runs with the GIL released. Per
+ * PLAN_ROWS cid the plan records [n_edges, then per edge: eid followed
+ * by the full successor row]; any invoke/delta map miss discards the
+ * cid's partial record and flags it PLAN_CALLBACK for the commit
+ * phase. Returns 0, or -1 when out of memory. */
+static int
+plan_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
+              Plan *plan)
 {
-    KernelState *self = job->self;
     int n = self->n_processes;
     int n_fields = self->n_fields;
-    for (Py_ssize_t f = job->begin; f < job->end; f++) {
-        Py_ssize_t cid = job->frontier[f];
+    plan->rows.len = 0;
+    plan->read = 0;
+    for (Py_ssize_t f = 0; f < width; f++) {
+        Py_ssize_t cid = frontier[f];
         if (self->adj_len[cid] >= 0) {
-            job->flags[f] = PLAN_RECORDED;
+            plan->flags[f] = PLAN_RECORDED;
             continue;
         }
         const uint32_t *src = self->rows + cid * n_fields;
-        Py_ssize_t mark = job->plan.len;
-        if (planbuf_reserve(&job->plan, 1) < 0) {
-            job->oom = 1;
-            return;
+        Py_ssize_t mark = plan->rows.len;
+        if (planbuf_reserve(&plan->rows, 1) < 0) {
+            return -1;
         }
-        Py_ssize_t header = job->plan.len++;
+        Py_ssize_t header = plan->rows.len++;
         uint32_t n_edges = 0;
         int miss = 0;
         for (int pid = 0; pid < n; pid++) {
@@ -751,41 +733,32 @@ plan_block(PlanJob *job)
                 break;
             }
             const DeltaSet *set = &self->delta_sets[dsi];
-            if (planbuf_reserve(&job->plan,
+            if (planbuf_reserve(&plan->rows,
                                 (Py_ssize_t)set->n * (1 + n_fields)) < 0) {
-                job->oom = 1;
-                return;
+                return -1;
             }
             for (int32_t i = 0; i < set->n; i++) {
                 const uint32_t *vals = set->vals + (Py_ssize_t)i * 4;
-                uint32_t *out = job->plan.data + job->plan.len;
+                uint32_t *out = plan->rows.data + plan->rows.len;
                 out[0] = vals[0]; /* eid */
                 memcpy(out + 1, src, (size_t)n_fields * sizeof(uint32_t));
                 out[1 + pid] = vals[1];
                 out[1 + n + pid] = vals[2];
                 out[1 + 2 * n + obj_index] = vals[3];
-                job->plan.len += 1 + n_fields;
+                plan->rows.len += 1 + n_fields;
                 n_edges++;
             }
         }
         if (miss) {
-            job->plan.len = mark;
-            job->flags[f] = PLAN_CALLBACK;
+            plan->rows.len = mark;
+            plan->flags[f] = PLAN_CALLBACK;
         } else {
-            job->plan.data[header] = n_edges;
-            job->flags[f] = PLAN_ROWS;
+            plan->rows.data[header] = n_edges;
+            plan->flags[f] = PLAN_ROWS;
         }
     }
+    return 0;
 }
-
-#ifdef REPRO_KERNEL_PTHREADS
-static void *
-plan_thread_main(void *arg)
-{
-    plan_block((PlanJob *)arg);
-    return NULL;
-}
-#endif
 
 typedef struct {
     IntBuf *order;
@@ -803,29 +776,25 @@ typedef struct {
 #define COMMIT_OOM (-1)
 #define COMMIT_PYERR (-2)
 
-/* Commit one planned frontier serially, in frontier order: intern the
- * planned rows (or run the GIL-holding callback expansion for cids
- * flagged PLAN_CALLBACK), record adjacency, then scan it with the
- * exact serial budget semantics — the budget is charged per newly
- * discovered successor, the truncating cid's adjacency is already
- * recorded, and the walk stops mid-scan. Because this loop replays
- * the serial discovery sequence regardless of how the plan phase was
- * partitioned, cids and edge order are identical across thread
- * counts. Touches no Python state unless a cid is flagged
- * PLAN_CALLBACK, so with no flagged cid the caller runs it with the
- * GIL released. */
+/* Commit one planned frontier in frontier order: intern the planned
+ * rows (or run the GIL-holding callback expansion for cids flagged
+ * PLAN_CALLBACK), record adjacency, then scan it with the exact
+ * budget semantics of the python backend — the budget is charged per
+ * newly discovered successor, the truncating cid's adjacency is
+ * already recorded, and the walk stops mid-scan. Touches no Python
+ * state unless a cid is flagged PLAN_CALLBACK, so with no flagged cid
+ * the caller runs it with the GIL released. */
 static int
 commit_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
-                const unsigned char *flags, PlanJob *jobs, Py_ssize_t chunk,
-                CommitCtx *ctx)
+                Plan *plan, CommitCtx *ctx)
 {
     int n_fields = self->n_fields;
+    const unsigned char *flags = plan->flags;
     for (Py_ssize_t f = 0; f < width; f++) {
         Py_ssize_t cid = frontier[f];
         ctx->expansions++;
         if (flags[f] == PLAN_ROWS) {
-            PlanJob *job = &jobs[f / chunk];
-            uint32_t n_edges = job->plan.data[job->read++];
+            uint32_t n_edges = plan->rows.data[plan->read++];
             int32_t *flat = NULL;
             if (n_edges) {
                 flat = PyMem_RawMalloc((size_t)n_edges * 2 * sizeof(int32_t));
@@ -834,7 +803,7 @@ commit_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
                 }
             }
             for (uint32_t k = 0; k < n_edges; k++) {
-                const uint32_t *rec = job->plan.data + job->read;
+                const uint32_t *rec = plan->rows.data + plan->read;
                 Py_ssize_t tid = kernel_intern(self, rec + 1);
                 if (tid < 0) {
                     PyMem_RawFree(flat);
@@ -842,7 +811,7 @@ commit_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
                 }
                 flat[k * 2] = (int32_t)rec[0];
                 flat[k * 2 + 1] = (int32_t)tid;
-                job->read += 1 + n_fields;
+                plan->read += 1 + n_fields;
             }
             self->adj[cid] = flat;
             self->adj_len[cid] = (int32_t)(n_edges * 2);
@@ -1043,109 +1012,28 @@ KernelState_status_key(KernelState *self, PyObject *arg)
 }
 
 static PyObject *
-KernelState_load_tables(KernelState *self, PyObject *args)
-{
-    PyObject *invoke_entries, *delta_entries;
-    if (!PyArg_ParseTuple(args, "OO", &invoke_entries, &delta_entries)) {
-        return NULL;
-    }
-    PyObject *fast =
-        PySequence_Fast(invoke_entries, "invoke entries must be a sequence");
-    if (fast == NULL) {
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int pid, obj_index;
-        unsigned int local;
-        if (!PyArg_ParseTuple(items[i], "iIi", &pid, &local, &obj_index)) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-        if (pid < 0 || pid >= self->n_processes ||
-            local >= (1U << FIELD_BITS) || obj_index < 0 ||
-            2 * self->n_processes + obj_index >= self->n_fields) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "invoke entry out of range");
-            return NULL;
-        }
-        uint64_t ikey = ((uint64_t)pid << FIELD_BITS) | local;
-        if (u64map_set(&self->invoke, ikey, (int32_t)obj_index) < 0) {
-            Py_DECREF(fast);
-            return PyErr_NoMemory();
-        }
-    }
-    Py_DECREF(fast);
-    fast = PySequence_Fast(delta_entries, "delta entries must be a sequence");
-    if (fast == NULL) {
-        return NULL;
-    }
-    n = PySequence_Fast_GET_SIZE(fast);
-    items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int pid, obj_index;
-        unsigned int local, obj_code;
-        PyObject *outcomes;
-        if (!PyArg_ParseTuple(items[i], "iIiIO", &pid, &local, &obj_index,
-                              &obj_code, &outcomes)) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-        if (pid < 0 || pid >= self->n_processes ||
-            local >= (1U << FIELD_BITS) || obj_code >= (1U << FIELD_BITS)) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "delta entry out of range");
-            return NULL;
-        }
-        uint64_t dkey =
-            ((((uint64_t)pid << FIELD_BITS) | local) << FIELD_BITS) | obj_code;
-        if (u64map_get(&self->deltas, dkey) >= 0) {
-            continue; /* a first-miss memo already holds this key */
-        }
-        if (kernel_store_delta_set(self, dkey, outcomes) < 0) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-    }
-    Py_DECREF(fast);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 KernelState_run_bfs(KernelState *self, PyObject *args)
 {
     Py_ssize_t start_id;
     Py_ssize_t max_configurations;
     PyObject *on_round = Py_None;
-    int threads = 1;
-    if (!PyArg_ParseTuple(args, "nn|Oi", &start_id, &max_configurations,
-                          &on_round, &threads)) {
+    if (!PyArg_ParseTuple(args, "nn|O", &start_id, &max_configurations,
+                          &on_round)) {
         return NULL;
     }
     if (kernel_check_cid(self, start_id) < 0) {
         return NULL;
     }
-    if (threads < 1) {
-        threads = 1;
-    } else if (threads > MAX_PLAN_THREADS) {
-        threads = MAX_PLAN_THREADS;
-    }
-#ifndef REPRO_KERNEL_PTHREADS
-    threads = 1;
-#endif
 
     IntBuf order, parents, frontier, next_frontier;
-    PlanJob jobs[MAX_PLAN_THREADS];
-    unsigned char *flags = NULL;
-    Py_ssize_t flags_cap = 0;
+    Plan plan;
     PyObject *result = NULL;
     CommitCtx ctx;
     int complete = 1;
     Py_ssize_t rounds = 0;
     Py_ssize_t depth = 0;
 
-    memset(jobs, 0, sizeof(jobs));
+    memset(&plan, 0, sizeof(plan));
     memset(&ctx, 0, sizeof(ctx));
     order.data = parents.data = frontier.data = next_frontier.data = NULL;
     order.len = order.cap = parents.len = parents.cap = 0;
@@ -1183,70 +1071,33 @@ KernelState_run_bfs(KernelState *self, PyObject *args)
             }
             Py_DECREF(hook_result);
         }
-        if (flags_cap < width) {
-            unsigned char *grown = PyMem_RawRealloc(flags, (size_t)width);
+        if (plan.flags_cap < width) {
+            unsigned char *grown = PyMem_RawRealloc(plan.flags, (size_t)width);
             if (grown == NULL) {
                 PyErr_NoMemory();
                 goto done;
             }
-            flags = grown;
-            flags_cap = width;
-        }
-        Py_ssize_t n_jobs = threads < width ? threads : width;
-        Py_ssize_t chunk = (width + n_jobs - 1) / n_jobs;
-        n_jobs = (width + chunk - 1) / chunk;
-        for (Py_ssize_t j = 0; j < n_jobs; j++) {
-            jobs[j].self = self;
-            jobs[j].frontier = frontier.data;
-            jobs[j].begin = j * chunk;
-            jobs[j].end = (j + 1) * chunk < width ? (j + 1) * chunk : width;
-            jobs[j].flags = flags;
-            jobs[j].plan.len = 0;
-            jobs[j].read = 0;
-            jobs[j].oom = 0;
+            plan.flags = grown;
+            plan.flags_cap = width;
         }
         int oom = 0;
         int have_callbacks = 0;
         int verdict = COMMIT_DONE;
-        /* Plan the whole frontier with the GIL released — across OS
-         * threads when asked — and, when no cid needs a callback,
-         * commit inside the same GIL-free region. */
+        /* Plan the whole frontier with the GIL released and, when no
+         * cid needs a callback, commit inside the same GIL-free
+         * region. */
         Py_BEGIN_ALLOW_THREADS
-#ifdef REPRO_KERNEL_PTHREADS
-        if (n_jobs > 1) {
-            pthread_t tids[MAX_PLAN_THREADS];
-            int spawned[MAX_PLAN_THREADS];
-            for (Py_ssize_t j = 1; j < n_jobs; j++) {
-                spawned[j] = pthread_create(&tids[j], NULL, plan_thread_main,
-                                            &jobs[j]) == 0;
-            }
-            plan_block(&jobs[0]);
-            for (Py_ssize_t j = 1; j < n_jobs; j++) {
-                if (spawned[j]) {
-                    pthread_join(tids[j], NULL);
-                } else {
-                    plan_block(&jobs[j]); /* spawn failed: run inline */
-                }
-            }
-        } else {
-            plan_block(&jobs[0]);
-        }
-#else
-        plan_block(&jobs[0]);
-#endif
-        for (Py_ssize_t j = 0; j < n_jobs; j++) {
-            oom |= jobs[j].oom;
-        }
+        oom = plan_frontier(self, frontier.data, width, &plan) < 0;
         if (!oom) {
             for (Py_ssize_t f = 0; f < width; f++) {
-                if (flags[f] == PLAN_CALLBACK) {
+                if (plan.flags[f] == PLAN_CALLBACK) {
                     have_callbacks = 1;
                     break;
                 }
             }
             if (!have_callbacks) {
-                verdict = commit_frontier(self, frontier.data, width, flags,
-                                          jobs, chunk, &ctx);
+                verdict = commit_frontier(self, frontier.data, width, &plan,
+                                          &ctx);
             }
         }
         Py_END_ALLOW_THREADS
@@ -1255,8 +1106,7 @@ KernelState_run_bfs(KernelState *self, PyObject *args)
             goto done;
         }
         if (have_callbacks) {
-            verdict = commit_frontier(self, frontier.data, width, flags, jobs,
-                                      chunk, &ctx);
+            verdict = commit_frontier(self, frontier.data, width, &plan, &ctx);
         }
         if (verdict == COMMIT_OOM) {
             PyErr_NoMemory();
@@ -1297,10 +1147,8 @@ build:;
 
 done:
     PyMem_RawFree(ctx.seen);
-    PyMem_RawFree(flags);
-    for (int j = 0; j < MAX_PLAN_THREADS; j++) {
-        PyMem_RawFree(jobs[j].plan.data);
-    }
+    PyMem_RawFree(plan.flags);
+    PyMem_RawFree(plan.rows.data);
     intbuf_free(&order);
     intbuf_free(&parents);
     intbuf_free(&frontier);
@@ -1438,8 +1286,6 @@ static PyMethodDef KernelState_methods[] = {
      "Flat [eid, tid, ...] for one pid; does not record adjacency."},
     {"status_key", (PyCFunction)KernelState_status_key, METH_O,
      "The process status codes of cid as a tuple."},
-    {"load_tables", (PyCFunction)KernelState_load_tables, METH_VARARGS,
-     "Bulk-ingest compiled protocol tables (invoke and delta entries)."},
     {"run_bfs", (PyCFunction)KernelState_run_bfs, METH_VARARGS,
      "Batch BFS: (order, parents, complete, expansions, rounds)."},
     {NULL, NULL, 0, NULL},
@@ -1482,14 +1328,7 @@ PyInit__ckernel(void)
     if (module == NULL) {
         return NULL;
     }
-#ifdef REPRO_KERNEL_PTHREADS
-    int has_threads = 1;
-#else
-    int has_threads = 0;
-#endif
     if (PyModule_AddIntConstant(module, "FIELD_BITS", FIELD_BITS) < 0 ||
-        PyModule_AddIntConstant(module, "HAS_THREADS", has_threads) < 0 ||
-        PyModule_AddIntConstant(module, "MAX_THREADS", MAX_PLAN_THREADS) < 0 ||
         PyModule_AddStringConstant(module, "NAME", "compiled") < 0) {
         Py_DECREF(module);
         return NULL;

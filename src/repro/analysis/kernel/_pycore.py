@@ -29,6 +29,11 @@ NAME = "python"
 _MASK = (1 << FIELD_BITS) - 1
 
 
+def _unknown_cid(cid: int) -> IndexError:
+    """The compiled backend's error for an out-of-range cid, verbatim."""
+    return IndexError(f"unknown configuration id {cid}")
+
+
 class PyKernel:
     """Flat exploration core over packed big-int configuration words.
 
@@ -74,36 +79,6 @@ class PyKernel:
         #: ((pid << F | local) << F | obj_code) -> ((eid, adjustment), ...).
         self._deltas: dict = {}
 
-    # -- compiled protocol tables ---------------------------------------------
-
-    def load_tables(self, invoke_entries, delta_entries) -> None:
-        """Bulk-ingest compiled protocol tables (see ``kernel.tables``).
-
-        Entries land in the same memo maps the first-miss callbacks
-        populate, so loaded keys never call back into Python; keys the
-        compiler did not cover stay absent — the fallback sentinel —
-        and take the callback path unchanged.
-        """
-        invoke = self._invoke
-        for pid, local, obj_index in invoke_entries:
-            invoke[(pid << FIELD_BITS) | local] = obj_index
-        n = self.n_processes
-        deltas = self._deltas
-        for pid, local, obj_index, obj_code, outcomes in delta_entries:
-            ikey = (pid << FIELD_BITS) | local
-            lshift = pid * FIELD_BITS
-            sshift = (n + pid) * FIELD_BITS
-            oshift = (2 * n + obj_index) * FIELD_BITS
-            deltas[(ikey << FIELD_BITS) | obj_code] = tuple(
-                (
-                    eid,
-                    ((new_local - local) << lshift)
-                    + (new_status << sshift)
-                    + ((new_obj - obj_code) << oshift),
-                )
-                for eid, new_local, new_status, new_obj in outcomes
-            )
-
     # -- interning ------------------------------------------------------------
 
     def intern_row(self, codes: Sequence[int]) -> int:
@@ -128,6 +103,8 @@ class PyKernel:
 
     def row(self, cid: int) -> Tuple[int, ...]:
         """The code row of an interned cid."""
+        if not 0 <= cid < len(self._words):
+            raise _unknown_cid(cid)
         word = self._words[cid]
         return tuple(
             (word >> (slot * FIELD_BITS)) & _MASK
@@ -204,6 +181,8 @@ class PyKernel:
 
     def expand(self, cid: int) -> List[int]:
         """Flat [eid, tid, ...] adjacency of ``cid`` (computed once)."""
+        if not 0 <= cid < len(self._words):
+            raise _unknown_cid(cid)
         adj = self._adjacency[cid]
         if adj is None:
             adj = self._expand_new(cid)
@@ -211,6 +190,8 @@ class PyKernel:
 
     def adjacency(self, cid: int) -> Optional[List[int]]:
         """The recorded adjacency of ``cid``, or None — never expands."""
+        if not 0 <= cid < len(self._words):
+            raise _unknown_cid(cid)
         return self._adjacency[cid]
 
     def expand_pid(self, cid: int, pid: int) -> List[int]:
@@ -220,8 +201,12 @@ class PyKernel:
         populate the full-expansion cache (pinned by the targeted-step
         tests).
         """
-        word = self._words[cid]
+        if not 0 <= cid < len(self._words):
+            raise _unknown_cid(cid)
         n = self.n_processes
+        if not 0 <= pid < n:
+            raise IndexError(f"unknown pid {pid}")
+        word = self._words[cid]
         entries: List[int] = []
         if (word >> ((n + pid) * FIELD_BITS)) & _MASK:
             return entries
@@ -259,7 +244,6 @@ class PyKernel:
         start_id: int,
         max_configurations: int,
         on_round: Optional[Callable[[int, int, int], None]] = None,
-        threads: int = 1,
     ) -> Tuple[List[int], List[int], bool, int, int]:
         """Breadth-first expansion of the whole reachable graph.
 
@@ -271,17 +255,13 @@ class PyKernel:
         truncated the walk. ``on_round(depth, width, seen)`` fires once
         per frontier before it is scanned (tracing hook).
 
-        ``threads`` is accepted for backend-signature parity and
-        ignored: the GIL serializes this backend anyway, and results
-        are byte-identical across thread counts by contract, so the
-        serial walk *is* the threaded walk's observable behavior.
-
         Truncation replicates the object-level loop exactly: the budget
         is charged per *newly discovered* successor, the truncating
         configuration's adjacency is already recorded, and the walk
         stops mid-scan (later frontier members stay unexpanded).
         """
-        del threads  # byte-identical by contract; nothing to vary
+        if not 0 <= start_id < len(self._words):
+            raise _unknown_cid(start_id)
         words = self._words
         adjacency = self._adjacency
         seen = bytearray(len(words))
@@ -331,6 +311,8 @@ class PyKernel:
         Configurations sharing a status key share decisions, aborts,
         and enabled sets, so verdict memoization keys on this tuple.
         """
+        if not 0 <= cid < len(self._words):
+            raise _unknown_cid(cid)
         word = self._words[cid]
         n = self.n_processes
         return tuple(

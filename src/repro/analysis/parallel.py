@@ -286,13 +286,15 @@ def algorithm2_instance_check(
     inputs: Tuple[Any, ...],
     symmetry: bool = False,
     max_configurations: int = 400_000,
+    kernel: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Full Theorem 4.1 check of one ``(n, inputs)`` instance.
 
     Safety over all schedules, solo termination for every pid, plus the
     graph size — the per-instance body of ``repro check-algorithm2``.
     The counterexample (if any) is returned *rendered*, so the parent
-    process never needs the worker's explorer.
+    process never needs the worker's explorer. ``kernel`` picks the
+    exploration backend (see :class:`~repro.analysis.explorer.Explorer`).
     """
     from ..core.pac import NPacSpec
     from ..protocols.dac_from_pac import (
@@ -305,7 +307,9 @@ def algorithm2_instance_check(
 
     inputs = tuple(inputs)
     task = DacDecisionTask(n)
-    explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
+    explorer = Explorer(
+        {"PAC": NPacSpec(n)}, algorithm2_processes(inputs), kernel=kernel
+    )
     sym = algorithm2_symmetry(inputs) if symmetry else None
     counterexample = explorer.check_safety(
         task, inputs, max_configurations=max_configurations, symmetry=sym
@@ -330,19 +334,22 @@ def algorithm2_instance_check(
     }
 
 
-def candidate_outcome(index: int) -> Dict[str, Any]:
+def candidate_outcome(
+    index: int, kernel: Optional[str] = None
+) -> Dict[str, Any]:
     """Refute (or validate) candidate ``index`` of ``all_candidates()``.
 
     Returns the candidate's name, expected failure, observed outcome
     (``safety`` / ``liveness`` / ``none``) and the rendered witness —
-    the per-candidate body of ``repro refute``.
+    the per-candidate body of ``repro refute``, on the ``kernel``
+    backend.
     """
     from ..protocols.candidates import all_candidates
     from .explorer import Explorer
     from .render import render_counterexample, render_livelock
 
     candidate = all_candidates()[index]
-    explorer = Explorer(candidate.objects, candidate.processes)
+    explorer = Explorer(candidate.objects, candidate.processes, kernel=kernel)
     counterexample = explorer.check_safety(candidate.task, candidate.inputs)
     livelock = explorer.find_livelock() if counterexample is None else None
     if counterexample is not None:

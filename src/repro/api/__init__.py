@@ -19,9 +19,9 @@ Two layers, one behaviour:
 Parameter conventions are uniform: ``jobs=`` (worker processes,
 ``1`` = inline), ``cache=``/``cache_dir=`` (the content-addressed
 exploration cache), ``seed=`` (campaign seed), ``kernel=`` (exploration
-backend: ``auto``/``python``/``compiled``), ``kernel_tables=`` /
-``kernel_threads=`` (table compilation and frontier threading — all
-observable-identical, pure throughput), ``trace=`` (a path: the call
+backend: ``auto``/``python``/``compiled`` — observable-identical, pure
+throughput; passed explicitly to every explorer the call builds, pool
+workers included), ``trace=`` (a path: the call
 records a JSONL trace there, see :mod:`repro.obs`). Every call opens an
 observation session — joining the ambient one when the CLI (or an
 outer call) already holds it — and embeds the deterministic metrics
@@ -80,8 +80,6 @@ def verify(
     cache: bool = False,
     cache_dir: Optional[str] = None,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Model-check Theorem 4.1 at size ``n`` over every input assignment."""
@@ -94,8 +92,6 @@ def verify(
                 cache=cache,
                 cache_dir=cache_dir,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
-                kernel_threads=kernel_threads,
                 trace=trace,
             ),
         )
@@ -107,8 +103,6 @@ def refute(
     candidate: Optional[str] = None,
     jobs: int = 1,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Run the doomed-candidate suite; every witness must match its
@@ -119,8 +113,6 @@ def refute(
             options=ExecutionOptions(
                 jobs=jobs,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
-                kernel_threads=kernel_threads,
                 trace=trace,
             ),
         )
@@ -139,8 +131,6 @@ def fuzz(
     shrink: bool = True,
     max_steps: int = 64,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Coverage-guided schedule/response fuzzing with shrinking and
@@ -158,8 +148,6 @@ def fuzz(
             options=ExecutionOptions(
                 jobs=jobs,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
-                kernel_threads=kernel_threads,
                 trace=trace,
             ),
         )
@@ -175,8 +163,6 @@ def explore(
     cache_dir: Optional[str] = None,
     max_configurations: int = 400_000,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Build one Algorithm 2 instance's reachable configuration graph.
@@ -195,8 +181,6 @@ def explore(
                 cache=cache,
                 cache_dir=cache_dir,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
-                kernel_threads=kernel_threads,
                 trace=trace,
             ),
         )

@@ -8,9 +8,10 @@ adapters, the server's job runner — funnels through
 * opens an observation session (joining the ambient one when the CLI
   or an outer call already holds it) tagged with the request's report
   command;
-* pins the kernel environment knobs from the request's
-  :class:`~repro.api.requests.ExecutionOptions` so pool workers
-  inherit them;
+* hands the request's ``options.kernel`` explicitly to every
+  :class:`~repro.analysis.explorer.Explorer` the body builds — pool
+  workers receive it through their work items' keyword arguments, so
+  no process environment is ever written;
 * dispatches on the request type and returns the schema-versioned
   :class:`repro.reports.Report` with the session's metrics snapshot
   embedded.
@@ -53,17 +54,11 @@ def execute(request: Request, *, trace: Optional[Any] = None) -> Report:
         raise InvalidRequestError(
             f"not an executable request: {request!r}"
         )
-    from ..analysis.kernel import kernel_env
-
     options = request.options  # type: ignore[attr-defined]
     trace_path = trace if trace is not None else options.trace
     with obs.session(
         trace_path=trace_path, meta={"command": request.report_command}
-    ) as sess, kernel_env(
-        options.kernel,
-        tables=options.kernel_tables,
-        threads=options.kernel_threads,
-    ):
+    ) as sess:
         report = body(request)
         return report.with_metrics(sess.snapshot())
 
@@ -120,6 +115,7 @@ def _verify_body(request: VerifyRequest) -> Report:
                     key=inputs,
                     fn=algorithm2_instance_check,
                     args=(n, inputs, bool(symmetry)),
+                    kwargs={"kernel": request.options.kernel},
                 )
             )
         pool = VerificationPool(jobs=jobs)
@@ -270,7 +266,12 @@ def _refute_body(request: RefuteRequest) -> Report:
         pool = VerificationPool(jobs=jobs)
         results = pool.run(
             [
-                WorkItem(key=index, fn=candidate_outcome, args=(index,))
+                WorkItem(
+                    key=index,
+                    fn=candidate_outcome,
+                    args=(index,),
+                    kwargs={"kernel": request.options.kernel},
+                )
                 for index in indices
             ]
         )
@@ -350,6 +351,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
     budget = request.budget
     seed = request.seed
     jobs = request.options.jobs
+    kernel = request.options.kernel
     max_steps = request.max_steps
     lines: List[str] = []
     findings: List[Finding] = []
@@ -399,6 +401,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 max_steps=max_steps,
                 shrink=request.shrink,
                 corpus=corpus,
+                kernel=kernel,
             )
             lines.append("")
             lines.append(
@@ -413,7 +416,9 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 f"(seeded {campaign.corpus_seeded})"
             )
             observed = campaign.observed_failure()
-            renderer = FuzzExecutor(target, max_steps=max_steps).explorer
+            renderer = FuzzExecutor(
+                target, max_steps=max_steps, kernel=kernel
+            ).explorer
             if not campaign.findings:
                 lines.append(
                     f"no violation found in {campaign.executions} "
@@ -539,7 +544,11 @@ def _explore_body(request: ExploreRequest) -> Report:
     symmetry = request.symmetry
     max_configurations = request.max_configurations
     assert inputs is not None  # normalized at construction
-    explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
+    explorer = Explorer(
+        {"PAC": NPacSpec(n)},
+        algorithm2_processes(inputs),
+        kernel=request.options.kernel,
+    )
     with obs.span("explore", n=n, inputs=repr(inputs)), \
             obs.profile_phase("explore"):
         was_hit = False

@@ -9,7 +9,7 @@ into two kinds of field:
   produce byte-identical Report bodies, by the library's determinism
   contract.
 * :class:`ExecutionOptions` — *how* the answer is computed (``jobs``,
-  ``cache``, kernel knobs, ``trace``). Every option is
+  ``cache``, ``kernel``, ``trace``). Every option is
   observable-identical by contract, so options are deliberately
   **excluded** from the fingerprint: a pooled run coalesces with a
   serial run, a traced one with an untraced one.
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _KERNEL_CHOICES = (None, "auto", "python", "compiled")
-_TABLE_CHOICES = (None, "on", "off")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -95,16 +94,14 @@ class ExecutionOptions:
 
     Every knob here is observable-identical by the library's
     determinism contract (reports are byte-identical across ``jobs``,
-    cache states, kernels, table modes, thread counts, and tracing), so
-    none of them participates in :meth:`Request.fingerprint`.
+    cache states, kernels, and tracing), so none of them participates
+    in :meth:`Request.fingerprint`.
     """
 
     jobs: int = 1
     cache: bool = False
     cache_dir: Optional[str] = None
     kernel: Optional[str] = None
-    kernel_tables: Optional[str] = None
-    kernel_threads: Optional[int] = None
     trace: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -115,11 +112,6 @@ class ExecutionOptions:
             self.kernel in _KERNEL_CHOICES,
             f"kernel must be one of {_KERNEL_CHOICES[1:]}, got {self.kernel!r}",
         )
-        _require(
-            self.kernel_tables in _TABLE_CHOICES,
-            f"kernel_tables must be 'on' or 'off', got {self.kernel_tables!r}",
-        )
-        _check_opt_int("kernel_threads", self.kernel_threads, 1)
         _check_opt_str("trace", self.trace)
 
     def to_dict(self) -> Dict[str, Any]:

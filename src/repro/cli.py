@@ -30,11 +30,8 @@ Commands:
 
 Exploration-heavy commands (``check-algorithm2``, ``refute``, ``fuzz``,
 ``explore``) accept ``--kernel {auto,python,compiled}`` to pick the
-packed-state exploration backend, ``--kernel-tables {on,off}`` to
-pre-compile protocol semantics into flat tables ahead of exploration,
-and ``--kernel-threads N`` to partition BFS frontiers across OS
-threads in the compiled backend (see ``docs/performance.md``); every
-combination produces byte-identical reports, verdicts, and cache keys.
+packed-state exploration backend (see ``docs/performance.md``); every
+backend produces byte-identical reports, verdicts, and cache keys.
 
 Every command builds a :class:`repro.reports.Report` and renders it
 through one renderer: ``--format text`` (default) prints the report
@@ -113,8 +110,6 @@ def _cmd_check_algorithm2(args: argparse.Namespace) -> Report:
         cache=args.cache,
         cache_dir=args.cache_dir,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
-        kernel_threads=args.kernel_threads,
     )
 
 
@@ -125,8 +120,6 @@ def _cmd_refute(args: argparse.Namespace) -> Report:
         candidate=args.candidate,
         jobs=args.jobs,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
-        kernel_threads=args.kernel_threads,
     )
 
 
@@ -144,8 +137,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> Report:
         shrink=args.shrink,
         max_steps=args.max_steps,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
-        kernel_threads=args.kernel_threads,
     )
 
 
@@ -154,9 +145,16 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
     inputs = None
     if args.inputs is not None:
-        inputs = tuple(
-            int(part) for part in args.inputs.split(",") if part.strip() != ""
-        )
+        try:
+            inputs = tuple(
+                int(part)
+                for part in args.inputs.split(",")
+                if part.strip() != ""
+            )
+        except ValueError:
+            raise InvalidRequestError(
+                f"inputs must be comma-separated integers, got {args.inputs!r}"
+            ) from None
     return explore(
         n=args.n,
         inputs=inputs,
@@ -165,8 +163,6 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
         cache_dir=args.cache_dir,
         max_configurations=args.max_configurations,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
-        kernel_threads=args.kernel_threads,
     )
 
 
@@ -496,7 +492,7 @@ def _add_observability_arguments(
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    """``--kernel`` and friends, shared by exploration-heavy commands."""
+    """``--kernel``, shared by exploration-heavy commands."""
     parser.add_argument(
         "--kernel",
         choices=("auto", "python", "compiled"),
@@ -504,23 +500,6 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         help="exploration backend (default: $REPRO_KERNEL or auto — "
         "compiled when the extension is built, python otherwise); all "
         "choices are byte-identical, see docs/performance.md",
-    )
-    parser.add_argument(
-        "--kernel-tables",
-        choices=("on", "off"),
-        default=None,
-        help="pre-compile protocol semantics into flat tables ahead of "
-        "exploration (default: $REPRO_KERNEL_TABLES or off); results "
-        "are byte-identical either way",
-    )
-    parser.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition each BFS frontier across N OS threads in the "
-        "compiled backend (default: $REPRO_KERNEL_THREADS or 1); "
-        "results are byte-identical for every N",
     )
 
 

@@ -96,6 +96,7 @@ def run_shard(
     shrink: bool = True,
     stop_on_finding: bool = True,
     initial_corpus: Tuple[Genes, ...] = (),
+    kernel: Optional[str] = None,
 ) -> Dict[str, object]:
     """One shard's sub-campaign (module-level: pool-ready).
 
@@ -106,7 +107,7 @@ def run_shard(
     and replay-verified.
     """
     target = target_from_spec(spec)
-    executor = FuzzExecutor(target, max_steps=max_steps)
+    executor = FuzzExecutor(target, max_steps=max_steps, kernel=kernel)
     rng = random.Random(shard_seed(seed, shard, spec))
     coverage: set = set()
     pool: List[Genes] = [tuple(genes) for genes in initial_corpus]
@@ -245,6 +246,7 @@ def fuzz_campaign(
     shrink: bool = True,
     stop_on_finding: bool = True,
     corpus: Optional[FuzzCorpus] = None,
+    kernel: Optional[str] = None,
 ) -> FuzzReport:
     """Run one campaign against the target named by ``spec``.
 
@@ -254,7 +256,7 @@ def fuzz_campaign(
     stored entries for this target seed every shard's mutation pool,
     and each shard's interesting discoveries are persisted back
     (content-addressed, so re-runs and sibling shards dedupe to
-    identical files).
+    identical files). ``kernel`` is every shard's exploration backend.
     """
     spec = tuple(spec)
     target = target_from_spec(spec)  # validates the spec up front
@@ -276,6 +278,7 @@ def fuzz_campaign(
                 "shrink": shrink,
                 "stop_on_finding": stop_on_finding,
                 "initial_corpus": initial,
+                "kernel": kernel,
             },
         )
         for shard in range(shards)

@@ -10,10 +10,8 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
   backends (interning, rows, adjacency, targeted expansion, BFS with
   and without truncation, round events) is byte-identical. The
   compiled half skips gracefully when the extension is not built;
-* the tables/threads knobs — ``select_tables`` / ``select_threads`` /
-  the extended ``kernel_env``, the table compiler's determinism and
-  protocol-shape checks, load-time fallback for incomplete tables,
-  and thread-count byte-identity of the compiled BFS.
+* the shared bounds contract — every available backend rejects an
+  unknown configuration id with the same ``IndexError``.
 """
 
 import pytest
@@ -23,17 +21,11 @@ from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import (
     KERNEL_CHOICES,
     MAX_CODE,
-    TABLES_CHOICES,
     PackedEncoder,
-    ProtocolTables,
     PyKernel,
-    compile_tables,
     compiled_available,
-    kernel_env,
     make_backend,
     select,
-    select_tables,
-    select_threads,
 )
 from repro.core.pac import NPacSpec
 from repro.errors import AnalysisError
@@ -44,15 +36,19 @@ needs_compiled = pytest.mark.skipif(
     reason="compiled kernel extension not built (run `make kernel-ext`)",
 )
 
+AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
+    "python",
+)
+
 
 def _algorithm2_protocol(n):
     inputs = tuple([1] + [0] * (n - 1))
     return {"PAC": NPacSpec(n)}, algorithm2_processes(inputs)
 
 
-def _algorithm2_explorer(n, kernel=None, **kwargs):
+def _algorithm2_explorer(n, kernel=None):
     objects, processes = _algorithm2_protocol(n)
-    return Explorer(objects, processes, kernel=kernel, **kwargs)
+    return Explorer(objects, processes, kernel=kernel)
 
 
 class TestPackedEncoder:
@@ -150,19 +146,6 @@ class TestKernelSelection:
         with pytest.raises(AnalysisError) as excinfo:
             select("compiled")
         assert "last build attempt" not in str(excinfo.value)
-
-    def test_kernel_env_pins_and_restores(self, monkeypatch):
-        monkeypatch.delenv(kernel_mod.ENV_VAR, raising=False)
-        with kernel_env("python"):
-            import os
-
-            assert os.environ[kernel_mod.ENV_VAR] == "python"
-        import os
-
-        assert kernel_mod.ENV_VAR not in os.environ
-        with pytest.raises(AnalysisError, match="unknown kernel"):
-            with kernel_env("bogus"):
-                pass
 
     def test_make_backend_python(self):
         backend, name = make_backend(
@@ -274,184 +257,39 @@ class TestBackendEquivalence:
         ]
 
 
-class TestTablesAndThreadsSelection:
-    def test_tables_choices(self):
-        assert TABLES_CHOICES == ("on", "off")
+class TestUnknownConfigurationId:
+    """Every public cid-taking method rejects an id the backend never
+    interned with the same ``IndexError``, on every available backend —
+    never a silent walk from some other row."""
 
-    def test_select_tables_defaults_and_spellings(self, monkeypatch):
-        monkeypatch.delenv(kernel_mod.TABLES_ENV_VAR, raising=False)
-        assert select_tables() is False
-        assert select_tables(True) is True
-        assert select_tables("on") is True
-        assert select_tables("1") is True
-        assert select_tables("off") is False
-        monkeypatch.setenv(kernel_mod.TABLES_ENV_VAR, "on")
-        assert select_tables() is True
-        # Explicit argument beats the environment.
-        assert select_tables("off") is False
-        with pytest.raises(AnalysisError, match="tables"):
-            select_tables("sometimes")
-
-    def test_select_threads_defaults_and_validation(self, monkeypatch):
-        monkeypatch.delenv(kernel_mod.THREADS_ENV_VAR, raising=False)
-        assert select_threads() == 1
-        assert select_threads(4) == 4
-        monkeypatch.setenv(kernel_mod.THREADS_ENV_VAR, "3")
-        assert select_threads() == 3
-        assert select_threads(2) == 2
-        monkeypatch.setenv(kernel_mod.THREADS_ENV_VAR, "many")
-        with pytest.raises(AnalysisError, match="positive integer"):
-            select_threads()
-        for bad in (0, -1, True, 1.5, "2"):
-            with pytest.raises(AnalysisError, match="positive integer"):
-                select_threads(bad)
-
-    def test_kernel_env_pins_all_three_knobs(self, monkeypatch):
-        import os
-
-        for var in (
-            kernel_mod.ENV_VAR,
-            kernel_mod.TABLES_ENV_VAR,
-            kernel_mod.THREADS_ENV_VAR,
-        ):
-            monkeypatch.delenv(var, raising=False)
-        with kernel_env("python", tables="on", threads=2):
-            assert os.environ[kernel_mod.ENV_VAR] == "python"
-            assert os.environ[kernel_mod.TABLES_ENV_VAR] == "on"
-            assert os.environ[kernel_mod.THREADS_ENV_VAR] == "2"
-        for var in (
-            kernel_mod.ENV_VAR,
-            kernel_mod.TABLES_ENV_VAR,
-            kernel_mod.THREADS_ENV_VAR,
-        ):
-            assert var not in os.environ
-        # None leaves a knob untouched rather than pinning a default.
-        monkeypatch.setenv(kernel_mod.TABLES_ENV_VAR, "on")
-        with kernel_env(None, threads=1):
-            assert os.environ[kernel_mod.TABLES_ENV_VAR] == "on"
-            assert kernel_mod.ENV_VAR not in os.environ
-        assert kernel_mod.THREADS_ENV_VAR not in os.environ
-        with pytest.raises(AnalysisError, match="tables"):
-            with kernel_env(None, tables="sideways"):
-                pass
-
-
-class TestTableCompiler:
-    def test_compile_is_deterministic_and_complete(self):
-        objects, processes = _algorithm2_protocol(3)
-        one = compile_tables(objects, processes)
-        two = compile_tables(objects, processes)
-        assert isinstance(one, ProtocolTables)
-        assert one.complete
-        assert one.entries > 0
-        # The tables — codes, edges, outcomes — are a pure function of
-        # the protocol, so two compiles compare equal structurally.
-        assert one == two
-
-    def test_explorer_rejects_mismatched_tables(self):
-        objects, processes = _algorithm2_protocol(2)
-        tables = compile_tables(objects, processes)
-        other_objects, other_processes = _algorithm2_protocol(3)
-        with pytest.raises(AnalysisError, match="do not match"):
-            Explorer(other_objects, other_processes, tables=tables)
-
-    def test_tables_true_compiles_in_constructor(self):
-        explorer = _algorithm2_explorer(2, tables=True)
-        assert explorer.kernel_tables is not None
-        assert explorer.kernel_tables.complete
-        baseline = _algorithm2_explorer(2).explore()
-        assert explorer.explore().order_ids == baseline.order_ids
-
-    @pytest.mark.parametrize("kernel", ["python", None])
-    def test_incomplete_tables_fall_back_to_callbacks(self, kernel):
-        """A starved entry budget yields partial tables; the missing
-        keys hit the first-miss callback and results do not move."""
-        objects, processes = _algorithm2_protocol(3)
-        partial = compile_tables(objects, processes, entry_budget=5)
-        assert not partial.complete
-        assert partial.entries <= 5
-        with_tables = Explorer(
-            objects, processes, kernel=kernel, tables=partial
-        ).explore()
-        without = Explorer(objects, processes, kernel=kernel).explore()
-        assert with_tables.order_ids == without.order_ids
-        assert with_tables.parent_ids == without.parent_ids
-        assert with_tables.to_portable() == without.to_portable()
-
-
-@needs_compiled
-class TestCompiledTablesAndThreads:
-    def test_load_tables_rejects_out_of_range_entries(self):
-        explorer = _algorithm2_explorer(2, kernel="compiled")
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("where", ["negative", "past_end"])
+    def test_unknown_cid_raises_index_error(self, kernel, where):
+        explorer = _algorithm2_explorer(2, kernel=kernel)
         backend = explorer._backend
-        with pytest.raises(ValueError, match="invoke entry"):
-            backend.load_tables([(99, 0, 0)], [])
-        with pytest.raises(ValueError, match="delta entry"):
-            backend.load_tables([], [(-1, 0, 0, 0, ())])
-        with pytest.raises(TypeError):
-            backend.load_tables([("pid", 0, 0)], [])
+        explorer.intern_id(explorer.initial_configuration())
+        size = len(backend)
+        cid = -1 if where == "negative" else size
+        calls = {
+            "row": lambda: backend.row(cid),
+            "expand": lambda: backend.expand(cid),
+            "adjacency": lambda: backend.adjacency(cid),
+            "expand_pid": lambda: backend.expand_pid(cid, 0),
+            "status_key": lambda: backend.status_key(cid),
+            "run_bfs": lambda: backend.run_bfs(cid, 10),
+        }
+        for name, call in calls.items():
+            with pytest.raises(
+                IndexError, match=f"^unknown configuration id {cid}$"
+            ):
+                call()
+                pytest.fail(f"{name}({cid}) did not raise")
+        assert len(backend) == size  # nothing interned on the way
 
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_bfs_byte_identical_across_thread_counts(self, threads):
-        objects, processes = _algorithm2_protocol(3)
-        tables = compile_tables(objects, processes)
-
-        def observe(thread_count, budget=200_000):
-            explorer = Explorer(
-                objects,
-                processes,
-                kernel="compiled",
-                tables=tables,
-                threads=thread_count,
-            )
-            start = explorer.intern_id(explorer.initial_configuration())
-            rounds = []
-            out = explorer._backend.run_bfs(
-                start,
-                budget,
-                lambda depth, width, seen: rounds.append(
-                    (depth, width, seen)
-                ),
-                thread_count,
-            )
-            return [list(out[0]), list(out[1]), *out[2:], rounds]
-
-        assert observe(threads) == observe(1)
-        for budget in (1, 3, 17, 50):
-            assert observe(threads, budget) == observe(1, budget)
-
-    def test_threads_clamped_to_extension_maximum(self):
-        from repro.analysis.kernel import _ckernel
-
-        assert _ckernel.MAX_THREADS >= 1
-        explorer = _algorithm2_explorer(2, kernel="compiled", threads=999)
-        # Way past MAX_THREADS: clamped inside the extension, results
-        # unchanged.
-        baseline = _algorithm2_explorer(2, kernel="compiled").explore()
-        assert explorer.explore().order_ids == baseline.order_ids
-
-    def test_tables_skip_callbacks_on_the_cold_path(self):
-        """With complete tables loaded, a cold exhaustive BFS consults
-        the Python callbacks zero times."""
-        objects, processes = _algorithm2_protocol(3)
-        tables = compile_tables(objects, processes)
-        explorer = Explorer(
-            objects, processes, kernel="compiled", tables=tables
-        )
-        calls = {"invoke": 0, "deltas": 0}
-        original_invoke = explorer._resolve_invoke_codes
-        original_deltas = explorer._compute_delta_codes
-
-        def counting_invoke(*args):
-            calls["invoke"] += 1
-            return original_invoke(*args)
-
-        def counting_deltas(*args):
-            calls["deltas"] += 1
-            return original_deltas(*args)
-
-        explorer._resolve_invoke_codes = counting_invoke
-        explorer._compute_delta_codes = counting_deltas
-        result = explorer.explore()
-        assert result.complete
-        assert calls == {"invoke": 0, "deltas": 0}
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_unknown_pid_raises_index_error(self, kernel):
+        explorer = _algorithm2_explorer(2, kernel=kernel)
+        cid = explorer.intern_id(explorer.initial_configuration())
+        for pid in (-1, 2):
+            with pytest.raises(IndexError, match=f"^unknown pid {pid}$"):
+                explorer._backend.expand_pid(cid, pid)

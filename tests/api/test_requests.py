@@ -10,7 +10,10 @@ Three contracts:
   semantic change readdresses;
 * validation happens at construction, as
   :class:`~repro.errors.InvalidRequestError`, before any engine runs;
-  ``to_dict``/``request_from_dict`` round-trip losslessly.
+  ``to_dict``/``request_from_dict`` round-trip losslessly;
+* ``options.kernel`` is handed explicitly to every explorer a request
+  builds, pool workers included — ``REPRO_KERNEL`` is only the default
+  for a request that names no kernel.
 """
 
 import pytest
@@ -66,7 +69,7 @@ class TestFingerprints:
             ExecutionOptions(cache=True),
             ExecutionOptions(cache=True, cache_dir="/tmp/elsewhere"),
             ExecutionOptions(kernel="python"),
-            ExecutionOptions(kernel_tables="on", kernel_threads=2),
+            ExecutionOptions(kernel="compiled"),
             ExecutionOptions(trace="/tmp/trace.jsonl"),
         ):
             assert (
@@ -140,8 +143,9 @@ class TestValidation:
             lambda: ExploreRequest(max_configurations=0),
             lambda: ExecutionOptions(jobs=0),
             lambda: ExecutionOptions(kernel="fortran"),
-            lambda: ExecutionOptions(kernel_tables="maybe"),
-            lambda: ExecutionOptions(kernel_threads=0),
+            # The removed table/thread knobs are unknown option keys.
+            lambda: ExecutionOptions.from_dict({"kernel_tables": "on"}),
+            lambda: ExecutionOptions.from_dict({"kernel_threads": 2}),
             lambda: ExecutionOptions(cache="yes"),
         ],
     )
@@ -203,3 +207,45 @@ class TestWireFormat:
         assert pooled.options.jobs == 3
         assert pooled.fingerprint() == request.fingerprint()
         assert pooled.semantic_fields() == request.semantic_fields()
+
+
+_PYTHON = ExecutionOptions(kernel="python")
+_PYTHON_POOLED = ExecutionOptions(jobs=2, kernel="python")
+
+
+class TestExplicitKernel:
+    """A bogus ``REPRO_KERNEL`` breaks every explorer that consults it,
+    so these requests succeed only if ``options.kernel`` reaches every
+    explorer on their path — forked pool workers inherit the bogus
+    environment, so they must get the kernel through their work items."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            VerifyRequest(n=2, options=_PYTHON),
+            VerifyRequest(n=2, options=_PYTHON_POOLED),
+            RefuteRequest(candidate="one 2-SA", options=_PYTHON),
+            RefuteRequest(options=_PYTHON_POOLED),
+            FuzzRequest(candidate="one 2-SA", budget=60, seed=1, options=_PYTHON),
+            FuzzRequest(
+                candidate="one 2-SA", budget=60, seed=1, options=_PYTHON_POOLED
+            ),
+            ExploreRequest(n=2, options=_PYTHON),
+        ],
+        ids=lambda request_: f"{request_.command}-jobs{request_.options.jobs}",
+    )
+    def test_bogus_environment_is_never_consulted(self, monkeypatch, request_):
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        report = execute(request_)
+        assert report.status == "ok", report.summary
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert report.body == execute(request_).body
+
+    def test_environment_is_the_default_without_an_explicit_kernel(
+        self, monkeypatch
+    ):
+        from repro.errors import AnalysisError
+
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        with pytest.raises(AnalysisError, match="unknown kernel 'bogus'"):
+            execute(ExploreRequest(n=2))

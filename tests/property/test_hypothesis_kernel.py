@@ -7,11 +7,15 @@ Three families:
   first-seen and never reassigned);
 * **hash-seed independence** — the packed row of a configuration triple
   is a pure function of *insertion order*, never of ``hash()`` values,
-  re-checked in subprocesses under varied ``PYTHONHASHSEED`` (the R001
-  replayability contract extended down to the slot-code layer);
-* **backend equivalence** — for arbitrary exploration budgets, the
-  python and compiled backends produce identical orders, parents, and
-  truncation verdicts (skipped when the extension is not built).
+  and so is the portable-graph digest on every available backend; both
+  are re-checked in subprocesses under varied ``PYTHONHASHSEED`` (the
+  R001 replayability contract extended down to the slot-code layer);
+* **kernel equivalence** — for every registered protocol family (the
+  doomed-candidate suite plus Algorithm 2 instances) and arbitrary
+  exploration budgets, every available backend produces identical BFS
+  orders, parents, round events, completeness verdicts, expansion
+  counts, and portable-graph digests. With only the python backend
+  built, this still pins that fresh explorers reproduce each other.
 """
 
 import hashlib
@@ -23,10 +27,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.cache import graph_digest
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import PackedEncoder, compiled_available
 from repro.core.pac import NPacSpec
+from repro.protocols.candidates import all_candidates
 from repro.protocols.dac_from_pac import algorithm2_processes
+
+AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
+    "python",
+)
 
 SEED_STATUSES = (RUNNING, HALTED, ABORTED)
 
@@ -102,59 +112,136 @@ def interned_id_digest():
     return hasher.hexdigest()
 
 
-class TestHashSeedIndependence:
-    def test_interned_ids_stable_across_hash_seeds(self):
-        here = os.path.abspath(__file__)
-        program = (
-            "import runpy; "
-            f"module = runpy.run_path({here!r}); "
-            "print(module['interned_id_digest']())"
-        )
-        digests = set()
-        for seed in ("0", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (env.get("PYTHONPATH"), *sys.path) if p
+def graph_digests():
+    """Portable-graph digest of one Algorithm 2 exploration per
+    available backend — run in subprocesses under varied
+    ``PYTHONHASHSEED`` below."""
+    return {
+        kernel: graph_digest(
+            Explorer(
+                {"PAC": NPacSpec(3)},
+                algorithm2_processes((1, 0, 0)),
+                kernel=kernel,
             )
-            output = subprocess.run(
+            .explore()
+            .to_portable()
+        )
+        for kernel in AVAILABLE_KERNELS
+    }
+
+
+def _under_hash_seeds(function_name):
+    """``function_name()``'s printed result in subprocesses under two
+    ``PYTHONHASHSEED`` values, as a set of output lines."""
+    here = os.path.abspath(__file__)
+    program = (
+        "import runpy; "
+        f"module = runpy.run_path({here!r}); "
+        f"print(module[{function_name!r}]())"
+    )
+    outputs = set()
+    for seed in ("0", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), *sys.path) if p
+        )
+        outputs.add(
+            subprocess.run(
                 [sys.executable, "-c", program],
                 capture_output=True,
                 text=True,
                 env=env,
                 check=True,
             ).stdout.strip()
-            digests.add(output)
+        )
+    return outputs
+
+
+class TestHashSeedIndependence:
+    def test_interned_ids_stable_across_hash_seeds(self):
+        digests = _under_hash_seeds("interned_id_digest")
         assert len(digests) == 1, "interned ids drift with PYTHONHASHSEED"
         assert interned_id_digest() in digests
 
 
-@pytest.mark.skipif(
-    not compiled_available(),
-    reason="compiled kernel extension not built (run `make kernel-ext`)",
-)
-class TestBackendEquivalenceProperty:
-    @given(st.integers(min_value=1, max_value=400))
-    @settings(max_examples=30, deadline=None)
-    def test_bfs_identical_at_any_budget(self, budget):
-        observed = {}
-        for kernel in ("python", "compiled"):
-            explorer = Explorer(
-                {"PAC": NPacSpec(2)},
-                algorithm2_processes((1, 0)),
-                kernel=kernel,
+def _families():
+    """Every registered protocol family as (name, objects, processes)."""
+    families = [
+        (f"candidate-{index}", candidate.objects, candidate.processes)
+        for index, candidate in enumerate(all_candidates())
+    ]
+    for inputs in ((1, 0), (1, 0, 0)):
+        families.append(
+            (
+                f"algorithm2-n{len(inputs)}",
+                {"PAC": NPacSpec(len(inputs))},
+                algorithm2_processes(inputs),
             )
-            start = explorer.intern_id(explorer.initial_configuration())
-            observed[kernel] = explorer._backend.run_bfs(start, budget)
-        py_order, py_parents, py_complete, py_exp, py_rounds = observed[
-            "python"
-        ]
-        cc_order, cc_parents, cc_complete, cc_exp, cc_rounds = observed[
-            "compiled"
-        ]
-        assert list(py_order) == list(cc_order)
-        assert list(py_parents) == list(cc_parents)
-        assert (py_complete, py_exp, py_rounds) == (
-            cc_complete,
-            cc_exp,
-            cc_rounds,
         )
+    return families
+
+
+FAMILIES = _families()
+
+
+def _observe(objects, processes, kernel, budget):
+    """Everything a caller can see from one exploration."""
+    explorer = Explorer(objects, processes, kernel=kernel)
+    start_id = explorer.intern_id(explorer.initial_configuration())
+    result = explorer.explore(max_configurations=budget)
+    rounds = []
+    order, parents, complete, expansions, bfs_rounds = (
+        explorer._backend.run_bfs(
+            start_id,
+            budget,
+            lambda depth, width, seen: rounds.append((depth, width, seen)),
+        )
+    )
+    return {
+        "order": list(result.order_ids),
+        "parents": {
+            tid: (cid, (edge.pid, edge.choice, edge.response))
+            for tid, (cid, edge) in result.parent_ids.items()
+        },
+        "raw": (list(order), list(parents), complete, expansions, bfs_rounds),
+        "rounds": rounds,
+        "complete": result.complete,
+        "expansions": result.expansions,
+        "digest": graph_digest(result.to_portable()),
+    }
+
+
+class TestKernelEquivalence:
+    @given(
+        st.integers(min_value=0, max_value=len(FAMILIES) - 1),
+        st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_backends_match_at_any_budget(self, index, budget):
+        name, objects, processes = FAMILIES[index]
+        reference = _observe(objects, processes, "python", budget)
+        for kernel in AVAILABLE_KERNELS:
+            observed = _observe(objects, processes, kernel, budget)
+            assert observed == reference, (
+                f"{name}: kernel={kernel} diverged at budget={budget}"
+            )
+
+    @pytest.mark.parametrize("index", range(len(FAMILIES)))
+    def test_exhaustive_digest_per_family(self, index):
+        """Full exploration of every family: the backend cannot move
+        the portable digest."""
+        _, objects, processes = FAMILIES[index]
+        digests = {
+            _observe(objects, processes, kernel, 100_000)["digest"]
+            for kernel in AVAILABLE_KERNELS
+        }
+        assert len(digests) == 1
+
+    def test_digest_stable_across_hash_seeds(self):
+        """The portable digest agrees across backends and across
+        ``PYTHONHASHSEED`` values."""
+        outputs = _under_hash_seeds("graph_digests")
+        assert len(outputs) == 1, "graph digests drift with PYTHONHASHSEED"
+        digests = graph_digests()
+        assert repr(digests) in outputs
+        assert len(set(digests.values())) == 1, digests

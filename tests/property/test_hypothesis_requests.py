@@ -39,10 +39,6 @@ _options = st.builds(
     cache=st.booleans(),
     cache_dir=st.one_of(st.none(), st.just("/tmp/somewhere")),
     kernel=st.sampled_from([None, "auto", "python", "compiled"]),
-    kernel_tables=st.sampled_from([None, "on", "off"]),
-    kernel_threads=st.one_of(
-        st.none(), st.integers(min_value=1, max_value=4)
-    ),
 )
 
 _verify = st.builds(

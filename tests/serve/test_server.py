@@ -87,6 +87,14 @@ class TestErrorMapping:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize(
+        "options", [{"kernel_tables": "on"}, {"kernel_threads": 2}]
+    )
+    def test_removed_kernel_knobs_are_400(self, client, options):
+        response = client.verify(n=2, options=options)
+        assert response.status == 400
+        assert response.payload["data"]["error_code"] == "INVALID_REQUEST"
+
     def test_client_supplied_trace_is_rejected(self, client):
         response = client.verify(n=2, options={"trace": "/tmp/x"})
         assert response.status == 400

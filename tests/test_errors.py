@@ -144,3 +144,36 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "INVALID_REQUEST" in captured.out
+
+    @pytest.mark.parametrize(
+        "inputs, detail",
+        [
+            ("1,0", "inputs must have length n=3, got 2"),
+            ("1,0,x", "inputs must be comma-separated integers, got '1,0,x'"),
+        ],
+    )
+    def test_bad_explore_inputs_exit_2(self, capsys, inputs, detail):
+        import json
+
+        from repro.cli import main
+
+        argv = ["explore", "--n", "3", "--inputs", inputs]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"INVALID_REQUEST: {detail}\n"
+        assert main(argv + ["--format", "json"]) == 2
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["exit_code"] == 2
+        assert envelope["status"] == "error"
+        assert envelope["data"]["error_code"] == "INVALID_REQUEST"
+        assert envelope["findings"][0]["detail"] == detail
+
+    @pytest.mark.parametrize(
+        "flag", [["--kernel-tables", "on"], ["--kernel-threads", "2"]]
+    )
+    def test_removed_kernel_flags_are_usage_errors(self, capsys, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--n", "2", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
