@@ -12,7 +12,7 @@
 * :mod:`repro.analysis.parallel` / :mod:`repro.analysis.cache` — the
   scale-out substrate: a crash-isolated multiprocessing work pool with
   deterministic result merging, and a persistent content-addressed
-  store for exploration graphs and suite verdicts.
+  store for exploration answers and suite verdicts.
 """
 
 from .. import _lazy_exports
@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "SafetyCounterexample",
         ),
         "cache": (
-            "CacheIntegrityError",
             "CacheStats",
             "ExplorationCache",
             "code_salt",

@@ -1,10 +1,13 @@
-"""Persistent content-addressed cache for exploration results.
+"""Persistent content-addressed cache for verification answers.
 
-Every test/bench/CLI invocation re-explores the same small instances:
-the candidate suite, the Algorithm 2 input sweeps, the E01–E18 battery.
-The graphs are pure functions of (protocol, n, inputs, explorer
-options, code version), so they can be stored once and rehydrated on
-every later run.
+Every test/bench/CLI invocation re-asks the same small questions: the
+candidate suite, the Algorithm 2 input sweeps, the E01–E18 battery.
+The answers are pure functions of (protocol, n, inputs, explorer
+options, code version), so they can be stored once and read back on
+every later run. An entry holds the *answer* a report needs — a small
+record such as ``{"configurations": 74, "complete": True}`` — never an
+explored graph, so a warm hit neither rebuilds a graph nor loads an
+engine module.
 
 Keying
 ------
@@ -28,16 +31,15 @@ sha256 digest plus the pickled payload. Writes are atomic
 and reported as a miss, never returned. ``<root>`` defaults to
 ``$REPRO_CACHE_DIR`` or ``.repro-cache`` under the working directory.
 
-Warm-hit validation
--------------------
+Record shapes
+-------------
 
-:func:`explore_cached` additionally stores a :func:`graph_digest` —
-a repr-based sha256 over the portable graph, the same style of digest
-``tests/integration/test_fast_core_equivalence.py`` pins the fast core
-against. On every warm hit the digest is recomputed from the
-*rehydrated* payload and compared; a stale or hash-seed-dependent entry
-raises :class:`CacheIntegrityError` instead of silently changing a
-verdict.
+A cache handle opened with a ``shape`` (:func:`conforms`: the exact
+keys and the type of every value) reads only records of that shape. An
+intact entry of any other shape — an older layout, or a planted file —
+is handled like a corrupt one: deleted, counted under
+``cache.corrupt_entries``, and recomputed. :func:`explore_cached`
+reads :data:`EXPLORE_RECORD` records.
 """
 
 from __future__ import annotations
@@ -47,31 +49,18 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Mapping,
-    Optional,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .. import obs
-from ..errors import CacheIntegrityError
-from ..types import Value
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .explorer import ExplorationResult, Explorer
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CacheIntegrityError",
     "CacheStats",
+    "EXPLORE_RECORD",
     "ExplorationCache",
     "canonicalize",
     "code_salt",
+    "conforms",
     "explore_cached",
     "fingerprint",
     "graph_digest",
@@ -79,7 +68,11 @@ __all__ = [
 
 
 #: Bumped whenever the payload layout changes; part of every fingerprint.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
+
+#: The record ``repro explore --cache`` stores per instance: exactly
+#: the two report fields an exploration answers.
+EXPLORE_RECORD = {"configurations": int, "complete": bool}
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
@@ -147,6 +140,24 @@ def fingerprint(**components: Any) -> str:
     return hashlib.sha256(rendered.encode()).hexdigest()
 
 
+def conforms(value: Any, shape: Any) -> bool:
+    """Whether ``value`` has ``shape``.
+
+    A shape is a type (matched exactly, so ``True`` is not an ``int``),
+    a tuple of alternative types, or a dict mapping each key of a dict
+    with exactly those keys to the shape of its value.
+    """
+    if isinstance(shape, dict):
+        return (
+            type(value) is dict
+            and value.keys() == shape.keys()
+            and all(conforms(value[key], sub) for key, sub in shape.items())
+        )
+    if isinstance(shape, tuple):
+        return type(value) in shape
+    return type(value) is shape
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Point-in-time shape of one cache directory."""
@@ -160,13 +171,18 @@ class ExplorationCache:
     """Content-addressed on-disk store for verification results.
 
     One instance also counts its own ``hits`` / ``misses`` / ``stores``
-    so sweeps can report warm-vs-cold behaviour.
+    so sweeps can report warm-vs-cold behaviour. With ``shape``, every
+    entry it reads must :func:`conforms` to that record shape; an entry
+    that does not is corrupt.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
+    def __init__(
+        self, root: Optional[os.PathLike] = None, shape: Any = None
+    ) -> None:
         if root is None:
             root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
         self.root = Path(root)
+        self.shape = shape
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -179,8 +195,8 @@ class ExplorationCache:
     def get(self, fp: str) -> Optional[Any]:
         """The payload stored under fingerprint ``fp``, or None.
 
-        A corrupt entry (unreadable, truncated, digest mismatch) is
-        deleted and counted as a miss.
+        A corrupt entry (unreadable, truncated, digest mismatch, or not
+        of this handle's ``shape``) is deleted and counted as a miss.
         """
         path = self._entry_path(fp)
         try:
@@ -189,6 +205,8 @@ class ExplorationCache:
             if hashlib.sha256(payload_bytes).hexdigest() != digest:
                 raise ValueError("payload digest mismatch")
             payload = pickle.loads(payload_bytes)
+            if self.shape is not None and not conforms(payload, self.shape):
+                raise ValueError("wrong-shaped payload")
         except FileNotFoundError:
             self.misses += 1
             obs.counter("cache.misses")
@@ -272,17 +290,36 @@ class ExplorationCache:
         return removed
 
 
-# -- exploration-graph caching ----------------------------------------------
+# -- exploration answers ------------------------------------------------------
+
+
+def explore_cached(
+    cache: Optional[ExplorationCache],
+    components: Mapping[str, Any],
+    compute: Callable[[], Dict[str, Any]],
+) -> Tuple[Dict[str, Any], bool]:
+    """``(record, was_hit)`` for one exploration question.
+
+    ``cache`` is opened with ``shape=EXPLORE_RECORD`` (or is None).
+    ``components`` must name the instance and every option that changes
+    the graph (``max_configurations`` included). ``compute()`` explores
+    and returns the :data:`EXPLORE_RECORD` record; it runs only on a
+    miss (or with no cache), so a hit builds no explorer at all.
+    """
+    if cache is None:
+        return compute(), False
+    return cache.get_or_compute(components, compute)
 
 
 def graph_digest(portable: Mapping[str, Any]) -> str:
     """Repr-based sha256 over a portable exploration graph.
 
-    The portable form is built from lists, tuples, ints and hashable
-    leaf values in deterministic (BFS) order, so its ``repr`` is
-    bit-stable across interpreter runs and ``PYTHONHASHSEED`` values —
-    the same style of digest the fast-core equivalence tests pin the
-    explorer against.
+    The portable form
+    (:meth:`~repro.analysis.explorer.ExplorationResult.to_portable`) is
+    built from lists, tuples, ints and hashable leaf values in
+    deterministic (BFS) order, so its ``repr`` is bit-stable across
+    interpreter runs, ``PYTHONHASHSEED`` values and kernel backends —
+    the canonical graph rendering the equivalence tests compare.
     """
     parts = (
         portable["complete"],
@@ -296,77 +333,3 @@ def graph_digest(portable: Mapping[str, Any]) -> str:
         portable["parent_perms"],
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-def explore_cached(
-    explorer: "Explorer",
-    cache: Optional[ExplorationCache],
-    components: Mapping[str, Any],
-    max_configurations: int = 200_000,
-    include_decision_table: bool = False,
-) -> Tuple["ExplorationResult", bool]:
-    """Explore via ``explorer`` or rehydrate a cached graph.
-
-    ``components`` must identify the *instance* (factory identity, n,
-    inputs, options); explorer options that change the graph belong in
-    there too. Returns ``(result, was_hit)``. With
-    ``include_decision_table`` the backward decision fixpoint is
-    computed on the miss path and its table rides along in the entry,
-    so warm hits answer valency queries without any traversal.
-
-    On a warm hit the stored :func:`graph_digest` is recomputed from
-    the rehydrated payload; a mismatch raises
-    :class:`CacheIntegrityError` (stale entries must fail loudly, not
-    alter verdicts).
-    """
-    if cache is None:
-        result = explorer.explore(max_configurations=max_configurations)
-        if include_decision_table:
-            explorer.decision_table(exploration=result)
-        return result, False
-
-    full_components = dict(components)
-    full_components["max_configurations"] = max_configurations
-    full_components["include_decision_table"] = include_decision_table
-    fp = fingerprint(**full_components)
-    payload = cache.get(fp)
-    if payload is not None:
-        if graph_digest(payload["portable"]) != payload["graph_digest"]:
-            obs.counter("cache.integrity_failures")
-            obs.event("cache.integrity_failure", fp=fp[:12])
-            raise CacheIntegrityError(
-                "cached exploration graph failed digest validation "
-                f"(entry {fp[:12]}…): stale or corrupt entry"
-            )
-        result = explorer.adopt_portable(payload["portable"])
-        decision_sets = payload.get("decision_sets")
-        if decision_sets is not None:
-            _install_decision_sets(explorer, result, decision_sets)
-        return result, True
-
-    result = explorer.explore(max_configurations=max_configurations)
-    portable = result.to_portable()
-    payload = {
-        "portable": portable,
-        "graph_digest": graph_digest(portable),
-        "decision_sets": None,
-    }
-    if include_decision_table:
-        table = explorer.decision_table(exploration=result)
-        payload["decision_sets"] = [
-            sorted(table[cid], key=repr) for cid in result.order_ids
-        ]
-    cache.put(fp, payload)
-    return result, False
-
-
-def _install_decision_sets(
-    explorer: "Explorer",
-    result: "ExplorationResult",
-    decision_sets,
-) -> None:
-    """Seed the explorer's shared decision-set table from a cached
-    per-position list (aligned with ``result.order_ids``)."""
-    table: Dict[int, FrozenSet[Value]] = explorer._decision_sets
-    for cid, values in zip(result.order_ids, decision_sets):
-        table[cid] = frozenset(values)

@@ -41,7 +41,7 @@ packed-kernel rework its bookkeeping is built on four layers (see
   edge triples, and truncation state in one call; applying a transition
   inside the kernel is integer arithmetic on three fields, and
   ``Configuration`` dataclasses are materialized lazily only at the API
-  boundary (witness traces, result views, cache portability);
+  boundary (witness traces, result views, the portable rendering);
 * **successor memoization** — protocol semantics (invoke resolution,
   outcome enumeration) are computed once per ``(pid, local state,
   object state)`` and replayed from flat delta tables; object-level
@@ -102,11 +102,6 @@ ABORTED = ("aborted",)
 
 #: A process permutation: ``perm[i]`` is the new pid of old pid ``i``.
 Permutation = Tuple[int, ...]
-
-#: Status canonicalization for rehydrated graphs: statuses loaded from
-#: a cache or a worker arrive as equal-but-distinct tuples, while the
-#: calculus compares them by identity (``status is RUNNING``).
-_STATUS_SINGLETONS = {RUNNING: RUNNING, HALTED: HALTED, ABORTED: ABORTED}
 
 
 def _decided(value: Value) -> Tuple[str, Value]:
@@ -512,7 +507,7 @@ class ExplorationResult:
         to node positions. The structure is plain tuples/lists/ints in
         BFS order — its ``repr`` is bit-stable across interpreter runs,
         which is what :func:`repro.analysis.cache.graph_digest` relies
-        on. Rehydrate with :meth:`Explorer.adopt_portable`.
+        on (the canonical graph rendering the equivalence tests pin).
         """
         assert self.intern is not None
         value = self.intern.value
@@ -1116,88 +1111,6 @@ class Explorer:
             initial_permutation=initial_perm,
             parent_perms=parent_perms,
             expansions=expansions,
-        )
-
-    def adopt_portable(
-        self, portable: Mapping[str, object]
-    ) -> ExplorationResult:
-        """Rehydrate a :meth:`ExplorationResult.to_portable` graph.
-
-        Every configuration is re-interned into *this* explorer (ids
-        are re-allocated; positions in the portable form map onto the
-        local intern table), statuses are re-canonicalized onto the
-        module singletons (``RUNNING``/``HALTED``/``ABORTED`` are
-        compared by identity throughout the calculus), and — for
-        unreduced graphs — the successor relation is installed into the
-        memo, so every downstream analysis (``schedule_to``, the
-        decision fixpoint, livelock DFS, ``step``) runs on the cached
-        graph without re-deriving a single edge.
-        """
-        nodes = portable["nodes"]
-        new_ids: List[int] = []
-        intern = self._intern
-        for states, statuses, objects in nodes:  # type: ignore[union-attr]
-            canonical_statuses = tuple(
-                _STATUS_SINGLETONS.get(status, status) for status in statuses
-            )
-            config = Configuration(
-                tuple(states), canonical_statuses, tuple(objects)
-            )
-            new_ids.append(intern.intern(config))
-        successor_ids: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
-        for cpos, entries in portable["successors"]:  # type: ignore[union-attr]
-            cid = new_ids[cpos]
-            mapped = tuple(
-                (self._edge(pid, choice, response), new_ids[tpos])
-                for pid, choice, response, tpos in entries
-            )
-            successor_ids[cid] = mapped
-        reduced = bool(portable["reduced"])
-        if not reduced:
-            # A reduced graph's edges target orbit representatives, not
-            # raw successors — only unreduced relations may seed the
-            # successor memo.
-            for cid, mapped in successor_ids.items():
-                self._succ_cache.setdefault(cid, mapped)
-        parent_ids: Dict[int, Tuple[int, Edge]] = {}
-        for tpos, ppos, pid, choice, response in portable["parents"]:  # type: ignore[union-attr]
-            parent_ids[new_ids[tpos]] = (
-                new_ids[ppos],
-                self._edge(pid, choice, response),
-            )
-        order_ids = new_ids[: portable["order_len"]]  # type: ignore[index]
-        initial = intern.value(order_ids[0])
-        source_initial = initial
-        source_node = portable["source_node"]
-        if source_node is not None:
-            states, statuses, objects = source_node  # type: ignore[misc]
-            canonical_statuses = tuple(
-                _STATUS_SINGLETONS.get(status, status) for status in statuses
-            )
-            source_initial = intern.canonical(
-                Configuration(tuple(states), canonical_statuses, tuple(objects))
-            )
-        parent_perms = {
-            new_ids[pos]: tuple(perm)
-            for pos, perm in portable["parent_perms"]  # type: ignore[union-attr]
-        }
-        initial_permutation = portable["initial_permutation"]
-        return ExplorationResult(
-            initial=initial,
-            complete=bool(portable["complete"]),
-            intern=intern,
-            order_ids=list(order_ids),
-            successor_ids=successor_ids,
-            parent_ids=parent_ids,
-            reduced=reduced,
-            source_initial=source_initial,
-            initial_permutation=(
-                tuple(initial_permutation)
-                if initial_permutation is not None
-                else None
-            ),
-            parent_perms=parent_perms,
-            expansions=len(successor_ids),
         )
 
     def _canonicalize(

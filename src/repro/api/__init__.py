@@ -167,9 +167,9 @@ def explore(
 ) -> Report:
     """Build one Algorithm 2 instance's reachable configuration graph.
 
-    With ``cache=True`` (and no symmetry reduction) the graph is
-    persisted to / rehydrated from the content-addressed exploration
-    cache.
+    With ``cache=True`` (and no symmetry reduction) the answer — the
+    configuration count and completeness — is stored in and read back
+    from the content-addressed exploration cache.
     """
     return execute(
         ExploreRequest(

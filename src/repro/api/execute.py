@@ -65,14 +65,22 @@ def execute(request: Request, *, trace: Optional[Any] = None) -> Report:
 
 # -- phase bodies -----------------------------------------------------------
 
+#: The entry ``check-algorithm2 --cache`` stores per instance: the
+#: record :func:`~repro.analysis.parallel.algorithm2_instance_check`
+#: returns.
+_VERIFY_ENTRY = {
+    "value": {
+        "inputs": tuple,
+        "ok": bool,
+        "counterexample": (str, type(None)),
+        "solo_failures": list,
+        "configurations": int,
+    }
+}
+
 
 def _verify_body(request: VerifyRequest) -> Report:
     from ..analysis.cache import ExplorationCache, fingerprint
-    from ..analysis.parallel import (
-        VerificationPool,
-        WorkItem,
-        algorithm2_instance_check,
-    )
     from ..protocols.tasks import DacDecisionTask
 
     n = request.n
@@ -84,7 +92,7 @@ def _verify_body(request: VerifyRequest) -> Report:
     task = DacDecisionTask(n)
     inputs_list = [tuple(inputs) for inputs in task.input_assignments()]
     cache_obj = (
-        ExplorationCache(request.options.cache_dir)
+        ExplorationCache(request.options.cache_dir, shape=_VERIFY_ENTRY)
         if request.options.cache
         else None
     )
@@ -110,16 +118,28 @@ def _verify_body(request: VerifyRequest) -> Report:
                 if payload is not None:
                     resolved[inputs] = payload["value"]
                     continue
-            to_run.append(
-                WorkItem(
-                    key=inputs,
-                    fn=algorithm2_instance_check,
-                    args=(n, inputs, bool(symmetry)),
-                    kwargs={"kernel": request.options.kernel},
-                )
+            to_run.append(inputs)
+        results = []
+        if to_run:
+            # Pool code loads only for misses, never on an all-hit sweep.
+            from ..analysis.parallel import (
+                VerificationPool,
+                WorkItem,
+                algorithm2_instance_check,
             )
-        pool = VerificationPool(jobs=jobs)
-        for result in pool.run(to_run):
+
+            results = VerificationPool(jobs=jobs).run(
+                [
+                    WorkItem(
+                        key=inputs,
+                        fn=algorithm2_instance_check,
+                        args=(n, inputs, bool(symmetry)),
+                        kwargs={"kernel": request.options.kernel},
+                    )
+                    for inputs in to_run
+                ]
+            )
+        for result in results:
             if not result.ok:
                 line = (
                     f"ERROR at inputs {result.key}: {result.failure.render()}"
@@ -531,12 +551,10 @@ def _fuzz_body(request: FuzzRequest) -> Report:
 
 
 def _explore_body(request: ExploreRequest) -> Report:
-    from ..analysis.cache import ExplorationCache, explore_cached
-    from ..analysis.explorer import Explorer
-    from ..core.pac import NPacSpec
-    from ..protocols.dac_from_pac import (
-        algorithm2_processes,
-        algorithm2_symmetry,
+    from ..analysis.cache import (
+        EXPLORE_RECORD,
+        ExplorationCache,
+        explore_cached,
     )
 
     n = request.n
@@ -544,36 +562,57 @@ def _explore_body(request: ExploreRequest) -> Report:
     symmetry = request.symmetry
     max_configurations = request.max_configurations
     assert inputs is not None  # normalized at construction
-    explorer = Explorer(
-        {"PAC": NPacSpec(n)},
-        algorithm2_processes(inputs),
-        kernel=request.options.kernel,
-    )
+
+    def compute() -> Dict[str, Any]:
+        # The engine loads only here: a warm cache hit never calls this.
+        from ..analysis.explorer import Explorer
+        from ..core.pac import NPacSpec
+        from ..protocols.dac_from_pac import (
+            algorithm2_processes,
+            algorithm2_symmetry,
+        )
+
+        explorer = Explorer(
+            {"PAC": NPacSpec(n)},
+            algorithm2_processes(inputs),
+            kernel=request.options.kernel,
+        )
+        result = explorer.explore(
+            max_configurations=max_configurations,
+            symmetry=algorithm2_symmetry(inputs) if symmetry else None,
+        )
+        return {
+            "configurations": len(result),
+            "complete": bool(result.complete),
+        }
+
     with obs.span("explore", n=n, inputs=repr(inputs)), \
             obs.profile_phase("explore"):
-        was_hit = False
         if symmetry:
             # The quotient graph is seed-local state; it is never cached.
-            result = explorer.explore(
-                max_configurations=max_configurations,
-                symmetry=algorithm2_symmetry(inputs),
-            )
+            record, was_hit = compute(), False
         else:
             cache_obj = (
-                ExplorationCache(request.options.cache_dir)
+                ExplorationCache(
+                    request.options.cache_dir, shape=EXPLORE_RECORD
+                )
                 if request.options.cache
                 else None
             )
-            result, was_hit = explore_cached(
-                explorer,
+            record, was_hit = explore_cached(
                 cache_obj,
-                {"cmd": "api-explore", "n": n, "inputs": inputs},
-                max_configurations=max_configurations,
+                {
+                    "cmd": "api-explore",
+                    "n": n,
+                    "inputs": inputs,
+                    "max_configurations": max_configurations,
+                },
+                compute,
             )
     reduced = " (symmetry-reduced)" if symmetry else ""
     cached = " [cache hit]" if was_hit else ""
     summary = (
-        f"explored {len(result)} configurations @ n={n}, "
+        f"explored {record['configurations']} configurations @ n={n}, "
         f"inputs {inputs}{reduced}{cached}"
     )
     return Report(
@@ -584,8 +623,8 @@ def _explore_body(request: ExploreRequest) -> Report:
             "n": n,
             "inputs": list(inputs),
             "symmetry": bool(symmetry),
-            "configurations": len(result),
-            "complete": bool(result.complete),
+            "configurations": record["configurations"],
+            "complete": record["complete"],
             "cache_hit": was_hit,
         },
     )

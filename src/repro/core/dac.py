@@ -31,7 +31,6 @@ from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 from ..errors import SpecificationError
 from ..types import ABORT, BOTTOM, Operation, ProcessId, Value, require
 from ..objects.spec import Outcome, SequentialSpec
-from .pac import NPacSpec
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,10 @@ class AbortableDacSpec(SequentialSpec):
     deterministic = True
 
     def __init__(self, n: int) -> None:
+        # Imported here: the task checks (and so a warm check-algorithm2
+        # cache hit) never need the PAC object.
+        from .pac import NPacSpec
+
         require(n >= 2, SpecificationError, f"n-DAC requires n >= 2, got {n}")
         self.n = n
         self.kind = f"{n}-DAC"

@@ -111,13 +111,12 @@ class InvalidRequestError(ReproError):
 
 
 class CacheIntegrityError(AnalysisError):
-    """A warm cache entry failed its digest validation.
+    """A cache entry failed validation and must not be used.
 
-    Raised when a rehydrated payload does not reproduce the digest
-    recorded at store time — the entry is stale, corrupt, or was
-    written by an incompatible serializer, and using it could silently
-    change a verdict. (Home base for
-    :mod:`repro.analysis.cache`, which re-exports it.)
+    The taxonomy's ``CACHE_INTEGRITY`` class. The on-disk
+    :class:`~repro.analysis.cache.ExplorationCache` never raises it: it
+    deletes a corrupt, tampered or wrong-shaped entry and recomputes
+    the answer, so a broken cache costs time, never a verdict.
     """
 
 
@@ -168,7 +167,7 @@ ERROR_TABLE: Tuple[ErrorClass, ...] = (
         "CACHE_INTEGRITY",
         500,
         6,
-        "a warm cache entry failed digest validation (stale or corrupt)",
+        "a cache entry failed validation and could not be recomputed",
     ),
     ErrorClass(
         "INTERNAL",

@@ -1,29 +1,29 @@
 """Tests for the persistent content-addressed exploration cache.
 
 The cache's contract (``docs/performance.md``): a hit always means the
-exact same code answered the exact same question before (code salt in
-every fingerprint); corrupt entries are dropped as misses, never
-returned; warm exploration hits are digest-validated against the value
-stored at compute time, so a stale entry fails loudly instead of
-silently changing a verdict.
+exact same code answered the exact same question before (code salt and
+schema in every fingerprint); corrupt, tampered and wrong-shaped
+entries are dropped as misses and recomputed, never returned.
 """
 
 import pickle
 
 import pytest
 
+from repro.analysis import cache as cache_module
 from repro.analysis.cache import (
-    CacheIntegrityError,
+    CACHE_SCHEMA,
+    EXPLORE_RECORD,
     ExplorationCache,
     code_salt,
+    conforms,
     explore_cached,
     fingerprint,
     graph_digest,
 )
-from repro.analysis.explorer import Explorer, RUNNING
+from repro.analysis.explorer import Explorer
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
-from repro.protocols.tasks import DacDecisionTask
 
 
 def _explorer(n=2, inputs=(1, 0)):
@@ -50,6 +50,26 @@ class TestFingerprint:
 
     def test_sets_canonicalized(self):
         assert fingerprint(values={3, 1, 2}) == fingerprint(values={2, 3, 1})
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            {},
+            {"n": 3, "inputs": (0, 1)},
+            {
+                "cmd": "api-explore",
+                "n": 4,
+                "inputs": (0, 1, 1, 0),
+                "max_configurations": 400_000,
+            },
+        ],
+    )
+    def test_schema_is_part_of_every_fingerprint(
+        self, monkeypatch, components
+    ):
+        before = fingerprint(**components)
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA", CACHE_SCHEMA + 1)
+        assert fingerprint(**components) != before
 
     def test_code_salt_is_memoized_hex(self):
         salt = code_salt()
@@ -86,6 +106,14 @@ class TestEntryStore:
         path.write_bytes(forged)
         assert cache.get(fp) is None
 
+    def test_wrong_shaped_entry_is_dropped_as_miss(self, tmp_path):
+        cache = ExplorationCache(tmp_path / "c", shape=EXPLORE_RECORD)
+        fp = fingerprint(question="shape")
+        cache.put(fp, {"portable": 1})
+        assert cache.get(fp) is None
+        assert not cache._entry_path(fp).exists()
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_get_or_compute_counts(self, tmp_path):
         cache = ExplorationCache(tmp_path / "c")
         calls = []
@@ -114,96 +142,106 @@ class TestEntryStore:
         assert ExplorationCache().root == tmp_path / "from-env"
 
 
+class TestConforms:
+    def test_flat_record(self):
+        assert conforms(
+            {"configurations": 3, "complete": True}, EXPLORE_RECORD
+        )
+        assert not conforms({"configurations": 3}, EXPLORE_RECORD)
+        assert not conforms(
+            {"configurations": 3, "complete": True, "extra": 0}, EXPLORE_RECORD
+        )
+        assert not conforms([3, True], EXPLORE_RECORD)
+
+    def test_types_match_exactly(self):
+        # ``bool`` subclasses ``int``: a flag is not a count, nor back.
+        count_flag = {"configurations": True, "complete": True}
+        flag_count = {"configurations": 3, "complete": 1}
+        assert not conforms(count_flag, EXPLORE_RECORD)
+        assert not conforms(flag_count, EXPLORE_RECORD)
+
+    def test_nested_shapes_and_alternatives(self):
+        shape = {"value": {"witness": (str, type(None))}}
+        assert conforms({"value": {"witness": None}}, shape)
+        assert conforms({"value": {"witness": "trace"}}, shape)
+        assert not conforms({"value": {"witness": 0}}, shape)
+        assert not conforms({"value": None}, shape)
+
+
 class TestExploreCached:
     COMPONENTS = {"protocol": "algorithm2", "n": 2, "inputs": (1, 0)}
 
+    @staticmethod
+    def _compute(calls, inputs=(1, 0)):
+        def compute():
+            calls.append(inputs)
+            result = _explorer(inputs=inputs).explore()
+            return {"configurations": len(result), "complete": result.complete}
+
+        return compute
+
     def test_cold_then_warm_round_trip(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        cold_explorer = _explorer()
-        cold, hit = explore_cached(cold_explorer, cache, self.COMPONENTS)
+        cache = ExplorationCache(tmp_path / "c", shape=EXPLORE_RECORD)
+        calls = []
+        compute = self._compute(calls)
+        cold, hit = explore_cached(cache, self.COMPONENTS, compute)
         assert hit is False
-
-        warm_explorer = _explorer()
-        warm, hit = explore_cached(warm_explorer, cache, self.COMPONENTS)
+        warm, hit = explore_cached(cache, self.COMPONENTS, compute)
         assert hit is True
-        assert warm.complete == cold.complete
-        assert len(warm.order) == len(cold.order)
-        assert warm.order == cold.order
-        for config in cold.order:
-            assert warm_explorer.decision_values(
-                config
-            ) == cold_explorer.decision_values(config)
-            assert warm.schedule_to(config) == cold.schedule_to(config)
-
-    def test_rehydrated_statuses_are_singletons(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        explore_cached(_explorer(), cache, self.COMPONENTS)
-        warm_explorer = _explorer()
-        warm, _ = explore_cached(warm_explorer, cache, self.COMPONENTS)
-        # The calculus compares statuses by identity; rehydration must
-        # re-canonicalize them or every ``status is RUNNING`` check
-        # silently fails.
-        initial = warm.order[0]
-        assert all(status is RUNNING for status in initial.statuses)
-
-    def test_safety_verdict_identical_on_warm_graph(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        task = DacDecisionTask(2)
-        cold_explorer = _explorer()
-        explore_cached(cold_explorer, cache, self.COMPONENTS)
-        warm_explorer = _explorer()
-        explore_cached(warm_explorer, cache, self.COMPONENTS)
-        assert warm_explorer.check_safety(task, (1, 0)) == (
-            cold_explorer.check_safety(task, (1, 0))
-        )
-
-    def test_decision_table_rides_along(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        cold_explorer = _explorer()
-        cold, _ = explore_cached(
-            cold_explorer, cache, self.COMPONENTS, include_decision_table=True
-        )
-        cold_table = cold_explorer.decision_table(exploration=cold)
-
-        warm_explorer = _explorer()
-        warm, hit = explore_cached(
-            warm_explorer, cache, self.COMPONENTS, include_decision_table=True
-        )
-        assert hit is True
-        # The cached per-position sets pre-seed the fixpoint table.
-        assert warm_explorer._decision_sets
-        warm_table = warm_explorer.decision_table(exploration=warm)
-        assert {
-            warm.order[pos]: warm_table[cid]
-            for pos, cid in enumerate(warm.order_ids)
-        } == {
-            cold.order[pos]: cold_table[cid]
-            for pos, cid in enumerate(cold.order_ids)
+        assert warm == cold
+        assert warm == {
+            "configurations": len(_explorer().explore()),
+            "complete": True,
         }
-
-    def test_stale_entry_fails_loudly(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        explore_cached(_explorer(), cache, self.COMPONENTS)
-        [path] = cache._entry_files()
-        digest, payload_bytes = pickle.loads(path.read_bytes())
-        payload = pickle.loads(payload_bytes)
-        payload["graph_digest"] = "0" * 64
-        cache.put(path.stem, payload)
-        with pytest.raises(CacheIntegrityError):
-            explore_cached(_explorer(), cache, self.COMPONENTS)
+        # The hit never explored.
+        assert len(calls) == 1
 
     def test_no_cache_means_plain_exploration(self):
-        explorer = _explorer()
-        result, hit = explore_cached(explorer, None, self.COMPONENTS)
-        assert hit is False
-        assert result.complete
+        calls = []
+        for _ in range(2):
+            record, hit = explore_cached(
+                None, self.COMPONENTS, self._compute(calls)
+            )
+            assert hit is False
+            assert record["complete"]
+        assert len(calls) == 2
 
-    def test_graph_digest_depends_on_graph(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "c")
-        small, _ = explore_cached(_explorer(), cache, self.COMPONENTS)
-        other_components = {"protocol": "algorithm2", "n": 2, "inputs": (0, 0)}
-        other, _ = explore_cached(
-            _explorer(inputs=(0, 0)), cache, other_components
+    def test_wrong_shaped_entry_recomputes(self, tmp_path):
+        # A graph-era payload under the current fingerprint is dropped.
+        cache = ExplorationCache(tmp_path / "c", shape=EXPLORE_RECORD)
+        fp = fingerprint(**self.COMPONENTS)
+        cache.put(fp, {"portable": 1, "graph_digest": "0" * 64})
+        calls = []
+        compute = self._compute(calls)
+        record, hit = explore_cached(cache, self.COMPONENTS, compute)
+        assert hit is False
+        assert conforms(record, EXPLORE_RECORD)
+        warm = explore_cached(cache, self.COMPONENTS, compute)
+        assert warm == (record, True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("damage", ["truncate", "bit-flip"])
+    def test_damaged_record_recomputes(self, tmp_path, damage):
+        cache = ExplorationCache(tmp_path / "c", shape=EXPLORE_RECORD)
+        calls = []
+        compute = self._compute(calls)
+        cold, _ = explore_cached(cache, self.COMPONENTS, compute)
+        [path] = cache._entry_files()
+        raw = bytearray(path.read_bytes())
+        if damage == "truncate":
+            raw = raw[: len(raw) // 2]
+        else:
+            raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        record, hit = explore_cached(cache, self.COMPONENTS, compute)
+        assert (record, hit) == (cold, False)
+        assert len(calls) == 2
+
+    def test_graph_digest_depends_on_graph(self):
+        small = _explorer().explore()
+        other = _explorer(inputs=(0, 0)).explore()
+        assert graph_digest(small.to_portable()) == graph_digest(
+            _explorer().explore().to_portable()
         )
         assert graph_digest(small.to_portable()) != graph_digest(
             other.to_portable()

@@ -5,41 +5,40 @@ Mirrors ``test_fast_core_equivalence.py`` for PR 3's two engines:
 1. **pooled == serial** — ``verify_task_protocol`` with ``jobs=2``
    must produce byte-identical phases to ``jobs=1``, and the digest
    over a pooled Algorithm 2 sweep must equal the serial one;
-2. **warm == cold** — a cache-rehydrated exploration must reproduce
-   the pre-fast-core ``SEED_DIGEST`` bit-for-bit, and a cache written
-   under one ``PYTHONHASHSEED`` must warm-hit with identical digests
-   under another (entries are content-addressed by repr, never by
-   ``hash()``);
+2. **warm == cold** — a warm ``explore --cache`` record answers
+   exactly what the cold run (and an uncached run) computed, a record
+   written under one ``PYTHONHASHSEED`` hits with identical bytes under
+   another (entries are content-addressed by repr, never by
+   ``hash()``), budgets are part of the key, and a damaged or
+   wrong-shaped record is a miss that recomputes;
 3. **failures stay uncached** — a failing suite run recomputes on the
    next run instead of persisting the failure.
 """
 
 import hashlib
+import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro.analysis.cache import ExplorationCache, explore_cached, graph_digest
-from repro.analysis.explorer import Explorer
+from repro import api
+from repro.analysis.cache import ExplorationCache, fingerprint
 from repro.analysis.parallel import (
     VerificationPool,
     WorkItem,
     algorithm2_instance_check,
 )
 from repro.analysis.suite import verify_task_protocol
-from repro.core.pac import NPacSpec
+from repro.api.requests import ExploreRequest
+from repro.cli import main
 from repro.objects.consensus import MConsensusSpec
 from repro.protocols.consensus import one_shot_consensus_processes
-from repro.protocols.dac_from_pac import algorithm2_processes
-from repro.protocols.obstruction_free import (
-    adopt_commit_round_objects,
-    obstruction_free_processes,
-)
 from repro.protocols.tasks import ConsensusTask, DacDecisionTask
 
-from tests.integration.test_fast_core_equivalence import SEED_DIGEST
+HIT = " [cache hit]"
 
 
 def one_shot_factory(inputs):
@@ -89,115 +88,162 @@ class TestPooledEqualsSerial:
         assert _sweep_digest(serial) == _sweep_digest(pooled)
 
 
+def _without_hit(report):
+    """The JSON form of an explore report with its metrics and cache-hit
+    marks removed: what a warm hit must share with the cold run."""
+    payload = json.loads(report.to_json())
+    del payload["metrics"], payload["data"]["cache_hit"]
+    payload["summary"] = payload["summary"].replace(HIT, "")
+    payload["body"] = [line.replace(HIT, "") for line in payload["body"]]
+    return payload
+
+
+def _repro(*argv, seed="0"):
+    """``python -m repro <argv>`` under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (env.get("PYTHONPATH"), *sys.path) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return result.stdout
+
+
 class TestWarmEqualsCold:
-    def _instances(self):
-        # The three E18 instances SEED_DIGEST was computed over.
-        return [
-            (
-                "algorithm2_n3",
-                lambda: Explorer(
-                    {"PAC": NPacSpec(3)}, algorithm2_processes((1, 0, 0))
-                ),
-            ),
-            (
-                "one_shot_consensus",
-                lambda: Explorer(
-                    {"CONS": MConsensusSpec(2)},
-                    one_shot_consensus_processes([0, 1]),
-                ),
-            ),
-            (
-                "obstruction_free",
-                lambda: Explorer(
-                    adopt_commit_round_objects(2, 2),
-                    obstruction_free_processes((0, 1), max_rounds=2),
-                ),
-            ),
-        ]
-
-    def _digest_via_cache(self, cache):
-        """TestBaselineDigest.digest(), but every graph through the cache."""
-        blob = hashlib.sha256()
-        tasks = {
-            "algorithm2_n3": (DacDecisionTask(3), (1, 0, 0)),
-            "one_shot_consensus": (ConsensusTask(2), (0, 1)),
-            "obstruction_free": (ConsensusTask(2), (0, 1)),
-        }
-        hits = []
-        for name, make_explorer in self._instances():
-            explorer = make_explorer()
-            graph, hit = explore_cached(
-                explorer,
-                cache,
-                {"instance": name},
-                max_configurations=400_000,
+    def test_warm_reports_equal_cold(self, tmp_path):
+        for n, inputs in [(2, (1, 0)), (3, (1, 0, 0)), (4, (0, 1, 1, 0))]:
+            cached = dict(
+                n=n, inputs=inputs, cache=True, cache_dir=str(tmp_path)
             )
-            hits.append(hit)
-            blob.update(name.encode())
-            for config in graph.order:
-                blob.update(
-                    repr(
-                        (
-                            config.process_states,
-                            config.statuses,
-                            config.object_states,
-                        )
-                    ).encode()
-                )
-                blob.update(repr(graph.schedule_to(config)).encode())
-                blob.update(
-                    repr(sorted(explorer.decision_values(config))).encode()
-                )
-            task, inputs = tasks[name]
-            blob.update(repr(explorer.check_safety(task, inputs)).encode())
-        return blob.hexdigest(), hits
-
-    def test_rehydrated_graphs_reproduce_seed_digest(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "cache")
-        cold_digest, cold_hits = self._digest_via_cache(cache)
-        assert cold_hits == [False, False, False]
-        assert cold_digest == SEED_DIGEST
-
-        warm_digest, warm_hits = self._digest_via_cache(cache)
-        assert warm_hits == [True, True, True]
-        assert warm_digest == SEED_DIGEST
+            cold = api.explore(**cached)
+            warm = api.explore(**cached)
+            plain = api.explore(n=n, inputs=inputs)
+            assert cold.data["cache_hit"] is False
+            assert warm.data["cache_hit"] is True
+            assert warm.summary == cold.summary + HIT
+            assert warm.metrics["counters"] == {"cache.hits": 1}
+            assert _without_hit(warm) == _without_hit(cold)
+            assert _without_hit(cold) == _without_hit(plain)
 
     def test_warm_hit_across_hash_seeds(self, tmp_path):
-        # A cache written under one PYTHONHASHSEED must warm-hit with a
-        # bit-identical graph under another: fingerprints and digests
-        # are repr-based, and pickled configurations shed their cached
-        # (seed-dependent) ``hash()`` values at the disk boundary.
-        program = (
-            "import sys; "
-            "from repro.analysis.cache import ExplorationCache, "
-            "explore_cached, graph_digest; "
-            "from repro.analysis.explorer import Explorer; "
-            "from repro.core.pac import NPacSpec; "
-            "from repro.protocols.dac_from_pac import algorithm2_processes; "
-            "explorer = Explorer("
-            "{'PAC': NPacSpec(3)}, algorithm2_processes((1, 0, 0))); "
-            f"cache = ExplorationCache({str(tmp_path / 'shared')!r}); "
-            "graph, hit = explore_cached("
-            "explorer, cache, {'instance': 'seedtest'}); "
-            "print(hit, graph_digest(graph.to_portable()))"
+        # A record written under one PYTHONHASHSEED must warm-hit with
+        # identical bytes under another: fingerprints are repr-based and
+        # a record holds only an int and a bool.
+        argv = ("explore", "--n", "3", "--inputs", "1,0,0", "--cache")
+        shared, other = tmp_path / "shared", tmp_path / "other"
+        cold = _repro(*argv, "--cache-dir", str(shared), seed="0")
+        warm = _repro(*argv, "--cache-dir", str(shared), seed="31337")
+        again = _repro(*argv, "--cache-dir", str(other), seed="31337")
+        assert HIT not in cold
+        assert warm == cold.replace("\n", HIT + "\n")
+        assert again == cold
+        [written] = ExplorationCache(shared)._entry_files()
+        [rewritten] = ExplorationCache(other)._entry_files()
+        assert written.name == rewritten.name
+        assert written.read_bytes() == rewritten.read_bytes()
+
+
+class TestExploreRecords:
+    def test_budget_is_part_of_the_key(self, tmp_path):
+        options = dict(n=4, cache=True, cache_dir=str(tmp_path))
+        bounded = api.explore(max_configurations=50, **options)
+        assert (bounded.data["configurations"], bounded.data["complete"]) == (
+            50,
+            False,
         )
-        outputs = []
-        for seed in ("0", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (env.get("PYTHONPATH"), *sys.path) if p
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", program],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            outputs.append(result.stdout.split())
-        (cold_hit, cold_digest), (warm_hit, warm_digest) = outputs
-        assert (cold_hit, warm_hit) == ("False", "True")
-        assert cold_digest == warm_digest
+        # A truncated record is never served to an unbounded request.
+        unbounded = api.explore(**options)
+        assert unbounded.data["cache_hit"] is False
+        assert unbounded.data["complete"] is True
+        assert unbounded.data["configurations"] > 50
+        assert ExplorationCache(tmp_path).stats().entries == 2
+        warm_bounded = api.explore(max_configurations=50, **options)
+        assert warm_bounded.data["cache_hit"] is True
+        assert _without_hit(warm_bounded) == _without_hit(bounded)
+        assert api.explore(**options).data["cache_hit"] is True
+
+    @pytest.mark.parametrize("damage", ["truncate", "bit-flip"])
+    def test_damaged_record_recomputes(self, tmp_path, damage):
+        options = dict(n=3, cache=True, cache_dir=str(tmp_path))
+        cold = api.explore(**options)
+        [path] = ExplorationCache(tmp_path)._entry_files()
+        raw = bytearray(path.read_bytes())
+        if damage == "truncate":
+            raw = raw[: len(raw) // 2]
+        else:
+            raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        again = api.explore(**options)
+        assert again.status == "ok"
+        assert again.data["cache_hit"] is False
+        assert again.metrics["counters"]["cache.corrupt_entries"] == 1
+        assert _without_hit(again) == _without_hit(cold)
+        assert api.explore(**options).data["cache_hit"] is True
+
+
+class TestWrongShapedRecords:
+    """An intact entry of the wrong shape is corrupt: dropped, counted,
+    recomputed, and the command still exits 0."""
+
+    PLANTED = {"portable": 1}
+
+    def _run(self, capsys, argv):
+        assert main([*argv, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_check_algorithm2(self, tmp_path, capsys):
+        cache = ExplorationCache(tmp_path)
+        cache.put(
+            fingerprint(
+                cmd="check-algorithm2",
+                n=2,
+                inputs=(0, 0),
+                symmetry=False,
+                max_configurations=400_000,
+            ),
+            self.PLANTED,
+        )
+        argv = ["check-algorithm2", "--n", "2", "--cache"]
+        argv += ["--cache-dir", str(tmp_path)]
+        report = self._run(capsys, argv)
+        assert report["status"] == "ok"
+        assert report["data"]["cache"] == {"hits": 0, "misses": 4}
+        assert report["metrics"]["counters"]["cache.corrupt_entries"] == 1
+        plain = self._run(capsys, ["check-algorithm2", "--n", "2"])
+        assert report["summary"] == plain["summary"]
+        warm = self._run(capsys, argv)
+        assert warm["data"]["cache"] == {"hits": 4, "misses": 0}
+
+    def test_explore(self, tmp_path, capsys):
+        request = ExploreRequest(n=3, inputs=(1, 0, 0))
+        cache = ExplorationCache(tmp_path)
+        cache.put(
+            fingerprint(
+                cmd="api-explore",
+                n=3,
+                inputs=(1, 0, 0),
+                max_configurations=request.max_configurations,
+            ),
+            self.PLANTED,
+        )
+        argv = ["explore", "--n", "3", "--inputs", "1,0,0", "--cache"]
+        argv += ["--cache-dir", str(tmp_path)]
+        report = self._run(capsys, argv)
+        assert report["status"] == "ok"
+        assert report["data"]["cache_hit"] is False
+        assert report["metrics"]["counters"]["cache.corrupt_entries"] == 1
+        [path] = cache._entry_files()
+        _digest, payload = pickle.loads(path.read_bytes())
+        assert pickle.loads(payload) == {
+            "configurations": report["data"]["configurations"],
+            "complete": True,
+        }
+        assert self._run(capsys, argv)["data"]["cache_hit"] is True
 
 
 class TestSuiteCaching:

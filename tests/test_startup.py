@@ -2,7 +2,8 @@
 
 Package ``__init__``s export lazily (PEP 562) and stdlib/engine
 modules are imported where they are used, so a warm cache hit never
-pays for the analysis, protocol, lint, pool or profiler imports. Every
+pays for the explorer, kernel, protocol, lint, pool or profiler
+imports: it reads its cached record and renders. Every
 import check runs in a fresh interpreter: ``sys.modules`` in the test
 process is already full.
 """
@@ -40,10 +41,15 @@ HEAVY = (
     "cProfile",
     "pstats",
     "repro.lint.engine",
+    "repro.analysis.explorer",
+    "repro.analysis.kernel",
+    "repro.analysis.parallel",
     "repro.analysis.valency",
     "repro.analysis.valency_analyzer",
+    "repro.core.pac",
     "repro.core.power",
     "repro.protocols.candidates",
+    "repro.protocols.dac_from_pac",
     "repro.serve",
 )
 
