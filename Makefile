@@ -1,13 +1,13 @@
 # Convenience targets for the repro library.
 
-.PHONY: install kernel-ext kernel-ext-asan test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify startup-profile clean
+.PHONY: install kernel-ext kernel-ext-asan test bench bench-perf experiments examples lint fuzz trace-smoke serve serve-smoke verify startup-profile clean
 
 install:
 	pip install -e . --no-build-isolation
 
 # Build the optional accelerated kernel extension in place (best
 # effort: exits non-zero without a C toolchain but never breaks the
-# pure-Python default backend).
+# pure-Python backend). Once built, exploration uses it automatically.
 kernel-ext:
 	python -m repro.analysis.kernel._build
 
@@ -42,8 +42,7 @@ bench-perf:
 	pytest benchmarks/bench_perf_core.py benchmarks/bench_perf_substrates.py \
 		benchmarks/bench_perf_parallel.py benchmarks/bench_perf_fuzz.py \
 		benchmarks/bench_perf_obs.py benchmarks/bench_perf_lint.py \
-		benchmarks/bench_perf_kernel.py benchmarks/bench_perf_serve.py \
-		--benchmark-disable -q
+		benchmarks/bench_perf_kernel.py --benchmark-disable -q
 	@echo "--- BENCH_perf.json ---"
 	@cat BENCH_perf.json
 
@@ -97,15 +96,6 @@ serve:
 # the NDJSON event stream (same harness CI's serve-smoke job runs).
 serve-smoke:
 	python -m repro serve-smoke
-
-# Refresh the serve_load row of BENCH_perf.json: thousands of
-# concurrent clients in a hot/cold/fuzz mix against a live server,
-# recording latency percentiles and coalesce/cache hit-rates.
-# REPRO_PERF_SCALE=tiny shrinks the fleet (CI smoke).
-bench-serve:
-	pytest benchmarks/bench_perf_serve.py --benchmark-disable -q
-	@echo "--- BENCH_perf.json ---"
-	@cat BENCH_perf.json
 
 # The reproduction smoke-check: every CLI command must exit 0.
 verify:

@@ -5,9 +5,7 @@ Two entries in ``BENCH_perf.json``:
 * ``parallel_sweep_algorithm2`` — the Theorem 4.1 input sweep run
   serially vs fanned over a 4-worker :class:`VerificationPool`, with
   the per-instance verdicts asserted identical. ``cpu_count`` is
-  recorded alongside the speedup, plus the workload-shape dimensions
-  shared with ``bench_perf_serve`` (``coalesced``, ``queue_depth``).
-  On a single-core runner a sub-1× pooled "speedup" measures process
+  recorded alongside the speedup. On a single-core runner a sub-1× pooled "speedup" measures process
   overhead, not parallelism — the entry is then *skipped* with its
   reason printed, rather than written into the tracked baseline.
 * ``cache_cold_warm_algorithm2`` — the same sweep through a fresh
@@ -84,17 +82,9 @@ class TestParallelSweep:
                 work_items=len(items),
                 jobs=4,
                 # The pool is a ProcessPoolExecutor (fork-preferred),
-                # not a thread pool — distinct from the kernel's
-                # --kernel-threads frontier threading, which is
-                # in-process.
+                # not a thread pool.
                 mode="process",
                 cpu_count=cpu_count,
-                # Workload-shape dimensions shared with bench_perf_serve:
-                # the pool path never coalesces (every WorkItem runs),
-                # and queue_depth is the instantaneous backlog a worker
-                # sees — the whole sweep is enqueued at once.
-                coalesced=False,
-                queue_depth=len(items),
                 serial_wall_seconds=serial_timing.median,
                 serial_best_wall_seconds=serial_timing.best,
                 parallel_wall_seconds=pooled_timing.median,

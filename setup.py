@@ -3,8 +3,9 @@ package (needed for PEP 660 editable wheels) is unavailable.
 
 Also declares the optional accelerated kernel extension. The build is
 best-effort (`optional=True`): when no C toolchain is present the
-install succeeds anyway and the pure-Python kernel backend remains the
-default. `make kernel-ext` rebuilds the extension in place later.
+install succeeds anyway and exploration runs on the pure-Python kernel
+backend. `make kernel-ext` rebuilds the extension in place later; once
+it imports, exploration uses it.
 """
 
 from setuptools import Extension, setup

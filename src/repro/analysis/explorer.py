@@ -52,10 +52,9 @@ packed-kernel rework its bookkeeping is built on four layers (see
   schedules are mapped back through the accumulated permutations so
   they replay bit-for-bit on the *unreduced* system.
 
-Two kernel backends implement the same contract — ``python`` (flat
-big-int words) and ``compiled`` (a best-effort C extension) — selected
-via ``Explorer(kernel=...)``, the ``REPRO_KERNEL`` environment
-variable, or ``--kernel`` on the CLI. Both allocate ids in discovery
+Two kernel backends implement the same contract — ``compiled`` (a
+best-effort C extension, used whenever it is built) and ``python``
+(flat big-int words, used otherwise). Both allocate ids in discovery
 order and derive edges through the same callbacks, so orders, verdicts,
 digests and cache keys are byte-identical across backends.
 
@@ -627,13 +626,14 @@ class Explorer:
     ``objects`` maps names to specs; ``processes`` must be pure automata
     (``supports_snapshot``), which is what makes configurations values.
 
-    ``kernel`` picks the exploration backend: ``"python"`` (the
-    default), ``"compiled"`` (the C extension; an error if not built),
-    or ``"auto"`` (compiled when available). ``None`` defers to the
-    ``REPRO_KERNEL`` environment variable. Backends are byte-identical
-    — same orders, ids, verdicts, digests — so the choice is purely a
-    throughput knob, and the only one: each backend has one
-    exploration path (first-miss callbacks, one serial BFS walk).
+    ``kernel=None`` (the default) runs on the compiled backend when the
+    C extension is built and on the python backend otherwise.
+    ``"python"`` or ``"compiled"`` forces one — a seam for the
+    equivalence tests and the kernel bench; forcing ``"compiled"``
+    without the extension raises
+    :class:`~repro.errors.KernelUnavailableError`. Backends are
+    byte-identical — same orders, ids, verdicts, digests — and each has
+    one exploration path (first-miss callbacks, one serial BFS walk).
 
     All caches (intern table, successor memo, decision-set table) are
     per-instance: one :class:`Explorer` = one protocol instance whose

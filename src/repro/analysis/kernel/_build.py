@@ -23,7 +23,7 @@ from typing import List, Optional
 
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "_ckernel.c"
-#: Last failed build's output, persisted so `--kernel compiled` error
+#: Last failed build's output, persisted so forced-compiled error
 #: messages can say *why* the extension is missing, not just that it is.
 BUILD_LOG = _HERE / "_build.log"
 

@@ -286,15 +286,13 @@ def algorithm2_instance_check(
     inputs: Tuple[Any, ...],
     symmetry: bool = False,
     max_configurations: int = 400_000,
-    kernel: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Full Theorem 4.1 check of one ``(n, inputs)`` instance.
 
     Safety over all schedules, solo termination for every pid, plus the
     graph size — the per-instance body of ``repro check-algorithm2``.
     The counterexample (if any) is returned *rendered*, so the parent
-    process never needs the worker's explorer. ``kernel`` picks the
-    exploration backend (see :class:`~repro.analysis.explorer.Explorer`).
+    process never needs the worker's explorer.
     """
     from ..core.pac import NPacSpec
     from ..protocols.dac_from_pac import (
@@ -307,9 +305,7 @@ def algorithm2_instance_check(
 
     inputs = tuple(inputs)
     task = DacDecisionTask(n)
-    explorer = Explorer(
-        {"PAC": NPacSpec(n)}, algorithm2_processes(inputs), kernel=kernel
-    )
+    explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
     sym = algorithm2_symmetry(inputs) if symmetry else None
     counterexample = explorer.check_safety(
         task, inputs, max_configurations=max_configurations, symmetry=sym
@@ -334,22 +330,19 @@ def algorithm2_instance_check(
     }
 
 
-def candidate_outcome(
-    index: int, kernel: Optional[str] = None
-) -> Dict[str, Any]:
+def candidate_outcome(index: int) -> Dict[str, Any]:
     """Refute (or validate) candidate ``index`` of ``all_candidates()``.
 
     Returns the candidate's name, expected failure, observed outcome
     (``safety`` / ``liveness`` / ``none``) and the rendered witness —
-    the per-candidate body of ``repro refute``, on the ``kernel``
-    backend.
+    the per-candidate body of ``repro refute``.
     """
     from ..protocols.candidates import all_candidates
     from .explorer import Explorer
     from .render import render_counterexample, render_livelock
 
     candidate = all_candidates()[index]
-    explorer = Explorer(candidate.objects, candidate.processes, kernel=kernel)
+    explorer = Explorer(candidate.objects, candidate.processes)
     counterexample = explorer.check_safety(candidate.task, candidate.inputs)
     livelock = explorer.find_livelock() if counterexample is None else None
     if counterexample is not None:

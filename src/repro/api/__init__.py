@@ -5,7 +5,7 @@ Two layers, one behaviour:
 * **Typed requests** (:mod:`repro.api.requests`) — frozen
   :class:`VerifyRequest` / :class:`RefuteRequest` / :class:`FuzzRequest`
   / :class:`ExploreRequest` dataclasses sharing one
-  :class:`ExecutionOptions` (jobs / cache / kernel / trace knobs).
+  :class:`ExecutionOptions` (jobs / cache / trace knobs).
   Each request canonicalizes and fingerprints itself with the
   exploration cache's sha256 scheme, which is what the ``repro serve``
   coalescing map and warm result cache key on. :func:`execute` runs any
@@ -18,14 +18,13 @@ Two layers, one behaviour:
 
 Parameter conventions are uniform: ``jobs=`` (worker processes,
 ``1`` = inline), ``cache=``/``cache_dir=`` (the content-addressed
-exploration cache), ``seed=`` (campaign seed), ``kernel=`` (exploration
-backend: ``auto``/``python``/``compiled`` — observable-identical, pure
-throughput; passed explicitly to every explorer the call builds, pool
-workers included), ``trace=`` (a path: the call
-records a JSONL trace there, see :mod:`repro.obs`). Every call opens an
-observation session — joining the ambient one when the CLI (or an
-outer call) already holds it — and embeds the deterministic metrics
-snapshot in the returned report.
+exploration cache), ``seed=`` (campaign seed), ``trace=`` (a path: the
+call records a JSONL trace there, see :mod:`repro.obs`). The kernel
+backend is not a parameter: exploration runs compiled when the C
+extension is built and python otherwise, observable-identically.
+Every call opens an observation session — joining the ambient one when
+the CLI (or an outer call) already holds it — and embeds the
+deterministic metrics snapshot in the returned report.
 
 Invalid arguments raise :class:`repro.errors.InvalidRequestError` at
 request construction, before any engine runs; engine failures raise
@@ -79,7 +78,6 @@ def verify(
     jobs: int = 1,
     cache: bool = False,
     cache_dir: Optional[str] = None,
-    kernel: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Model-check Theorem 4.1 at size ``n`` over every input assignment."""
@@ -91,7 +89,6 @@ def verify(
                 jobs=jobs,
                 cache=cache,
                 cache_dir=cache_dir,
-                kernel=kernel,
                 trace=trace,
             ),
         )
@@ -102,7 +99,6 @@ def refute(
     *,
     candidate: Optional[str] = None,
     jobs: int = 1,
-    kernel: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Run the doomed-candidate suite; every witness must match its
@@ -112,7 +108,6 @@ def refute(
             candidate=candidate,
             options=ExecutionOptions(
                 jobs=jobs,
-                kernel=kernel,
                 trace=trace,
             ),
         )
@@ -130,7 +125,6 @@ def fuzz(
     corpus_dir: Optional[str] = None,
     shrink: bool = True,
     max_steps: int = 64,
-    kernel: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Coverage-guided schedule/response fuzzing with shrinking and
@@ -147,7 +141,6 @@ def fuzz(
             max_steps=max_steps,
             options=ExecutionOptions(
                 jobs=jobs,
-                kernel=kernel,
                 trace=trace,
             ),
         )
@@ -162,7 +155,6 @@ def explore(
     cache: bool = False,
     cache_dir: Optional[str] = None,
     max_configurations: int = 400_000,
-    kernel: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> Report:
     """Build one Algorithm 2 instance's reachable configuration graph.
@@ -180,7 +172,6 @@ def explore(
             options=ExecutionOptions(
                 cache=cache,
                 cache_dir=cache_dir,
-                kernel=kernel,
                 trace=trace,
             ),
         )

@@ -8,10 +8,6 @@ adapters, the server's job runner — funnels through
 * opens an observation session (joining the ambient one when the CLI
   or an outer call already holds it) tagged with the request's report
   command;
-* hands the request's ``options.kernel`` explicitly to every
-  :class:`~repro.analysis.explorer.Explorer` the body builds — pool
-  workers receive it through their work items' keyword arguments, so
-  no process environment is ever written;
 * dispatches on the request type and returns the schema-versioned
   :class:`repro.reports.Report` with the session's metrics snapshot
   embedded.
@@ -134,7 +130,6 @@ def _verify_body(request: VerifyRequest) -> Report:
                         key=inputs,
                         fn=algorithm2_instance_check,
                         args=(n, inputs, bool(symmetry)),
-                        kwargs={"kernel": request.options.kernel},
                     )
                     for inputs in to_run
                 ]
@@ -290,7 +285,6 @@ def _refute_body(request: RefuteRequest) -> Report:
                     key=index,
                     fn=candidate_outcome,
                     args=(index,),
-                    kwargs={"kernel": request.options.kernel},
                 )
                 for index in indices
             ]
@@ -371,7 +365,6 @@ def _fuzz_body(request: FuzzRequest) -> Report:
     budget = request.budget
     seed = request.seed
     jobs = request.options.jobs
-    kernel = request.options.kernel
     max_steps = request.max_steps
     lines: List[str] = []
     findings: List[Finding] = []
@@ -421,7 +414,6 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 max_steps=max_steps,
                 shrink=request.shrink,
                 corpus=corpus,
-                kernel=kernel,
             )
             lines.append("")
             lines.append(
@@ -436,9 +428,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 f"(seeded {campaign.corpus_seeded})"
             )
             observed = campaign.observed_failure()
-            renderer = FuzzExecutor(
-                target, max_steps=max_steps, kernel=kernel
-            ).explorer
+            renderer = FuzzExecutor(target, max_steps=max_steps).explorer
             if not campaign.findings:
                 lines.append(
                     f"no violation found in {campaign.executions} "
@@ -575,7 +565,6 @@ def _explore_body(request: ExploreRequest) -> Report:
         explorer = Explorer(
             {"PAC": NPacSpec(n)},
             algorithm2_processes(inputs),
-            kernel=request.options.kernel,
         )
         result = explorer.explore(
             max_configurations=max_configurations,

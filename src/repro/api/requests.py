@@ -9,7 +9,7 @@ into two kinds of field:
   produce byte-identical Report bodies, by the library's determinism
   contract.
 * :class:`ExecutionOptions` — *how* the answer is computed (``jobs``,
-  ``cache``, ``kernel``, ``trace``). Every option is
+  ``cache``, ``trace``). Every option is
   observable-identical by contract, so options are deliberately
   **excluded** from the fingerprint: a pooled run coalesces with a
   serial run, a traced one with an untraced one.
@@ -55,9 +55,6 @@ __all__ = [
     "request_from_dict",
 ]
 
-_KERNEL_CHOICES = (None, "auto", "python", "compiled")
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidRequestError(message)
@@ -94,24 +91,19 @@ class ExecutionOptions:
 
     Every knob here is observable-identical by the library's
     determinism contract (reports are byte-identical across ``jobs``,
-    cache states, kernels, and tracing), so none of them participates
+    cache states, and tracing), so none of them participates
     in :meth:`Request.fingerprint`.
     """
 
     jobs: int = 1
     cache: bool = False
     cache_dir: Optional[str] = None
-    kernel: Optional[str] = None
     trace: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_int("jobs", self.jobs, 1)
         _check_bool("cache", self.cache)
         _check_opt_str("cache_dir", self.cache_dir)
-        _require(
-            self.kernel in _KERNEL_CHOICES,
-            f"kernel must be one of {_KERNEL_CHOICES[1:]}, got {self.kernel!r}",
-        )
         _check_opt_str("trace", self.trace)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -28,10 +28,10 @@ Commands:
   :mod:`repro.serve` and ``docs/serve.md``);
 * ``serve-smoke`` — the end-to-end serve correctness harness CI runs.
 
-Exploration-heavy commands (``check-algorithm2``, ``refute``, ``fuzz``,
-``explore``) accept ``--kernel {auto,python,compiled}`` to pick the
-packed-state exploration backend (see ``docs/performance.md``); every
-backend produces byte-identical reports, verdicts, and cache keys.
+Exploration runs on the compiled kernel backend when the C extension
+is built and on the python backend otherwise; there is no flag, since
+both produce byte-identical reports, verdicts, and cache keys (see
+``docs/performance.md``).
 
 Every command builds a :class:`repro.reports.Report` and renders it
 through one renderer: ``--format text`` (default) prints the report
@@ -109,7 +109,6 @@ def _cmd_check_algorithm2(args: argparse.Namespace) -> Report:
         jobs=args.jobs,
         cache=args.cache,
         cache_dir=args.cache_dir,
-        kernel=args.kernel,
     )
 
 
@@ -119,7 +118,6 @@ def _cmd_refute(args: argparse.Namespace) -> Report:
     return refute(
         candidate=args.candidate,
         jobs=args.jobs,
-        kernel=args.kernel,
     )
 
 
@@ -136,7 +134,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> Report:
         corpus_dir=args.corpus_dir,
         shrink=args.shrink,
         max_steps=args.max_steps,
-        kernel=args.kernel,
     )
 
 
@@ -162,7 +159,6 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
         cache=args.cache,
         cache_dir=args.cache_dir,
         max_configurations=args.max_configurations,
-        kernel=args.kernel,
     )
 
 
@@ -491,18 +487,6 @@ def _add_observability_arguments(
     )
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    """``--kernel``, shared by exploration-heavy commands."""
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "compiled"),
-        default=None,
-        help="exploration backend (default: $REPRO_KERNEL or auto — "
-        "compiled when the extension is built, python otherwise); all "
-        "choices are byte-identical, see docs/performance.md",
-    )
-
-
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     """The scale-out flags shared by sweep commands."""
     parser.add_argument(
@@ -554,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         "interchangeable; see docs/performance.md)",
     )
     _add_scale_arguments(check)
-    _add_kernel_argument(check)
     _add_observability_arguments(check)
 
     refute = commands.add_parser(
@@ -569,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the candidate sweep (default: 1, "
         "serial; results are merged deterministically either way)",
     )
-    _add_kernel_argument(refute)
     _add_observability_arguments(refute)
 
     fuzz = commands.add_parser(
@@ -642,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="maximum schedule length per fuzzed run (default: 64)",
     )
-    _add_kernel_argument(fuzz)
     _add_observability_arguments(fuzz)
 
     explore = commands.add_parser(
@@ -685,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
-    _add_kernel_argument(explore)
     _add_observability_arguments(explore)
 
     cache = commands.add_parser(
@@ -755,18 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port; 0 picks a free one (default: 8642)",
     )
     serve.add_argument(
-        "--mode",
-        choices=("process", "thread"),
-        default="process",
-        help="job executor: a process pool (default) or one serial "
-        "worker thread (the observation stack is process-global, so "
-        "thread mode never runs two jobs at once)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="process-pool size (default: 2; ignored in thread mode)",
+        help="job process-pool size (default: 2)",
     )
     serve.add_argument(
         "--max-queue",
@@ -841,7 +813,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServerConfig(
             host=args.host,
             port=args.port,
-            mode=args.mode,
             workers=args.workers,
             max_queue=args.max_queue,
             class_limits=class_limits,

@@ -132,8 +132,9 @@ class ServerOverloadedError(ReproError):
 class KernelUnavailableError(AnalysisError):
     """A specific exploration backend was requested but cannot run.
 
-    Raised by :func:`repro.analysis.kernel.select` when ``compiled`` is
-    demanded and the accelerated extension is not built (the message
+    Raised by :func:`repro.analysis.kernel.make_backend` when
+    ``Explorer(kernel="compiled")`` forces the C backend and the
+    accelerated extension is not built (the message
     carries the captured build log when one exists). The server maps it
     to HTTP 503 — the request is fine, this deployment just cannot
     serve it — and the CLI to exit code 3.

@@ -96,7 +96,6 @@ def run_shard(
     shrink: bool = True,
     stop_on_finding: bool = True,
     initial_corpus: Tuple[Genes, ...] = (),
-    kernel: Optional[str] = None,
 ) -> Dict[str, object]:
     """One shard's sub-campaign (module-level: pool-ready).
 
@@ -107,7 +106,7 @@ def run_shard(
     and replay-verified.
     """
     target = target_from_spec(spec)
-    executor = FuzzExecutor(target, max_steps=max_steps, kernel=kernel)
+    executor = FuzzExecutor(target, max_steps=max_steps)
     rng = random.Random(shard_seed(seed, shard, spec))
     coverage: set = set()
     pool: List[Genes] = [tuple(genes) for genes in initial_corpus]
@@ -246,7 +245,6 @@ def fuzz_campaign(
     shrink: bool = True,
     stop_on_finding: bool = True,
     corpus: Optional[FuzzCorpus] = None,
-    kernel: Optional[str] = None,
 ) -> FuzzReport:
     """Run one campaign against the target named by ``spec``.
 
@@ -256,7 +254,7 @@ def fuzz_campaign(
     stored entries for this target seed every shard's mutation pool,
     and each shard's interesting discoveries are persisted back
     (content-addressed, so re-runs and sibling shards dedupe to
-    identical files). ``kernel`` is every shard's exploration backend.
+    identical files).
     """
     spec = tuple(spec)
     target = target_from_spec(spec)  # validates the spec up front
@@ -278,7 +276,6 @@ def fuzz_campaign(
                 "shrink": shrink,
                 "stop_on_finding": stop_on_finding,
                 "initial_corpus": initial,
-                "kernel": kernel,
             },
         )
         for shard in range(shards)

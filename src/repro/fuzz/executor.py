@@ -88,15 +88,10 @@ class FuzzExecutor:
     lookups, not transition recomputation.
     """
 
-    def __init__(
-        self,
-        target: FuzzTarget,
-        max_steps: int = 64,
-        kernel: Optional[str] = None,
-    ) -> None:
+    def __init__(self, target: FuzzTarget, max_steps: int = 64) -> None:
         self.target = target
         self.max_steps = max_steps
-        self.explorer = Explorer(target.objects, target.processes, kernel=kernel)
+        self.explorer = Explorer(target.objects, target.processes)
         self._initial = self.explorer.initial_configuration()
         self._initial_id = self.explorer.intern_id(self._initial)
         #: status-code row -> memoized task verdict: safety is a pure

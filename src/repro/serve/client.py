@@ -4,10 +4,6 @@ The counterpart the CLI, the smoke harness, and tests use to talk to a
 running server without pulling in any HTTP dependency. One persistent
 keep-alive connection per client; thread-unsafe by design (one client
 per thread, like ``http.client`` itself).
-
-The async load harness (``benchmarks/bench_perf_serve.py``) does not
-use this class — it speaks the protocol directly over asyncio streams
-to reach thousands of concurrent in-flight requests.
 """
 
 from __future__ import annotations

@@ -23,19 +23,20 @@ ExecutionOptions` knobs). A submission whose fingerprint matches a
   letting memory or the process pool grow without limit. ``drain()``
   stops intake and waits for the live jobs to finish.
 
-Execution happens in a pool (:class:`~concurrent.futures.\
-ProcessPoolExecutor` by default) via the module-level
-:func:`run_job_worker`, which never raises: engine failures come back
-as taxonomy-classified error Reports. Each worker writes its JSONL
+Execution happens in a :class:`~concurrent.futures.ProcessPoolExecutor`
+via the module-level :func:`run_job_worker`, which never raises: engine
+failures come back as taxonomy-classified error Reports. A worker
+process that dies (OOM kill, SIGKILL) breaks the whole pool; the jobs
+in flight on it fail with ``INTERNAL`` and the next job gets a fresh
+pool (counted as ``pool_restarts``). Each worker writes its JSONL
 trace to a per-job spool file; an asyncio tailer follows the file and
 fans complete lines out to subscribers, which is what
 ``GET /jobs/<id>/events`` streams.
 
-Everything here is asyncio-native and single-loop; the only threads or
-processes involved are the executor's workers. ``thread`` mode pins
-the executor to exactly one worker because the observation layer's
-session stack is process-global, not thread-local — two traced jobs in
-one process would interleave their sessions.
+Everything here is asyncio-native and single-loop; the only other
+processes involved are the pool's workers, one job at a time each —
+the observation layer's session stack is process-global, so jobs never
+share a process.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import os
 import shutil
 import tempfile
 from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -168,7 +170,6 @@ class JobManager:
     def __init__(
         self,
         *,
-        mode: str = "process",
         workers: int = 2,
         max_queue: int = 64,
         class_limits: Optional[Mapping[str, int]] = None,
@@ -180,12 +181,7 @@ class JobManager:
     ) -> None:
         from .lru import LRUCache
 
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown executor mode: {mode!r}")
-        # The obs session stack is process-global: one traced job per
-        # process at a time. Thread mode therefore runs strictly serial.
-        self.mode = mode
-        self.workers = 1 if mode == "thread" else max(1, workers)
+        self.workers = max(1, workers)
         self.max_queue = max_queue
         self.poll_interval = poll_interval
         self._class_limits: Dict[str, asyncio.Semaphore] = {}
@@ -203,7 +199,7 @@ class JobManager:
         self._finished_order: Deque[str] = deque()
         self._job_history_size = job_history_size
         self._tasks: Set["asyncio.Task[None]"] = set()
-        self._executor: Optional[concurrent.futures.Executor] = None
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._draining = False
         self._closed = False
         self._sequence = 0
@@ -222,6 +218,7 @@ class JobManager:
             "completed": 0,
             "errors": 0,
             "rejected": 0,
+            "pool_restarts": 0,
         }
 
     # -- intake ----------------------------------------------------------
@@ -320,17 +317,44 @@ class JobManager:
 
     # -- execution -------------------------------------------------------
 
-    def _ensure_executor(self) -> concurrent.futures.Executor:
+    def _ensure_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._executor is None:
-            if self.mode == "thread":
-                self._executor = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-serve"
-                )
-            else:
-                self._executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers
+            )
         return self._executor
+
+    def _drop_executor(
+        self, executor: concurrent.futures.ProcessPoolExecutor
+    ) -> None:
+        """Forget a broken pool so the next job builds a fresh one."""
+        if self._executor is executor:
+            self._executor = None
+            self.counters["pool_restarts"] += 1
+            executor.shutdown(wait=False)
+
+    async def _execute(self, job: Job) -> Dict[str, Any]:
+        """Run ``job`` in the pool, rebuilding the pool if it broke.
+
+        A job that meets an already-broken pool at submission never
+        ran, so it goes to a fresh pool. A job in flight when a worker
+        dies raises ``BrokenProcessPool`` to the caller, after the pool
+        is dropped.
+        """
+        loop = asyncio.get_running_loop()
+        call = (run_job_worker, job.payload, job.trace_path)
+        executor = self._ensure_executor()
+        try:
+            future = loop.run_in_executor(executor, *call)
+        except BrokenProcessPool:
+            self._drop_executor(executor)
+            executor = self._ensure_executor()
+            future = loop.run_in_executor(executor, *call)
+        try:
+            return await future
+        except BrokenProcessPool:
+            self._drop_executor(executor)
+            raise
 
     async def _run(self, job: Job) -> None:
         async with self._class_limits[job.command]:
@@ -340,12 +364,7 @@ class JobManager:
                 self._pump_events(job)
             )
             try:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._ensure_executor(),
-                    run_job_worker,
-                    job.payload,
-                    job.trace_path,
-                )
+                result = await self._execute(job)
             except Exception as exc:
                 # run_job_worker never raises, so reaching here means the
                 # worker process itself died (OOM kill, BrokenProcessPool).
@@ -444,7 +463,6 @@ class JobManager:
             "live_jobs": len(self._inflight),
             "retained_jobs": len(self._jobs),
             "draining": self._draining,
-            "mode": self.mode,
             "workers": self.workers,
             "max_queue": self.max_queue,
             "class_limits": dict(self._class_limit_values),

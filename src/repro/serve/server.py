@@ -79,7 +79,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8642  # 0 = pick a free port (the bound one is reported)
-    mode: str = "process"  # executor: "process" or "thread" (serial)
     workers: int = 2
     max_queue: int = 64
     class_limits: Mapping[str, int] = field(default_factory=dict)
@@ -95,7 +94,6 @@ class ReproServer:
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
         self.manager = JobManager(
-            mode=self.config.mode,
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             class_limits=self.config.class_limits,

@@ -62,7 +62,7 @@ def run_smoke() -> Report:
         lines.append(f"FAIL {subject}: {detail}")
         findings.append(Finding("error", subject=subject, detail=detail))
 
-    config = ServerConfig(port=0, mode="thread", result_cache_size=64)
+    config = ServerConfig(port=0, result_cache_size=64)
     with BackgroundServer(config) as handle:
         client = handle.client
 

@@ -1,12 +1,13 @@
 """Run a ``repro serve`` instance in a background thread.
 
 Tests and the smoke harness need a live server inside one process:
-:class:`BackgroundServer` runs the asyncio loop in a daemon thread,
-binds to an ephemeral port, and exposes a ready
+:class:`BackgroundServer` runs the asyncio loop in a daemon thread
+(jobs run in the server's process pool, as in production), binds to an
+ephemeral port, and exposes a ready
 :class:`~repro.serve.client.ServeClient`. Always used as a context
 manager so the server drains and its pool shuts down even on failure::
 
-    with BackgroundServer(ServerConfig(port=0, mode="thread")) as handle:
+    with BackgroundServer(ServerConfig(port=0)) as handle:
         response = handle.client.verify(n=2)
         assert response.status == 200
 """
@@ -32,7 +33,7 @@ class BackgroundServer:
         *,
         startup_timeout: float = 30.0,
     ) -> None:
-        self.config = config or ServerConfig(port=0, mode="thread")
+        self.config = config or ServerConfig(port=0)
         self.startup_timeout = startup_timeout
         self.server: Optional[ReproServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -4,8 +4,8 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
 
 * :class:`PackedEncoder` — structural integer encoding: allocation,
   side-effect-free peeking, first-seen decoding, overflow policy;
-* backend selection — explicit argument beats ``REPRO_KERNEL`` beats
-  ``auto``; requesting an absent compiled backend is a hard error;
+* backend selection — the build picks (compiled iff the extension
+  imports); forcing an absent compiled backend is a hard error;
 * backend equivalence — every observable of the python and compiled
   backends (interning, rows, adjacency, targeted expansion, BFS with
   and without truncation, round events) is byte-identical. The
@@ -19,7 +19,6 @@ import pytest
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import (
-    KERNEL_CHOICES,
     MAX_CODE,
     PackedEncoder,
     PyKernel,
@@ -94,36 +93,29 @@ class TestPackedEncoder:
             encoder.local_code(0, "one-too-many")
 
 
+def _force(kernel):
+    return make_backend(kernel, 4, 1, lambda pid, local: 0, lambda *a: ())
+
+
 class TestKernelSelection:
-    def test_choices(self):
-        assert KERNEL_CHOICES == ("auto", "python", "compiled")
+    def test_select_is_build_detected(self):
+        expected = "compiled" if compiled_available() else "python"
+        assert select() == expected
+        assert _algorithm2_explorer(2).kernel == expected
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(AnalysisError, match="unknown kernel"):
-            select("turbo")
+            _force("turbo")
         with pytest.raises(AnalysisError, match="unknown kernel"):
             Explorer({"PAC": NPacSpec(2)}, algorithm2_processes((1, 0)),
                      kernel="turbo")
 
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(kernel_mod.ENV_VAR, "python")
-        assert select("python") == "python"
-        monkeypatch.setenv(kernel_mod.ENV_VAR, "bogus")
-        # Explicit argument never consults the (invalid) environment.
-        assert select("python") == "python"
-
-    def test_env_and_auto(self, monkeypatch):
-        monkeypatch.delenv(kernel_mod.ENV_VAR, raising=False)
-        assert select(None) in ("python", "compiled")
-        monkeypatch.setenv(kernel_mod.ENV_VAR, "python")
-        assert select(None) == "python"
-
     def test_compiled_request_fails_loudly_when_absent(self, monkeypatch):
         monkeypatch.setattr(kernel_mod, "compiled_available", lambda: False)
         with pytest.raises(AnalysisError, match="not built"):
-            select("compiled")
-        # auto silently falls back instead.
-        assert select("auto") == "python"
+            _force("compiled")
+        # Detection silently picks python instead.
+        assert select() == "python"
 
     def test_compiled_absent_error_includes_build_log(self, monkeypatch):
         """When a build was attempted and failed, the selection error
@@ -135,7 +127,7 @@ class TestKernelSelection:
             _build, "last_build_error", lambda: "compile failed (exit 1):\nboom"
         )
         with pytest.raises(AnalysisError) as excinfo:
-            select("compiled")
+            _force("compiled")
         message = str(excinfo.value)
         assert "make kernel-ext" in message
         assert "last build attempt failed with" in message
@@ -144,13 +136,11 @@ class TestKernelSelection:
         # No recorded failure: the remedy alone, no trailing noise.
         monkeypatch.setattr(_build, "last_build_error", lambda: None)
         with pytest.raises(AnalysisError) as excinfo:
-            select("compiled")
+            _force("compiled")
         assert "last build attempt" not in str(excinfo.value)
 
     def test_make_backend_python(self):
-        backend, name = make_backend(
-            "python", 4, 1, lambda pid, local: 0, lambda *a: ()
-        )
+        backend, name = _force("python")
         assert name == "python"
         assert isinstance(backend, PyKernel)
 

@@ -11,9 +11,9 @@ Three contracts:
 * validation happens at construction, as
   :class:`~repro.errors.InvalidRequestError`, before any engine runs;
   ``to_dict``/``request_from_dict`` round-trip losslessly;
-* ``options.kernel`` is handed explicitly to every explorer a request
-  builds, pool workers included — ``REPRO_KERNEL`` is only the default
-  for a request that names no kernel.
+* the kernel backend is no option at all: the removed ``REPRO_KERNEL``
+  variable is read by no explorer on a request's path, pool workers
+  included.
 """
 
 import pytest
@@ -68,8 +68,6 @@ class TestFingerprints:
             ExecutionOptions(jobs=4),
             ExecutionOptions(cache=True),
             ExecutionOptions(cache=True, cache_dir="/tmp/elsewhere"),
-            ExecutionOptions(kernel="python"),
-            ExecutionOptions(kernel="compiled"),
             ExecutionOptions(trace="/tmp/trace.jsonl"),
         ):
             assert (
@@ -142,8 +140,8 @@ class TestValidation:
             lambda: ExploreRequest(n=2, inputs="10"),
             lambda: ExploreRequest(max_configurations=0),
             lambda: ExecutionOptions(jobs=0),
-            lambda: ExecutionOptions(kernel="fortran"),
-            # The removed table/thread knobs are unknown option keys.
+            # The removed kernel/table/thread knobs are unknown keys.
+            lambda: ExecutionOptions.from_dict({"kernel": "python"}),
             lambda: ExecutionOptions.from_dict({"kernel_tables": "on"}),
             lambda: ExecutionOptions.from_dict({"kernel_threads": 2}),
             lambda: ExecutionOptions(cache="yes"),
@@ -168,7 +166,7 @@ class TestWireFormat:
             FuzzRequest(candidate="x", budget=50, seed=7, shards=2),
             ExploreRequest(n=2, inputs=(1, 0), max_configurations=1000),
             VerifyRequest(
-                n=2, options=ExecutionOptions(jobs=2, kernel="python")
+                n=2, options=ExecutionOptions(jobs=2, cache=True)
             ),
         ],
     )
@@ -209,28 +207,27 @@ class TestWireFormat:
         assert pooled.semantic_fields() == request.semantic_fields()
 
 
-_PYTHON = ExecutionOptions(kernel="python")
-_PYTHON_POOLED = ExecutionOptions(jobs=2, kernel="python")
+_SERIAL = ExecutionOptions()
+_POOLED = ExecutionOptions(jobs=2)
 
 
 class TestExplicitKernel:
-    """A bogus ``REPRO_KERNEL`` breaks every explorer that consults it,
-    so these requests succeed only if ``options.kernel`` reaches every
-    explorer on their path — forked pool workers inherit the bogus
-    environment, so they must get the kernel through their work items."""
+    """Only the build picks the kernel. ``REPRO_KERNEL`` is gone, so a
+    bogus value must not reach any explorer on a request's path —
+    forked pool workers included, which inherit the environment."""
 
     @pytest.mark.parametrize(
         "request_",
         [
-            VerifyRequest(n=2, options=_PYTHON),
-            VerifyRequest(n=2, options=_PYTHON_POOLED),
-            RefuteRequest(candidate="one 2-SA", options=_PYTHON),
-            RefuteRequest(options=_PYTHON_POOLED),
-            FuzzRequest(candidate="one 2-SA", budget=60, seed=1, options=_PYTHON),
+            VerifyRequest(n=2, options=_SERIAL),
+            VerifyRequest(n=2, options=_POOLED),
+            RefuteRequest(candidate="one 2-SA", options=_SERIAL),
+            RefuteRequest(options=_POOLED),
+            FuzzRequest(candidate="one 2-SA", budget=60, seed=1, options=_SERIAL),
             FuzzRequest(
-                candidate="one 2-SA", budget=60, seed=1, options=_PYTHON_POOLED
+                candidate="one 2-SA", budget=60, seed=1, options=_POOLED
             ),
-            ExploreRequest(n=2, options=_PYTHON),
+            ExploreRequest(n=2, options=_SERIAL),
         ],
         ids=lambda request_: f"{request_.command}-jobs{request_.options.jobs}",
     )
@@ -240,12 +237,3 @@ class TestExplicitKernel:
         assert report.status == "ok", report.summary
         monkeypatch.delenv("REPRO_KERNEL")
         assert report.body == execute(request_).body
-
-    def test_environment_is_the_default_without_an_explicit_kernel(
-        self, monkeypatch
-    ):
-        from repro.errors import AnalysisError
-
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(AnalysisError, match="unknown kernel 'bogus'"):
-            execute(ExploreRequest(n=2))

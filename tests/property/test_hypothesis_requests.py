@@ -38,7 +38,6 @@ _options = st.builds(
     jobs=st.integers(min_value=1, max_value=8),
     cache=st.booleans(),
     cache_dir=st.one_of(st.none(), st.just("/tmp/somewhere")),
-    kernel=st.sampled_from([None, "auto", "python", "compiled"]),
 )
 
 _verify = st.builds(

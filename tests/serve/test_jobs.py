@@ -1,12 +1,13 @@
 """The :class:`JobManager` contract: coalesce, cache, bound, drain.
 
-Driven directly (no HTTP) on a private event loop per test. Thread
-mode keeps the engine work in-process and serial — the manager's
-semantics are identical under the process pool, which the end-to-end
-server tests cover.
+Driven directly (no HTTP) on a private event loop per test, with the
+engine work in the manager's process pool.
 """
 
 import asyncio
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -19,7 +20,7 @@ def _run(coroutine):
 
 
 def _manager(**overrides):
-    settings = dict(mode="thread", result_cache_size=8, poll_interval=0.005)
+    settings = dict(result_cache_size=8, poll_interval=0.005)
     settings.update(overrides)
     return JobManager(**settings)
 
@@ -85,7 +86,7 @@ class TestSubmission:
                 pooled = {
                     "command": "verify",
                     "n": 2,
-                    "options": {"jobs": 4, "kernel": "python"},
+                    "options": {"jobs": 4},
                 }
                 second, disposition = manager.submit(pooled)
                 assert disposition == "coalesced"
@@ -274,6 +275,33 @@ class TestErrorsAndEvents:
                 second, disposition = manager.submit(payload)
                 assert disposition == "new"
                 await second.future
+            finally:
+                await manager.close()
+
+        _run(scenario())
+
+    def test_killed_worker_fails_inflight_jobs_and_the_pool_recovers(self):
+        async def scenario():
+            manager = _manager(workers=1)
+            try:
+                # Long enough to still be running when its worker dies.
+                slow = {"command": "verify", "n": 5}
+                job, _ = manager.submit(slow)
+                waiter, disposition = manager.submit(slow)
+                assert (disposition, waiter) == ("coalesced", job)
+                while not multiprocessing.active_children():
+                    await asyncio.sleep(0.01)
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+                killed = await asyncio.wait_for(waiter.future, timeout=60)
+                assert killed["status"] == "error"
+                assert killed["data"]["error_code"] == "INTERNAL"
+                fresh, disposition = manager.submit(VERIFY2)
+                assert disposition == "new"
+                result = await asyncio.wait_for(fresh.future, timeout=60)
+                assert result["status"] == "ok"
+                counters = manager.metrics()["counters"]
+                assert counters["pool_restarts"] == 1
             finally:
                 await manager.close()
 

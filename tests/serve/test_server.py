@@ -1,8 +1,8 @@
 """End-to-end: a live server, real sockets, the full protocol.
 
 One :class:`BackgroundServer` per test class (module-scoped fixtures
-keep the suite fast); thread mode so engine work stays serial and
-in-process. The serve-smoke CI job runs the heavier
+keep the suite fast); engine work runs in the server's process pool,
+as deployed. The serve-smoke CI job runs the heavier
 :mod:`repro.serve.smoke` harness; these tests pin the protocol
 details — statuses, headers, envelopes, streaming framing.
 """
@@ -18,7 +18,7 @@ from repro.serve.testing import BackgroundServer
 
 @pytest.fixture(scope="module")
 def server():
-    config = ServerConfig(port=0, mode="thread", result_cache_size=32)
+    config = ServerConfig(port=0, result_cache_size=32)
     with BackgroundServer(config) as handle:
         yield handle
 
@@ -88,7 +88,8 @@ class TestErrorMapping:
             connection.close()
 
     @pytest.mark.parametrize(
-        "options", [{"kernel_tables": "on"}, {"kernel_threads": 2}]
+        "options",
+        [{"kernel_tables": "on"}, {"kernel_threads": 2}, {"kernel": "python"}],
     )
     def test_removed_kernel_knobs_are_400(self, client, options):
         response = client.verify(n=2, options=options)

@@ -168,12 +168,21 @@ class TestCliExitCodes:
         assert envelope["findings"][0]["detail"] == detail
 
     @pytest.mark.parametrize(
-        "flag", [["--kernel-tables", "on"], ["--kernel-threads", "2"]]
+        "flag",
+        [
+            ["explore", "--n", "2", "--kernel-tables", "on"],
+            ["explore", "--n", "2", "--kernel-threads", "2"],
+            ["check-algorithm2", "--n", "2", "--kernel", "python"],
+            ["refute", "--kernel", "python"],
+            ["fuzz", "--budget", "1", "--kernel", "python"],
+            ["explore", "--n", "2", "--kernel", "python"],
+            ["serve", "--mode", "thread"],
+        ],
     )
     def test_removed_kernel_flags_are_usage_errors(self, capsys, flag):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["explore", "--n", "2", *flag])
+            main(flag)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
