@@ -23,11 +23,8 @@ import pytest
 
 from _perf_report import perf_scale, record, timed
 from repro.analysis.cache import ExplorationCache
-from repro.analysis.parallel import (
-    VerificationPool,
-    WorkItem,
-    algorithm2_instance_check,
-)
+from repro.analysis.parallel import VerificationPool, WorkItem
+from repro.api.execute import algorithm2_instance_check
 from repro.protocols.tasks import DacDecisionTask
 
 

@@ -47,7 +47,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "WorkFailure",
             "WorkItem",
             "WorkResult",
-            "run_work_items",
         ),
         "symmetry": ("ProcessSymmetry", "groups_by_input"),
         "linearizability": (

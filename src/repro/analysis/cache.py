@@ -30,6 +30,16 @@ sha256 digest plus the pickled payload. Writes are atomic
 (temp + ``os.replace``); a corrupt or digest-mismatched file is deleted
 and reported as a miss, never returned. ``<root>`` defaults to
 ``$REPRO_CACHE_DIR`` or ``.repro-cache`` under the working directory.
+The layout, atomic write, ``stats`` and ``clear`` live in
+:class:`EntryStore`, which the fuzz corpus shares.
+
+Sweeps
+------
+
+``check-algorithm2 --cache``, the verification suite and ``repro lint
+--cache-dir`` all answer a batch of items through :func:`cached_sweep`:
+fingerprint each item, look it up, run only the misses through one
+worker pool, store each success. Failures are never cached.
 
 Record shapes
 -------------
@@ -44,12 +54,23 @@ reads :data:`EXPLORE_RECORD` records.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import obs
 
@@ -57,13 +78,16 @@ __all__ = [
     "CACHE_SCHEMA",
     "CacheStats",
     "EXPLORE_RECORD",
+    "EntryStore",
     "ExplorationCache",
+    "cached_sweep",
     "canonicalize",
     "code_salt",
     "conforms",
     "explore_cached",
     "fingerprint",
     "graph_digest",
+    "package_digest",
 ]
 
 
@@ -76,25 +100,26 @@ EXPLORE_RECORD = {"configurations": int, "complete": bool}
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-#: Memoized code salt (one filesystem walk per process).
-_code_salt: Optional[str] = None
+
+@functools.lru_cache(maxsize=None)
+def package_digest(root: Path) -> str:
+    """sha256 over every ``.py`` file under ``root`` (memoized per root:
+    one filesystem walk per process)."""
+    blob = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        blob.update(str(path.relative_to(root)).encode())
+        blob.update(path.read_bytes())
+    return blob.hexdigest()
 
 
 def code_salt() -> str:
-    """sha256 over every ``.py`` file of the installed ``repro`` package.
+    """:func:`package_digest` of the installed ``repro`` package.
 
     Included in every fingerprint, so *any* source change invalidates
     the whole cache — coarse, but it makes staleness structurally
     impossible rather than a matter of careful dependency tracking.
     """
-    global _code_salt
-    if _code_salt is None:
-        blob = hashlib.sha256()
-        for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
-            blob.update(str(path.relative_to(_PACKAGE_ROOT)).encode())
-            blob.update(path.read_bytes())
-        _code_salt = blob.hexdigest()
-    return _code_salt
+    return package_digest(_PACKAGE_ROOT)
 
 
 def _canonical(value: Any) -> Any:
@@ -160,14 +185,71 @@ def conforms(value: Any, shape: Any) -> bool:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Point-in-time shape of one cache directory."""
+    """Point-in-time shape of one store directory."""
 
     root: str
     entries: int
     total_bytes: int
 
 
-class ExplorationCache:
+class EntryStore:
+    """One directory of content-addressed entry files.
+
+    An entry lives at ``<root>/<fp[:2]>/<fp><suffix>`` and is written
+    atomically (temp + ``os.replace``). ``root`` defaults to
+    ``$<env_var>`` or ``default_root`` under the working directory.
+    Subclasses choose the codec: :class:`ExplorationCache` pickles,
+    :class:`repro.fuzz.corpus.FuzzCorpus` writes JSON.
+    """
+
+    suffix = ".pkl"
+    env_var = "REPRO_CACHE_DIR"
+    default_root = ".repro-cache"
+
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
+        if root is None:
+            root = os.environ.get(self.env_var) or self.default_root
+        self.root = Path(root)
+
+    def _entry_path(self, fp: str) -> Path:
+        return self.root / fp[:2] / f"{fp}{self.suffix}"
+
+    def _write(self, path: Path, data: bytes) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+
+    def _entry_files(self) -> List[Path]:
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob(f"*/*{self.suffix}"))
+
+    def stats(self) -> CacheStats:
+        files = self._entry_files()
+        total = 0
+        for path in files:
+            try:
+                total += path.stat().st_size
+            except OSError:
+                pass
+        return CacheStats(
+            root=str(self.root), entries=len(files), total_bytes=total
+        )
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
+        removed = 0
+        for path in self._entry_files():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+
+class ExplorationCache(EntryStore):
     """Content-addressed on-disk store for verification results.
 
     One instance also counts its own ``hits`` / ``misses`` / ``stores``
@@ -179,18 +261,11 @@ class ExplorationCache:
     def __init__(
         self, root: Optional[os.PathLike] = None, shape: Any = None
     ) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-        self.root = Path(root)
+        super().__init__(root)
         self.shape = shape
         self.hits = 0
         self.misses = 0
         self.stores = 0
-
-    # -- low-level entry I/O --------------------------------------------
-
-    def _entry_path(self, fp: str) -> Path:
-        return self.root / fp[:2] / f"{fp}.pkl"
 
     def get(self, fp: str) -> Optional[Any]:
         """The payload stored under fingerprint ``fp``, or None.
@@ -234,11 +309,10 @@ class ExplorationCache:
         """Store ``payload`` under ``fp`` (atomic write)."""
         payload_bytes = pickle.dumps(payload, protocol=4)
         digest = hashlib.sha256(payload_bytes).hexdigest()
-        path = self._entry_path(fp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(pickle.dumps((digest, payload_bytes), protocol=4))
-        os.replace(tmp, path)
+        self._write(
+            self._entry_path(fp),
+            pickle.dumps((digest, payload_bytes), protocol=4),
+        )
         self.stores += 1
         obs.counter("cache.stores")
         obs.event("cache.put", fp=fp[:12], bytes=len(payload_bytes))
@@ -259,35 +333,56 @@ class ExplorationCache:
         self.put(fp, payload)
         return payload, False
 
-    # -- maintenance -----------------------------------------------------
 
-    def _entry_files(self):
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*/*.pkl"))
+# -- cache-first sweeps ------------------------------------------------------
 
-    def stats(self) -> CacheStats:
-        files = self._entry_files()
-        total = 0
-        for path in files:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return CacheStats(
-            root=str(self.root), entries=len(files), total_bytes=total
-        )
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self._entry_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+def cached_sweep(
+    cache: Optional[ExplorationCache],
+    items: Sequence[Tuple[Hashable, Callable[..., Any], Tuple[Any, ...]]],
+    fingerprint_of: Callable[[Hashable], str],
+    jobs: Optional[int] = 1,
+) -> Tuple[Dict[Hashable, Any], Dict[Hashable, Any]]:
+    """Answer every ``(key, fn, args)`` item: ``(values, failures)``.
+
+    With a cache, each item's ``fingerprint_of(key)`` is looked up
+    first. Only the misses run — ``fn(*args)``, through one
+    :class:`~repro.analysis.parallel.VerificationPool` of ``jobs``
+    workers — and each success is stored as ``{"value": value}``. A
+    failure (a :class:`~repro.analysis.parallel.WorkFailure`) is never
+    stored, so a fixed environment clears it on the next run. Both
+    dicts are keyed by item key; ``failures`` is in submission order.
+
+    The pool module loads only when something misses: an all-hit sweep
+    never imports it.
+    """
+    values: Dict[Hashable, Any] = {}
+    failures: Dict[Hashable, Any] = {}
+    fingerprints: Dict[Hashable, str] = {}
+    misses = []
+    for key, fn, args in items:
+        if cache is not None:
+            fp = fingerprints[key] = fingerprint_of(key)
+            payload = cache.get(fp)
+            if payload is not None:
+                values[key] = payload["value"]
+                continue
+        misses.append((key, fn, args))
+    if not misses:
+        return values, failures
+    from .parallel import VerificationPool, WorkItem
+
+    results = VerificationPool(jobs=jobs).run(
+        [WorkItem(key=key, fn=fn, args=args) for key, fn, args in misses]
+    )
+    for result in results:
+        if not result.ok:
+            failures[result.key] = result.failure
+            continue
+        values[result.key] = result.value
+        if cache is not None:
+            cache.put(fingerprints[result.key], {"value": result.value})
+    return values, failures
 
 
 # -- exploration answers ------------------------------------------------------

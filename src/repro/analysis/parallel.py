@@ -6,7 +6,7 @@ embarrassingly parallel collections of *independent* explorations.
 :class:`VerificationPool` fans such work items out over a
 ``multiprocessing`` worker pool with:
 
-* **chunked scheduling** — items are batched so each worker round-trip
+* **chunked scheduling** — one chunk per worker, so each round-trip
   amortizes process dispatch over several explorations;
 * **deterministic result ordering** — results are merged by work-item
   position (and carry the caller's ``key``), never by completion
@@ -23,9 +23,10 @@ construction, not by testing alone. Items whose callables cannot be
 pickled (closures, lambdas) also fall back to inline execution.
 
 Work-item callables must be module-level functions: workers import them
-by qualified name. The functions at the bottom of this module are the
-pool-ready forms of the repo's standard sweeps (Algorithm 2 instance
-checks, candidate refutation).
+by qualified name. The repo's sweeps define their items next to their
+callers (:mod:`repro.api.execute`, :mod:`repro.analysis.suite`,
+:mod:`repro.lint.engine`); cached sweeps go through
+:func:`repro.analysis.cache.cached_sweep`.
 """
 
 from __future__ import annotations
@@ -137,40 +138,30 @@ class VerificationPool:
     """Run independent verification items, serially or across workers.
 
     ``jobs``: worker count; ``None``/``0`` means ``os.cpu_count()``;
-    ``<= 1`` executes inline (no subprocesses). ``chunk_size``: items
-    per worker dispatch (default: one coarse chunk per worker — sweep
-    items are millisecond-scale, so dispatch overhead dominates any
-    load-balancing win from finer chunks).
+    ``<= 1`` executes inline (no subprocesses). Each worker gets one
+    coarse chunk: sweep items are millisecond-scale, so dispatch
+    overhead dominates any load-balancing win from finer chunks.
 
     After :meth:`run`, ``last_run_parallel`` records whether worker
     processes were actually used (False for inline execution and for
     the unpicklable-item fallback).
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        mp_context=None,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is None or jobs <= 0:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        self._mp_context = mp_context
         self.last_run_parallel = False
 
     def _chunks(
         self, tagged: List[Tuple[int, Callable, tuple, dict]]
     ) -> List[List[Tuple[int, Callable, tuple, dict]]]:
-        size = self.chunk_size
-        if size is None or size <= 0:
-            # One chunk per worker: the per-dispatch pickling/IPC cost
-            # is on the order of a whole sweep item, so amortizing it
-            # over len/jobs items beats the classic 4-chunks-per-worker
-            # balancing split for these workloads (see BENCH_perf.json's
-            # parallel_sweep_algorithm2 history).
-            size = max(1, (len(tagged) + self.jobs - 1) // self.jobs)
+        # One chunk per worker: the per-dispatch pickling/IPC cost is on
+        # the order of a whole sweep item, so amortizing it over
+        # len/jobs items beats the classic 4-chunks-per-worker balancing
+        # split for these workloads (see BENCH_perf.json's
+        # parallel_sweep_algorithm2 history).
+        size = max(1, (len(tagged) + self.jobs - 1) // self.jobs)
         return [tagged[i : i + size] for i in range(0, len(tagged), size)]
 
     def run(self, items: Sequence[WorkItem]) -> List[WorkResult]:
@@ -235,7 +226,7 @@ class VerificationPool:
             # inline path runs the same item functions, so results are
             # identical — only the parallelism is lost.
             return _run_batch(tagged)
-        context = self._mp_context or _default_context()
+        context = _default_context()
         raw = []
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(chunks)), mp_context=context
@@ -263,100 +254,3 @@ class VerificationPool:
                         raw.append((index, failure, None, empty_snapshot(), 0.0))
         self.last_run_parallel = True
         return raw
-
-
-def run_work_items(
-    items: Sequence[WorkItem],
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[WorkResult]:
-    """One-shot convenience wrapper around :class:`VerificationPool`."""
-    return VerificationPool(jobs=jobs, chunk_size=chunk_size).run(items)
-
-
-# -- pool-ready sweep functions ---------------------------------------------
-#
-# Module-level so workers can import them by qualified name. Each
-# rebuilds its instance from primitive arguments — explorers and
-# automata never cross the process boundary.
-
-
-def algorithm2_instance_check(
-    n: int,
-    inputs: Tuple[Any, ...],
-    symmetry: bool = False,
-    max_configurations: int = 400_000,
-) -> Dict[str, Any]:
-    """Full Theorem 4.1 check of one ``(n, inputs)`` instance.
-
-    Safety over all schedules, solo termination for every pid, plus the
-    graph size — the per-instance body of ``repro check-algorithm2``.
-    The counterexample (if any) is returned *rendered*, so the parent
-    process never needs the worker's explorer.
-    """
-    from ..core.pac import NPacSpec
-    from ..protocols.dac_from_pac import (
-        algorithm2_processes,
-        algorithm2_symmetry,
-    )
-    from ..protocols.tasks import DacDecisionTask
-    from .explorer import Explorer
-    from .render import render_counterexample
-
-    inputs = tuple(inputs)
-    task = DacDecisionTask(n)
-    explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
-    sym = algorithm2_symmetry(inputs) if symmetry else None
-    counterexample = explorer.check_safety(
-        task, inputs, max_configurations=max_configurations, symmetry=sym
-    )
-    rendered = None
-    if counterexample is not None:
-        rendered = render_counterexample(explorer, counterexample)
-    solo_failures = []
-    if counterexample is None:
-        for pid in range(n):
-            if not explorer.solo_termination(pid):
-                solo_failures.append(pid)
-    configurations = len(
-        explorer.explore(max_configurations=max_configurations, symmetry=sym)
-    )
-    return {
-        "inputs": inputs,
-        "ok": counterexample is None and not solo_failures,
-        "counterexample": rendered,
-        "solo_failures": solo_failures,
-        "configurations": configurations,
-    }
-
-
-def candidate_outcome(index: int) -> Dict[str, Any]:
-    """Refute (or validate) candidate ``index`` of ``all_candidates()``.
-
-    Returns the candidate's name, expected failure, observed outcome
-    (``safety`` / ``liveness`` / ``none``) and the rendered witness —
-    the per-candidate body of ``repro refute``.
-    """
-    from ..protocols.candidates import all_candidates
-    from .explorer import Explorer
-    from .render import render_counterexample, render_livelock
-
-    candidate = all_candidates()[index]
-    explorer = Explorer(candidate.objects, candidate.processes)
-    counterexample = explorer.check_safety(candidate.task, candidate.inputs)
-    livelock = explorer.find_livelock() if counterexample is None else None
-    if counterexample is not None:
-        outcome = "safety"
-        rendered = render_counterexample(explorer, counterexample)
-    elif livelock is not None:
-        outcome = "liveness"
-        rendered = render_livelock(explorer, livelock)
-    else:
-        outcome = "none"
-        rendered = "no violation found over all schedules (correct protocol)"
-    return {
-        "name": candidate.name,
-        "expected": candidate.expected_failure,
-        "outcome": outcome,
-        "rendered": rendered,
-    }

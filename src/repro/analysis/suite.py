@@ -17,8 +17,8 @@ Scale-out
 ---------
 
 Every phase is a collection of *independent* work items — one per
-(phase, inputs) or (phase, seed) — executed through
-:class:`~repro.analysis.parallel.VerificationPool`:
+(phase, inputs) or (phase, seed) — answered by
+:func:`~repro.analysis.cache.cached_sweep`:
 
 * ``jobs=1`` (default) runs the items inline, in order;
 * ``jobs=N`` fans them over ``N`` worker processes; results merge by
@@ -29,7 +29,10 @@ Every phase is a collection of *independent* work items — one per
   instead of aborting the whole sweep;
 * with ``cache=`` an :class:`~repro.analysis.cache.ExplorationCache`,
   successful item results are persisted content-addressed — a warm
-  rerun of the same sweep skips re-exploration entirely.
+  rerun of the same sweep skips re-exploration entirely. The entries
+  are keyed by ``cache_key``, or by the factory's qualified name when
+  it is a module-level function; any other factory needs a
+  ``cache_key``.
 
 Pooled execution requires ``make_system`` to be picklable (a
 module-level factory); closures silently fall back to inline
@@ -38,6 +41,8 @@ execution with identical results.
 
 from __future__ import annotations
 
+import sys
+import types
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -52,8 +57,7 @@ from typing import (
 from ..errors import SpecificationError
 from ..protocols.tasks import DecisionTask
 from ..types import Value, require
-from .cache import ExplorationCache, fingerprint
-from .parallel import VerificationPool, WorkItem, WorkResult
+from .cache import ExplorationCache, cached_sweep, fingerprint
 
 
 @dataclass(frozen=True)
@@ -162,58 +166,27 @@ def _task_identity(task: DecisionTask) -> Tuple:
 
 
 def _factory_identity(make_system: Callable) -> str:
-    """A best-effort cache identity for a protocol factory."""
-    module = getattr(make_system, "__module__", "?")
-    qualname = getattr(
-        make_system, "__qualname__", type(make_system).__qualname__
-    )
-    return f"{module}.{qualname}"
+    """The cache identity of a module-level factory: its qualified name.
 
-
-def _run_items(
-    items: List[WorkItem],
-    pool: VerificationPool,
-    cache: Optional[ExplorationCache],
-    cache_components: Dict[Any, Dict[str, Any]],
-) -> Dict[Any, WorkResult]:
-    """Execute items (cache-first), returning results keyed by item key.
-
-    Cached values resolve without touching the pool; misses run
-    (pooled or inline) and successful results are stored. Failures are
-    never cached — a deterministic failure recomputes on every run, so
-    a fixed environment immediately clears it.
+    Anything else — a ``functools.partial``, a lambda, a ``<locals>``
+    function — shares its name with factories that build other
+    protocols, so a cached verdict could answer for the wrong one; the
+    caller must name it with ``cache_key``.
     """
-    resolved: Dict[Any, WorkResult] = {}
-    to_run: List[WorkItem] = []
-    fingerprints: Dict[Any, str] = {}
-    if cache is not None:
-        for item in items:
-            fp = fingerprint(**cache_components[item.key])
-            fingerprints[item.key] = fp
-            payload = cache.get(fp)
-            if payload is not None:
-                resolved[item.key] = WorkResult(
-                    key=item.key, index=len(resolved), value=payload["value"]
-                )
-            else:
-                to_run.append(item)
-    else:
-        to_run = items
-    for result in pool.run(to_run):
-        resolved[result.key] = result
-        if cache is not None and result.ok:
-            cache.put(fingerprints[result.key], {"value": result.value})
-    return resolved
+    if isinstance(make_system, types.FunctionType):
+        module, name = make_system.__module__, make_system.__qualname__
+        if getattr(sys.modules.get(module), name, None) is make_system:
+            return f"{module}.{name}"
+    raise SpecificationError(
+        f"cannot derive a cache identity for {make_system!r}: only a "
+        f"module-level function names its protocol; pass cache_key="
+    )
 
 
 def _phase_errors(
-    keys: Sequence[Any], resolved: Dict[Any, WorkResult]
+    keys: Sequence[Any], failures: Dict[Any, Any]
 ) -> List[Tuple[Any, str]]:
-    return [
-        (key, resolved[key].failure.render())
-        for key in keys
-        if not resolved[key].ok
-    ]
+    return [(key, failures[key].render()) for key in keys if key in failures]
 
 
 def _error_suffix(errors: List[Tuple[Any, str]]) -> str:
@@ -240,7 +213,9 @@ def verify_task_protocol(
     ``exhaustive_inputs`` defaults to the task's own assignment space.
     ``jobs`` fans the per-input/per-seed checks over worker processes;
     ``cache`` persists successful phase results (``cache_key`` names
-    the protocol — defaults to the factory's qualified name).
+    the protocol — defaults to the qualified name of a module-level
+    factory; any other factory raises :class:`SpecificationError`
+    without one).
     """
     verdict = SuiteVerdict()
 
@@ -254,8 +229,7 @@ def verify_task_protocol(
     ]
     require(bool(inputs_list), SpecificationError, "no input assignments")
 
-    pool = VerificationPool(jobs=jobs)
-    if cache_key is None:
+    if cache is not None and cache_key is None:
         cache_key = _factory_identity(make_system)
     base_components = {
         "suite": "verify_task_protocol",
@@ -264,17 +238,16 @@ def verify_task_protocol(
         "max_configurations": max_configurations,
     }
 
-    items: List[WorkItem] = []
-    components: Dict[Any, Dict[str, Any]] = {}
+    items: List[Tuple[Any, Callable, Tuple]] = []
 
     def add_item(phase: str, subkey: Tuple, fn: Callable, args: Tuple) -> Any:
         key = (phase, subkey)
-        items.append(WorkItem(key=key, fn=fn, args=args))
-        parts = dict(base_components)
-        parts["phase"] = phase
-        parts["subkey"] = subkey
-        components[key] = parts
+        items.append((key, fn, args))
         return key
+
+    def item_fingerprint(key: Tuple[str, Tuple]) -> str:
+        phase, subkey = key
+        return fingerprint(**base_components, phase=phase, subkey=subkey)
 
     safety_keys = [
         add_item(
@@ -325,15 +298,11 @@ def verify_task_protocol(
         else []
     )
 
-    resolved = _run_items(items, pool, cache, components)
+    values, failures = cached_sweep(cache, items, item_fingerprint, jobs=jobs)
 
     # Phase 1: exhaustive safety.
-    bad_inputs = [
-        key[1][0]
-        for key in safety_keys
-        if resolved[key].ok and resolved[key].value
-    ]
-    errors = _phase_errors(safety_keys, resolved)
+    bad_inputs = [key[1][0] for key in safety_keys if values.get(key)]
+    errors = _phase_errors(safety_keys, failures)
     verdict.phases.append(
         PhaseOutcome(
             "exhaustive-safety",
@@ -346,12 +315,8 @@ def verify_task_protocol(
 
     # Phase 2: starvation-freedom (wait-free protocols only).
     if require_wait_free:
-        starving = [
-            key[1][0]
-            for key in livelock_keys
-            if resolved[key].ok and resolved[key].value
-        ]
-        errors = _phase_errors(livelock_keys, resolved)
+        starving = [key[1][0] for key in livelock_keys if values.get(key)]
+        errors = _phase_errors(livelock_keys, failures)
         verdict.phases.append(
             PhaseOutcome(
                 "no-livelock",
@@ -367,10 +332,9 @@ def verify_task_protocol(
         stuck = [
             (key[1][0], pid)
             for key in solo_keys
-            if resolved[key].ok
-            for pid in resolved[key].value
+            for pid in values.get(key, ())
         ]
-        errors = _phase_errors(solo_keys, resolved)
+        errors = _phase_errors(solo_keys, failures)
         verdict.phases.append(
             PhaseOutcome(
                 "solo-termination",
@@ -383,17 +347,17 @@ def verify_task_protocol(
 
     # Phase 4: randomized adversaries on the nominated instance.
     if simulation_inputs is not None:
-        failures = sum(
+        failed_seeds = sum(
             1
             for key in simulation_keys
-            if resolved[key].ok and not resolved[key].value
+            if key in values and not values[key]
         )
-        errors = _phase_errors(simulation_keys, resolved)
+        errors = _phase_errors(simulation_keys, failures)
         verdict.phases.append(
             PhaseOutcome(
                 "randomized-adversaries",
-                failures == 0 and not errors,
-                f"{simulation_seeds} seeds, {failures} failures"
+                failed_seeds == 0 and not errors,
+                f"{simulation_seeds} seeds, {failed_seeds} failures"
                 + _error_suffix(errors),
             )
         )

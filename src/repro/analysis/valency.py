@@ -11,7 +11,7 @@ module computes it:
 
 * :func:`classify` — the valence of a configuration
   (:data:`ZERO_VALENT` / :data:`ONE_VALENT` / :data:`BIVALENT` /
-  :data:`DECISIONLESS`);
+  :data:`DECISIONLESS`, labelled by :func:`valence_label`);
 * :func:`initial_valency_report` — Claim 4.2.4 / 5.2.1 style: which
   input assignments give bivalent initial configurations;
 * :func:`find_critical_configuration` — Claim 4.2.5 / 5.2.2 style
@@ -58,6 +58,21 @@ class Valency:
         return self.label in (ZERO_VALENT, ONE_VALENT)
 
 
+def valence_label(
+    values: FrozenSet[Value], domain: Tuple[Value, Value] = (0, 1)
+) -> str:
+    """The valence label of a reachable decision set over ``domain``."""
+    zero, one = domain
+    has_zero, has_one = zero in values, one in values
+    if has_zero and has_one:
+        return BIVALENT
+    if has_zero:
+        return ZERO_VALENT
+    if has_one:
+        return ONE_VALENT
+    return DECISIONLESS
+
+
 def classify(
     explorer: Explorer,
     config: Configuration,
@@ -66,18 +81,7 @@ def classify(
 ) -> Valency:
     """Compute and classify the reachable decision set of ``config``."""
     values = explorer.decision_values(config, max_configurations=max_configurations)
-    zero, one = domain
-    has_zero = zero in values
-    has_one = one in values
-    if has_zero and has_one:
-        label = BIVALENT
-    elif has_zero:
-        label = ZERO_VALENT
-    elif has_one:
-        label = ONE_VALENT
-    else:
-        label = DECISIONLESS
-    return Valency(values=values, label=label)
+    return Valency(values=values, label=valence_label(values, domain))
 
 
 @dataclass(frozen=True)

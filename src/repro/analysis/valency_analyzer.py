@@ -34,7 +34,7 @@ from .. import obs
 from ..errors import AnalysisError
 from ..types import Value
 from .explorer import Configuration, Edge, ExplorationResult, Explorer
-from .valency import BIVALENT, DECISIONLESS, ONE_VALENT, ZERO_VALENT
+from .valency import BIVALENT, valence_label
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,11 @@ class ValencyAnalyzer:
             )
         return self._table[ident]
 
-    def _classify(self, values: FrozenSet[Value]) -> str:
-        zero, one = self.domain
-        has_zero, has_one = zero in values, one in values
-        if has_zero and has_one:
-            return BIVALENT
-        if has_zero:
-            return ZERO_VALENT
-        if has_one:
-            return ONE_VALENT
-        return DECISIONLESS
-
     def _label_of_id(self, ident: int) -> str:
-        return self._classify(self._table[ident])
+        return valence_label(self._table[ident], self.domain)
 
     def label(self, config: Configuration) -> str:
-        return self._classify(self.decision_set(config))
+        return valence_label(self.decision_set(config), self.domain)
 
     def bivalent_configurations(self) -> List[Configuration]:
         assert self.graph.intern is not None

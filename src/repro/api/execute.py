@@ -59,11 +59,101 @@ def execute(request: Request, *, trace: Optional[Any] = None) -> Report:
         return report.with_metrics(sess.snapshot())
 
 
+# -- pool-ready sweep items -------------------------------------------------
+#
+# Module-level so workers can import them by qualified name, and defined
+# here rather than in the pool module so that an all-hit cached sweep
+# loads no pool code. Each rebuilds its instance from primitive
+# arguments — explorers and automata never cross the process boundary.
+
+
+def algorithm2_instance_check(
+    n: int,
+    inputs: Tuple[Any, ...],
+    symmetry: bool = False,
+    max_configurations: int = 400_000,
+) -> Dict[str, Any]:
+    """Full Theorem 4.1 check of one ``(n, inputs)`` instance.
+
+    Safety over all schedules, solo termination for every pid, plus the
+    graph size — the per-instance body of ``repro check-algorithm2``.
+    The counterexample (if any) is returned *rendered*, so the parent
+    process never needs the worker's explorer.
+    """
+    from ..analysis.explorer import Explorer
+    from ..analysis.render import render_counterexample
+    from ..core.pac import NPacSpec
+    from ..protocols.dac_from_pac import (
+        algorithm2_processes,
+        algorithm2_symmetry,
+    )
+    from ..protocols.tasks import DacDecisionTask
+
+    inputs = tuple(inputs)
+    explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
+    sym = algorithm2_symmetry(inputs) if symmetry else None
+    counterexample = explorer.check_safety(
+        DacDecisionTask(n),
+        inputs,
+        max_configurations=max_configurations,
+        symmetry=sym,
+    )
+    rendered = None
+    if counterexample is not None:
+        rendered = render_counterexample(explorer, counterexample)
+    solo_failures = []
+    if counterexample is None:
+        for pid in range(n):
+            if not explorer.solo_termination(pid):
+                solo_failures.append(pid)
+    configurations = len(
+        explorer.explore(max_configurations=max_configurations, symmetry=sym)
+    )
+    return {
+        "inputs": inputs,
+        "ok": counterexample is None and not solo_failures,
+        "counterexample": rendered,
+        "solo_failures": solo_failures,
+        "configurations": configurations,
+    }
+
+
+def candidate_outcome(index: int) -> Dict[str, Any]:
+    """Refute (or validate) candidate ``index`` of ``all_candidates()``.
+
+    Returns the candidate's name, expected failure, observed outcome
+    (``safety`` / ``liveness`` / ``none``) and the rendered witness —
+    the per-candidate body of ``repro refute``.
+    """
+    from ..analysis.explorer import Explorer
+    from ..analysis.render import render_counterexample, render_livelock
+    from ..protocols.candidates import all_candidates
+
+    candidate = all_candidates()[index]
+    explorer = Explorer(candidate.objects, candidate.processes)
+    counterexample = explorer.check_safety(candidate.task, candidate.inputs)
+    livelock = explorer.find_livelock() if counterexample is None else None
+    if counterexample is not None:
+        outcome = "safety"
+        rendered = render_counterexample(explorer, counterexample)
+    elif livelock is not None:
+        outcome = "liveness"
+        rendered = render_livelock(explorer, livelock)
+    else:
+        outcome = "none"
+        rendered = "no violation found over all schedules (correct protocol)"
+    return {
+        "name": candidate.name,
+        "expected": candidate.expected_failure,
+        "outcome": outcome,
+        "rendered": rendered,
+    }
+
+
 # -- phase bodies -----------------------------------------------------------
 
 #: The entry ``check-algorithm2 --cache`` stores per instance: the
-#: record :func:`~repro.analysis.parallel.algorithm2_instance_check`
-#: returns.
+#: record :func:`algorithm2_instance_check` returns.
 _VERIFY_ENTRY = {
     "value": {
         "inputs": tuple,
@@ -76,15 +166,14 @@ _VERIFY_ENTRY = {
 
 
 def _verify_body(request: VerifyRequest) -> Report:
-    from ..analysis.cache import ExplorationCache, fingerprint
+    from ..analysis.cache import ExplorationCache, cached_sweep, fingerprint
     from ..protocols.tasks import DacDecisionTask
 
     n = request.n
-    symmetry = request.symmetry
-    jobs = request.options.jobs
+    symmetry = bool(request.symmetry)
     lines: List[str] = []
     findings: List[Finding] = []
-    data: dict = {"n": n, "symmetry": bool(symmetry), "jobs": jobs}
+    data: dict = {"n": n, "symmetry": symmetry, "jobs": request.options.jobs}
     task = DacDecisionTask(n)
     inputs_list = [tuple(inputs) for inputs in task.input_assignments()]
     cache_obj = (
@@ -93,72 +182,43 @@ def _verify_body(request: VerifyRequest) -> Report:
         else None
     )
 
+    def instance_fingerprint(inputs) -> str:
+        return fingerprint(
+            cmd="check-algorithm2",
+            n=n,
+            inputs=inputs,
+            symmetry=symmetry,
+            max_configurations=400_000,
+        )
+
     with obs.span("verify", n=n, instances=len(inputs_list)), \
             obs.profile_phase("verify"):
-        # Cache-first: warm instances resolve without any exploration (or
-        # worker dispatch); only misses go to the pool.
-        resolved = {}
-        fingerprints = {}
-        to_run = []
-        for inputs in inputs_list:
-            if cache_obj is not None:
-                fp = fingerprint(
-                    cmd="check-algorithm2",
-                    n=n,
-                    inputs=inputs,
-                    symmetry=bool(symmetry),
-                    max_configurations=400_000,
-                )
-                fingerprints[inputs] = fp
-                payload = cache_obj.get(fp)
-                if payload is not None:
-                    resolved[inputs] = payload["value"]
-                    continue
-            to_run.append(inputs)
-        results = []
-        if to_run:
-            # Pool code loads only for misses, never on an all-hit sweep.
-            from ..analysis.parallel import (
-                VerificationPool,
-                WorkItem,
-                algorithm2_instance_check,
-            )
-
-            results = VerificationPool(jobs=jobs).run(
-                [
-                    WorkItem(
-                        key=inputs,
-                        fn=algorithm2_instance_check,
-                        args=(n, inputs, bool(symmetry)),
-                    )
-                    for inputs in to_run
-                ]
-            )
-        for result in results:
-            if not result.ok:
-                line = (
-                    f"ERROR at inputs {result.key}: {result.failure.render()}"
-                )
-                lines.append(line)
-                findings.append(
+        resolved, failures = cached_sweep(
+            cache_obj,
+            [
+                (inputs, algorithm2_instance_check, (n, inputs, symmetry))
+                for inputs in inputs_list
+            ],
+            instance_fingerprint,
+            jobs=request.options.jobs,
+        )
+        if failures:
+            # The first failing instance in sweep order is the error.
+            inputs, failure = next(iter(failures.items()))
+            line = f"ERROR at inputs {inputs}: {failure.render()}"
+            return Report(
+                command="check-algorithm2",
+                status="error",
+                exit_code=1,
+                summary=line,
+                body=(line,),
+                findings=(
                     Finding(
-                        "error",
-                        subject=str(result.key),
-                        detail=result.failure.render(),
-                    )
-                )
-                return Report(
-                    command="check-algorithm2",
-                    status="error",
-                    exit_code=1,
-                    summary=line,
-                    body=tuple(lines),
-                    findings=tuple(findings),
-                    data=data,
-                )
-            resolved[result.key] = result.value
-            if cache_obj is not None:
-                cache_obj.put(fingerprints[result.key], {"value": result.value})
+                        "error", subject=str(inputs), detail=failure.render()
+                    ),
+                ),
+                data=data,
+            )
 
         total_configs = 0
         instances = []
@@ -245,11 +305,7 @@ def _verify_body(request: VerifyRequest) -> Report:
 
 
 def _refute_body(request: RefuteRequest) -> Report:
-    from ..analysis.parallel import (
-        VerificationPool,
-        WorkItem,
-        candidate_outcome,
-    )
+    from ..analysis.parallel import VerificationPool, WorkItem
     from ..protocols.candidates import all_candidates
 
     candidate = request.candidate

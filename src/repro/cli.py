@@ -487,26 +487,14 @@ def _add_observability_arguments(
     )
 
 
-def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    """The scale-out flags shared by sweep commands."""
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the input sweep (default: 1, serial; "
-        "results are merged deterministically either way)",
-    )
+def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """The cache flags shared by ``check-algorithm2`` and ``explore``."""
     parser.add_argument(
         "--cache",
         action="store_true",
-        help="reuse (and persist) per-instance verdicts from the "
-        "content-addressed exploration cache",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_false",
-        dest="cache",
-        help="disable the exploration cache (default)",
+        help="reuse (and persist) this command's answer records — "
+        "per-instance verdicts or graph sizes, never graphs — in the "
+        "content-addressed cache",
     )
     parser.add_argument(
         "--cache-dir",
@@ -537,7 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
         "Algorithm 2: non-distinguished equal-input processes are "
         "interchangeable; see docs/performance.md)",
     )
-    _add_scale_arguments(check)
+    check.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the input sweep (default: 1, serial; "
+        "results are merged deterministically either way)",
+    )
+    _add_cache_arguments(check)
     _add_observability_arguments(check)
 
     refute = commands.add_parser(
@@ -649,23 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=400_000,
         help="exploration budget (default: 400000)",
     )
-    explore.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse (and persist) the graph via the content-addressed "
-        "exploration cache",
-    )
-    explore.add_argument(
-        "--no-cache",
-        action="store_false",
-        dest="cache",
-        help="disable the exploration cache (default)",
-    )
-    explore.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    _add_cache_arguments(explore)
     _add_observability_arguments(explore)
 
     cache = commands.add_parser(

@@ -26,7 +26,7 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "corpus": ("CorpusStats", "FuzzCorpus", "corpus_fingerprint"),
+        "corpus": ("FuzzCorpus", "corpus_fingerprint"),
         "executor": ("CYCLE", "SAFETY", "FuzzExecutor", "GeneRun", "Genes"),
         "shrink": ("replay_shrunk", "shrink_genes"),
         "target": (

@@ -1,10 +1,11 @@
 """Persistent fuzz corpus: content-addressed gene sequences on disk.
 
-The corpus reuses the layout of :mod:`repro.analysis.cache` — one entry
-per file under ``<root>/<fp[:2]>/<fp>.json`` — but holds JSON rather
-than pickles: a corpus entry is a *seed for future campaigns*, so it
-must stay human-inspectable and safe to load from an untrusted checkout
-(``json.loads`` executes nothing).
+The corpus is an :class:`repro.analysis.cache.EntryStore` — the
+exploration cache's layout, one entry per file under
+``<root>/<fp[:2]>/<fp>.json``, with its atomic write, ``stats`` and
+``clear`` — but holds JSON rather than pickles: a corpus entry is a
+*seed for future campaigns*, so it must stay human-inspectable and safe
+to load from an untrusted checkout (``json.loads`` executes nothing).
 
 Keying is fully deterministic: the fingerprint is a sha256 over a
 canonical JSON rendering of ``(schema, target key, genes)`` — no
@@ -25,11 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from ..analysis.cache import EntryStore
 from .executor import Genes
 from .target import TargetSpec
 
@@ -52,37 +51,20 @@ def corpus_fingerprint(key: TargetSpec, genes: Genes) -> str:
     return hashlib.sha256(rendered.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Point-in-time shape of one corpus directory."""
-
-    root: str
-    entries: int
-    total_bytes: int
-
-
-class FuzzCorpus:
+class FuzzCorpus(EntryStore):
     """On-disk corpus of interesting gene sequences.
 
     ``root`` defaults to ``$REPRO_FUZZ_CORPUS_DIR`` or
     ``.repro-fuzz-corpus`` under the working directory.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        if root is None:
-            root = (
-                os.environ.get("REPRO_FUZZ_CORPUS_DIR")
-                or ".repro-fuzz-corpus"
-            )
-        self.root = Path(root)
-
-    def _entry_path(self, fp: str) -> Path:
-        return self.root / fp[:2] / f"{fp}.json"
+    suffix = ".json"
+    env_var = "REPRO_FUZZ_CORPUS_DIR"
+    default_root = ".repro-fuzz-corpus"
 
     def add(self, key: TargetSpec, genes: Genes, **meta: object) -> bool:
         """Store one entry (atomic write); True iff it was new."""
-        fp = corpus_fingerprint(key, genes)
-        path = self._entry_path(fp)
+        path = self._entry_path(corpus_fingerprint(key, genes))
         if path.exists():
             return False
         payload = {
@@ -91,13 +73,8 @@ class FuzzCorpus:
             "genes": [list(gene) for gene in genes],
             "meta": meta,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, default=str) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        text = json.dumps(payload, sort_keys=True, default=str) + "\n"
+        self._write(path, text.encode("utf-8"))
         return True
 
     def entries(self, key: TargetSpec) -> List[Genes]:
@@ -121,31 +98,3 @@ class FuzzCorpus:
             collected.append((path.stem, genes))
         collected.sort(key=lambda item: item[0])
         return [genes for _fp, genes in collected]
-
-    def _entry_files(self) -> List[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*/*.json"))
-
-    def stats(self) -> CorpusStats:
-        files = self._entry_files()
-        total = 0
-        for path in files:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return CorpusStats(
-            root=str(self.root), entries=len(files), total_bytes=total
-        )
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self._entry_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

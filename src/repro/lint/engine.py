@@ -369,37 +369,26 @@ def _display_path(path: Path) -> str:
 
 # -- phase 1: per-file analysis ----------------------------------------------
 
-_lint_salt: Optional[str] = None
-
-
-def lint_code_salt() -> str:
-    """sha256 over every ``.py`` file of the lint package itself.
-
-    Mixed into every per-file cache fingerprint, so editing the engine,
-    a rule, or the indexer busts the lint cache — the same "staleness
-    is structurally impossible" stance as
-    :func:`repro.analysis.cache.code_salt`, scoped to the linter.
-    """
-    global _lint_salt
-    if _lint_salt is None:
-        package = Path(__file__).resolve().parent
-        blob = hashlib.sha256()
-        for path in sorted(package.rglob("*.py")):
-            blob.update(str(path.relative_to(package)).encode())
-            blob.update(path.read_bytes())
-        _lint_salt = blob.hexdigest()
-    return _lint_salt
+#: The lint package itself: its digest is the lint cache's code salt.
+_LINT_ROOT = Path(__file__).resolve().parent
 
 
 def file_fingerprint(display: str, content: bytes, rule_key: str) -> str:
-    """Content address of one file's phase-1 payload."""
+    """Content address of one file's phase-1 payload.
+
+    Mixes in both payload schemas and
+    :func:`repro.analysis.cache.package_digest` of the lint package, so
+    editing the engine, a rule, or the indexer busts the lint cache —
+    the same "staleness is structurally impossible" stance as the
+    exploration cache's code salt, scoped to the linter.
+    """
+    from ..analysis.cache import CACHE_SCHEMA, package_digest
     from .index import INDEX_SCHEMA
 
+    schemas = (CACHE_SCHEMA, INDEX_SCHEMA)
+    salt = package_digest(_LINT_ROOT)
     blob = hashlib.sha256()
-    blob.update(
-        repr(("lint-file", INDEX_SCHEMA, lint_code_salt(), display, rule_key))
-        .encode()
-    )
+    blob.update(repr(("lint-file", schemas, salt, display, rule_key)).encode())
     blob.update(content)
     return blob.hexdigest()
 
@@ -451,6 +440,15 @@ def _analyze_file(
     }
 
 
+def _error_payload(display: str, message: str) -> Dict[str, object]:
+    """The phase-1 payload of a file that could not be analyzed."""
+    return {
+        "index": None,
+        "findings": [Finding("R000", "error", display, 1, message)],
+        "suppressed": [],
+    }
+
+
 # -- the driver --------------------------------------------------------------
 
 
@@ -493,65 +491,39 @@ def lint_paths(
     files = _collect_files([Path(p) for p in paths])
     report = LintReport(files_checked=len(files))
     payloads: List[Optional[Dict[str, object]]] = [None] * len(files)
-    pending: List[Tuple[int, Optional[str], str, Path]] = []
+    displays: Dict[int, str] = {}
+    contents: Dict[int, bytes] = {}
 
     for pos, file_path in enumerate(files):
-        display = _display_path(file_path)
+        display = displays[pos] = _display_path(file_path)
         try:
-            content = file_path.read_bytes()
+            contents[pos] = file_path.read_bytes()
         except OSError as exc:
-            payloads[pos] = {
-                "index": None,
-                "findings": [
-                    Finding("R000", "error", display, 1, f"unreadable: {exc}")
-                ],
-                "suppressed": [],
-            }
-            continue
-        fp = None
-        if cache is not None:
-            fp = file_fingerprint(display, content, rule_key)
-            payload = cache.get(fp)
-            if payload is not None:
-                payloads[pos] = payload
-                report.cache_hits += 1
-                continue
-        pending.append((pos, fp, display, file_path))
+            payloads[pos] = _error_payload(display, f"unreadable: {exc}")
 
-    if pending:
-        from ..analysis.parallel import VerificationPool, WorkItem
+    if contents:
+        from ..analysis.cache import cached_sweep
 
-        report.files_reindexed = len(pending)
-        pool = VerificationPool(jobs=jobs)
-        results = pool.run(
+        values, failures = cached_sweep(
+            cache,
             [
-                WorkItem(
-                    key=pos,
-                    fn=_analyze_file,
-                    args=(str(file_path), display, rule_ids),
-                )
-                for pos, _fp, display, file_path in pending
-            ]
+                (pos, _analyze_file, (str(path), displays[pos], rule_ids))
+                for pos, path in enumerate(files)
+                if pos in contents
+            ],
+            lambda pos: file_fingerprint(
+                displays[pos], contents[pos], rule_key
+            ),
+            jobs=jobs,
         )
-        for (pos, fp, display, _file_path), result in zip(pending, results):
-            if not result.ok:
-                payloads[pos] = {
-                    "index": None,
-                    "findings": [
-                        Finding(
-                            "R000",
-                            "error",
-                            display,
-                            1,
-                            f"lint analysis failed: {result.failure.render()}",
-                        )
-                    ],
-                    "suppressed": [],
-                }
-                continue
-            payloads[pos] = result.value
-            if cache is not None and fp is not None:
-                cache.put(fp, result.value)
+        report.cache_hits = cache.hits if cache is not None else 0
+        report.files_reindexed = len(contents) - report.cache_hits
+        for pos, value in values.items():
+            payloads[pos] = value
+        for pos, failure in failures.items():
+            payloads[pos] = _error_payload(
+                displays[pos], f"lint analysis failed: {failure.render()}"
+            )
 
     for payload in payloads:
         if payload is None:  # pragma: no cover - defensive

@@ -16,10 +16,8 @@ from repro.analysis.parallel import (
     WorkFailure,
     WorkItem,
     WorkResult,
-    algorithm2_instance_check,
-    candidate_outcome,
-    run_work_items,
 )
+from repro.api.execute import algorithm2_instance_check, candidate_outcome
 
 
 # Module-level so worker processes can import them by qualified name.
@@ -47,7 +45,8 @@ class TestDeterministicOrdering:
         assert [r.value for r in results] == [i * i for i in range(7)]
 
     def test_results_in_submission_order_pooled(self):
-        pool = VerificationPool(jobs=2, chunk_size=2)
+        # One chunk per worker: 7 items at jobs=2 span two chunks.
+        pool = VerificationPool(jobs=2)
         results = pool.run(_items(7))
         assert [r.key for r in results] == [("square", i) for i in range(7)]
         assert [r.value for r in results] == [i * i for i in range(7)]
@@ -116,10 +115,6 @@ class TestInlineFallback:
 
 
 class TestConvenience:
-    def test_run_work_items(self):
-        results = run_work_items(_items(3), jobs=1)
-        assert [r.value for r in results] == [0, 1, 4]
-
     def test_jobs_default_is_cpu_count(self):
         import multiprocessing
 

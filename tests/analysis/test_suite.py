@@ -1,7 +1,10 @@
 """Tests for the one-call verification suite."""
 
+import functools
+
 import pytest
 
+from repro.analysis.cache import ExplorationCache
 from repro.analysis.suite import verify_task_protocol
 from repro.errors import SpecificationError
 from repro.objects.consensus import MConsensusSpec
@@ -25,6 +28,15 @@ def constant_42_factory(inputs):
     return (
         {"CONS": MConsensusSpec(len(inputs))},
         one_shot_consensus_processes([42] * len(inputs)),
+    )
+
+
+def proposing_factory(inputs, constant=None):
+    # Proposes its inputs, or ``constant`` for every process.
+    proposals = [constant] * len(inputs) if constant is not None else inputs
+    return (
+        {"CONS": MConsensusSpec(len(inputs))},
+        one_shot_consensus_processes(list(proposals)),
     )
 
 
@@ -176,3 +188,52 @@ class TestFailureDetection:
             "exhaustive-safety",
             "randomized-adversaries",
         ]
+
+
+class TestCacheIdentity:
+    """A cached verdict answers only for the protocol that earned it."""
+
+    def test_partials_of_one_factory_need_a_cache_key(self, tmp_path):
+        good = functools.partial(proposing_factory)
+        bad = functools.partial(proposing_factory, constant=42)
+        assert not verify_task_protocol(ConsensusTask(2), bad).ok
+        cache = ExplorationCache(tmp_path)
+        with pytest.raises(SpecificationError, match="cache_key"):
+            verify_task_protocol(ConsensusTask(2), good, cache=cache)
+        with pytest.raises(SpecificationError, match="cache_key"):
+            verify_task_protocol(ConsensusTask(2), bad, cache=cache)
+        assert cache.hits == 0 and cache.stores == 0
+
+    def test_cache_keys_keep_partials_apart(self, tmp_path):
+        cache = ExplorationCache(tmp_path)
+        good = verify_task_protocol(
+            ConsensusTask(2),
+            functools.partial(proposing_factory),
+            cache=cache,
+            cache_key="proposes-inputs",
+        )
+        bad = verify_task_protocol(
+            ConsensusTask(2),
+            functools.partial(proposing_factory, constant=42),
+            cache=cache,
+            cache_key="proposes-42",
+        )
+        assert good.ok and not bad.ok
+        assert cache.hits == 0
+
+    def test_lambdas_and_local_functions_need_a_cache_key(self, tmp_path):
+        def local_factory(inputs):
+            return one_shot_factory(inputs)
+
+        cache = ExplorationCache(tmp_path)
+        for factory in (lambda inputs: local_factory(inputs), local_factory):
+            with pytest.raises(SpecificationError, match="cache_key"):
+                verify_task_protocol(ConsensusTask(2), factory, cache=cache)
+
+    def test_module_level_factory_names_itself(self, tmp_path):
+        cache = ExplorationCache(tmp_path)
+        task = ConsensusTask(2)
+        cold = verify_task_protocol(task, one_shot_factory, cache=cache)
+        warm = verify_task_protocol(task, one_shot_factory, cache=cache)
+        assert cold.ok and warm.phases == cold.phases
+        assert cache.hits == cache.stores > 0

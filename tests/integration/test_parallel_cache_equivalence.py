@@ -11,29 +11,31 @@ Mirrors ``test_fast_core_equivalence.py`` for PR 3's two engines:
    another (entries are content-addressed by repr, never by
    ``hash()``), budgets are part of the key, and a damaged or
    wrong-shaped record is a miss that recomputes;
-3. **failures stay uncached** — a failing suite run recomputes on the
-   next run instead of persisting the failure.
+3. **one cache-first sweep** — ``check-algorithm2``, the suite and
+   lint all answer through ``cached_sweep``: cold == warm == uncached
+   for each, and a failing item is never stored while its siblings'
+   successes are.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.analysis.cache import ExplorationCache, fingerprint
-from repro.analysis.parallel import (
-    VerificationPool,
-    WorkItem,
-    algorithm2_instance_check,
-)
+from repro.analysis.parallel import VerificationPool, WorkItem
 from repro.analysis.suite import verify_task_protocol
+from repro.api.execute import algorithm2_instance_check
 from repro.api.requests import ExploreRequest
 from repro.cli import main
+from repro.lint.engine import lint_paths
 from repro.objects.consensus import MConsensusSpec
 from repro.protocols.consensus import one_shot_consensus_processes
 from repro.protocols.tasks import ConsensusTask, DacDecisionTask
@@ -275,3 +277,74 @@ class TestSuiteCaching:
             ConsensusTask(2), one_shot_factory, cache=cache
         )
         assert plain.phases == cached.phases
+
+
+def _verify_answer(report):
+    """A check-algorithm2 report without what differs warm vs cold."""
+    payload = json.loads(report.to_json())
+    del payload["metrics"], payload["data"]["cache"]
+    payload["data"]["jobs"] = None
+    payload["body"] = [
+        line for line in payload["body"] if not line.startswith("cache:")
+    ]
+    return payload
+
+
+class TestSharedSweep:
+    """Every cached sweep — verify, suite, lint — goes through
+    ``cached_sweep``: cold == warm == uncached, and warm runs nothing
+    (the suite's case is ``TestSuiteCaching``)."""
+
+    def test_verify(self, tmp_path):
+        cached = dict(n=3, cache=True, cache_dir=str(tmp_path))
+        plain = api.verify(n=3)
+        cold = api.verify(jobs=2, **cached)
+        warm = api.verify(**cached)
+        assert cold.data["cache"] == {"hits": 0, "misses": 8}
+        assert warm.data["cache"] == {"hits": 8, "misses": 0}
+        assert "cache.stores" not in warm.metrics["counters"]
+        assert "pool.items" not in warm.metrics["counters"]
+        assert _verify_answer(cold) == _verify_answer(plain)
+        assert _verify_answer(warm) == _verify_answer(plain)
+
+    def test_lint(self, tmp_path):
+        fixtures = [Path(__file__).resolve().parents[1] / "lint" / "fixtures"]
+        plain = lint_paths(fixtures)
+        cold = lint_paths(fixtures, jobs=2, cache_dir=str(tmp_path))
+        warm = lint_paths(fixtures, cache_dir=str(tmp_path))
+        assert plain.findings
+        assert plain.to_json() == cold.to_json() == warm.to_json()
+        assert cold.files_reindexed == cold.files_checked
+        assert (warm.cache_hits, warm.files_reindexed) == (
+            warm.files_checked,
+            0,
+        )
+
+    def test_failing_instance_does_not_stop_sibling_stores(
+        self, tmp_path, monkeypatch
+    ):
+        # The first instance fails; the three after it still succeed,
+        # and each success is stored. The failure is not: a fixed
+        # environment recomputes only that instance.
+        def flaky_check(n, inputs, symmetry):
+            if inputs == (0, 0):
+                raise RuntimeError("worker lost")
+            return algorithm2_instance_check(n, inputs, symmetry)
+
+        monkeypatch.setattr(
+            importlib.import_module("repro.api.execute"),
+            "algorithm2_instance_check",
+            flaky_check,
+        )
+        cached = dict(n=2, cache=True, cache_dir=str(tmp_path))
+        failed = api.verify(**cached)
+        assert failed.status == "error"
+        assert failed.summary == (
+            "ERROR at inputs (0, 0): RuntimeError: worker lost"
+        )
+        assert failed.metrics["counters"]["cache.stores"] == 3
+        monkeypatch.undo()
+        fixed = api.verify(**cached)
+        assert fixed.status == "ok"
+        assert fixed.data["cache"] == {"hits": 3, "misses": 1}
+        assert fixed.metrics["counters"]["cache.stores"] == 1

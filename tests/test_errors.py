@@ -177,6 +177,8 @@ class TestCliExitCodes:
             ["fuzz", "--budget", "1", "--kernel", "python"],
             ["explore", "--n", "2", "--kernel", "python"],
             ["serve", "--mode", "thread"],
+            ["check-algorithm2", "--n", "2", "--no-cache"],
+            ["explore", "--n", "2", "--no-cache"],
         ],
     )
     def test_removed_kernel_flags_are_usage_errors(self, capsys, flag):
