@@ -42,10 +42,14 @@ packed-kernel rework its bookkeeping is built on four layers (see
   inside the kernel is integer arithmetic on three fields, and
   ``Configuration`` dataclasses are materialized lazily only at the API
   boundary (witness traces, result views, the portable rendering);
-* **successor memoization** — protocol semantics (invoke resolution,
-  outcome enumeration) are computed once per ``(pid, local state,
-  object state)`` and replayed from flat delta tables; object-level
-  views (:meth:`successors`, :meth:`step`) stay memoized per id;
+* **successor memoization** — the kernel replays transitions from flat
+  delta tables keyed by ``(pid, local code, object code)`` and calls
+  back into the explorer only on a miss. The callbacks answer from
+  code-keyed tables: invoke resolution once per ``(pid, local code)``,
+  the process's transition, absorbed status and edge id once per
+  ``(pid, local code, choice, response)``; only ``spec.responses`` and
+  the new object code are computed per miss. Object-level views
+  (:meth:`successors`, :meth:`step`) stay memoized per id;
 * **symmetry reduction** (opt-in) — :meth:`explore` accepts a
   :class:`~repro.analysis.symmetry.ProcessSymmetry` and then walks only
   canonical representatives of process-permutation orbits; witness
@@ -267,9 +271,10 @@ class ExplorationResult:
     Int-keyed views (``order_ids``, ``successor_ids``, ``parent_ids``
     over ``intern`` ids) mirror the object-keyed fields for analyses
     that prefer dense bookkeeping (the valency fixpoint does). For a
-    kernel-built graph, ``successor_ids`` is materialized lazily from
-    the backend's flat adjacency — the BFS itself never builds
-    per-configuration edge tuples.
+    kernel-built graph, ``successor_ids`` and ``parent_ids`` are
+    materialized lazily from the backend's flat adjacency and parent
+    triples — the BFS itself never builds per-configuration edge
+    tuples.
 
     When the graph was built under symmetry reduction (``reduced``),
     configurations are canonical orbit representatives:
@@ -286,13 +291,14 @@ class ExplorationResult:
         "complete",
         "intern",
         "order_ids",
-        "parent_ids",
         "reduced",
         "source_initial",
         "initial_permutation",
         "parent_perms",
         "expansions",
         "_successor_ids",
+        "_parent_ids",
+        "_parent_triples",
         "_edge_resolver",
         "_adjacency",
         "_order",
@@ -316,14 +322,12 @@ class ExplorationResult:
         expansions: int = 0,
         edge_resolver: Optional[Callable[[int], Edge]] = None,
         adjacency: Optional[Callable[[int], Sequence[int]]] = None,
+        parent_triples: Optional[Sequence[int]] = None,
     ) -> None:
         self.initial = initial
         self.complete = complete
         self.intern = intern
         self.order_ids: List[int] = order_ids if order_ids is not None else []
-        self.parent_ids: Dict[int, Tuple[int, Edge]] = (
-            parent_ids if parent_ids is not None else {}
-        )
         self.reduced = reduced
         self.source_initial = source_initial
         self.initial_permutation = initial_permutation
@@ -333,9 +337,14 @@ class ExplorationResult:
         #: How many leading entries of ``order_ids`` were expanded (all
         #: of them for a complete graph; the truncation point otherwise).
         self.expansions = expansions
-        # Either an explicit relation (reduced/adopted graphs) or the
-        # ingredients to materialize one lazily (kernel graphs).
+        # Either explicit relations (reduced/adopted graphs) or the
+        # ingredients to materialize them lazily (kernel graphs): the
+        # flat [tid, cid, eid, ...] parent triples and the adjacency.
         self._successor_ids = successor_ids
+        if parent_ids is None and parent_triples is None:
+            parent_ids = {}
+        self._parent_ids = parent_ids
+        self._parent_triples = parent_triples
         self._edge_resolver = edge_resolver
         self._adjacency = adjacency
         # Lazily materialized object-keyed views (see the properties
@@ -372,6 +381,26 @@ class ExplorationResult:
                 )
             self._successor_ids = table
         return self._successor_ids
+
+    @property
+    def parent_ids(self) -> Dict[int, Tuple[int, Edge]]:
+        """id -> (parent id, edge) for every reached id but the root.
+
+        Kernel-built graphs build this dict on first access from the
+        BFS's flat parent triples; most explorations only ask for the
+        size and completeness of the graph and never pay for it.
+        """
+        if self._parent_ids is None:
+            assert self._edge_resolver is not None
+            assert self._parent_triples is not None
+            resolve = self._edge_resolver
+            triples = iter(self._parent_triples)
+            self._parent_ids = {
+                tid: (cid, resolve(eid))
+                for tid, cid, eid in zip(triples, triples, triples)
+            }
+            self._parent_triples = None
+        return self._parent_ids
 
     def successor_tid_rows(self) -> Dict[int, Tuple[int, ...]]:
         """id -> successor ids only — no Edge materialization.
@@ -688,17 +717,20 @@ class Explorer:
         self._succ_cache: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
         #: (id, pid) -> the pid's outgoing edges only (targeted step()).
         self._pid_cache: Dict[Tuple[int, ProcessId], Tuple[Tuple[Edge, int], ...]] = {}
-        #: per-object (state, operation) -> outcome tuple.
-        self._responses_cache: Tuple[Dict[Tuple[Hashable, Hashable], tuple], ...] = (
-            tuple({} for _ in self.specs)
-        )
         #: per-pid local state -> absorbed status tuple.
         self._status_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
             {} for _ in self.processes
         )
-        #: (pid, choice, response) -> the one Edge object for it.
-        self._edges: Dict[Tuple[ProcessId, int, Value], Edge] = {}
-        #: (pid, choice, response) -> dense edge id; edge id -> Edge.
+        #: (pid, local code) -> (local state, operation, object index) of
+        #: the Invoke the process is poised at.
+        self._invokes: Dict[Tuple[ProcessId, int], Tuple[Hashable, Hashable, int]] = {}
+        #: (pid, local code, choice, response) -> (edge id, new local
+        #: code, new status code): the process half of a delta row.
+        self._process_deltas: Dict[
+            Tuple[ProcessId, int, int, Value], Tuple[int, int, int]
+        ] = {}
+        #: (pid, choice, response) -> dense edge id; edge id -> the one
+        #: Edge object for it.
         #: Edge ids are what the kernel's flat adjacency carries.
         self._edge_ids: Dict[Tuple[ProcessId, int, Value], int] = {}
         self._edge_list: List[Edge] = []
@@ -765,84 +797,80 @@ class Explorer:
             cache[state] = status
         return status
 
-    def _outcomes(
-        self, obj_index: int, obj_state: Hashable, operation: Hashable
-    ) -> tuple:
-        """Memoized ``spec.responses`` (pure per R004, hence cacheable)."""
-        cache = self._responses_cache[obj_index]
-        key = (obj_state, operation)
-        try:
-            return cache[key]
-        except KeyError:
-            outcomes = tuple(
-                self.specs[obj_index].responses(obj_state, operation)
-            )
-            cache[key] = outcomes
-            return outcomes
-
     # -- kernel callbacks ------------------------------------------------------
     # The backend memoizes both callbacks in flat integer tables and
     # invokes them only on the first miss per key, in deterministic
     # (pid-ascending, outcome-order) sequence — which is what makes edge
-    # and configuration ids identical across backends.
+    # and configuration ids identical across backends. The callbacks in
+    # turn answer from code-keyed tables: the n-PAC object changes state
+    # on nearly every step, so the kernel's (pid, local, object) table
+    # rarely hits, but the process side of a miss repeats constantly.
 
     def _resolve_invoke_codes(self, pid: ProcessId, local_code: int) -> int:
         """Kernel miss hook: the object index ``pid`` invokes from the
         local state carrying ``local_code``."""
-        return self._resolve_invoke(
-            pid, self._encoder.local_value(pid, local_code)
-        )
+        return self._invoke_of(pid, local_code)[2]
 
     def _compute_delta_codes(
         self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
     ) -> Tuple[Tuple[int, int, int, int], ...]:
         """Kernel miss hook: one ``(edge id, new local code, new status
         code, new object code)`` row per adversary choice for ``pid``
-        stepping against the object state carrying ``obj_code``."""
+        stepping against the object state carrying ``obj_code``.
+
+        Only the object half is computed per call. The process half is
+        looked up per ``(pid, local code, choice, response)``; a miss
+        there is the first sight of anything it could allocate, so
+        codes and edge ids are allocated in the same order as if every
+        row were computed afresh.
+        """
         encoder = self._encoder
-        local_state = encoder.local_value(pid, local_code)
-        obj_state = encoder.object_value(obj_index, obj_code)
-        automaton = self.processes[pid]
-        action = automaton.cached_next_action(local_state)
-        assert isinstance(action, Invoke)
-        outcomes = self._outcomes(obj_index, obj_state, action.operation)
+        local_state, operation, _obj_index = self._invoke_of(pid, local_code)
+        outcomes = self.specs[obj_index].responses(
+            encoder.object_value(obj_index, obj_code), operation
+        )
+        process_deltas = self._process_deltas
         deltas = []
         for choice, (new_obj, response) in enumerate(outcomes):
-            local = automaton.cached_transition(local_state, response)
-            status = self._absorbed_status(pid, local)
-            deltas.append(
-                (
+            key = (pid, local_code, choice, response)
+            row = process_deltas.get(key)
+            if row is None:
+                local = self.processes[pid].cached_transition(
+                    local_state, response
+                )
+                status = self._absorbed_status(pid, local)
+                row = (
                     self._edge_id(pid, choice, response),
                     encoder.local_code(pid, local),
                     encoder.status_code(status),
-                    encoder.object_code(obj_index, new_obj),
                 )
-            )
+                process_deltas[key] = row
+            deltas.append(row + (encoder.object_code(obj_index, new_obj),))
         return tuple(deltas)
 
-    def _resolve_invoke(self, pid: ProcessId, local_state: Hashable) -> int:
-        """The object index ``pid`` is poised to invoke in ``local_state``
-        (validating it is a well-formed Invoke on a known object)."""
-        action = self.processes[pid].cached_next_action(local_state)
-        if not isinstance(action, Invoke):
-            raise AnalysisError(
-                f"process {pid} has unabsorbed local action {action!r}"
-            )
-        obj_index = self._index_of.get(action.obj)
-        if obj_index is None:
-            raise AnalysisError(
-                f"process {pid} invoked unknown object {action.obj!r}"
-            )
-        return obj_index
-
-    def _edge(self, pid: ProcessId, choice: int, response: Value) -> Edge:
-        """The one memoized Edge object for (pid, choice, response)."""
-        key = (pid, choice, response)
-        edge = self._edges.get(key)
-        if edge is None:
-            edge = Edge(pid, choice, response)
-            self._edges[key] = edge
-        return edge
+    def _invoke_of(
+        self, pid: ProcessId, local_code: int
+    ) -> Tuple[Hashable, Hashable, int]:
+        """(local state, operation, object index) of the Invoke ``pid``
+        is poised at in the local state carrying ``local_code``
+        (validated: a well-formed Invoke on a known object)."""
+        key = (pid, local_code)
+        info = self._invokes.get(key)
+        if info is None:
+            local_state = self._encoder.local_value(pid, local_code)
+            action = self.processes[pid].cached_next_action(local_state)
+            if not isinstance(action, Invoke):
+                raise AnalysisError(
+                    f"process {pid} has unabsorbed local action {action!r}"
+                )
+            obj_index = self._index_of.get(action.obj)
+            if obj_index is None:
+                raise AnalysisError(
+                    f"process {pid} invoked unknown object {action.obj!r}"
+                )
+            info = (local_state, action.operation, obj_index)
+            self._invokes[key] = info
+        return info
 
     def _edge_id(self, pid: ProcessId, choice: int, response: Value) -> int:
         """The dense id of (pid, choice, response), allocating if new."""
@@ -851,7 +879,7 @@ class Explorer:
         if eid is None:
             eid = len(self._edge_list)
             self._edge_ids[key] = eid
-            self._edge_list.append(self._edge(pid, choice, response))
+            self._edge_list.append(Edge(pid, choice, response))
         return eid
 
     def _entries_from_flat(
@@ -979,13 +1007,6 @@ class Explorer:
                 f"exceeded {max_configurations} configurations"
             )
 
-        edge_list = self._edge_list
-        triples = iter(parent_triples)
-        parent_ids: Dict[int, Tuple[int, Edge]] = {
-            tid: (cid, edge_list[eid])
-            for tid, cid, eid in zip(triples, triples, triples)
-        }
-
         if obs.enabled():
             obs.counter("explorer.explorations")
             obs.counter("explorer.configurations", len(order_ids))
@@ -1000,11 +1021,11 @@ class Explorer:
             complete=complete,
             intern=intern,
             order_ids=list(order_ids),
-            parent_ids=parent_ids,
             source_initial=start,
             expansions=expansions,
-            edge_resolver=edge_list.__getitem__,
+            edge_resolver=self._edge_list.__getitem__,
             adjacency=self._backend.expand,
+            parent_triples=parent_triples,
         )
 
     def _explore_reduced(

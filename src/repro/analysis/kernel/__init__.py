@@ -16,9 +16,9 @@ bench. Forcing ``compiled`` when the extension is absent is an error,
 never a silent fallback.
 
 Exploration is one path per backend — first-miss callbacks memoized in
-flat maps, one serial BFS walk — and repeated instances are served at
-graph level by the exploration cache (``docs/performance.md``, "Knob
-ledger").
+flat maps, one serial BFS walk — and repeated questions are answered
+from the exploration cache's small per-instance records, never from a
+stored graph (``docs/performance.md``, "Knob ledger").
 
 Both backends produce identical configuration ids, edge ids, and BFS
 orders by construction: ids are allocated in discovery order and all

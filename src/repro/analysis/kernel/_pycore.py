@@ -55,6 +55,9 @@ class PyKernel:
         "_adjacency",
         "_invoke",
         "_deltas",
+        "_status_shift",
+        "_status_mask",
+        "_status_keys",
     )
 
     def __init__(
@@ -78,6 +81,10 @@ class PyKernel:
         self._invoke: dict = {}
         #: ((pid << F | local) << F | obj_code) -> ((eid, adjustment), ...).
         self._deltas: dict = {}
+        #: Status segment (the P status fields as one int) -> its tuple.
+        self._status_shift = n_processes * FIELD_BITS
+        self._status_mask = (1 << self._status_shift) - 1
+        self._status_keys: dict = {}
 
     # -- interning ------------------------------------------------------------
 
@@ -156,7 +163,7 @@ class PyKernel:
 
     def _make_deltas(
         self, pid: int, local: int, obj_index: int, obj_code: int
-    ) -> Tuple[Tuple[int, int, int], ...]:
+    ) -> Tuple[Tuple[int, int], ...]:
         """Precompute (eid, signed word adjustment) for one miss.
 
         The expanding pid's status is always code 0 (RUNNING), so the
@@ -309,12 +316,20 @@ class PyKernel:
         """The P status codes of ``cid`` — the safety-relevant segment.
 
         Configurations sharing a status key share decisions, aborts,
-        and enabled sets, so verdict memoization keys on this tuple.
+        and enabled sets, so verdict memoization keys on this tuple. A
+        graph has few distinct status segments, so the tuple is built
+        once per segment and shared.
         """
-        if not 0 <= cid < len(self._words):
+        words = self._words
+        if not 0 <= cid < len(words):
             raise _unknown_cid(cid)
-        word = self._words[cid]
-        n = self.n_processes
-        return tuple(
-            (word >> ((n + pid) * FIELD_BITS)) & _MASK for pid in range(n)
-        )
+        segment = (words[cid] >> self._status_shift) & self._status_mask
+        try:
+            return self._status_keys[segment]
+        except KeyError:
+            key = tuple(
+                (segment >> (pid * FIELD_BITS)) & _MASK
+                for pid in range(self.n_processes)
+            )
+            self._status_keys[segment] = key
+            return key

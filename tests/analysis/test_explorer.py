@@ -8,6 +8,8 @@ from repro.analysis.explorer import (
     Explorer,
     RUNNING,
 )
+from repro.analysis.kernel import compiled_available
+from repro.analysis.valency_analyzer import ValencyAnalyzer
 from repro.errors import AnalysisError, ExplorationBudgetExceeded
 from repro.objects.consensus import MConsensusSpec
 from repro.objects.register import RegisterSpec
@@ -23,6 +25,11 @@ from repro.core.pac import NPacSpec
 from repro.runtime.events import Decide, Invoke
 from repro.runtime.process import FunctionalAutomaton, GeneratorProcess
 from repro.types import op
+
+
+AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
+    "python",
+)
 
 
 def one_shot_explorer(inputs):
@@ -145,6 +152,82 @@ class TestExplore:
         fake = Configuration((("zzz",),), (RUNNING,), ((),))
         with pytest.raises(AnalysisError):
             result.schedule_to(fake)
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_truncated_schedule_to_replays_through_step(self, kernel):
+        explorer = Explorer(
+            {"PAC": NPacSpec(4)},
+            algorithm2_processes((1, 0, 0, 0)),
+            kernel=kernel,
+        )
+        result = explorer.explore(max_configurations=37)
+        assert not result.complete
+        assert len(result) == 37
+        assert len(result.parent_ids) == len(result) - 1
+        for config in result.order:
+            cursor = explorer.initial_configuration()
+            for edge in result.schedule_to(config):
+                cursor = explorer.step(cursor, edge.pid, edge.choice)
+            assert cursor == config
+
+
+class TestMissPath:
+    """The kernel's first-miss callback answers the process side of a
+    delta row from a table keyed by ``(pid, local code, choice,
+    response)``: the n-PAC object changes state on nearly every step, so
+    the kernel's ``(pid, local, object)`` table rarely hits, but the
+    process side of its misses repeats constantly."""
+
+    @staticmethod
+    def _count(monkeypatch, objects, processes, kernel):
+        rows = []
+        compute = Explorer._compute_delta_codes
+
+        def recording(self, *args):
+            result = compute(self, *args)
+            rows.append((args, result))
+            return result
+
+        monkeypatch.setattr(Explorer, "_compute_delta_codes", recording)
+        transitions = []
+        for automaton in processes:
+
+            def counting(state, response, _inner=automaton.cached_transition,
+                         _pid=automaton.pid):
+                transitions.append((_pid, state, response))
+                return _inner(state, response)
+
+            monkeypatch.setattr(automaton, "cached_transition", counting)
+        explorer = Explorer(objects, processes, kernel=kernel)
+        explorer.explore()
+        edges = explorer._edge_list
+        keys = {
+            (args[0], args[1], edges[row[0]].choice, edges[row[0]].response)
+            for args, result in rows
+            for row in result
+        }
+        return len(rows), keys, transitions
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_algorithm2_process_side_once_per_key(self, monkeypatch, kernel):
+        misses, keys, transitions = self._count(
+            monkeypatch,
+            {"PAC": NPacSpec(5)},
+            algorithm2_processes((0, 1, 1, 0, 1)),
+            kernel,
+        )
+        assert len(transitions) <= len(keys)
+        # The table earns its keep: misses outnumber process keys.
+        assert misses > 10 * len(keys)
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_2sa_candidate_process_side_once_per_key(self, monkeypatch, kernel):
+        cand = consensus_via_strong_sa(3)
+        misses, keys, transitions = self._count(
+            monkeypatch, cand.objects, cand.processes, kernel
+        )
+        assert any(choice > 0 for _pid, _local, choice, _resp in keys)
+        assert len(transitions) <= len(keys)
 
 
 class TestCheckSafety:

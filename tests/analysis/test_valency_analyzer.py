@@ -65,6 +65,22 @@ class TestQueries:
         assert summary[ONE_VALENT] >= 1
         assert sum(summary.values()) == len(analyzer.graph.configurations)
 
+    def test_interned_but_unreached_configuration_raises(self):
+        """Membership is "reached by this analyzer's graph", not "known
+        to the explorer": the initial configuration is interned but
+        unreachable from the analyzed subgraph's root."""
+        explorer = Explorer(
+            {"CONS": MConsensusSpec(2)}, one_shot_consensus_processes([0, 1])
+        )
+        initial = explorer.initial_configuration()
+        start = explorer.step(initial, 0)
+        analyzer = ValencyAnalyzer(explorer, initial=start)
+        assert analyzer.decision_set(start) == frozenset({0})
+        for config in analyzer.graph.order[1:]:
+            assert analyzer.decision_set(config) == frozenset({0})
+        with pytest.raises(AnalysisError, match="not in the analyzed"):
+            analyzer.decision_set(initial)
+
     def test_unknown_configuration_raises(self):
         from repro.analysis.explorer import Configuration, RUNNING
 
