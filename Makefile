@@ -12,7 +12,8 @@ kernel-ext:
 	python -m repro.analysis.kernel._build
 
 # Build the compiled kernel in place under AddressSanitizer and UBSan
-# (gcc), run the kernel unit and property suites against it with the
+# (gcc), run the kernel unit, property and graph-lifetime suites (the
+# last frees KernelState by refcount mid-run) against it with the
 # sanitizer runtimes preloaded (the interpreter itself is not
 # instrumented), then rebuild the optimized extension. Any sanitizer
 # report fails the run and reaches the terminal (pytest captures at
@@ -27,7 +28,8 @@ kernel-ext-asan:
 	LD_PRELOAD="$$(gcc -print-file-name=libasan.so) $$(gcc -print-file-name=libubsan.so)" \
 	ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 	sh -c 'python -c "import sys; from repro.analysis.kernel import compiled_available; sys.exit(0 if compiled_available() else 1)" && \
-		python -m pytest -q --capture=sys tests/analysis/test_kernel.py tests/property/test_hypothesis_kernel.py'; \
+		python -m pytest -q --capture=sys tests/analysis/test_kernel.py tests/property/test_hypothesis_kernel.py \
+			tests/integration/test_graph_lifetime.py'; \
 	status=$$?; python -m repro.analysis.kernel._build; exit $$status
 
 test:
@@ -42,7 +44,8 @@ bench-perf:
 	pytest benchmarks/bench_perf_core.py benchmarks/bench_perf_substrates.py \
 		benchmarks/bench_perf_parallel.py benchmarks/bench_perf_fuzz.py \
 		benchmarks/bench_perf_obs.py benchmarks/bench_perf_lint.py \
-		benchmarks/bench_perf_kernel.py --benchmark-disable -q
+		benchmarks/bench_perf_kernel.py benchmarks/bench_perf_lifetime.py \
+		--benchmark-disable -q
 	@echo "--- BENCH_perf.json ---"
 	@cat BENCH_perf.json
 

@@ -44,7 +44,8 @@ packed-kernel rework its bookkeeping is built on four layers (see
   boundary (witness traces, result views, the portable rendering);
 * **successor memoization** — the kernel replays transitions from flat
   delta tables keyed by ``(pid, local code, object code)`` and calls
-  back into the explorer only on a miss. The callbacks answer from
+  back into the explorer's code space (:class:`_CodeSpace`) only on a
+  miss. The callbacks answer from
   code-keyed tables: invoke resolution once per ``(pid, local code)``,
   the process's transition, absorbed status and edge id once per
   ``(pid, local code, choice, response)``; only ``spec.responses`` and
@@ -649,6 +650,173 @@ class _Truncated(Exception):
     """Internal: the BFS hit its configuration budget (non-strict)."""
 
 
+class _CodeSpace:
+    """One protocol instance in code space: what the kernel's miss hooks read.
+
+    Holds the encoder, the specs and automata, and the code-keyed memo
+    tables the first-miss callbacks answer from. The kernel backend
+    holds this object's bound hooks and the :class:`Explorer` holds the
+    object itself; it references neither of them. The explorer's object
+    graph is therefore acyclic: reference counting frees an explorer,
+    its kernel and every table the moment the last user drops them, and
+    an :class:`ExplorationResult` that outlives its explorer keeps the
+    kernel and this object alive, so later kernel misses still resolve.
+
+    The hooks are called only on the kernel's first miss per key, in
+    deterministic (pid-ascending, outcome-order) sequence — which is
+    what makes edge and configuration ids identical across backends.
+    They answer from code-keyed tables: the n-PAC object changes state
+    on nearly every step, so the kernel's ``(pid, local, object)`` table
+    rarely hits, but the process side of a miss repeats constantly.
+    """
+
+    __slots__ = (
+        "encoder",
+        "specs",
+        "processes",
+        "index_of",
+        "status_cache",
+        "invokes",
+        "process_deltas",
+        "edge_ids",
+        "edge_list",
+    )
+
+    def __init__(
+        self,
+        specs: Tuple[SequentialSpec, ...],
+        processes: Tuple[ProcessAutomaton, ...],
+        index_of: Dict[str, int],
+    ) -> None:
+        #: Structural slot codes; statuses seeded so RUNNING is code 0
+        #: (the kernel's "enabled" test is a zero-test on that field).
+        self.encoder = PackedEncoder(
+            len(processes), len(specs), seed_statuses=(RUNNING, HALTED, ABORTED)
+        )
+        self.specs = specs
+        self.processes = processes
+        #: object name -> index in the explorer's object order.
+        self.index_of = index_of
+        #: per-pid local state -> absorbed status tuple.
+        self.status_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
+            {} for _ in processes
+        )
+        #: (pid, local code) -> (local state, operation, object index) of
+        #: the Invoke the process is poised at.
+        self.invokes: Dict[
+            Tuple[ProcessId, int], Tuple[Hashable, Hashable, int]
+        ] = {}
+        #: (pid, local code, choice, response) -> (edge id, new local
+        #: code, new status code): the process half of a delta row.
+        self.process_deltas: Dict[
+            Tuple[ProcessId, int, int, Value], Tuple[int, int, int]
+        ] = {}
+        #: (pid, choice, response) -> dense edge id; edge id -> the one
+        #: Edge object for it.
+        #: Edge ids are what the kernel's flat adjacency carries.
+        self.edge_ids: Dict[Tuple[ProcessId, int, Value], int] = {}
+        self.edge_list: List[Edge] = []
+
+    def absorbed_status(self, pid: ProcessId, state: Hashable) -> Tuple:
+        """The status a running process with local ``state`` settles to:
+        ``RUNNING`` while poised at an Invoke, else the terminal status
+        of its pending local action. Memoized per (pid, state)."""
+        cache = self.status_cache[pid]
+        status = cache.get(state)
+        if status is None:
+            action = self.processes[pid].cached_next_action(state)
+            if isinstance(action, Invoke):
+                status = RUNNING
+            elif isinstance(action, Decide):
+                status = _decided(action.value)
+            elif isinstance(action, Abort):
+                status = ABORTED
+            elif isinstance(action, Halt):
+                status = HALTED
+            else:
+                # Unknown local action: leave the process running so the
+                # next expansion raises the seed's "unabsorbed" error.
+                status = RUNNING
+            cache[state] = status
+        return status
+
+    def resolve_invoke_codes(self, pid: ProcessId, local_code: int) -> int:
+        """Kernel miss hook: the object index ``pid`` invokes from the
+        local state carrying ``local_code``."""
+        return self.invoke_of(pid, local_code)[2]
+
+    def compute_delta_codes(
+        self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
+    ) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Kernel miss hook: one ``(edge id, new local code, new status
+        code, new object code)`` row per adversary choice for ``pid``
+        stepping against the object state carrying ``obj_code``.
+
+        Only the object half is computed per call. The process half is
+        looked up per ``(pid, local code, choice, response)``; a miss
+        there is the first sight of anything it could allocate, so
+        codes and edge ids are allocated in the same order as if every
+        row were computed afresh.
+        """
+        encoder = self.encoder
+        local_state, operation, _obj_index = self.invoke_of(pid, local_code)
+        outcomes = self.specs[obj_index].responses(
+            encoder.object_value(obj_index, obj_code), operation
+        )
+        process_deltas = self.process_deltas
+        deltas = []
+        for choice, (new_obj, response) in enumerate(outcomes):
+            key = (pid, local_code, choice, response)
+            row = process_deltas.get(key)
+            if row is None:
+                local = self.processes[pid].cached_transition(
+                    local_state, response
+                )
+                status = self.absorbed_status(pid, local)
+                row = (
+                    self.edge_id(pid, choice, response),
+                    encoder.local_code(pid, local),
+                    encoder.status_code(status),
+                )
+                process_deltas[key] = row
+            deltas.append(row + (encoder.object_code(obj_index, new_obj),))
+        return tuple(deltas)
+
+    def invoke_of(
+        self, pid: ProcessId, local_code: int
+    ) -> Tuple[Hashable, Hashable, int]:
+        """(local state, operation, object index) of the Invoke ``pid``
+        is poised at in the local state carrying ``local_code``
+        (validated: a well-formed Invoke on a known object)."""
+        key = (pid, local_code)
+        info = self.invokes.get(key)
+        if info is None:
+            local_state = self.encoder.local_value(pid, local_code)
+            action = self.processes[pid].cached_next_action(local_state)
+            if not isinstance(action, Invoke):
+                raise AnalysisError(
+                    f"process {pid} has unabsorbed local action {action!r}"
+                )
+            obj_index = self.index_of.get(action.obj)
+            if obj_index is None:
+                raise AnalysisError(
+                    f"process {pid} invoked unknown object {action.obj!r}"
+                )
+            info = (local_state, action.operation, obj_index)
+            self.invokes[key] = info
+        return info
+
+    def edge_id(self, pid: ProcessId, choice: int, response: Value) -> int:
+        """The dense id of (pid, choice, response), allocating if new."""
+        key = (pid, choice, response)
+        eid = self.edge_ids.get(key)
+        if eid is None:
+            eid = len(self.edge_list)
+            self.edge_ids[key] = eid
+            self.edge_list.append(Edge(pid, choice, response))
+        return eid
+
+
 class Explorer:
     """Exhaustive (bounded) explorer for one protocol instance.
 
@@ -690,23 +858,27 @@ class Explorer:
         self.specs: Tuple[SequentialSpec, ...] = tuple(
             objects[name] for name in self.object_names
         )
-        self._index_of = {name: i for i, name in enumerate(self.object_names)}
         self.processes: Tuple[ProcessAutomaton, ...] = tuple(processes)
         # -- packed kernel --------------------------------------------
-        #: Structural slot codes; statuses seeded so RUNNING is code 0
-        #: (the kernel's "enabled" test is a zero-test on that field).
-        self._encoder = PackedEncoder(
-            len(self.processes),
-            len(self.specs),
-            seed_statuses=(RUNNING, HALTED, ABORTED),
+        # The kernel holds the code space's hooks, never the explorer's:
+        # nothing points back here, so the explorer is freed by
+        # reference counting (docs/performance.md, "Graph lifetime").
+        codes = _CodeSpace(
+            self.specs,
+            self.processes,
+            {name: i for i, name in enumerate(self.object_names)},
         )
+        self._codes = codes
+        self._encoder = codes.encoder
         self._backend, self.kernel = make_backend(
             kernel,
             self._encoder.n_fields,
             len(self.processes),
-            self._resolve_invoke_codes,
-            self._compute_delta_codes,
+            codes.resolve_invoke_codes,
+            codes.compute_delta_codes,
         )
+        #: edge id -> the one Edge object for it (the code space's list).
+        self._edge_list: List[Edge] = codes.edge_list
         # -- fast-core caches ----------------------------------------
         #: Configuration <-> dense id bijection (discovery order).
         self._intern: PackedConfigTable = PackedConfigTable(
@@ -717,23 +889,6 @@ class Explorer:
         self._succ_cache: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
         #: (id, pid) -> the pid's outgoing edges only (targeted step()).
         self._pid_cache: Dict[Tuple[int, ProcessId], Tuple[Tuple[Edge, int], ...]] = {}
-        #: per-pid local state -> absorbed status tuple.
-        self._status_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
-            {} for _ in self.processes
-        )
-        #: (pid, local code) -> (local state, operation, object index) of
-        #: the Invoke the process is poised at.
-        self._invokes: Dict[Tuple[ProcessId, int], Tuple[Hashable, Hashable, int]] = {}
-        #: (pid, local code, choice, response) -> (edge id, new local
-        #: code, new status code): the process half of a delta row.
-        self._process_deltas: Dict[
-            Tuple[ProcessId, int, int, Value], Tuple[int, int, int]
-        ] = {}
-        #: (pid, choice, response) -> dense edge id; edge id -> the one
-        #: Edge object for it.
-        #: Edge ids are what the kernel's flat adjacency carries.
-        self._edge_ids: Dict[Tuple[ProcessId, int, Value], int] = {}
-        self._edge_list: List[Edge] = []
         #: status-code row -> (decisions, aborted, enabled) — everything
         #: a safety predicate can see, decoded once per distinct row.
         self._segment_cache: Dict[Tuple[int, ...], Tuple] = {}
@@ -759,12 +914,13 @@ class Explorer:
     def _absorb(self, config: Configuration) -> Configuration:
         """Settle local actions: decided/aborted/halted processes are
         marked immediately (decisions are not shared-memory steps)."""
+        absorbed_status = self._codes.absorbed_status
         statuses = list(config.statuses)
         changed = False
         for pid in range(len(self.processes)):
             if statuses[pid] is not RUNNING:
                 continue
-            status = self._absorbed_status(pid, config.process_states[pid])
+            status = absorbed_status(pid, config.process_states[pid])
             if status is not RUNNING:
                 statuses[pid] = status
                 changed = True
@@ -773,114 +929,6 @@ class Explorer:
         return Configuration(
             config.process_states, tuple(statuses), config.object_states
         )
-
-    def _absorbed_status(self, pid: ProcessId, state: Hashable) -> Tuple:
-        """The status a running process with local ``state`` settles to:
-        ``RUNNING`` while poised at an Invoke, else the terminal status
-        of its pending local action. Memoized per (pid, state)."""
-        cache = self._status_cache[pid]
-        status = cache.get(state)
-        if status is None:
-            action = self.processes[pid].cached_next_action(state)
-            if isinstance(action, Invoke):
-                status = RUNNING
-            elif isinstance(action, Decide):
-                status = _decided(action.value)
-            elif isinstance(action, Abort):
-                status = ABORTED
-            elif isinstance(action, Halt):
-                status = HALTED
-            else:
-                # Unknown local action: leave the process running so the
-                # next expansion raises the seed's "unabsorbed" error.
-                status = RUNNING
-            cache[state] = status
-        return status
-
-    # -- kernel callbacks ------------------------------------------------------
-    # The backend memoizes both callbacks in flat integer tables and
-    # invokes them only on the first miss per key, in deterministic
-    # (pid-ascending, outcome-order) sequence — which is what makes edge
-    # and configuration ids identical across backends. The callbacks in
-    # turn answer from code-keyed tables: the n-PAC object changes state
-    # on nearly every step, so the kernel's (pid, local, object) table
-    # rarely hits, but the process side of a miss repeats constantly.
-
-    def _resolve_invoke_codes(self, pid: ProcessId, local_code: int) -> int:
-        """Kernel miss hook: the object index ``pid`` invokes from the
-        local state carrying ``local_code``."""
-        return self._invoke_of(pid, local_code)[2]
-
-    def _compute_delta_codes(
-        self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
-    ) -> Tuple[Tuple[int, int, int, int], ...]:
-        """Kernel miss hook: one ``(edge id, new local code, new status
-        code, new object code)`` row per adversary choice for ``pid``
-        stepping against the object state carrying ``obj_code``.
-
-        Only the object half is computed per call. The process half is
-        looked up per ``(pid, local code, choice, response)``; a miss
-        there is the first sight of anything it could allocate, so
-        codes and edge ids are allocated in the same order as if every
-        row were computed afresh.
-        """
-        encoder = self._encoder
-        local_state, operation, _obj_index = self._invoke_of(pid, local_code)
-        outcomes = self.specs[obj_index].responses(
-            encoder.object_value(obj_index, obj_code), operation
-        )
-        process_deltas = self._process_deltas
-        deltas = []
-        for choice, (new_obj, response) in enumerate(outcomes):
-            key = (pid, local_code, choice, response)
-            row = process_deltas.get(key)
-            if row is None:
-                local = self.processes[pid].cached_transition(
-                    local_state, response
-                )
-                status = self._absorbed_status(pid, local)
-                row = (
-                    self._edge_id(pid, choice, response),
-                    encoder.local_code(pid, local),
-                    encoder.status_code(status),
-                )
-                process_deltas[key] = row
-            deltas.append(row + (encoder.object_code(obj_index, new_obj),))
-        return tuple(deltas)
-
-    def _invoke_of(
-        self, pid: ProcessId, local_code: int
-    ) -> Tuple[Hashable, Hashable, int]:
-        """(local state, operation, object index) of the Invoke ``pid``
-        is poised at in the local state carrying ``local_code``
-        (validated: a well-formed Invoke on a known object)."""
-        key = (pid, local_code)
-        info = self._invokes.get(key)
-        if info is None:
-            local_state = self._encoder.local_value(pid, local_code)
-            action = self.processes[pid].cached_next_action(local_state)
-            if not isinstance(action, Invoke):
-                raise AnalysisError(
-                    f"process {pid} has unabsorbed local action {action!r}"
-                )
-            obj_index = self._index_of.get(action.obj)
-            if obj_index is None:
-                raise AnalysisError(
-                    f"process {pid} invoked unknown object {action.obj!r}"
-                )
-            info = (local_state, action.operation, obj_index)
-            self._invokes[key] = info
-        return info
-
-    def _edge_id(self, pid: ProcessId, choice: int, response: Value) -> int:
-        """The dense id of (pid, choice, response), allocating if new."""
-        key = (pid, choice, response)
-        eid = self._edge_ids.get(key)
-        if eid is None:
-            eid = len(self._edge_list)
-            self._edge_ids[key] = eid
-            self._edge_list.append(Edge(pid, choice, response))
-        return eid
 
     def _entries_from_flat(
         self, flat: Sequence[int]
@@ -1181,6 +1229,7 @@ class Explorer:
         initial: Optional[Configuration] = None,
         max_configurations: int = 200_000,
         symmetry: Optional["ProcessSymmetry"] = None,
+        exploration: Optional[ExplorationResult] = None,
     ) -> Optional[SafetyCounterexample]:
         """Audit safety at every reachable configuration.
 
@@ -1193,9 +1242,16 @@ class Explorer:
         (checked dynamically: the witness is replayed concretely and
         must still violate). The returned counterexample is always
         concrete and replayable on the unreduced system.
+
+        Pass ``exploration`` (this explorer's graph, reduced or not) to
+        audit it instead of re-walking the BFS; ``initial``,
+        ``max_configurations`` and ``symmetry`` then go unused.
         """
-        exploration = self.explore(initial, max_configurations, symmetry=symmetry)
-        if symmetry is not None:
+        if exploration is None:
+            exploration = self.explore(
+                initial, max_configurations, symmetry=symmetry
+            )
+        if exploration.reduced:
             # BFS order, not set order: the returned counterexample must
             # be the same one on every run regardless of PYTHONHASHSEED.
             for config in exploration.order:
@@ -1356,6 +1412,7 @@ class Explorer:
         initial: Optional[Configuration] = None,
         max_configurations: int = 200_000,
         require_undecided_mover: bool = True,
+        exploration: Optional[ExplorationResult] = None,
     ) -> Optional[Livelock]:
         """Find a reachable cycle — an adversarial infinite run.
 
@@ -1363,8 +1420,12 @@ class Explorer:
         at least one process that never decides inside it, i.e. a
         genuine liveness violation witness ("takes infinitely many steps
         without deciding").
+
+        Pass ``exploration`` to search an already-computed graph of this
+        explorer instead of re-walking the BFS.
         """
-        exploration = self.explore(initial, max_configurations)
+        if exploration is None:
+            exploration = self.explore(initial, max_configurations)
         if not exploration.complete:
             raise ExplorationBudgetExceeded(
                 "livelock search needs a complete graph; raise the budget"

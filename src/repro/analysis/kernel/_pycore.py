@@ -12,8 +12,8 @@ packed row of :mod:`~repro.analysis.kernel.encoding` folded as
 
 Protocol semantics stay in Python land: when a ``(pid, local)`` or
 ``(pid, local, obj)`` key misses its table the kernel calls back into
-the explorer (``resolve_invoke`` / ``compute_deltas``) exactly once,
-then replays the memoized result forever after. The compiled backend
+the explorer's code space (``resolve_invoke`` / ``compute_deltas``)
+exactly once, then replays the memoized result forever after. The compiled backend
 mirrors this contract byte-for-byte — same ids, same edge order.
 """
 

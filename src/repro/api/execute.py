@@ -92,11 +92,12 @@ def algorithm2_instance_check(
     inputs = tuple(inputs)
     explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
     sym = algorithm2_symmetry(inputs) if symmetry else None
+    # One walk per instance: the safety audit and the size share it.
+    exploration = explorer.explore(
+        max_configurations=max_configurations, symmetry=sym
+    )
     counterexample = explorer.check_safety(
-        DacDecisionTask(n),
-        inputs,
-        max_configurations=max_configurations,
-        symmetry=sym,
+        DacDecisionTask(n), inputs, exploration=exploration
     )
     rendered = None
     if counterexample is not None:
@@ -106,9 +107,7 @@ def algorithm2_instance_check(
         for pid in range(n):
             if not explorer.solo_termination(pid):
                 solo_failures.append(pid)
-    configurations = len(
-        explorer.explore(max_configurations=max_configurations, symmetry=sym)
-    )
+    configurations = len(exploration)
     return {
         "inputs": inputs,
         "ok": counterexample is None and not solo_failures,
@@ -131,8 +130,17 @@ def candidate_outcome(index: int) -> Dict[str, Any]:
 
     candidate = all_candidates()[index]
     explorer = Explorer(candidate.objects, candidate.processes)
-    counterexample = explorer.check_safety(candidate.task, candidate.inputs)
-    livelock = explorer.find_livelock() if counterexample is None else None
+    # One walk per candidate: the safety audit and the livelock search
+    # share it.
+    exploration = explorer.explore()
+    counterexample = explorer.check_safety(
+        candidate.task, candidate.inputs, exploration=exploration
+    )
+    livelock = (
+        explorer.find_livelock(exploration=exploration)
+        if counterexample is None
+        else None
+    )
     if counterexample is not None:
         outcome = "safety"
         rendered = render_counterexample(explorer, counterexample)

@@ -7,6 +7,7 @@ from repro.analysis.explorer import (
     Configuration,
     Explorer,
     RUNNING,
+    _CodeSpace,
 )
 from repro.analysis.kernel import compiled_available
 from repro.analysis.valency_analyzer import ValencyAnalyzer
@@ -181,14 +182,14 @@ class TestMissPath:
     @staticmethod
     def _count(monkeypatch, objects, processes, kernel):
         rows = []
-        compute = Explorer._compute_delta_codes
+        compute = _CodeSpace.compute_delta_codes
 
         def recording(self, *args):
             result = compute(self, *args)
             rows.append((args, result))
             return result
 
-        monkeypatch.setattr(Explorer, "_compute_delta_codes", recording)
+        monkeypatch.setattr(_CodeSpace, "compute_delta_codes", recording)
         transitions = []
         for automaton in processes:
 

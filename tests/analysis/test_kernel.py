@@ -11,8 +11,15 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
   and without truncation, round events) is byte-identical. The
   compiled half skips gracefully when the extension is not built;
 * the shared bounds contract — every available backend rejects an
-  unknown configuration id with the same ``IndexError``.
+  unknown configuration id with the same ``IndexError``;
+* graph lifetime — an explorer, its kernel and its code tables form no
+  reference cycle, so dropping the explorer frees them at once, and an
+  exploration result that outlives its explorer still answers kernel
+  misses.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -283,3 +290,72 @@ class TestUnknownConfigurationId:
         for pid in (-1, 2):
             with pytest.raises(IndexError, match=f"^unknown pid {pid}$"):
                 explorer._backend.expand_pid(cid, pid)
+
+
+def _live(kind):
+    """How many ``kind`` instances the collector tracks right now."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
+class TestGraphLifetime:
+    """Reference counting alone frees an explorer and its kernel: the
+    kernel's miss hooks belong to the explorer's code space, which
+    references neither of them (docs/performance.md, "Graph lifetime")."""
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_dropped_explorer_leaves_nothing_for_the_collector(self, kernel):
+        gc.collect()
+        gc.disable()
+        try:
+            explorer = _algorithm2_explorer(5, kernel=kernel)
+            backend_type = type(explorer._backend)
+            live_before = _live(backend_type) - 1
+            result = explorer.explore()
+            assert result.complete and len(result) > 900
+            ref = weakref.ref(explorer)
+            del explorer, result
+            assert ref() is None
+            assert _live(backend_type) == live_before
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _frontier_answers(kernel, keep):
+        """Successors and schedules of a truncated walk's never-expanded
+        frontier, asked after the explorer is dropped (``keep=False``)
+        or while it is still alive."""
+        explorer = _algorithm2_explorer(4, kernel=kernel)
+        result = explorer.explore(max_configurations=37)
+        assert not result.complete
+        if not keep:
+            ref = weakref.ref(explorer)
+            del explorer
+            gc.collect()
+            assert ref() is None
+        interned = len(result.intern)
+        value = result.intern.value
+        resolve = result._edge_resolver
+        answers = []
+        for cid in result.order_ids[result.expansions:]:
+            config = value(cid)
+            # The adjacency of an unexpanded id is computed on demand:
+            # kernel misses call the code space's hooks.
+            flat = list(result._adjacency(cid))
+            successors = [
+                (resolve(flat[k]), flat[k + 1], value(flat[k + 1]))
+                for k in range(0, len(flat), 2)
+            ]
+            answers.append(
+                (cid, config, successors, result.schedule_to(config))
+            )
+        # The questions did reach past the walk into new configurations.
+        assert len(result.intern) > interned
+        return answers
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_result_outlives_its_explorer(self, kernel):
+        kept = self._frontier_answers(kernel, keep=True)
+        dropped = self._frontier_answers(kernel, keep=False)
+        assert kept
+        assert dropped == kept
