@@ -106,7 +106,9 @@ verify:
 	python -m repro check-algorithm2 --n 3
 	python -m repro refute
 	python -m repro separation --n 2
+	python -m repro separation --n 3
 	python -m repro ledger --n 2
+	python -m repro ledger --n 3
 	python -m repro power
 
 # Start-up import profile (docs/performance.md, "Start-up cost"):

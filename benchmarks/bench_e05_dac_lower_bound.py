@@ -31,18 +31,17 @@ def candidates():
 
 def refute(candidate):
     explorer = Explorer(candidate.objects, candidate.processes)
-    counterexample = explorer.check_safety(candidate.task, candidate.inputs)
-    if counterexample is not None:
+    outcome, witness = explorer.find_violation(candidate.task, candidate.inputs)
+    if outcome == "safety":
         return (
             "safety",
-            f"schedule {' '.join(f'p{e.pid}' for e in counterexample.schedule)}",
+            f"schedule {' '.join(f'p{e.pid}' for e in witness.schedule)}",
         )
-    livelock = explorer.find_livelock()
-    if livelock is not None:
+    if outcome == "liveness":
         return (
             "liveness",
-            f"loop of {len(livelock.cycle)} steps starving "
-            f"{sorted(livelock.moving)}",
+            f"loop of {len(witness.cycle)} steps starving "
+            f"{sorted(witness.moving)}",
         )
     return ("none", "-")
 

@@ -24,9 +24,10 @@ def check(n, m):
             for pid, value in enumerate(inputs)
         ]
         explorer = Explorer({"NMPAC": CombinedPacSpec(n, m)}, processes)
-        assert explorer.check_safety(task, inputs) is None
-        assert explorer.find_livelock() is None
-        configs += len(explorer.explore())
+        exploration = explorer.explore()
+        assert explorer.check_safety(task, inputs, exploration=exploration) is None
+        assert explorer.find_livelock(exploration=exploration) is None
+        configs += len(exploration)
     return configs
 
 

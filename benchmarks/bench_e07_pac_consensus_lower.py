@@ -22,9 +22,8 @@ from _report import emit_rows
 def refute_retry(n, m):
     candidate = consensus_via_pac_retry(n, m)
     explorer = Explorer(candidate.objects, candidate.processes)
-    assert explorer.check_safety(candidate.task, candidate.inputs) is None
-    livelock = explorer.find_livelock()
-    assert livelock is not None
+    outcome, livelock = explorer.find_violation(candidate.task, candidate.inputs)
+    assert outcome == "liveness"
     combined_state = livelock.entry.object_states[0]
     pac_upset = isinstance(combined_state.pac, PacState) and combined_state.pac.upset
     return livelock, pac_upset

@@ -6,20 +6,20 @@ Regenerated rows:
   whether O_n and O'_n each solve k-set agreement among n_k processes
   (decided constructively, model-checked) — identical columns;
 * separation — O_n solves (n+1)-DAC; every candidate reduction of
-  (n+1)-DAC to O'_n's Lemma-6.4 base family fails.
+  (n+1)-DAC to O'_n's Lemma-6.4 base family fails (read off
+  ``separation_report(n)``, the computation ``repro separation`` and
+  ``repro ledger`` render).
 """
 
 import pytest
 
 from repro.analysis.explorer import Explorer
-from repro.core.pac import NPacSpec
 from repro.core.power import on_power
+from repro.core.relations import separation_report
 from repro.core.separation import make_on, make_on_prime
-from repro.protocols.candidates import dac_via_consensus, dac_via_sa_arbiter
 from repro.protocols.consensus import CombinedPacConsensusProcess
-from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.set_agreement import bundle_processes
-from repro.protocols.tasks import DacDecisionTask, KSetAgreementTask
+from repro.protocols.tasks import KSetAgreementTask
 
 from _report import emit_rows
 
@@ -73,28 +73,6 @@ def on_prime_solves(n, k):
     ) is None
 
 
-def separation_evidence(n):
-    inputs = DacDecisionTask.paper_initial_inputs(n + 1)
-    task = DacDecisionTask(n + 1)
-    explorer = Explorer({"PAC": NPacSpec(n + 1)}, algorithm2_processes(inputs))
-    on_side = explorer.check_safety(task, inputs) is None
-
-    failures = 0
-    candidates = [
-        dac_via_consensus(n, fallback="own"),
-        dac_via_consensus(n, fallback="spin"),
-        dac_via_sa_arbiter(n),
-    ]
-    for candidate in candidates:
-        cand_explorer = Explorer(candidate.objects, candidate.processes)
-        broken = cand_explorer.check_safety(candidate.task, candidate.inputs)
-        if broken is None:
-            broken = cand_explorer.find_livelock()
-        if broken is not None:
-            failures += 1
-    return on_side, failures, len(candidates)
-
-
 def test_e10_power_grid_report(benchmark):
     benchmark.pedantic(_e10_power_grid_report, rounds=1, iterations=1)
 
@@ -130,16 +108,18 @@ def test_e10_separation_report(benchmark):
 def _e10_separation_report():
     rows = []
     for n in (2, 3):
-        on_side, failures, total = separation_evidence(n)
+        report = separation_report(n)
+        total = len(report.candidates)
+        refuted = total - len(report.survivors)
         rows.append(
             (
                 f"level n={n}",
-                "solves ✓" if on_side else "FAILS",
-                f"{failures}/{total} candidates refuted",
+                "solves ✓" if report.on_solves_dac else "FAILS",
+                f"{refuted}/{total} candidates refuted",
                 "O_n ✓ / O'_n ✗ (Cor 6.6)",
             )
         )
-        assert on_side and failures == total
+        assert report.reproduces_corollary_6_6
     emit_rows(
         "E10b",
         "Separation: (n+1)-DAC splits the pair — O_n solves it, every "

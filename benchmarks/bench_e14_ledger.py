@@ -22,12 +22,11 @@ def test_e14_report(benchmark):
 def _e14_report():
     rows = []
     for n in (2, 3):
-        ledger = paper_ledger(n, seeds=3)
-        conflicts = ledger.check_consistency()
-        assert conflicts == []
-        positive = sum(1 for edge in ledger.edges() if edge.positive)
-        negative = sum(1 for edge in ledger.edges() if not edge.positive)
-        report = separation_report(n)
+        report = separation_report(n, seeds=3)
+        assert report.conflicts == ()
+        edges = report.ledger.edges()
+        positive = sum(1 for edge in edges if edge.positive)
+        negative = len(edges) - positive
         rows.append(
             (
                 f"level n={n}",

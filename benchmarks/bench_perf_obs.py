@@ -11,9 +11,10 @@ run, as in ``bench_perf_core.py``) under three observation regimes:
 * ``tracing`` — a session with a JSONL tracer: spans, per-level
   frontier events, and the metrics snapshot are all written out.
 
-The ratios are *recorded, not asserted* — the <5% tracing-off budget in
-``docs/observability.md`` is demonstrated by the committed baseline,
-while CI keeps this bench runnable at ``REPRO_PERF_SCALE=tiny``.
+The ratios are *recorded, not asserted* — the committed baseline
+records them against the <5% tracing-off budget in
+``docs/observability.md``, while CI keeps this bench runnable at
+``REPRO_PERF_SCALE=tiny``.
 """
 
 import pytest

@@ -40,9 +40,7 @@ from repro.protocols.consensus import (
 def solves_consensus(objects, processes, count):
     inputs = tuple(pid % 2 for pid in range(count))
     explorer = Explorer(objects, processes(inputs))
-    if explorer.check_safety(ConsensusTask(count), inputs) is not None:
-        return False
-    return explorer.find_livelock() is None
+    return explorer.find_violation(ConsensusTask(count), inputs)[0] == "none"
 
 
 def row(name, cells, power_text):

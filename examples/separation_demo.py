@@ -120,22 +120,19 @@ def step4_separation():
         dac_via_consensus(N, fallback="spin"),
         dac_via_sa_arbiter(N),
     ]:
-        cand_explorer = Explorer(candidate.objects, candidate.processes)
-        counterexample = cand_explorer.check_safety(
-            candidate.task, candidate.inputs
-        )
-        if counterexample is not None:
-            schedule = " ".join(f"p{e.pid}" for e in counterexample.schedule)
-            print(f"  ✗ {candidate.name}")
+        outcome, witness = Explorer(
+            candidate.objects, candidate.processes
+        ).find_violation(candidate.task, candidate.inputs)
+        assert outcome != "none"
+        print(f"  ✗ {candidate.name}")
+        if outcome == "safety":
+            schedule = " ".join(f"p{e.pid}" for e in witness.schedule)
             print(f"      violating schedule: {schedule}")
-            print(f"      violation: {counterexample.verdict.violations[0]}")
+            print(f"      violation: {witness.verdict.violations[0]}")
         else:
-            livelock = cand_explorer.find_livelock()
-            assert livelock is not None
-            print(f"  ✗ {candidate.name}")
-            print(f"      adversarial loop: prefix {len(livelock.prefix)} "
-                  f"steps, cycle {len(livelock.cycle)} steps, starving "
-                  f"processes {sorted(livelock.moving)}")
+            print(f"      adversarial loop: prefix {len(witness.prefix)} "
+                  f"steps, cycle {len(witness.cycle)} steps, starving "
+                  f"processes {sorted(witness.moving)}")
 
     print(f"\nCorollary 6.6 reproduced at level {N}: same power, "
           f"not equivalent.")

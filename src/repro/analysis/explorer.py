@@ -84,6 +84,7 @@ from typing import (
     Set,
     Tuple,
     TYPE_CHECKING,
+    Union,
 )
 
 from .. import obs
@@ -1483,6 +1484,24 @@ class Explorer:
                 on_path.append((cid, edge))
                 stack.append((tid, 0))
         return None
+
+    def find_violation(
+        self, task: DecisionTask, inputs: Sequence[Value]
+    ) -> Tuple[str, Optional[Union[SafetyCounterexample, Livelock]]]:
+        """Safety, then liveness, over one walk of the graph.
+
+        Returns ``("safety", counterexample)``, ``("liveness",
+        livelock)`` or ``("none", None)`` — how a candidate is refuted,
+        if it is.
+        """
+        exploration = self.explore()
+        counterexample = self.check_safety(task, inputs, exploration=exploration)
+        if counterexample is not None:
+            return "safety", counterexample
+        livelock = self.find_livelock(exploration=exploration)
+        if livelock is not None:
+            return "liveness", livelock
+        return "none", None
 
     def solo_termination(
         self,

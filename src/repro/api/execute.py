@@ -130,25 +130,12 @@ def candidate_outcome(index: int) -> Dict[str, Any]:
 
     candidate = all_candidates()[index]
     explorer = Explorer(candidate.objects, candidate.processes)
-    # One walk per candidate: the safety audit and the livelock search
-    # share it.
-    exploration = explorer.explore()
-    counterexample = explorer.check_safety(
-        candidate.task, candidate.inputs, exploration=exploration
-    )
-    livelock = (
-        explorer.find_livelock(exploration=exploration)
-        if counterexample is None
-        else None
-    )
-    if counterexample is not None:
-        outcome = "safety"
-        rendered = render_counterexample(explorer, counterexample)
-    elif livelock is not None:
-        outcome = "liveness"
-        rendered = render_livelock(explorer, livelock)
+    outcome, witness = explorer.find_violation(candidate.task, candidate.inputs)
+    if outcome == "safety":
+        rendered = render_counterexample(explorer, witness)
+    elif outcome == "liveness":
+        rendered = render_livelock(explorer, witness)
     else:
-        outcome = "none"
         rendered = "no violation found over all schedules (correct protocol)"
     return {
         "name": candidate.name,

@@ -6,7 +6,9 @@ Commands:
 * ``check-algorithm2 --n N`` — model-check Theorem 4.1 at size N;
 * ``refute [--candidate NAME]`` — run the doomed-candidate suite and
   render each witness (the executable face of Theorems 4.2 / 5.2);
-* ``separation --n N`` — the Corollary 6.6 pipeline at level N;
+* ``separation --n N`` / ``ledger --n N`` — Corollary 6.6 at level N,
+  as its verdict chain or as the implementability ledger behind it:
+  two views of one :func:`repro.core.relations.separation_report`;
 * ``power`` — print the set agreement power table;
 * ``list-candidates`` — name the candidate suite;
 * ``lint`` — the protocol-aware static analysis pass (replayability
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import obs
 from .errors import InvalidRequestError, ReproError, error_report
@@ -195,113 +197,88 @@ def _cmd_cache(args: argparse.Namespace) -> Report:
 
 
 def _cmd_separation(args: argparse.Namespace) -> Report:
-    from .analysis.explorer import Explorer
-    from .core.pac import NPacSpec
-    from .core.power import on_power, on_prime_power
-    from .protocols.candidates import dac_via_consensus, dac_via_sa_arbiter
-    from .protocols.dac_from_pac import algorithm2_processes
-    from .protocols.tasks import DacDecisionTask
+    from .core.relations import separation_report
 
     n = args.n
-
-    def failed(kind: str, line: str, lines: List[str]) -> Report:
-        lines.append(line)
-        return Report(
-            command="separation",
-            status="violation",
-            exit_code=1,
-            summary=line,
-            body=tuple(lines),
-            findings=(Finding(kind, subject=f"level {n}", detail=line),),
-            data={"n": n},
-        )
-
-    lines: List[str] = []
-    lines.append(on_power(n).describe(5))
-    lines.append(on_prime_power(n).describe(5))
-    if not on_power(n).agrees_with(on_prime_power(n), 8):
-        return failed("power-mismatch", "POWER MISMATCH", lines)
-    lines.append("powers agree on the first 8 components ✓")
-
-    inputs = DacDecisionTask.paper_initial_inputs(n + 1)
-    task = DacDecisionTask(n + 1)
-    explorer = Explorer(
-        {"PAC": NPacSpec(n + 1)}, algorithm2_processes(inputs)
-    )
-    if explorer.check_safety(task, inputs) is not None:
-        return failed(
-            "safety", f"O_{n} FAILED to solve {n + 1}-DAC", lines
-        )
-    lines.append(f"O_{n} solves {n + 1}-DAC over all schedules ✓")
-
-    refuted = 0
-    candidates = [
-        dac_via_consensus(n, fallback="own"),
-        dac_via_consensus(n, fallback="spin"),
-        dac_via_sa_arbiter(n),
+    report = separation_report(n)
+    survivor = next(iter(report.survivors), "")
+    # (holds, finding kind, line if it fails, line if it holds), in the
+    # order the first failure is reported.
+    steps = [
+        (
+            report.same_power,
+            "power-mismatch",
+            "POWER MISMATCH",
+            "powers agree on the first 8 components ✓",
+        ),
+        (
+            report.on_solves_dac,
+            "safety",
+            f"O_{n} FAILED to solve {n + 1}-DAC",
+            f"O_{n} solves {n + 1}-DAC over all schedules ✓",
+        ),
+        (
+            not survivor,
+            "not-refuted",
+            f"candidate NOT refuted: {survivor}",
+            f"{len(report.candidates)}/{len(report.candidates)} candidate "
+            f"reductions over O'_{n}'s base family refuted ✓",
+        ),
     ]
-    for candidate in candidates:
-        cand_explorer = Explorer(candidate.objects, candidate.processes)
-        broken = cand_explorer.check_safety(candidate.task, candidate.inputs)
-        if broken is None and cand_explorer.find_livelock() is None:
-            return failed(
-                "not-refuted", f"candidate NOT refuted: {candidate.name}", lines
+    lines = [report.on_power.describe(5), report.on_prime_power.describe(5)]
+    for holds, kind, failure, line in steps:
+        if not holds:
+            lines.append(failure)
+            return Report(
+                command="separation",
+                status="violation",
+                exit_code=1,
+                summary=failure,
+                body=tuple(lines),
+                findings=(Finding(kind, subject=f"level {n}", detail=failure),),
+                data={"n": n},
             )
-        refuted += 1
-    lines.append(
-        f"{refuted}/{len(candidates)} candidate reductions over O'_{n}'s "
-        f"base family refuted ✓"
-    )
+        lines.append(line)
     summary = f"Corollary 6.6 at level {n}: same power, not equivalent."
     lines.append(summary)
     return Report(
         command="separation",
         summary=summary,
         body=tuple(lines),
-        data={"n": n, "refuted": refuted},
+        data={"n": n, "refuted": len(report.candidates)},
     )
 
 
 def _cmd_ledger(args: argparse.Namespace) -> Report:
-    from .core.relations import paper_ledger, separation_report
+    from dataclasses import asdict
 
-    lines: List[str] = []
-    findings: List[Finding] = []
-    ledger = paper_ledger(args.n)
-    lines.append(
+    from .core.relations import separation_report
+
+    report = separation_report(args.n)
+    lines = [
         f"implementability ledger @ level n={args.n} "
         f"(every edge re-verified just now):"
-    )
+    ]
     edges = []
-    for edge in ledger.edges():
+    for edge in report.ledger.edges():
         arrow = "--implements-->" if edge.positive else "--CANNOT-->"
         lines.append(f"  {edge.source} {arrow} {edge.target}")
         lines.append(f"      evidence: {edge.evidence}")
-        edges.append(
-            {
-                "source": edge.source,
-                "target": edge.target,
-                "positive": edge.positive,
-                "evidence": edge.evidence,
-            }
-        )
-    conflicts = ledger.check_consistency()
-    if conflicts:
-        for conflict in conflicts:
-            lines.append(f"  !! CONFLICT: {conflict}")
-            findings.append(
-                Finding("conflict", subject=f"n={args.n}", detail=str(conflict))
-            )
+        edges.append(asdict(edge))
+    if report.conflicts:
+        lines.extend(f"  !! CONFLICT: {conflict}" for conflict in report.conflicts)
         return Report(
             command="ledger",
             status="violation",
             exit_code=1,
-            summary=f"{len(conflicts)} ledger conflict(s)",
+            summary=f"{len(report.conflicts)} ledger conflict(s)",
             body=tuple(lines),
-            findings=tuple(findings),
+            findings=tuple(
+                Finding("conflict", subject=f"n={args.n}", detail=conflict)
+                for conflict in report.conflicts
+            ),
             data={"n": args.n, "edges": edges},
         )
-    report = separation_report(args.n)
     reproduced = report.reproduces_corollary_6_6
     lines.append("")
     summary = (

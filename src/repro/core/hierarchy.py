@@ -23,7 +23,7 @@ the API behind experiment E13's grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SpecificationError
 from ..types import Value, require
@@ -55,7 +55,6 @@ class HierarchyProbe:
         protocol_factory: Optional[SystemFactory],
         protocol_reach: int,
         candidate_factory: Optional[SystemFactory] = None,
-        binary_only: bool = False,
     ) -> None:
         require(
             protocol_factory is not None or candidate_factory is not None,
@@ -66,10 +65,6 @@ class HierarchyProbe:
         self.protocol_factory = protocol_factory
         self.protocol_reach = protocol_reach
         self.candidate_factory = candidate_factory
-        self.binary_only = binary_only
-
-    def _inputs_for(self, count: int) -> Tuple[Value, ...]:
-        return tuple(pid % 2 for pid in range(count))
 
     def probe(self, count: int) -> ProbeCell:
         """Grade consensus among ``count`` processes."""
@@ -82,10 +77,10 @@ class HierarchyProbe:
             violations = 0
             for inputs in _binary_assignments(count):
                 objects, processes = self.protocol_factory(inputs)
-                explorer = Explorer(objects, processes)
-                if explorer.check_safety(task, inputs) is not None:
-                    violations += 1
-                elif explorer.find_livelock() is not None:
+                outcome, _witness = Explorer(objects, processes).find_violation(
+                    task, inputs
+                )
+                if outcome != "none":
                     violations += 1
             if violations == 0:
                 return ProbeCell(
@@ -97,17 +92,17 @@ class HierarchyProbe:
                 count, UNKNOWN, f"protocol failed on {violations} assignments"
             )
         if self.candidate_factory is not None:
-            inputs = self._inputs_for(count)
+            inputs = tuple(pid % 2 for pid in range(count))
             objects, processes = self.candidate_factory(inputs)
-            explorer = Explorer(objects, processes)
-            counterexample = explorer.check_safety(task, inputs)
-            if counterexample is None and explorer.find_livelock() is None:
+            outcome, _witness = Explorer(objects, processes).find_violation(
+                task, inputs
+            )
+            if outcome == "none":
                 return ProbeCell(count, UNKNOWN, "candidate survived")
-            kind = "safety" if counterexample is not None else "liveness"
             return ProbeCell(
                 count,
                 REFUTED,
-                f"natural candidate refuted ({kind} witness)",
+                f"natural candidate refuted ({outcome} witness)",
             )
         return ProbeCell(count, UNKNOWN, "no factory covers this count")
 

@@ -12,22 +12,24 @@ keeps a ledger of that relation where every edge carries evidence:
   that generalizes them — honest provenance for statements no finite
   run can prove.
 
-:func:`paper_ledger` populates the ledger for one hierarchy level
-``n`` by *running* the paper's constructive content (Observation 5.1,
-Lemma 6.4, Theorem 4.1) and recording the lower bounds' candidate
-refutations (Theorems 4.2/4.3). :func:`separation_report` then derives
-Corollary 6.6's shape from the ledger: same power, positive edges in
-neither direction's closure... and an explicit negative edge from
-``O'_n`` to ``O_n``.
+:func:`separation_report` is the one Corollary 6.6 computation. For
+one hierarchy level ``n`` it populates the ledger by *running* the
+paper's constructive content (Observation 5.1, Lemma 6.4, Theorem 4.1)
+and the lower bounds' candidate refutations (Theorems 4.2/4.3), then
+returns a :class:`SeparationReport`: same power, the O_n side solved,
+every candidate refuted, hence an explicit negative edge from ``O'_n``
+to ``O_n``. :func:`paper_ledger` is that report's ledger; ``repro
+separation`` and ``repro ledger`` both render one report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import AnalysisError, SpecificationError
 from ..types import require
+from .power import SetAgreementPower, on_power, on_prime_power
 
 
 @dataclass(frozen=True)
@@ -143,11 +145,69 @@ class Ledger:
 
 
 def paper_ledger(n: int = 2, seeds: int = 4) -> Ledger:
-    """Assemble the paper's level-``n`` relation from executed evidence.
+    """The paper's level-``n`` relation, assembled from executed
+    evidence — the ledger :func:`separation_report` builds."""
+    return separation_report(n, seeds).ledger
+
+
+@dataclass(frozen=True)
+class SeparationReport:
+    """Corollary 6.6 at level ``n``: the ledger plus the evidence it
+    was built from.
+
+    ``candidates`` pairs each candidate reduction's name with its
+    outcome: ``"safety"`` or ``"liveness"`` (refuted) or ``"none"``
+    (it survived every schedule).
+    """
+
+    n: int
+    ledger: Ledger
+    on_power: SetAgreementPower
+    on_prime_power: SetAgreementPower
+    on_solves_dac: bool
+    candidates: Tuple[Tuple[str, str], ...]
+
+    @property
+    def same_power(self) -> bool:
+        return self.on_power.agrees_with(self.on_prime_power, 8)
+
+    @property
+    def survivors(self) -> Tuple[str, ...]:
+        """Names of the candidates no schedule refuted."""
+        return tuple(
+            name for name, outcome in self.candidates if outcome == "none"
+        )
+
+    @property
+    def on_implements_witness_task(self) -> bool:
+        return self.ledger.implements(f"O_{self.n}", f"{self.n + 1}-DAC")
+
+    @property
+    def on_prime_refuted(self) -> bool:
+        return self.ledger.refuted(f"O'_{self.n}", f"O_{self.n}") is not None
+
+    @property
+    def conflicts(self) -> Tuple[str, ...]:
+        return tuple(self.ledger.check_consistency())
+
+    @property
+    def reproduces_corollary_6_6(self) -> bool:
+        return (
+            self.same_power
+            and self.on_implements_witness_task
+            and not self.survivors
+            and not self.conflicts
+        )
+
+
+def separation_report(n: int = 2, seeds: int = 4) -> SeparationReport:
+    """Run the paper's level-``n`` evidence once and derive Corollary 6.6.
 
     Positive edges run the actual implementations through the
-    linearizability harness; negative edges run the candidate suite
-    through the explorer. Everything is re-verified at call time.
+    linearizability harness (``seeds`` schedules each) or the explorer;
+    negative edges run the candidate suite through the explorer, and
+    are recorded only when every candidate is refuted. Each explorer
+    walks its graph once. Everything is re-verified at call time.
     """
     require(n >= 2, SpecificationError, f"levels start at n = 2, got {n}")
     from ..analysis.explorer import Explorer
@@ -180,6 +240,7 @@ def paper_ledger(n: int = 2, seeds: int = 4) -> Ledger:
     on_prime = f"O'_{n}"
     n_cons = f"{n}-consensus"
     pac = f"{n + 1}-PAC"
+    dac = f"{n + 1}-DAC"
     base_family = f"{n}-consensus + 2-SA + registers"
 
     # Obs 5.1(a): O_n = (n+1, n)-PAC from (n+1)-PAC + n-consensus.
@@ -231,74 +292,46 @@ def paper_ledger(n: int = 2, seeds: int = 4) -> Ledger:
         ),
         "Lemma 6.4, linearizability-checked",
     )
-    # Theorem 4.1: the (n+1)-PAC solves (n+1)-DAC — model-checked.
+    # Theorem 4.1: the (n+1)-PAC solves (n+1)-DAC — safety and solo
+    # termination of every pid, model-checked.
     inputs = DacDecisionTask.paper_initial_inputs(n + 1)
-
-    def pac_solves_dac() -> bool:
-        explorer = Explorer(
-            {"PAC": NPacSpec(n + 1)}, algorithm2_processes(inputs)
+    explorer = Explorer({"PAC": NPacSpec(n + 1)}, algorithm2_processes(inputs))
+    on_solves_dac = explorer.check_safety(
+        DacDecisionTask(n + 1), inputs
+    ) is None and all(explorer.solo_termination(pid) for pid in range(n + 1))
+    if on_solves_dac:
+        ledger.verify(
+            pac,
+            dac,
+            lambda: on_solves_dac,
+            "Theorem 4.1, model-checked over all schedules",
         )
-        return explorer.check_safety(DacDecisionTask(n + 1), inputs) is None
-
-    ledger.verify(
-        pac,
-        f"{n + 1}-DAC",
-        pac_solves_dac,
-        "Theorem 4.1, model-checked over all schedules",
-    )
 
     # Theorem 4.2/4.3: the base family does NOT reach the (n+1)-PAC /
     # (n+1)-DAC — candidate suite refuted.
-    refuted = 0
+    candidates = []
     for candidate in [
         dac_via_consensus(n, fallback="own"),
         dac_via_consensus(n, fallback="spin"),
         dac_via_sa_arbiter(n),
     ]:
-        explorer = Explorer(candidate.objects, candidate.processes)
-        broken = explorer.check_safety(candidate.task, candidate.inputs)
-        if broken is None:
-            broken = explorer.find_livelock()
-        if broken is not None:
-            refuted += 1
-    ledger.refute(base_family, f"{n + 1}-DAC", refuted, "Theorem 4.2")
-    ledger.refute(base_family, pac, refuted, "Theorem 4.3")
-    ledger.refute(on_prime, on, refuted, "Theorem 6.5 (via Lemma 6.4 + Thm 4.3)")
-    return ledger
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Corollary 6.6's shape, derived from a ledger."""
-
-    n: int
-    same_power: bool
-    on_implements_witness_task: bool
-    on_prime_refuted: bool
-    conflicts: Tuple[str, ...]
-
-    @property
-    def reproduces_corollary_6_6(self) -> bool:
-        return (
-            self.same_power
-            and self.on_implements_witness_task
-            and self.on_prime_refuted
-            and not self.conflicts
-        )
-
-
-def separation_report(n: int = 2) -> SeparationReport:
-    """Derive the Corollary 6.6 statement for level ``n``."""
-    from .power import on_power, on_prime_power
-
-    ledger = paper_ledger(n)
-    same_power = on_power(n).agrees_with(on_prime_power(n), 8)
-    on_side = ledger.implements(f"O_{n}", f"{n + 1}-DAC")
-    refuted = ledger.refuted(f"O'_{n}", f"O_{n}") is not None
-    return SeparationReport(
+        outcome, _witness = Explorer(
+            candidate.objects, candidate.processes
+        ).find_violation(candidate.task, candidate.inputs)
+        candidates.append((candidate.name, outcome))
+    report = SeparationReport(
         n=n,
-        same_power=same_power,
-        on_implements_witness_task=on_side,
-        on_prime_refuted=refuted,
-        conflicts=tuple(ledger.check_consistency()),
+        ledger=ledger,
+        on_power=on_power(n),
+        on_prime_power=on_prime_power(n),
+        on_solves_dac=on_solves_dac,
+        candidates=tuple(candidates),
     )
+    if not report.survivors:
+        refuted = len(candidates)
+        ledger.refute(base_family, dac, refuted, "Theorem 4.2")
+        ledger.refute(base_family, pac, refuted, "Theorem 4.3")
+        ledger.refute(
+            on_prime, on, refuted, "Theorem 6.5 (via Lemma 6.4 + Thm 4.3)"
+        )
+    return report

@@ -21,19 +21,6 @@ from repro.protocols.tasks import DacDecisionTask
 N3_INPUTS = list(itertools.product((0, 1), repeat=3))
 
 
-@pytest.fixture
-def explore_calls(monkeypatch):
-    calls = []
-    explore = Explorer.explore
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return explore(self, *args, **kwargs)
-
-    monkeypatch.setattr(Explorer, "explore", counting)
-    return calls
-
-
 @pytest.mark.parametrize("symmetry", [False, True])
 @pytest.mark.parametrize("inputs", N3_INPUTS)
 def test_algorithm2_item_explores_once(explore_calls, inputs, symmetry):

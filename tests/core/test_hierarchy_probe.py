@@ -107,3 +107,24 @@ class TestUnknownGrades:
         )
         assert probe.probe(2).grade == UNKNOWN
         assert probe.probe(3).grade == REFUTED
+
+
+class TestWalkOnce:
+    def test_catalog_grid_walks_each_explorer_once(
+        self, explore_calls, explorers_built
+    ):
+        solves = (SOLVES, "model-checked: all binary inputs × all schedules")
+        refuted = (REFUTED, "natural candidate refuted (safety witness)")
+        grid = {
+            name: [(cell.grade, cell.detail) for cell in probe.probe_range(3)]
+            for name, probe in builtin_catalog(3).items()
+        }
+        assert grid == {
+            "2-consensus": [solves, refuted],
+            "3-consensus": [solves, solves],
+            "test-and-set": [solves, refuted],
+            "compare-and-swap": [solves, solves],
+            "strong 2-SA": [refuted, refuted],
+        }
+        assert len(explorers_built) == 36
+        assert len(explore_calls) == 36

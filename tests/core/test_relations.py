@@ -104,3 +104,53 @@ class TestSeparationReport:
     def test_level_3(self):
         report = separation_report(3)
         assert report.reproduces_corollary_6_6
+
+    def test_report_carries_its_evidence(self):
+        report = separation_report(2, seeds=1)
+        assert report.on_solves_dac
+        assert [name for name, _outcome in report.candidates] == [
+            "3-DAC from 2-consensus (fallback=own)",
+            "3-DAC from 2-consensus (fallback=spin)",
+            "3-DAC from 2-consensus + 2-SA arbiter",
+        ]
+        assert all(outcome != "none" for _name, outcome in report.candidates)
+        assert report.survivors == ()
+        assert report.on_power.name == "O_2"
+        assert report.on_prime_power.name == "O'_2"
+
+    def test_walks_each_explorer_once(self, explore_calls, explorers_built):
+        separation_report(2, seeds=1)
+        assert len(explorers_built) == 4
+        assert len(explore_calls) == 4
+
+
+class TestOneCriterion:
+    """A candidate that survives is a violation, not a crash."""
+
+    def test_surviving_candidate_records_no_negative_edge(
+        self, surviving_candidate
+    ):
+        report = separation_report(2, seeds=1)
+        assert report.survivors == (surviving_candidate,)
+        assert (surviving_candidate, "none") in report.candidates
+        assert not report.on_prime_refuted
+        assert all(edge.positive for edge in report.ledger.edges())
+        assert report.conflicts == ()
+        assert not report.reproduces_corollary_6_6
+
+    def test_paper_ledger_does_not_raise(self, surviving_candidate):
+        ledger = paper_ledger(2, seeds=1)
+        assert ledger.refuted("O'_2", "O_2") is None
+        assert ledger.implements("O_2", "3-DAC")
+
+    def test_failed_termination_drops_the_theorem_4_1_edge(self, monkeypatch):
+        from repro.analysis.explorer import Explorer
+
+        monkeypatch.setattr(
+            Explorer, "solo_termination", lambda self, pid, *a, **k: False
+        )
+        report = separation_report(2, seeds=1)
+        assert not report.on_solves_dac
+        assert not report.ledger.implements("3-PAC", "3-DAC")
+        assert not report.on_implements_witness_task
+        assert not report.reproduces_corollary_6_6

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -144,3 +146,94 @@ class TestCommands:
         assert "--CANNOT-->" in out
         assert "reproduced ✓" in out
         assert "CONFLICT" not in out
+
+
+def _json_report(capsys, argv):
+    capsys.readouterr()
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+class TestCorollary66Views:
+    """``separation`` and ``ledger`` render one ``SeparationReport``."""
+
+    @pytest.mark.parametrize("command", ["separation", "ledger"])
+    def test_one_ledger_and_one_walk_per_explorer(
+        self, capsys, monkeypatch, explore_calls, explorers_built, command
+    ):
+        from repro.core import relations
+
+        ledgers = []
+        init = relations.Ledger.__init__
+
+        def counting(self):
+            ledgers.append(self)
+            init(self)
+
+        monkeypatch.setattr(relations.Ledger, "__init__", counting)
+        assert main([command, "--n", "2"]) == 0
+        assert len(ledgers) == 1
+        assert len(explorers_built) == 4
+        assert len(explore_calls) == 4
+
+    def test_ledger_reports_a_surviving_candidate(
+        self, capsys, surviving_candidate
+    ):
+        code, payload, err = _json_report(capsys, ["ledger", "--n", "2"])
+        assert code == 1
+        assert payload["status"] == "violation"
+        assert payload["summary"] == "Corollary 6.6 at level 2: NOT reproduced"
+        assert payload["data"]["reproduced"] is False
+        assert all(edge["positive"] for edge in payload["data"]["edges"])
+        assert "SpecificationError" not in err and "INVALID" not in err
+
+    def test_separation_names_the_surviving_candidate(
+        self, capsys, surviving_candidate
+    ):
+        code, payload, _err = _json_report(capsys, ["separation", "--n", "2"])
+        assert code == 1
+        line = f"candidate NOT refuted: {surviving_candidate}"
+        assert payload["summary"] == line
+        assert payload["body"][-1] == line
+        assert payload["findings"] == [
+            {
+                "kind": "not-refuted",
+                "subject": "level 2",
+                "detail": line,
+                "data": {},
+            }
+        ]
+        assert payload["data"] == {"n": 2}
+
+    def test_separation_power_mismatch(self, capsys, monkeypatch):
+        from repro.core import relations
+
+        monkeypatch.setattr(
+            relations, "on_prime_power", lambda n: relations.on_power(n + 1)
+        )
+        code, payload, _err = _json_report(capsys, ["separation", "--n", "2"])
+        assert code == 1
+        assert len(payload["body"]) == 3
+        assert payload["body"][-1] == "POWER MISMATCH"
+        assert [f["kind"] for f in payload["findings"]] == ["power-mismatch"]
+
+    @pytest.mark.parametrize(
+        "method, broken",
+        [
+            ("check_safety", lambda self, *a, **k: "witness"),
+            ("solo_termination", lambda self, *a, **k: False),
+        ],
+    )
+    def test_separation_on_side_failure(
+        self, capsys, monkeypatch, method, broken
+    ):
+        from repro.analysis.explorer import Explorer
+
+        monkeypatch.setattr(Explorer, method, broken)
+        code, payload, _err = _json_report(capsys, ["separation", "--n", "2"])
+        assert code == 1
+        assert payload["body"][-1] == "O_2 FAILED to solve 3-DAC"
+        assert [f["kind"] for f in payload["findings"]] == ["safety"]
+        assert main(["ledger", "--n", "2"]) == 1
+        assert "NOT reproduced" in capsys.readouterr().out
