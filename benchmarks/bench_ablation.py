@@ -5,9 +5,6 @@ paper's proof access pattern classifies every configuration; the
 memoized :class:`ValencyAnalyzer` does one exploration + one fixpoint,
 versus re-exploring the reachable subgraph per query.
 
-A2 — **linearizability memoization**: Wing–Gong with and without the
-(linearized-set, state) failure cache on a contended queue history.
-
 A3 — **helping in the universal construction**: with helping an
 operation lands within O(n) slots of its announcement under *any*
 schedule; without helping an adversarial scheduler defers the victim's
@@ -27,7 +24,6 @@ from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.implementation import run_clients
 from repro.protocols.universal import UniversalConstruction
 from repro.core.pac import NPacSpec
-from repro.runtime.history import ConcurrentHistory
 from repro.runtime.scheduler import ScriptedScheduler
 from repro.types import op
 
@@ -85,54 +81,6 @@ def test_a1_bench_memoized(benchmark):
     explorer = make_explorer()
     labels = benchmark(lambda: classify_everything_memoized(explorer))
     assert labels
-
-
-# -- A2: linearizability memoization -----------------------------------------
-
-
-def contended_queue_history(rounds=8):
-    spec = QueueSpec()
-    history = ConcurrentHistory()
-    state = spec.initial_state()
-    for index in range(rounds):
-        enq = history.invoke(0, op("enqueue", index))
-        deq = history.invoke(1, op("dequeue"))
-        state, enq_response = spec.apply(state, op("enqueue", index))
-        state, deq_response = spec.apply(state, op("dequeue"))
-        history.respond(enq, enq_response)
-        history.respond(deq, deq_response)
-    return history
-
-
-def test_a2_results_agree(benchmark):
-    benchmark.pedantic(_a2_results_agree, rounds=1, iterations=1)
-
-
-def _a2_results_agree():
-    history = contended_queue_history()
-    with_memo = LinearizabilityChecker(QueueSpec(), memoize=True).check(history)
-    without = LinearizabilityChecker(QueueSpec(), memoize=False).check(history)
-    assert with_memo.ok == without.ok
-    emit_rows(
-        "A2",
-        "Wing–Gong memoization is outcome-neutral (speed only)",
-        ["history", "with memo", "without memo"],
-        [("queue, 16 overlapping ops", with_memo.ok, without.ok)],
-    )
-
-
-def test_a2_bench_with_memo(benchmark):
-    history = contended_queue_history()
-    checker = LinearizabilityChecker(QueueSpec(), memoize=True)
-    verdict = benchmark(lambda: checker.check(history))
-    assert verdict.ok
-
-
-def test_a2_bench_without_memo(benchmark):
-    history = contended_queue_history(rounds=6)
-    checker = LinearizabilityChecker(QueueSpec(), memoize=False)
-    verdict = benchmark(lambda: checker.check(history))
-    assert verdict.ok
 
 
 # -- A3: helping in the universal construction --------------------------------

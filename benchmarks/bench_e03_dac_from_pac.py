@@ -23,8 +23,8 @@ def model_check(n):
     configs = 0
     for inputs in task.input_assignments():
         explorer = Explorer({"PAC": NPacSpec(n)}, algorithm2_processes(inputs))
-        assert explorer.check_safety(task, inputs) is None
         result = explorer.explore()
+        assert explorer.check_safety(task, inputs, exploration=result) is None
         configs += len(result)
         for pid in range(n):
             assert explorer.solo_termination(pid)

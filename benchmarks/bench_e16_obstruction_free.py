@@ -25,14 +25,14 @@ def analyze(inputs, max_rounds):
         adopt_commit_round_objects(len(inputs), max_rounds),
         obstruction_free_processes(inputs, max_rounds=max_rounds),
     )
+    graph = explorer.explore(max_configurations=600_000)
     safe = (
         explorer.check_safety(
-            ConsensusTask(len(inputs)), inputs, max_configurations=600_000
+            ConsensusTask(len(inputs)), inputs, exploration=graph
         )
         is None
     )
     solo = all(explorer.solo_termination(pid) for pid in range(len(inputs)))
-    graph = explorer.explore(max_configurations=600_000)
     exhausted = sum(
         1
         for config in graph.configurations

@@ -43,8 +43,11 @@ def wait_free_example():
     explorer = Explorer(
         {"CONS": MConsensusSpec(2)}, one_shot_consensus_processes(list(inputs))
     )
-    assert explorer.check_safety(ConsensusTask(2), inputs) is None
-    livelock = explorer.find_livelock()
+    graph = explorer.explore()
+    assert explorer.check_safety(
+        ConsensusTask(2), inputs, exploration=graph
+    ) is None
+    livelock = explorer.find_livelock(exploration=graph)
     print(f"safety over all schedules: ✓")
     print(f"adversarial starvation loop: "
           f"{'none — wait-free ✓' if livelock is None else 'FOUND'}")
@@ -57,11 +60,11 @@ def obstruction_free_example():
         adopt_commit_round_objects(2, 2),
         obstruction_free_processes(inputs, max_rounds=2),
     )
+    graph = explorer.explore(max_configurations=400_000)
     assert explorer.check_safety(
-        ConsensusTask(2), inputs, max_configurations=400_000
+        ConsensusTask(2), inputs, exploration=graph
     ) is None
     solo = all(explorer.solo_termination(pid) for pid in (0, 1))
-    graph = explorer.explore(max_configurations=400_000)
     exhausted = sum(
         1
         for config in graph.configurations
@@ -79,8 +82,11 @@ def dac_example():
     banner("3. The n-DAC mix: bounded-p + solo-others (Algorithm 2)")
     inputs = (1, 0, 0)
     explorer = Explorer({"PAC": NPacSpec(3)}, algorithm2_processes(inputs))
-    assert explorer.check_safety(DacDecisionTask(3), inputs) is None
-    livelock = explorer.find_livelock()
+    graph = explorer.explore()
+    assert explorer.check_safety(
+        DacDecisionTask(3), inputs, exploration=graph
+    ) is None
+    livelock = explorer.find_livelock(exploration=graph)
     solo = all(explorer.solo_termination(pid) for pid in range(3))
     print("safety over all schedules: ✓")
     print(f"solo runs decide (Termination (b)): {'✓' if solo else '✗'}")

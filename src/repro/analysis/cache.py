@@ -29,7 +29,7 @@ One entry = one file under ``<root>/<fp[:2]>/<fp>.pkl`` holding a
 sha256 digest plus the pickled payload. Writes are atomic
 (temp + ``os.replace``); a corrupt or digest-mismatched file is deleted
 and reported as a miss, never returned. ``<root>`` defaults to
-``$REPRO_CACHE_DIR`` or ``.repro-cache`` under the working directory.
+``.repro-cache`` under the working directory.
 The layout, atomic write, ``stats`` and ``clear`` live in
 :class:`EntryStore`, which the fuzz corpus shares.
 
@@ -197,19 +197,16 @@ class EntryStore:
 
     An entry lives at ``<root>/<fp[:2]>/<fp><suffix>`` and is written
     atomically (temp + ``os.replace``). ``root`` defaults to
-    ``$<env_var>`` or ``default_root`` under the working directory.
+    ``default_root`` under the working directory.
     Subclasses choose the codec: :class:`ExplorationCache` pickles,
     :class:`repro.fuzz.corpus.FuzzCorpus` writes JSON.
     """
 
     suffix = ".pkl"
-    env_var = "REPRO_CACHE_DIR"
     default_root = ".repro-cache"
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        if root is None:
-            root = os.environ.get(self.env_var) or self.default_root
-        self.root = Path(root)
+        self.root = Path(root if root is not None else self.default_root)
 
     def _entry_path(self, fp: str) -> Path:
         return self.root / fp[:2] / f"{fp}{self.suffix}"

@@ -258,7 +258,7 @@ class PackedConfigTable:
 class ExplorationResult:
     """The reachable (bounded) configuration graph.
 
-    ``parents`` maps each configuration to one (parent, edge) pair —
+    ``parent_ids`` maps each reached id to one (parent id, edge) pair —
     enough to reconstruct a witness schedule with :func:`schedule_to`.
     ``complete`` is False when a budget truncated the search, in which
     case absence of a violation is *not* a proof.
@@ -270,9 +270,9 @@ class ExplorationResult:
     on ``PYTHONHASHSEED``, and a witness whose identity changes between
     interpreter runs cannot be replayed bit-for-bit (lint rule R001).
 
-    Int-keyed views (``order_ids``, ``successor_ids``, ``parent_ids``
-    over ``intern`` ids) mirror the object-keyed fields for analyses
-    that prefer dense bookkeeping (the valency fixpoint does). For a
+    The graph itself is int-keyed (``order_ids``, ``successor_ids``,
+    ``parent_ids`` over ``intern`` ids); ``order`` and
+    ``configurations`` are the only object-level views. For a
     kernel-built graph, ``successor_ids`` and ``parent_ids`` are
     materialized lazily from the backend's flat adjacency and parent
     triples — the BFS itself never builds per-configuration edge
@@ -305,8 +305,6 @@ class ExplorationResult:
         "_adjacency",
         "_order",
         "_configurations",
-        "_successors",
-        "_parents",
     )
 
     def __init__(
@@ -350,16 +348,9 @@ class ExplorationResult:
         self._edge_resolver = edge_resolver
         self._adjacency = adjacency
         # Lazily materialized object-keyed views (see the properties
-        # below): the hot path never touches them, so their cost is paid
-        # only by analyses that want Configuration-keyed dictionaries.
+        # below): the hot path never touches them.
         self._order: Optional[List[Configuration]] = None
         self._configurations: Optional[Set[Configuration]] = None
-        self._successors: Optional[
-            Dict[Configuration, List[Tuple[Edge, Configuration]]]
-        ] = None
-        self._parents: Optional[
-            Dict[Configuration, Tuple[Configuration, Edge]]
-        ] = None
 
     @property
     def successor_ids(self) -> Dict[int, Tuple[Tuple[Edge, int], ...]]:
@@ -437,30 +428,6 @@ class ExplorationResult:
         if self._configurations is None:
             self._configurations = set(self.order)
         return self._configurations
-
-    @property
-    def successors(
-        self,
-    ) -> Dict[Configuration, List[Tuple[Edge, Configuration]]]:
-        if self._successors is None:
-            assert self.intern is not None
-            value = self.intern.value
-            self._successors = {
-                value(cid): [(edge, value(tid)) for edge, tid in entries]
-                for cid, entries in self.successor_ids.items()
-            }
-        return self._successors
-
-    @property
-    def parents(self) -> Dict[Configuration, Tuple[Configuration, Edge]]:
-        if self._parents is None:
-            assert self.intern is not None
-            value = self.intern.value
-            self._parents = {
-                value(tid): (value(cid), edge)
-                for tid, (cid, edge) in self.parent_ids.items()
-            }
-        return self._parents
 
     def _reached_id(self, target: Configuration) -> int:
         """The intern id of ``target`` if this exploration reached it."""
@@ -648,7 +615,7 @@ class Livelock:
 
 
 class _Truncated(Exception):
-    """Internal: the BFS hit its configuration budget (non-strict)."""
+    """Internal: the BFS hit its configuration budget."""
 
 
 class _CodeSpace:
@@ -1010,16 +977,16 @@ class Explorer:
         self,
         initial: Optional[Configuration] = None,
         max_configurations: int = 200_000,
-        strict: bool = False,
         symmetry: Optional["ProcessSymmetry"] = None,
     ) -> ExplorationResult:
         """BFS the reachable configuration graph from ``initial``.
 
-        Stops at ``max_configurations`` (marking the result incomplete,
-        or raising in ``strict`` mode). With ``symmetry``, explores the
-        quotient graph of canonical representatives instead — see
-        :mod:`repro.analysis.symmetry` for the soundness conditions —
-        and records the permutations needed to map witnesses back.
+        Stops at ``max_configurations``, marking the result incomplete
+        (``complete=False``); it never raises. With ``symmetry``,
+        explores the quotient graph of canonical representatives
+        instead — see :mod:`repro.analysis.symmetry` for the soundness
+        conditions — and records the permutations needed to map
+        witnesses back.
 
         The unreduced walk is one batch call into the kernel backend:
         the whole frontier is expanded over packed ids and no
@@ -1029,9 +996,7 @@ class Explorer:
         start = initial if initial is not None else self.initial_configuration()
         start = self._intern.canonical(start)
         if symmetry is not None:
-            return self._explore_reduced(
-                start, max_configurations, strict, symmetry
-            )
+            return self._explore_reduced(start, max_configurations, symmetry)
 
         intern = self._intern
         start_id = intern.id_of(start)
@@ -1051,10 +1016,6 @@ class Explorer:
         order_ids, parent_triples, complete, expansions, rounds = (
             self._backend.run_bfs(start_id, max_configurations, on_round)
         )
-        if strict and not complete:
-            raise ExplorationBudgetExceeded(
-                f"exceeded {max_configurations} configurations"
-            )
 
         if obs.enabled():
             obs.counter("explorer.explorations")
@@ -1081,7 +1042,6 @@ class Explorer:
         self,
         start: Configuration,
         max_configurations: int,
-        strict: bool,
         symmetry: "ProcessSymmetry",
     ) -> ExplorationResult:
         """The symmetry-reduced walk (object-level: canonicalization
@@ -1142,11 +1102,6 @@ class Explorer:
                         if tid in seen:
                             continue
                         if len(seen) >= max_configurations:
-                            if strict:
-                                raise ExplorationBudgetExceeded(
-                                    f"exceeded {max_configurations} "
-                                    f"configurations"
-                                )
                             complete = False
                             raise _Truncated()
                         seen.add(tid)
@@ -1378,47 +1333,27 @@ class Explorer:
             known[cid] = frozenset(values)
 
     def decision_values(
-        self,
-        config: Configuration,
-        pid: Optional[ProcessId] = None,
-        max_configurations: int = 200_000,
+        self, config: Configuration, max_configurations: int = 200_000
     ) -> FrozenSet[Value]:
         """All values decided anywhere in the subgraph reachable from
-        ``config`` (restricted to ``pid``'s decisions if given).
+        ``config``.
 
         This is the semantic core of valency: a configuration is
-        v-valent iff ``decision_values`` is a subset of ``{v}``. The
-        unrestricted form is answered from the shared memoized
-        decision-set table (one backward fixpoint per new subgraph,
-        never one exploration per query).
+        v-valent iff ``decision_values`` is a subset of ``{v}``. It is
+        answered from the shared memoized decision-set table (one
+        backward fixpoint per new subgraph, never one exploration per
+        query).
         """
-        if pid is None:
-            table = self.decision_table(config, max_configurations)
-            return table[self._intern.id_of(self._intern.canonical(config))]
-        exploration = self.explore(config, max_configurations)
-        if not exploration.complete:
-            raise ExplorationBudgetExceeded(
-                "decision_values needs a complete subgraph; raise the budget"
-            )
-        status_key = self._backend.status_key
-        values: Set[Value] = set()
-        for cid in exploration.order_ids:
-            decisions, _aborted, _enabled = self._segment_info(status_key(cid))
-            if pid in decisions:
-                values.add(decisions[pid])
-        return frozenset(values)
+        table = self.decision_table(config, max_configurations)
+        return table[self._intern.id_of(self._intern.canonical(config))]
 
     def find_livelock(
         self,
-        initial: Optional[Configuration] = None,
         max_configurations: int = 200_000,
-        require_undecided_mover: bool = True,
         exploration: Optional[ExplorationResult] = None,
     ) -> Optional[Livelock]:
-        """Find a reachable cycle — an adversarial infinite run.
-
-        With ``require_undecided_mover`` (default) the cycle must move
-        at least one process that never decides inside it, i.e. a
+        """Find a cycle reachable from the initial configuration that
+        moves at least one process which never decides inside it — a
         genuine liveness violation witness ("takes infinitely many steps
         without deciding").
 
@@ -1426,7 +1361,7 @@ class Explorer:
         explorer instead of re-walking the BFS.
         """
         if exploration is None:
-            exploration = self.explore(initial, max_configurations)
+            exploration = self.explore(max_configurations=max_configurations)
         if not exploration.complete:
             raise ExplorationBudgetExceeded(
                 "livelock search needs a complete graph; raise the budget"
@@ -1471,7 +1406,7 @@ class Explorer:
                     for pid in sorted(moving)
                     if entry.statuses[pid] is RUNNING
                 }
-                if not require_undecided_mover or undecided:
+                if undecided:
                     return Livelock(
                         entry=entry,
                         prefix=tuple(exploration.schedule_to(entry)),
@@ -1506,10 +1441,10 @@ class Explorer:
     def solo_termination(
         self,
         pid: ProcessId,
-        initial: Optional[Configuration] = None,
         max_configurations: int = 50_000,
     ) -> bool:
-        """Does ``pid`` decide (or abort) in *every* solo run from here?
+        """Does ``pid`` decide (or abort) in *every* solo run from the
+        initial configuration?
 
         Explores the subgraph where only ``pid`` moves; True iff every
         maximal solo path ends with ``pid`` terminated and the subgraph
@@ -1523,8 +1458,7 @@ class Explorer:
         read straight off the packed rows; no configuration is
         materialized anywhere in the walk.
         """
-        start = initial if initial is not None else self.initial_configuration()
-        start = self._intern.canonical(start)
+        start = self._intern.canonical(self.initial_configuration())
         if start.statuses[pid] is not RUNNING:
             return True
         status_key = self._backend.status_key

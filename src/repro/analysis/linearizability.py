@@ -50,15 +50,12 @@ class LinearizabilityVerdict:
 class LinearizabilityChecker:
     """Checks histories against one sequential specification.
 
-    ``memoize`` (default True) enables the Wing–Gong failure cache on
-    (linearized-set, spec-state) pairs; disabling it exists for the
-    ablation bench (``benchmarks/bench_ablation.py``), which quantifies
-    how much the cache buys on contended histories.
+    The Wing–Gong search caches failed (linearized-set, spec-state)
+    pairs, so no such pair is searched twice.
     """
 
-    def __init__(self, spec: SequentialSpec, memoize: bool = True) -> None:
+    def __init__(self, spec: SequentialSpec) -> None:
         self.spec = spec
-        self.memoize = memoize
 
     def check(self, history: ConcurrentHistory) -> LinearizabilityVerdict:
         """Decide whether ``history`` is linearizable w.r.t. the spec."""
@@ -90,7 +87,7 @@ class LinearizabilityChecker:
             if all_completed_ids <= placed:
                 return True
             key = (placed, state)
-            if self.memoize and key in memo:
+            if key in memo:
                 return False
             # Candidates: unplaced ops whose forced predecessors are
             # all placed. Pending ops are optional, so they are
@@ -110,8 +107,7 @@ class LinearizabilityChecker:
                     if feasible(placed | {entry.op_id}, next_state):
                         return True
                     witness.pop()
-            if self.memoize:
-                memo.add(key)
+            memo.add(key)
             return False
 
         if feasible(frozenset(), self.spec.initial_state()):

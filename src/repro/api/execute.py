@@ -168,7 +168,7 @@ def _verify_body(request: VerifyRequest) -> Report:
     symmetry = bool(request.symmetry)
     lines: List[str] = []
     findings: List[Finding] = []
-    data: dict = {"n": n, "symmetry": symmetry, "jobs": request.options.jobs}
+    data: dict = {"n": n, "symmetry": symmetry}
     task = DacDecisionTask(n)
     inputs_list = [tuple(inputs) for inputs in task.input_assignments()]
     cache_obj = (
@@ -304,7 +304,6 @@ def _refute_body(request: RefuteRequest) -> Report:
     from ..protocols.candidates import all_candidates
 
     candidate = request.candidate
-    jobs = request.options.jobs
     lines: List[str] = []
     findings: List[Finding] = []
     candidates = all_candidates()
@@ -329,7 +328,7 @@ def _refute_body(request: RefuteRequest) -> Report:
             )
     with obs.span("refute", candidates=len(indices)), \
             obs.profile_phase("refute"):
-        pool = VerificationPool(jobs=jobs)
+        pool = VerificationPool(jobs=request.options.jobs)
         results = pool.run(
             [
                 WorkItem(
@@ -399,7 +398,7 @@ def _refute_body(request: RefuteRequest) -> Report:
         summary=f"{len(indices)} candidate(s): expected outcomes {verdict}",
         body=tuple(lines),
         findings=tuple(findings),
-        data={"jobs": jobs, "outcomes": outcomes},
+        data={"outcomes": outcomes},
     )
 
 
@@ -415,7 +414,6 @@ def _fuzz_body(request: FuzzRequest) -> Report:
     candidate = request.candidate
     budget = request.budget
     seed = request.seed
-    jobs = request.options.jobs
     max_steps = request.max_steps
     lines: List[str] = []
     findings: List[Finding] = []
@@ -461,7 +459,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 seed=seed,
                 budget=budget,
                 shards=request.shards,
-                jobs=jobs,
+                jobs=request.options.jobs,
                 max_steps=max_steps,
                 shrink=request.shrink,
                 corpus=corpus,
@@ -585,7 +583,6 @@ def _fuzz_body(request: FuzzRequest) -> Report:
         data={
             "seed": seed,
             "budget": budget,
-            "jobs": jobs,
             "targets": targets,
         },
     )

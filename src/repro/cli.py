@@ -39,8 +39,8 @@ Every command builds a :class:`repro.reports.Report` and renders it
 through one renderer: ``--format text`` (default) prints the report
 body — byte-identical to the pre-report printers — and ``--format
 json`` prints the full serialized report, metrics snapshot included.
-``--trace PATH`` (or ``REPRO_TRACE=PATH``) records a structured JSONL
-trace of the run; ``--profile`` adds cProfile tables to it.
+``--trace PATH`` records a structured JSONL trace of the run;
+``--profile`` adds cProfile tables to it.
 
 Sweep commands (``check-algorithm2``, ``refute``, ``fuzz``) accept
 ``--jobs N`` to fan their independent instances over a worker pool;
@@ -454,13 +454,20 @@ def _add_observability_arguments(
         default=None,
         metavar="PATH",
         help="record a structured JSONL trace of this run "
-        "(default: $REPRO_TRACE if set; see docs/observability.md)",
+        "(see docs/observability.md)",
     )
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="embed cProfile top-N tables in the trace "
-        "(needs --trace or $REPRO_TRACE)",
+        help="embed cProfile top-N tables in the trace (needs --trace)",
+    )
+
+
+def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="cache directory (default: .repro-cache)",
     )
 
 
@@ -473,11 +480,7 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         "per-instance verdicts or graph sizes, never graphs — in the "
         "content-addressed cache",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    _add_cache_dir_argument(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,12 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="persistent exploration cache maintenance"
     )
     cache.add_argument("action", choices=("stats", "clear"))
-    cache.add_argument(
-        "--dir",
-        dest="cache_dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    _add_cache_dir_argument(cache)
     _add_observability_arguments(cache)
 
     separation = commands.add_parser(
@@ -675,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_report.add_argument(
         "trace_file",
-        help="path to a trace written with --trace / $REPRO_TRACE",
+        help="path to a trace written with --trace",
     )
     _add_observability_arguments(trace_report)
 
@@ -701,14 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="live-job bound; past it submissions get 429 (default: 64)",
-    )
-    serve.add_argument(
-        "--class-limit",
-        action="append",
-        default=None,
-        metavar="PHASE=N",
-        help="per-phase concurrency cap, e.g. --class-limit fuzz=1 "
-        "(repeatable; default: 2 each)",
     )
     serve.add_argument(
         "--result-cache",
@@ -754,24 +744,13 @@ _HANDLERS = {
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServerConfig, run_server
-    from .serve.server import PHASES
 
-    class_limits = {}
-    for spec in args.class_limit or ():
-        name, separator, value = spec.partition("=")
-        if not separator or name not in PHASES or not value.isdigit():
-            raise InvalidRequestError(
-                f"--class-limit wants PHASE=N with PHASE in "
-                f"{'/'.join(PHASES)}, got {spec!r}"
-            )
-        class_limits[name] = int(value)
     return run_server(
         ServerConfig(
             host=args.host,
             port=args.port,
             workers=args.workers,
             max_queue=args.max_queue,
-            class_limits=class_limits,
             result_cache_size=args.result_cache,
             job_history_size=args.job_history,
             spool_dir=args.spool_dir,
@@ -800,7 +779,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return report.exit_code
     with obs.session(
         trace_path=getattr(args, "trace", None),
-        profile=True if getattr(args, "profile", False) else None,
+        profile=getattr(args, "profile", False),
         meta={"command": args.command},
     ) as sess:
         try:

@@ -14,8 +14,9 @@ process count — so "certified" is an operational word, not a comment:
 * ``O'_n``, each level — the bundle's own ``PROPOSE(v, k)`` face.
 
 :func:`certify_power_prefix` checks a sequence's first components and
-returns a report row per component; the E10 grid and the
-``tests/core/test_power_certification.py`` suite consume it.
+returns a report row per component; only the
+``tests/core/test_power_certification.py`` suite consumes it (no
+experiment bench does).
 """
 
 from __future__ import annotations

@@ -65,16 +65,18 @@ class AnalysisError(ReproError):
     """An analysis (valency, linearizability, exploration) was misused.
 
     Example: requesting the decision set of a configuration that does
-    not belong to the explored system, or exceeding an explicit
-    exploration budget configured with ``strict=True``.
+    not belong to the explored system, or auditing safety on a
+    truncated exploration that found no violation.
     """
 
 
 class ExplorationBudgetExceeded(AnalysisError):
     """A bounded exploration ran out of its state or depth budget.
 
-    The explorer raises this only in strict mode; by default it records
-    that the result is a *bound* rather than an exact answer.
+    ``Explorer.explore`` never raises it: a truncated walk is marked
+    ``complete=False``. The analyses that need the whole graph (safety
+    without a violation, livelock search, decision sets, solo
+    termination) raise it instead of answering from a part.
     """
 
 

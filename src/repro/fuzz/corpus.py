@@ -54,12 +54,11 @@ def corpus_fingerprint(key: TargetSpec, genes: Genes) -> str:
 class FuzzCorpus(EntryStore):
     """On-disk corpus of interesting gene sequences.
 
-    ``root`` defaults to ``$REPRO_FUZZ_CORPUS_DIR`` or
-    ``.repro-fuzz-corpus`` under the working directory.
+    ``root`` defaults to ``.repro-fuzz-corpus`` under the working
+    directory.
     """
 
     suffix = ".json"
-    env_var = "REPRO_FUZZ_CORPUS_DIR"
     default_root = ".repro-fuzz-corpus"
 
     def add(self, key: TargetSpec, genes: Genes, **meta: object) -> bool:

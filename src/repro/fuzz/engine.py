@@ -94,16 +94,15 @@ def run_shard(
     executions: int,
     max_steps: int = 64,
     shrink: bool = True,
-    stop_on_finding: bool = True,
     initial_corpus: Tuple[Genes, ...] = (),
 ) -> Dict[str, object]:
     """One shard's sub-campaign (module-level: pool-ready).
 
-    Returns a plain picklable record: executions performed, coverage
-    gained, the coverage growth curve (``(execution, coverage)`` at
-    every execution that discovered new configurations), new corpus
-    entries in discovery order, and findings that are already shrunk
-    and replay-verified.
+    The shard stops at its first finding. Returns a plain picklable
+    record: executions performed, coverage gained, the coverage growth
+    curve (``(execution, coverage)`` at every execution that discovered
+    new configurations), new corpus entries in discovery order, and the
+    finding (if any), already shrunk and replay-verified.
     """
     target = target_from_spec(spec)
     executor = FuzzExecutor(target, max_steps=max_steps)
@@ -157,8 +156,7 @@ def run_shard(
             finding["replay_matches"] = report.matches
             finding["replay_mismatches"] = report.mismatches
         findings.append(finding)
-        if stop_on_finding:
-            break
+        break
     # Published once per shard, not per execution: the shard runs under
     # the pool's scoped registry (inline or in a worker), so these fold
     # back into the campaign's metrics in shard-submission order.
@@ -243,14 +241,14 @@ def fuzz_campaign(
     jobs: int = 1,
     max_steps: int = 64,
     shrink: bool = True,
-    stop_on_finding: bool = True,
     corpus: Optional[FuzzCorpus] = None,
 ) -> FuzzReport:
     """Run one campaign against the target named by ``spec``.
 
-    The shard partition is a function of ``budget`` and ``shards``
-    alone; ``jobs`` only chooses how many worker processes execute
-    them, so any jobs value yields the same report. With a ``corpus``,
+    Each shard stops at its first finding. The shard partition is a
+    function of ``budget`` and ``shards`` alone; ``jobs`` only chooses
+    how many worker processes execute them, so any jobs value yields
+    the same report. With a ``corpus``,
     stored entries for this target seed every shard's mutation pool,
     and each shard's interesting discoveries are persisted back
     (content-addressed, so re-runs and sibling shards dedupe to
@@ -274,7 +272,6 @@ def fuzz_campaign(
             kwargs={
                 "max_steps": max_steps,
                 "shrink": shrink,
-                "stop_on_finding": stop_on_finding,
                 "initial_corpus": initial,
             },
         )

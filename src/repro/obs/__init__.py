@@ -5,9 +5,9 @@ Three layers, all zero-dependency and all opt-in:
 * :mod:`repro.obs.metrics` — deterministic counters/gauges/histograms
   whose snapshots are byte-identical across ``--jobs`` values;
 * :mod:`repro.obs.trace` / :mod:`repro.obs.schema` — span-based JSONL
-  tracing (``--trace`` / ``REPRO_TRACE``) with a validated schema;
+  tracing (``--trace``) with a validated schema;
 * :mod:`repro.obs.profile` — ``with profile_phase(...)`` cProfile
-  tables emitted into the trace (``--profile`` / ``REPRO_PROFILE``).
+  tables emitted into the trace (``--profile``).
 
 Engines record through the ambient-session helpers re-exported here
 (:func:`counter`, :func:`span`, :func:`event`, …); with no session

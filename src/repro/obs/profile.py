@@ -1,8 +1,8 @@
 """Profiling hooks: ``with profile_phase("explore"):`` around any phase.
 
 A thin, opt-in bridge from :mod:`cProfile` into the trace: when the
-ambient session has profiling enabled (``--profile`` / ``REPRO_PROFILE``)
-*and* a trace is being written, the wrapped block runs under a profiler
+ambient session has profiling enabled (``--profile``) *and* a trace is
+being written, the wrapped block runs under a profiler
 and a ``profile`` record with the top-N functions by cumulative time
 lands in the trace. Otherwise the context is a strict no-op — no
 profiler object is even constructed — so instrumented code pays one

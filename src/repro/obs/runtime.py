@@ -6,8 +6,9 @@ here (:func:`counter`, :func:`span`, :func:`event`, …), which resolve
 against a process-local **session stack**:
 
 * no active session → every helper is a cheap no-op (one truthiness
-  check), which is what keeps the tracing-off overhead under the
-  benched 5% bound;
+  check); with a metrics-only session the n=4 exploration of
+  ``benchmarks/bench_perf_obs.py`` runs at 1.06× the no-session time
+  (``obs_overhead_exploration`` in ``BENCH_perf.json``);
 * :func:`session` (the CLI / :mod:`repro.api` entry) pushes a session
   with a fresh :class:`~repro.obs.metrics.MetricsRegistry` and — only
   when a trace path is given — a :class:`~repro.obs.trace.Tracer`;
@@ -32,12 +33,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .metrics import MetricsRegistry, empty_snapshot
 from .trace import NULL_SPAN, Tracer
-
-#: Environment opt-ins, honoured by :func:`session` when the caller
-#: passes no explicit value: a trace path and a profiling flag.
-TRACE_ENV = "REPRO_TRACE"
-PROFILE_ENV = "REPRO_PROFILE"
-
 
 class ObsSession:
     """One observation scope: a registry plus an optional tracer."""
@@ -153,29 +148,24 @@ def snapshot() -> Dict[str, Any]:
 @contextmanager
 def session(
     trace_path: Optional[os.PathLike] = None,
-    profile: Optional[bool] = None,
+    profile: bool = False,
     meta: Optional[Dict[str, Any]] = None,
     reuse: bool = True,
 ) -> Iterator[ObsSession]:
     """Open (or, with ``reuse``, join) an observation session.
 
-    ``trace_path`` defaults to ``$REPRO_TRACE`` (empty/unset = no
-    trace); ``profile`` defaults to ``$REPRO_PROFILE`` being a truthy
-    string. With ``reuse`` (the default) an already-active session is
-    yielded as-is instead of nesting — the pattern that lets
+    A trace is written only when ``trace_path`` is given, and profile
+    tables only when ``profile`` is set as well. With ``reuse`` (the
+    default) an already-active session is yielded as-is instead of
+    nesting — the pattern that lets
     :mod:`repro.api` functions open sessions unconditionally while the
     CLI wraps them in one outer session.
     """
     if reuse and _STACK:
         yield _STACK[-1]
         return
-    if trace_path is None:
-        env_path = os.environ.get(TRACE_ENV, "")
-        trace_path = env_path if env_path else None
-    if profile is None:
-        profile = os.environ.get(PROFILE_ENV, "") not in ("", "0", "false")
     tracer = Tracer(trace_path, meta=meta) if trace_path is not None else None
-    sess = ObsSession(tracer=tracer, profiling=bool(profile))
+    sess = ObsSession(tracer=tracer, profiling=profile)
     _STACK.append(sess)
     try:
         yield sess

@@ -17,8 +17,8 @@ ExecutionOptions` knobs). A submission whose fingerprint matches a
   touching an engine. Fuzz jobs with a ``corpus_dir`` coalesce but are
   never cached (the corpus grows between runs).
 * **Bounded intake** — at most ``max_queue`` jobs may be live
-  (queued or running) and at most ``class_limits[command]`` of one
-  phase may run concurrently; past either bound ``submit`` raises
+  (queued or running) and at most :data:`CLASS_LIMIT` of one phase
+  may run concurrently; past either bound ``submit`` raises
   :class:`repro.errors.ServerOverloadedError` (HTTP 429) rather than
   letting memory or the process pool grow without limit. ``drain()``
   stops intake and waits for the live jobs to finish.
@@ -64,6 +64,9 @@ EVENT_STREAM_END = None
 #: Ceiling on retained events per job; past it events still stream to
 #: live subscribers but are not replayed to late joiners.
 MAX_RETAINED_EVENTS = 10_000
+
+#: Jobs of one phase that may run at once.
+CLASS_LIMIT = 2
 
 
 def run_job_worker(
@@ -172,8 +175,6 @@ class JobManager:
         *,
         workers: int = 2,
         max_queue: int = 64,
-        class_limits: Optional[Mapping[str, int]] = None,
-        default_class_limit: int = 2,
         result_cache_size: int = 256,
         job_history_size: int = 256,
         spool_dir: Optional[str] = None,
@@ -184,15 +185,10 @@ class JobManager:
         self.workers = max(1, workers)
         self.max_queue = max_queue
         self.poll_interval = poll_interval
-        self._class_limits: Dict[str, asyncio.Semaphore] = {}
-        self._class_limit_values: Dict[str, int] = {}
-        for command in REQUEST_TYPES:
-            limit = default_class_limit
-            if class_limits and command in class_limits:
-                limit = class_limits[command]
-            limit = max(1, int(limit))
-            self._class_limit_values[command] = limit
-            self._class_limits[command] = asyncio.Semaphore(limit)
+        self._class_limits = {
+            command: asyncio.Semaphore(CLASS_LIMIT)
+            for command in REQUEST_TYPES
+        }
         self.results = LRUCache(result_cache_size)
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
@@ -465,7 +461,7 @@ class JobManager:
             "draining": self._draining,
             "workers": self.workers,
             "max_queue": self.max_queue,
-            "class_limits": dict(self._class_limit_values),
+            "class_limits": dict.fromkeys(self._class_limits, CLASS_LIMIT),
             "result_cache": {
                 "size": len(self.results),
                 "capacity": self.results.capacity,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -81,8 +81,6 @@ class ServerConfig:
     port: int = 8642  # 0 = pick a free port (the bound one is reported)
     workers: int = 2
     max_queue: int = 64
-    class_limits: Mapping[str, int] = field(default_factory=dict)
-    default_class_limit: int = 2
     result_cache_size: int = 256
     job_history_size: int = 256
     spool_dir: Optional[str] = None
@@ -96,8 +94,6 @@ class ReproServer:
         self.manager = JobManager(
             workers=self.config.workers,
             max_queue=self.config.max_queue,
-            class_limits=self.config.class_limits,
-            default_class_limit=self.config.default_class_limit,
             result_cache_size=self.config.result_cache_size,
             job_history_size=self.config.job_history_size,
             spool_dir=self.config.spool_dir,
@@ -444,11 +440,7 @@ def _status_for_result(result: Mapping[str, Any]) -> int:
     return http_status_for(str(data.get("error_code", "INTERNAL")))
 
 
-def run_server(
-    config: Optional[ServerConfig] = None,
-    *,
-    ready_message: bool = True,
-) -> int:
+def run_server(config: Optional[ServerConfig] = None) -> int:
     """Run a server until SIGINT/SIGTERM, then drain and exit.
 
     The blocking entry point behind ``repro serve``. Returns the
@@ -458,8 +450,7 @@ def run_server(
     async def _main() -> int:
         server = ReproServer(config)
         await server.start()
-        if ready_message:
-            print(f"repro serve listening on {server.address}", flush=True)
+        print(f"repro serve listening on {server.address}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -468,8 +459,7 @@ def run_server(
             except (NotImplementedError, RuntimeError):
                 pass  # platforms without signal handler support
         await stop.wait()
-        if ready_message:
-            print("repro serve draining...", flush=True)
+        print("repro serve draining...", flush=True)
         await server.stop()
         return 0
 

@@ -137,9 +137,9 @@ class TestEntryStore:
         assert cache.clear() == 3
         assert cache.stats().entries == 0
 
-    def test_env_default_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "from-env"))
-        assert ExplorationCache().root == tmp_path / "from-env"
+    def test_default_root(self):
+        assert str(ExplorationCache().root) == ".repro-cache"
+
 
 
 class TestConforms:

@@ -128,14 +128,6 @@ class TestExplore:
         result = explorer.explore(max_configurations=5)
         assert not result.complete
 
-    def test_budget_strict_raises(self):
-        inputs = (1, 0, 0)
-        explorer = Explorer(
-            {"PAC": NPacSpec(3)}, algorithm2_processes(inputs)
-        )
-        with pytest.raises(ExplorationBudgetExceeded):
-            explorer.explore(max_configurations=5, strict=True)
-
     def test_schedule_to_reconstructs_path(self):
         explorer = one_shot_explorer((0, 1))
         result = explorer.explore()
@@ -274,11 +266,6 @@ class TestDecisionValues:
         explorer = one_shot_explorer((1, 1))
         values = explorer.decision_values(explorer.initial_configuration())
         assert values == frozenset({1})
-
-    def test_restrict_to_single_pid(self):
-        explorer = one_shot_explorer((0, 1))
-        config = explorer.step(explorer.initial_configuration(), 1)
-        assert explorer.decision_values(config, pid=0) == frozenset({1})
 
 
 class TestLivelock:

@@ -211,6 +211,28 @@ _SERIAL = ExecutionOptions()
 _POOLED = ExecutionOptions(jobs=2)
 
 
+class TestOptionsLeaveTheData:
+    """Options are not part of the fingerprint, so a coalesced or
+    warm-cached answer may come from a run with other options: the
+    report's ``data`` must not depend on them."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            VerifyRequest(n=2),
+            RefuteRequest(candidate="one 2-SA"),
+            FuzzRequest(candidate="one 2-SA", budget=60, seed=1),
+            ExploreRequest(n=2),
+        ],
+        ids=lambda request_: request_.command,
+    )
+    def test_jobs_is_not_echoed(self, request_):
+        serial = execute(request_)
+        pooled = execute(request_.with_options(_POOLED))
+        assert serial.status == "ok", serial.summary
+        assert pooled.data == serial.data
+
+
 class TestExplicitKernel:
     """Only the build picks the kernel. ``REPRO_KERNEL`` is gone, so a
     bogus value must not reach any explorer on a request's path —

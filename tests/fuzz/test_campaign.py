@@ -91,13 +91,6 @@ class TestOutcomes:
         assert report.findings[0].kind == "cycle"
         assert report.observed_failure() == "liveness"
 
-    def test_stop_on_finding_false_keeps_fuzzing(self):
-        report = fuzz_campaign(
-            STRONG_SA, seed=42, budget=60, stop_on_finding=False
-        )
-        assert report.executions == 60
-        assert len(report.findings) > 1
-
     def test_shrink_disabled_leaves_raw_finding(self):
         report = fuzz_campaign(STRONG_SA, seed=42, budget=60, shrink=False)
         finding = report.findings[0]

@@ -109,9 +109,5 @@ class TestStorage:
         assert corpus.clear() == 2
         assert corpus.entries(KEY) == []
 
-    def test_default_root_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FUZZ_CORPUS_DIR", str(tmp_path / "env"))
-        corpus = FuzzCorpus()
-        assert str(corpus.root) == str(tmp_path / "env")
-        monkeypatch.delenv("REPRO_FUZZ_CORPUS_DIR")
+    def test_default_root(self):
         assert str(FuzzCorpus().root) == ".repro-fuzz-corpus"

@@ -1,10 +1,66 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def _repro(argv, cwd, **extra_env):
+    """``python -m repro <argv>`` in a fresh interpreter under ``cwd``."""
+    env = dict(os.environ, **extra_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestOneWayToSetEachThing:
+    """Flags are the only way to set a trace, a profile or a store: the
+    process environment is never read."""
+
+    def test_environment_is_ignored(self, tmp_path):
+        env_paths = {
+            "REPRO_TRACE": tmp_path / "env-trace.jsonl",
+            "REPRO_CACHE_DIR": tmp_path / "env-cache",
+            "REPRO_FUZZ_CORPUS_DIR": tmp_path / "env-corpus",
+        }
+        work = tmp_path / "work"
+        work.mkdir()
+        run = _repro(
+            ["explore", "--n", "2", "--cache"],
+            work,
+            REPRO_PROFILE="1",
+            **{name: str(path) for name, path in env_paths.items()},
+        )
+        assert run.returncode == 0, run.stderr
+        for path in env_paths.values():
+            assert not path.exists(), path
+        # The answer went to the default store under the working directory.
+        assert list((work / ".repro-cache").glob("*/*.pkl"))
+
+    def test_serve_class_limit_is_a_usage_error(self, tmp_path):
+        run = _repro(
+            ["serve", "--port", "0", "--class-limit", "fuzz=1"], tmp_path
+        )
+        assert run.returncode == 2
+        assert "unrecognized arguments" in run.stderr
 
 
 class TestParser:

@@ -179,6 +179,7 @@ class TestCliExitCodes:
             ["serve", "--mode", "thread"],
             ["check-algorithm2", "--n", "2", "--no-cache"],
             ["explore", "--n", "2", "--no-cache"],
+            ["cache", "stats", "--dir", ".repro-cache"],
         ],
     )
     def test_removed_kernel_flags_are_usage_errors(self, capsys, flag):

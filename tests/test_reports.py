@@ -161,7 +161,7 @@ class TestCliJsonEnvelope:
 
     def test_cache_stats(self, capsys, tmp_path):
         payload = self._payload(
-            capsys, ["cache", "stats", "--dir", str(tmp_path)]
+            capsys, ["cache", "stats", "--cache-dir", str(tmp_path)]
         )
         assert payload["status"] == "ok"
 

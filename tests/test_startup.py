@@ -69,11 +69,7 @@ json.dump(
 
 
 def _env():
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("REPRO_TRACE", "REPRO_PROFILE", "REPRO_CACHE_DIR")
-    }
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
