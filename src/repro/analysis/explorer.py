@@ -855,8 +855,6 @@ class Explorer:
         #: id -> tuple[(Edge, successor id)] — the memoized object-level
         #: relation (populated on demand; the kernel BFS bypasses it).
         self._succ_cache: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
-        #: (id, pid) -> the pid's outgoing edges only (targeted step()).
-        self._pid_cache: Dict[Tuple[int, ProcessId], Tuple[Tuple[Edge, int], ...]] = {}
         #: status-code row -> (decisions, aborted, enabled) — everything
         #: a safety predicate can see, decoded once per distinct row.
         self._segment_cache: Dict[Tuple[int, ...], Tuple] = {}
@@ -924,25 +922,15 @@ class Explorer:
         full = self._succ_cache.get(cid)
         if full is not None:
             return tuple(entry for entry in full if entry[0].pid == pid)
-        key = (cid, pid)
-        entries = self._pid_cache.get(key)
-        if entries is None:
-            flat = self._backend.adjacency(cid)
-            if flat is not None:
-                edge_list = self._edge_list
-                entries = tuple(
-                    (edge_list[flat[k]], flat[k + 1])
-                    for k in range(0, len(flat), 2)
-                    if edge_list[flat[k]].pid == pid
-                )
-            elif self._backend.status_key(cid)[pid] != 0:
-                entries = ()
-            else:
-                entries = self._entries_from_flat(
-                    self._backend.expand_pid(cid, pid)
-                )
-            self._pid_cache[key] = entries
-        return entries
+        flat = self._backend.adjacency(cid)
+        if flat is None:
+            return self._entries_from_flat(self._backend.expand_pid(cid, pid))
+        edge_list = self._edge_list
+        return tuple(
+            (edge_list[flat[k]], flat[k + 1])
+            for k in range(0, len(flat), 2)
+            if edge_list[flat[k]].pid == pid
+        )
 
     def successors(
         self, config: Configuration

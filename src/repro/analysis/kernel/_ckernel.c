@@ -10,18 +10,16 @@
  * exactly once per key on a map miss and memoized forever after — an
  * empty map slot is the not-yet-seen sentinel.
  *
- * run_bfs expands each frontier in two phases: a *plan* phase that
- * computes every successor row from the memo maps alone — pure C over
- * immutable state, so it runs with the GIL released — and a *commit*
- * phase that interns the planned rows in frontier order (falling back
- * to the GIL-holding callbacks for cids whose maps missed). Because
- * the commit replays the exact discovery sequence, configuration ids,
- * edge order, budget truncation, orders, parents, and digests are
- * byte-identical to the python backend.
+ * run_bfs walks step for step like the python backend's: each
+ * unexpanded frontier cid is expanded by kernel_expand_new (a memo hit,
+ * or a callback on the first miss), then its adjacency is scanned under
+ * the same budget rules. So configuration ids, edge order, budget
+ * truncation, orders, parents, and digests are byte-identical to the
+ * python backend.
  *
- * All heap state uses the PyMem_Raw* allocators, which are legal
- * without the GIL; the low-level helpers never set Python errors
- * (GIL-holding boundaries raise MemoryError after the fact).
+ * The low-level helpers (intbuf, u64map, grow, intern) return -1 on
+ * allocation failure WITHOUT setting a Python error; the methods that
+ * call them raise MemoryError after the fact.
  *
  * Built best-effort: setup.py marks the extension optional, and
  * `make kernel-ext` (repro.analysis.kernel._build) compiles it in
@@ -49,11 +47,6 @@ typedef struct {
     Py_ssize_t len;
     Py_ssize_t cap;
 } IntBuf;
-
-/* The intbuf/u64map/grow/intern helpers below are called with the GIL
- * released (plan/commit phases), so on allocation failure they return
- * -1 WITHOUT setting a Python error; GIL-holding boundaries translate
- * that into MemoryError. */
 
 static int
 intbuf_init(IntBuf *buf, Py_ssize_t cap)
@@ -425,7 +418,7 @@ kernel_parse_row(KernelState *self, PyObject *codes, uint32_t *out)
 
 /* Parse `outcomes` — a sequence of (eid, new_local, new_status,
  * new_obj) 4-tuples — into a new delta set registered under `dkey`.
- * Returns the delta-set id, -1 with a Python error set. GIL held. */
+ * Returns the delta-set id, -1 with a Python error set. */
 static Py_ssize_t
 kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
 {
@@ -590,8 +583,8 @@ kernel_expand_pid_into(KernelState *self, int pid, IntBuf *entries)
     return 0;
 }
 
-/* Compute and record the full adjacency of `cid`. Returns 0/-1 with a
- * Python error set (GIL held: this is the callback path). */
+/* Compute and record the full adjacency of `cid`, calling back into
+ * Python on a memo miss. Returns 0/-1 with a Python error set. */
 static int
 kernel_expand_new(KernelState *self, Py_ssize_t cid)
 {
@@ -643,214 +636,6 @@ intbuf_as_list(const int32_t *data, Py_ssize_t len)
         PyList_SET_ITEM(list, i, value);
     }
     return list;
-}
-
-/* ---------------------------------------------------------------------
- * Two-phase BFS: GIL-free plan, then commit
- * ------------------------------------------------------------------ */
-
-typedef struct {
-    uint32_t *data;
-    Py_ssize_t len;
-    Py_ssize_t cap;
-} PlanBuf;
-
-static int
-planbuf_reserve(PlanBuf *buf, Py_ssize_t extra)
-{
-    if (buf->len + extra <= buf->cap) {
-        return 0;
-    }
-    Py_ssize_t cap = buf->cap ? buf->cap : 256;
-    while (cap < buf->len + extra) {
-        cap *= 2;
-    }
-    uint32_t *data = PyMem_RawRealloc(buf->data, (size_t)cap * sizeof(uint32_t));
-    if (data == NULL) {
-        return -1;
-    }
-    buf->data = data;
-    buf->cap = cap;
-    return 0;
-}
-
-/* Per-frontier-member plan verdicts. */
-#define PLAN_RECORDED 0 /* adjacency already recorded: nothing planned */
-#define PLAN_ROWS 1     /* successor rows planned in Plan.rows */
-#define PLAN_CALLBACK 2 /* table miss: commit takes the callback path */
-
-typedef struct {
-    unsigned char *flags; /* indexed by frontier position */
-    Py_ssize_t flags_cap;
-    PlanBuf rows;
-    Py_ssize_t read; /* commit-phase cursor into rows.data */
-} Plan;
-
-/* Plan a whole frontier from the memo maps alone: pure C over state
- * nothing else writes meanwhile, so it runs with the GIL released. Per
- * PLAN_ROWS cid the plan records [n_edges, then per edge: eid followed
- * by the full successor row]; any invoke/delta map miss discards the
- * cid's partial record and flags it PLAN_CALLBACK for the commit
- * phase. Returns 0, or -1 when out of memory. */
-static int
-plan_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
-              Plan *plan)
-{
-    int n = self->n_processes;
-    int n_fields = self->n_fields;
-    plan->rows.len = 0;
-    plan->read = 0;
-    for (Py_ssize_t f = 0; f < width; f++) {
-        Py_ssize_t cid = frontier[f];
-        if (self->adj_len[cid] >= 0) {
-            plan->flags[f] = PLAN_RECORDED;
-            continue;
-        }
-        const uint32_t *src = self->rows + cid * n_fields;
-        Py_ssize_t mark = plan->rows.len;
-        if (planbuf_reserve(&plan->rows, 1) < 0) {
-            return -1;
-        }
-        Py_ssize_t header = plan->rows.len++;
-        uint32_t n_edges = 0;
-        int miss = 0;
-        for (int pid = 0; pid < n; pid++) {
-            if (src[n + pid] != 0) {
-                continue; /* status != RUNNING: nothing enabled */
-            }
-            uint32_t local = src[pid];
-            uint64_t ikey = ((uint64_t)pid << FIELD_BITS) | local;
-            int32_t obj_index = u64map_get(&self->invoke, ikey);
-            if (obj_index < 0) {
-                miss = 1;
-                break;
-            }
-            uint32_t obj_code = src[2 * n + obj_index];
-            int32_t dsi =
-                u64map_get(&self->deltas, (ikey << FIELD_BITS) | obj_code);
-            if (dsi < 0) {
-                miss = 1;
-                break;
-            }
-            const DeltaSet *set = &self->delta_sets[dsi];
-            if (planbuf_reserve(&plan->rows,
-                                (Py_ssize_t)set->n * (1 + n_fields)) < 0) {
-                return -1;
-            }
-            for (int32_t i = 0; i < set->n; i++) {
-                const uint32_t *vals = set->vals + (Py_ssize_t)i * 4;
-                uint32_t *out = plan->rows.data + plan->rows.len;
-                out[0] = vals[0]; /* eid */
-                memcpy(out + 1, src, (size_t)n_fields * sizeof(uint32_t));
-                out[1 + pid] = vals[1];
-                out[1 + n + pid] = vals[2];
-                out[1 + 2 * n + obj_index] = vals[3];
-                plan->rows.len += 1 + n_fields;
-                n_edges++;
-            }
-        }
-        if (miss) {
-            plan->rows.len = mark;
-            plan->flags[f] = PLAN_CALLBACK;
-        } else {
-            plan->rows.data[header] = n_edges;
-            plan->flags[f] = PLAN_ROWS;
-        }
-    }
-    return 0;
-}
-
-typedef struct {
-    IntBuf *order;
-    IntBuf *parents;
-    IntBuf *next_frontier;
-    char *seen;
-    Py_ssize_t seen_cap;
-    Py_ssize_t seen_count;
-    Py_ssize_t expansions;
-    Py_ssize_t max_configurations;
-} CommitCtx;
-
-#define COMMIT_DONE 0
-#define COMMIT_TRUNCATED 1
-#define COMMIT_OOM (-1)
-#define COMMIT_PYERR (-2)
-
-/* Commit one planned frontier in frontier order: intern the planned
- * rows (or run the GIL-holding callback expansion for cids flagged
- * PLAN_CALLBACK), record adjacency, then scan it with the exact
- * budget semantics of the python backend — the budget is charged per
- * newly discovered successor, the truncating cid's adjacency is
- * already recorded, and the walk stops mid-scan. Touches no Python
- * state unless a cid is flagged PLAN_CALLBACK, so with no flagged cid
- * the caller runs it with the GIL released. */
-static int
-commit_frontier(KernelState *self, const int32_t *frontier, Py_ssize_t width,
-                Plan *plan, CommitCtx *ctx)
-{
-    int n_fields = self->n_fields;
-    const unsigned char *flags = plan->flags;
-    for (Py_ssize_t f = 0; f < width; f++) {
-        Py_ssize_t cid = frontier[f];
-        ctx->expansions++;
-        if (flags[f] == PLAN_ROWS) {
-            uint32_t n_edges = plan->rows.data[plan->read++];
-            int32_t *flat = NULL;
-            if (n_edges) {
-                flat = PyMem_RawMalloc((size_t)n_edges * 2 * sizeof(int32_t));
-                if (flat == NULL) {
-                    return COMMIT_OOM;
-                }
-            }
-            for (uint32_t k = 0; k < n_edges; k++) {
-                const uint32_t *rec = plan->rows.data + plan->read;
-                Py_ssize_t tid = kernel_intern(self, rec + 1);
-                if (tid < 0) {
-                    PyMem_RawFree(flat);
-                    return COMMIT_OOM;
-                }
-                flat[k * 2] = (int32_t)rec[0];
-                flat[k * 2 + 1] = (int32_t)tid;
-                plan->read += 1 + n_fields;
-            }
-            self->adj[cid] = flat;
-            self->adj_len[cid] = (int32_t)(n_edges * 2);
-        } else if (flags[f] == PLAN_CALLBACK) {
-            if (kernel_expand_new(self, cid) < 0) {
-                return COMMIT_PYERR;
-            }
-        }
-        if (ctx->seen_cap < self->row_count) {
-            Py_ssize_t cap = self->row_count;
-            char *grown = PyMem_RawRealloc(ctx->seen, (size_t)cap);
-            if (grown == NULL) {
-                return COMMIT_OOM;
-            }
-            memset(grown + ctx->seen_cap, 0, (size_t)(cap - ctx->seen_cap));
-            ctx->seen = grown;
-            ctx->seen_cap = cap;
-        }
-        const int32_t *adj = self->adj[cid];
-        int32_t adj_len = self->adj_len[cid];
-        for (int32_t k = 0; k < adj_len; k += 2) {
-            int32_t tid = adj[k + 1];
-            if (!ctx->seen[tid]) {
-                if (ctx->seen_count >= ctx->max_configurations) {
-                    return COMMIT_TRUNCATED;
-                }
-                ctx->seen[tid] = 1;
-                ctx->seen_count++;
-                if (intbuf_push(ctx->order, tid) < 0 ||
-                    intbuf_push(ctx->parents, tid) < 0 ||
-                    intbuf_push(ctx->parents, (int32_t)cid) < 0 ||
-                    intbuf_push(ctx->parents, adj[k]) < 0 ||
-                    intbuf_push(ctx->next_frontier, tid) < 0) {
-                    return COMMIT_OOM;
-                }
-            }
-        }
-    }
-    return COMMIT_DONE;
 }
 
 /* ---------------------------------------------------------------------
@@ -1011,6 +796,13 @@ KernelState_status_key(KernelState *self, PyObject *arg)
     return result;
 }
 
+/* Breadth-first expansion of the whole reachable graph, step for step
+ * like PyKernel.run_bfs: each unexpanded frontier cid is expanded (a
+ * memo hit, or a callback on the first miss), then its adjacency is
+ * scanned. The budget is charged per newly discovered successor, the
+ * truncating cid's adjacency is already recorded, and the walk stops
+ * mid-scan (later frontier members stay unexpanded; rounds counts only
+ * fully completed frontiers). */
 static PyObject *
 KernelState_run_bfs(KernelState *self, PyObject *args)
 {
@@ -1025,106 +817,75 @@ KernelState_run_bfs(KernelState *self, PyObject *args)
         return NULL;
     }
 
-    IntBuf order, parents, frontier, next_frontier;
-    Plan plan;
+    IntBuf order = {0}, parents = {0}, frontier = {0}, next_frontier = {0};
     PyObject *result = NULL;
-    CommitCtx ctx;
+    Py_ssize_t seen_cap = self->row_count;
+    char *seen = PyMem_RawCalloc((size_t)seen_cap, 1);
+    Py_ssize_t seen_count = 1;
+    Py_ssize_t expansions = 0;
+    Py_ssize_t rounds = 0; /* completed frontiers; also the next depth */
     int complete = 1;
-    Py_ssize_t rounds = 0;
-    Py_ssize_t depth = 0;
 
-    memset(&plan, 0, sizeof(plan));
-    memset(&ctx, 0, sizeof(ctx));
-    order.data = parents.data = frontier.data = next_frontier.data = NULL;
-    order.len = order.cap = parents.len = parents.cap = 0;
-    frontier.len = frontier.cap = next_frontier.len = next_frontier.cap = 0;
-    if (intbuf_init(&order, 256) < 0 || intbuf_init(&parents, 256) < 0 ||
-        intbuf_init(&frontier, 64) < 0 || intbuf_init(&next_frontier, 64) < 0) {
+    if (seen == NULL || intbuf_init(&order, 256) < 0 ||
+        intbuf_init(&parents, 256) < 0 || intbuf_init(&frontier, 64) < 0 ||
+        intbuf_init(&next_frontier, 64) < 0) {
         PyErr_NoMemory();
         goto done;
     }
-    ctx.order = &order;
-    ctx.parents = &parents;
-    ctx.next_frontier = &next_frontier;
-    ctx.max_configurations = max_configurations;
-    ctx.seen_cap = self->row_count;
-    ctx.seen = PyMem_RawCalloc((size_t)(ctx.seen_cap ? ctx.seen_cap : 1), 1);
-    if (ctx.seen == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    ctx.seen[start_id] = 1;
-    ctx.seen_count = 1;
-    if (intbuf_push(&order, (int32_t)start_id) < 0 ||
-        intbuf_push(&frontier, (int32_t)start_id) < 0) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    seen[start_id] = 1;
+    order.data[order.len++] = (int32_t)start_id;
+    frontier.data[frontier.len++] = (int32_t)start_id;
 
     while (frontier.len) {
-        Py_ssize_t width = frontier.len;
         if (on_round != Py_None) {
             PyObject *hook_result = PyObject_CallFunction(
-                on_round, "nnn", depth, width, ctx.seen_count);
+                on_round, "nnn", rounds, frontier.len, seen_count);
             if (hook_result == NULL) {
                 goto done;
             }
             Py_DECREF(hook_result);
         }
-        if (plan.flags_cap < width) {
-            unsigned char *grown = PyMem_RawRealloc(plan.flags, (size_t)width);
-            if (grown == NULL) {
-                PyErr_NoMemory();
+        for (Py_ssize_t f = 0; f < frontier.len; f++) {
+            Py_ssize_t cid = frontier.data[f];
+            expansions++;
+            if (self->adj_len[cid] < 0 && kernel_expand_new(self, cid) < 0) {
                 goto done;
             }
-            plan.flags = grown;
-            plan.flags_cap = width;
-        }
-        int oom = 0;
-        int have_callbacks = 0;
-        int verdict = COMMIT_DONE;
-        /* Plan the whole frontier with the GIL released and, when no
-         * cid needs a callback, commit inside the same GIL-free
-         * region. */
-        Py_BEGIN_ALLOW_THREADS
-        oom = plan_frontier(self, frontier.data, width, &plan) < 0;
-        if (!oom) {
-            for (Py_ssize_t f = 0; f < width; f++) {
-                if (plan.flags[f] == PLAN_CALLBACK) {
-                    have_callbacks = 1;
-                    break;
+            if (seen_cap < self->row_count) {
+                char *grown = PyMem_RawRealloc(seen, (size_t)self->row_count);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                memset(grown + seen_cap, 0,
+                       (size_t)(self->row_count - seen_cap));
+                seen = grown;
+                seen_cap = self->row_count;
+            }
+            const int32_t *adj = self->adj[cid];
+            int32_t adj_len = self->adj_len[cid];
+            for (int32_t k = 0; k < adj_len; k += 2) {
+                int32_t tid = adj[k + 1];
+                if (seen[tid]) {
+                    continue;
+                }
+                if (seen_count >= max_configurations) {
+                    complete = 0;
+                    goto build;
+                }
+                seen[tid] = 1;
+                seen_count++;
+                if (intbuf_push(&order, tid) < 0 ||
+                    intbuf_push(&parents, tid) < 0 ||
+                    intbuf_push(&parents, (int32_t)cid) < 0 ||
+                    intbuf_push(&parents, adj[k]) < 0 ||
+                    intbuf_push(&next_frontier, tid) < 0) {
+                    PyErr_NoMemory();
+                    goto done;
                 }
             }
-            if (!have_callbacks) {
-                verdict = commit_frontier(self, frontier.data, width, &plan,
-                                          &ctx);
-            }
-        }
-        Py_END_ALLOW_THREADS
-        if (oom) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if (have_callbacks) {
-            verdict = commit_frontier(self, frontier.data, width, &plan, &ctx);
-        }
-        if (verdict == COMMIT_OOM) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if (verdict == COMMIT_PYERR) {
-            goto done;
-        }
-        if (verdict == COMMIT_TRUNCATED) {
-            /* Budget exhausted mid-scan: stop exactly here, matching
-             * the Python backend (later frontier members stay
-             * unexpanded; rounds counts only fully completed
-             * frontiers). */
-            complete = 0;
-            goto build;
         }
         rounds++;
-        depth++;
         IntBuf swap = frontier;
         frontier = next_frontier;
         next_frontier = swap;
@@ -1142,13 +903,10 @@ build:;
         goto done;
     }
     result = Py_BuildValue("(NNOnn)", order_list, parents_list,
-                           complete ? Py_True : Py_False, ctx.expansions,
-                           rounds);
+                           complete ? Py_True : Py_False, expansions, rounds);
 
 done:
-    PyMem_RawFree(ctx.seen);
-    PyMem_RawFree(plan.flags);
-    PyMem_RawFree(plan.rows.data);
+    PyMem_RawFree(seen);
     intbuf_free(&order);
     intbuf_free(&parents);
     intbuf_free(&frontier);

@@ -137,7 +137,9 @@ def _default_context():
 class VerificationPool:
     """Run independent verification items, serially or across workers.
 
-    ``jobs``: worker count; ``None``/``0`` means ``os.cpu_count()``;
+    ``jobs``: worker count, clamped to ``os.cpu_count()`` so that no
+    request can fork more workers than the machine has CPUs (reports
+    never depend on the width); ``None``/``0`` means all of them;
     ``<= 1`` executes inline (no subprocesses). Each worker gets one
     coarse chunk: sweep items are millisecond-scale, so dispatch
     overhead dominates any load-balancing win from finer chunks.
@@ -148,9 +150,8 @@ class VerificationPool:
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        if jobs is None or jobs <= 0:
-            jobs = os.cpu_count() or 1
-        self.jobs = jobs
+        cpus = os.cpu_count() or 1
+        self.jobs = cpus if jobs is None or jobs <= 0 else min(jobs, cpus)
         self.last_run_parallel = False
 
     def _chunks(

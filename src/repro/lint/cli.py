@@ -1,4 +1,4 @@
-"""CLI glue for ``python -m repro lint`` / the ``repro-lint`` script.
+"""CLI glue for ``python -m repro lint`` and its ``repro-lint`` alias.
 
 Exit-code contract (so the linter can gate CI):
 
@@ -16,8 +16,9 @@ report-invariant — findings are byte-identical whatever you pick.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def default_target() -> Path:
@@ -70,55 +71,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def run_lint(args: argparse.Namespace) -> int:
-    # Imported here, not at the top: every ``repro`` command builds the
-    # lint subparser through :func:`add_lint_arguments`.
-    from .engine import all_rules, lint_paths
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.rule_id}  {rule.severity:7s}  {rule.title}")
-        return 0
-    paths: List[Path] = [Path(p) for p in args.paths] or [default_target()]
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        for path in missing:
-            print(f"repro lint: no such path: {path}")
-        return 2
-    select = (
-        [part.strip() for part in args.select.split(",") if part.strip()]
-        if args.select
-        else None
-    )
-    try:
-        report = lint_paths(
-            paths,
-            select=select,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-    except ValueError as exc:
-        print(f"repro lint: {exc}")
-        return 2
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        print(render_sarif(report))
-    else:
-        print(report.render_text(show_suppressed=args.show_suppressed))
-    return report.exit_code()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Protocol-aware static analysis for the repro library "
-        "(replayability contract R001-R006 + interprocedural R007/R10x)",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
+    """The ``repro-lint`` console script: ``repro lint`` by another name,
+    with the same output in every format and the same exit code."""
+    # Imported here: repro.cli imports this module to build its parser.
+    from ..cli import main as repro_main
+
+    return repro_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

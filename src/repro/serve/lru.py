@@ -1,13 +1,10 @@
 """A small counted LRU — the server's memory bound.
 
-Two instances cap the resident footprint of a long-lived ``repro
-serve`` process: one over completed Report payloads keyed by request
-fingerprint (the warm result cache behind the ~220× hot path), one over
-retained :class:`~repro.serve.jobs.Job` records (status and replayed
-event history for ``GET /jobs/<id>``). Interned exploration graphs
-live and die with the worker processes; what survives in the server —
-reports, event buffers, job bookkeeping — is exactly what these caches
-evict.
+One instance caps the resident footprint of a long-lived ``repro
+serve`` process: the warm result cache of completed Report payloads,
+keyed by request fingerprint. Retained job records are bounded
+separately, by ``JobManager``'s retirement deque. Interned exploration
+graphs live and die with the worker processes.
 
 ``OrderedDict``-backed: get refreshes recency, put evicts the
 least-recently-used entry past ``capacity``. Eviction order is pure
@@ -17,7 +14,7 @@ access order — deterministic, never hash order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Optional
 
 __all__ = ["LRUCache"]
 
@@ -37,9 +34,6 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
     def get(self, key: Any) -> Optional[Any]:
         """The value under ``key`` (refreshed as most recent), or None."""
         try:
@@ -51,28 +45,10 @@ class LRUCache:
         self.hits += 1
         return value
 
-    def peek(self, key: Any) -> Optional[Any]:
-        """Like :meth:`get` but without touching recency or counters."""
-        return self._entries.get(key)
-
-    def put(self, key: Any, value: Any) -> List[Tuple[Any, Any]]:
-        """Store ``key`` → ``value``; returns the evicted pairs (if any)."""
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``key`` → ``value``, evicting past ``capacity``."""
         self._entries[key] = value
         self._entries.move_to_end(key)
-        evicted: List[Tuple[Any, Any]] = []
         while len(self._entries) > self.capacity:
-            pair = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            evicted.append(pair)
-        return evicted
-
-    def pop(self, key: Any) -> Optional[Any]:
-        """Remove and return the value under ``key`` (None if absent)."""
-        return self._entries.pop(key, None)
-
-    def keys(self) -> Iterator[Any]:
-        """Keys in eviction order (least recently used first)."""
-        return iter(self._entries.keys())
-
-    def clear(self) -> None:
-        self._entries.clear()

@@ -12,6 +12,8 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
   compiled half skips gracefully when the extension is not built;
 * the shared bounds contract — every available backend rejects an
   unknown configuration id with the same ``IndexError``;
+* miss-hook errors — a hook that raises mid-walk surfaces its error
+  unchanged, on the first walk and on every later one;
 * graph lifetime — an explorer, its kernel and its code tables form no
   reference cycle, so dropping the explorer frees them at once, and an
   exploration result that outlives its explorer still answers kernel
@@ -35,7 +37,11 @@ from repro.analysis.kernel import (
 )
 from repro.core.pac import NPacSpec
 from repro.errors import AnalysisError
+from repro.objects.register import RegisterSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
+from repro.runtime.events import Invoke
+from repro.runtime.process import FunctionalAutomaton
+from repro.types import op
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -290,6 +296,38 @@ class TestUnknownConfigurationId:
         for pid in (-1, 2):
             with pytest.raises(IndexError, match=f"^unknown pid {pid}$"):
                 explorer._backend.expand_pid(cid, pid)
+
+
+class TestMissHookError:
+    """A miss hook that raises mid-walk: the error leaves ``run_bfs``
+    as is, and the kernel stays consistent enough to raise it again."""
+
+    @staticmethod
+    def _writer(pid):
+        # Writes the register twice, then invokes an undeclared object.
+        def next_action(k):
+            if k < 2:
+                return Invoke("R", op("write", pid))
+            return Invoke("NOPE", op("read"))
+
+        return FunctionalAutomaton(pid, 0, next_action, lambda k, _r: k + 1)
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_unknown_object_raises_on_every_walk(self, kernel):
+        explorer = Explorer(
+            {"R": RegisterSpec()},
+            [self._writer(0), self._writer(1)],
+            kernel=kernel,
+        )
+        message = "process 0 invoked unknown object 'NOPE'"
+        with pytest.raises(AnalysisError) as first:
+            explorer.explore()
+        assert str(first.value) == message
+        assert len(explorer._intern) == 7
+        with pytest.raises(AnalysisError) as second:
+            explorer.explore()
+        assert str(second.value) == message
+        assert len(explorer._intern) == 7
 
 
 def _live(kind):

@@ -7,6 +7,8 @@ instead of poisoning the batch; unpicklable work falls back to inline
 execution with identical results.
 """
 
+import concurrent.futures
+import os
 import pickle
 
 import pytest
@@ -17,6 +19,7 @@ from repro.analysis.parallel import (
     WorkItem,
     WorkResult,
 )
+from repro.api import ExecutionOptions, FuzzRequest, execute
 from repro.api.execute import algorithm2_instance_check, candidate_outcome
 
 
@@ -120,6 +123,61 @@ class TestConvenience:
 
         assert VerificationPool().jobs == multiprocessing.cpu_count()
         assert VerificationPool(jobs=0).jobs == multiprocessing.cpu_count()
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the requested width
+    and runs each chunk in this process, so the test forks nothing."""
+
+    def __init__(self, widths, max_workers, mp_context=None):
+        widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolWidth:
+    """A request's ``jobs`` never forks more workers than CPUs."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda **kwargs: _RecordingExecutor(widths, **kwargs),
+        )
+        return widths
+
+    def test_width_is_clamped_to_cpu_count(self, widths, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pool = VerificationPool(jobs=5000)
+        assert pool.jobs == 3
+        results = pool.run(_items(5000))
+        assert [r.value for r in results] == [i * i for i in range(5000)]
+        assert widths == [3]
+
+    def test_fuzz_request_cannot_widen_the_pool(self, widths):
+        request = FuzzRequest(
+            candidate="one 2-SA",
+            seed=1234,
+            budget=40,
+            shards=40,
+            options=ExecutionOptions(jobs=5000),
+        )
+        serial = execute(
+            FuzzRequest(candidate="one 2-SA", seed=1234, budget=40, shards=40)
+        )
+        assert execute(request).to_dict() == serial.to_dict()
+        assert all(width <= os.cpu_count() for width in widths)
 
 
 class TestInstanceCheckItems:

@@ -288,4 +288,5 @@ class TestTargetedStep:
         # Only the (config, pid=0) slice was computed: no full-relation
         # entry, no other pid's slice.
         assert cid not in explorer._succ_cache
-        assert set(explorer._pid_cache) == {(cid, 0)}
+        assert explorer._backend.adjacency(cid) is None
+        assert sorted(explorer._codes.invokes) == [(0, 0)]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli as repro_cli
-from repro.lint import all_rules, lint_paths
+from repro.lint import all_rules, cli as lint_cli, lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,3 +141,17 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006"):
             assert rule_id in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "target",
+        [FIXTURES, FIXTURES / "protocols" / "clean.py"],
+        ids=["findings", "clean"],
+    )
+    def test_repro_lint_script_is_repro_lint(self, capsys, fmt, target):
+        argv = ["--format", fmt, str(target)]
+        code = repro_cli.main(["lint", *argv])
+        out = capsys.readouterr().out
+        assert lint_cli.main(argv) == code
+        assert capsys.readouterr().out == out
+        assert code == (1 if target == FIXTURES else 0)

@@ -22,31 +22,16 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh: "b" is now the oldest
-        evicted = cache.put("c", 3)
-        assert evicted == [("b", 2)]
-        assert "a" in cache and "c" in cache and "b" not in cache
+        cache.put("c", 3)
         assert cache.evictions == 1
-
-    def test_peek_does_not_touch_recency_or_counters(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.peek("a") == 1
-        assert (cache.hits, cache.misses) == (0, 0)
-        # "a" was NOT refreshed: it is still the eviction victim.
-        assert cache.put("c", 3) == [("a", 1)]
+        assert len(cache) == 2
+        assert (cache.get("a"), cache.get("b"), cache.get("c")) == (1, None, 3)
 
     def test_eviction_order_is_deterministic(self):
         cache = LRUCache(3)
         for key in "abcdef":
             cache.put(key, key)
-        assert list(cache.keys()) == ["d", "e", "f"]
-
-    def test_pop_and_clear(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert cache.pop("a") == 1
-        assert cache.pop("a") is None
-        cache.put("b", 2)
-        cache.clear()
-        assert len(cache) == 0
+        assert cache.evictions == 3
+        assert [cache.get(key) for key in "abcdef"] == [
+            None, None, None, "d", "e", "f",
+        ]
