@@ -12,7 +12,7 @@
 * :mod:`repro.analysis.parallel` / :mod:`repro.analysis.cache` — the
   scale-out substrate: a crash-isolated multiprocessing work pool with
   deterministic result merging, and a persistent content-addressed
-  store for exploration answers and suite verdicts.
+  store for exploration answers and sweep results.
 """
 
 from .. import _lazy_exports
@@ -60,7 +60,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "replay_counterexample",
             "verify_replay",
         ),
-        "suite": ("PhaseOutcome", "SuiteVerdict", "verify_task_protocol"),
         "properties": (
             "RunAudit",
             "WaitFreedomAudit",

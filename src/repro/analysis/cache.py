@@ -36,10 +36,10 @@ The layout, atomic write, ``stats`` and ``clear`` live in
 Sweeps
 ------
 
-``check-algorithm2 --cache``, the verification suite and ``repro lint
---cache-dir`` all answer a batch of items through :func:`cached_sweep`:
-fingerprint each item, look it up, run only the misses through one
-worker pool, store each success. Failures are never cached.
+``check-algorithm2 --cache`` and ``repro lint --cache-dir`` both answer
+a batch of items through :func:`cached_sweep`: fingerprint each item,
+look it up, run only the misses through one worker pool, store each
+success. Failures are never cached.
 
 Record shapes
 -------------

@@ -24,9 +24,8 @@ pickled (closures, lambdas) also fall back to inline execution.
 
 Work-item callables must be module-level functions: workers import them
 by qualified name. The repo's sweeps define their items next to their
-callers (:mod:`repro.api.execute`, :mod:`repro.analysis.suite`,
-:mod:`repro.lint.engine`); cached sweeps go through
-:func:`repro.analysis.cache.cached_sweep`.
+callers (:mod:`repro.api.execute`, :mod:`repro.lint.engine`); cached
+sweeps go through :func:`repro.analysis.cache.cached_sweep`.
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ the same table the server renders as HTTP statuses.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -202,14 +203,22 @@ def _cmd_separation(args: argparse.Namespace) -> Report:
     n = args.n
     report = separation_report(n)
     survivor = next(iter(report.survivors), "")
+    uncertified = ", ".join(report.uncertified)
+    cells = ", ".join(
+        name + "".join(f" ({cell.k}, {cell.process_count})" for cell in row)
+        for name, row in report.power_cells
+    )
     # (holds, finding kind, line if it fails, line if it holds), in the
     # order the first failure is reported.
     steps = [
         (
             report.same_power,
             "power-mismatch",
-            "POWER MISMATCH",
-            "powers agree on the first 8 components ✓",
+            f"POWER MISMATCH: {uncertified} not certified"
+            if uncertified
+            else "POWER MISMATCH",
+            "powers agree on the first 8 components; certified (k, n_k) "
+            f"cells: {cells} ✓",
         ),
         (
             report.on_solves_dac,
@@ -793,5 +802,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return report.exit_code
 
 
+def console_main(argv: Optional[Sequence[str]] = None) -> int:
+    """:func:`main` for a console entry point (``python -m repro``,
+    ``repro-lint``): a reader that goes away early (``| head``) ends
+    the run with exit code 1 and no traceback."""
+    try:
+        code = main(argv)
+        # Flush inside the try, so a closed pipe surfaces here and not
+        # at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe from the ``signal`` module's documentation: point
+        # stdout at devnull so the flush at exit cannot raise again,
+        # then exit non-zero as an interrupted writer should.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

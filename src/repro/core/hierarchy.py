@@ -16,8 +16,8 @@ beyond it. :meth:`HierarchyProbe.probe` grades each count with
 ``"solves"`` / ``"refuted"`` / ``"unknown"``;
 :meth:`HierarchyProbe.consensus_number_bounds` summarizes.
 
-:func:`builtin_catalog` instantiates probes for the library's objects —
-the API behind experiment E13's grid.
+:func:`builtin_catalog` instantiates probes for the library's objects;
+experiment E13's grid and ``examples/hierarchy_tour.py`` render it.
 """
 
 from __future__ import annotations

@@ -13,21 +13,23 @@ process count — so "certified" is an operational word, not a comment:
   consensus faces of ``k`` object instances;
 * ``O'_n``, each level — the bundle's own ``PROPOSE(v, k)`` face.
 
-:func:`certify_power_prefix` checks a sequence's first components and
-returns a report row per component; only the
-``tests/core/test_power_certification.py`` suite consumes it (no
-experiment bench does).
+:func:`repro.core.relations.separation_report` runs the last two for
+k = 1, 2: Corollary 6.6's "same power" holds only if every one of those
+cells is certified (``repro separation``, ``repro ledger`` and E10
+render them). The others are the reference certifiers for the rest of
+the power table; :func:`certify_power_prefix` runs one of them over a
+sequence's first components and returns a row per component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..errors import SpecificationError
-from ..types import Value, require
+from ..types import require
 from .power import SetAgreementPower
-from .set_agreement import UNBOUNDED, _Unbounded
+from .set_agreement import _Unbounded
 
 
 @dataclass(frozen=True)

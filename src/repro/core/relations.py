@@ -16,10 +16,12 @@ keeps a ledger of that relation where every edge carries evidence:
 one hierarchy level ``n`` it populates the ledger by *running* the
 paper's constructive content (Observation 5.1, Lemma 6.4, Theorem 4.1)
 and the lower bounds' candidate refutations (Theorems 4.2/4.3), then
-returns a :class:`SeparationReport`: same power, the O_n side solved,
-every candidate refuted, hence an explicit negative edge from ``O'_n``
-to ``O_n``. :func:`paper_ledger` is that report's ledger; ``repro
-separation`` and ``repro ledger`` both render one report.
+returns a :class:`SeparationReport`: same power (the labels agree, and
+each object's k-set agreement cells for k = 1, 2 are certified by
+running their protocols), the O_n side solved, every candidate
+refuted, hence an explicit negative edge from ``O'_n`` to ``O_n``.
+:func:`paper_ledger` is that report's ledger; ``repro separation`` and
+``repro ledger`` both render one report.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..errors import AnalysisError, SpecificationError
 from ..types import require
 from .power import SetAgreementPower, on_power, on_prime_power
+from .power_certification import (
+    Certification,
+    certify_bundle_level,
+    certify_combined_pac,
+)
+
+#: The power components whose lower bounds a report certifies.
+CERTIFIED_LEVELS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -155,21 +165,47 @@ class SeparationReport:
     """Corollary 6.6 at level ``n``: the ledger plus the evidence it
     was built from.
 
-    ``candidates`` pairs each candidate reduction's name with its
-    outcome: ``"safety"`` or ``"liveness"`` (refuted) or ``"none"``
-    (it survived every schedule).
+    ``on_cells`` and ``on_prime_cells`` hold one certification per
+    level in :data:`CERTIFIED_LEVELS`: the object solving k-set
+    agreement among n_k processes, model-checked. ``candidates`` pairs
+    each candidate reduction's name with its outcome: ``"safety"`` or
+    ``"liveness"`` (refuted) or ``"none"`` (it survived every schedule).
     """
 
     n: int
     ledger: Ledger
     on_power: SetAgreementPower
     on_prime_power: SetAgreementPower
+    on_cells: Tuple[Certification, ...]
+    on_prime_cells: Tuple[Certification, ...]
     on_solves_dac: bool
     candidates: Tuple[Tuple[str, str], ...]
 
     @property
+    def power_cells(self) -> Tuple[Tuple[str, Tuple[Certification, ...]], ...]:
+        """``(object name, its cells)`` for ``O_n``, then ``O'_n``."""
+        return (
+            (f"O_{self.n}", self.on_cells),
+            (f"O'_{self.n}", self.on_prime_cells),
+        )
+
+    @property
+    def uncertified(self) -> Tuple[str, ...]:
+        """``"<object> k=<k>"`` for each cell whose protocol failed."""
+        return tuple(
+            f"{name} k={cell.k}"
+            for name, cells in self.power_cells
+            for cell in cells
+            if not cell.certified
+        )
+
+    @property
     def same_power(self) -> bool:
-        return self.on_power.agrees_with(self.on_prime_power, 8)
+        """The power labels agree and every certified cell holds."""
+        return (
+            self.on_power.agrees_with(self.on_prime_power, 8)
+            and not self.uncertified
+        )
 
     @property
     def survivors(self) -> Tuple[str, ...]:
@@ -206,8 +242,10 @@ def separation_report(n: int = 2, seeds: int = 4) -> SeparationReport:
     Positive edges run the actual implementations through the
     linearizability harness (``seeds`` schedules each) or the explorer;
     negative edges run the candidate suite through the explorer, and
-    are recorded only when every candidate is refuted. Each explorer
-    walks its graph once. Everything is re-verified at call time.
+    are recorded only when every candidate is refuted. The power cells
+    run O_n's group partition over its consensus faces and O'_n's own
+    ``PROPOSE(v, k)`` face. Each explorer walks its graph once.
+    Everything is re-verified at call time.
     """
     require(n >= 2, SpecificationError, f"levels start at n = 2, got {n}")
     from ..analysis.explorer import Explorer
@@ -224,6 +262,7 @@ def separation_report(n: int = 2, seeds: int = 4) -> SeparationReport:
     from ..runtime.scheduler import SeededScheduler
     from ..types import op
     from .pac import NPacSpec
+    from .separation import make_on_prime
 
     ledger = Ledger()
 
@@ -319,11 +358,19 @@ def separation_report(n: int = 2, seeds: int = 4) -> SeparationReport:
             candidate.objects, candidate.processes
         ).find_violation(candidate.task, candidate.inputs)
         candidates.append((candidate.name, outcome))
+    bundle_levels = make_on_prime(n, levels=len(CERTIFIED_LEVELS)).levels
     report = SeparationReport(
         n=n,
         ledger=ledger,
         on_power=on_power(n),
         on_prime_power=on_prime_power(n),
+        on_cells=tuple(
+            certify_combined_pac(n + 1, n, k) for k in CERTIFIED_LEVELS
+        ),
+        on_prime_cells=tuple(
+            certify_bundle_level(bundle_levels, k)
+            for k in CERTIFIED_LEVELS
+        ),
         on_solves_dac=on_solves_dac,
         candidates=tuple(candidates),
     )

@@ -75,9 +75,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """The ``repro-lint`` console script: ``repro lint`` by another name,
     with the same output in every format and the same exit code."""
     # Imported here: repro.cli imports this module to build its parser.
-    from ..cli import main as repro_main
+    from ..cli import console_main
 
-    return repro_main(["lint", *(sys.argv[1:] if argv is None else argv)])
+    return console_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -17,12 +17,6 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "adopt_commit": (
-            "ADOPT",
-            "COMMIT",
-            "AdoptCommitSpec",
-            "AdoptCommitState",
-        ),
         "base": (
             "FirstOutcomeOracle",
             "MaximizingOracle",

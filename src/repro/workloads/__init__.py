@@ -1,4 +1,4 @@
-"""Workload generators: adversary suites, operation histories, client workloads."""
+"""Workload generators: operation histories, client workloads, interference."""
 
 from .generators import (
     bundle_workloads,
@@ -15,11 +15,9 @@ from .histories import (
     pac_operation_space,
     random_pac_history,
 )
-from .schedules import adversary_suite, exhaustive_schedules, random_schedulers
 
 __all__ = [
     "InterferenceScheduler",
-    "adversary_suite",
     "bundle_workloads",
     "counter_workloads",
     "pac_workloads",
@@ -27,9 +25,7 @@ __all__ = [
     "register_workloads",
     "snapshot_workloads",
     "all_pac_histories",
-    "exhaustive_schedules",
     "legal_pac_history",
     "pac_operation_space",
     "random_pac_history",
-    "random_schedulers",
 ]

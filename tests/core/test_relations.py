@@ -117,11 +117,33 @@ class TestSeparationReport:
         assert report.survivors == ()
         assert report.on_power.name == "O_2"
         assert report.on_prime_power.name == "O'_2"
+        for name, cells in report.power_cells:
+            assert [(c.k, c.process_count, c.certified) for c in cells] == [
+                (1, 2, True),
+                (2, 4, True),
+            ], name
+        assert report.uncertified == ()
+
+    def test_failed_cell_breaks_same_power(self, monkeypatch):
+        from repro.core import relations
+        from repro.core.power_certification import Certification
+
+        monkeypatch.setattr(
+            relations,
+            "certify_combined_pac",
+            lambda n, m, k: Certification(k, m * k, "broken", certified=k != 1),
+        )
+        report = separation_report(2, seeds=1)
+        assert report.uncertified == ("O_2 k=1",)
+        assert report.on_power.agrees_with(report.on_prime_power, 8)
+        assert not report.same_power
+        assert not report.reproduces_corollary_6_6
 
     def test_walks_each_explorer_once(self, explore_calls, explorers_built):
         separation_report(2, seeds=1)
-        assert len(explorers_built) == 4
-        assert len(explore_calls) == 4
+        # 4 evidence explorers plus 4 certified power cells.
+        assert len(explorers_built) == 8
+        assert len(explore_calls) == 8
 
 
 class TestOneCriterion:

@@ -2,17 +2,16 @@
 
 Mirrors ``test_fast_core_equivalence.py`` for PR 3's two engines:
 
-1. **pooled == serial** — ``verify_task_protocol`` with ``jobs=2``
-   must produce byte-identical phases to ``jobs=1``, and the digest
-   over a pooled Algorithm 2 sweep must equal the serial one;
+1. **pooled == serial** — the digest over a pooled Algorithm 2 sweep
+   must equal the serial one;
 2. **warm == cold** — a warm ``explore --cache`` record answers
    exactly what the cold run (and an uncached run) computed, a record
    written under one ``PYTHONHASHSEED`` hits with identical bytes under
    another (entries are content-addressed by repr, never by
    ``hash()``), budgets are part of the key, and a damaged or
    wrong-shaped record is a miss that recomputes;
-3. **one cache-first sweep** — ``check-algorithm2``, the suite and
-   lint all answer through ``cached_sweep``: cold == warm == uncached
+3. **one cache-first sweep** — ``check-algorithm2`` and lint both
+   answer through ``cached_sweep``: cold == warm == uncached
    for each, and a failing item is never stored while its siblings'
    successes are.
 """
@@ -31,23 +30,13 @@ import pytest
 from repro import api
 from repro.analysis.cache import ExplorationCache, fingerprint
 from repro.analysis.parallel import VerificationPool, WorkItem
-from repro.analysis.suite import verify_task_protocol
 from repro.api.execute import algorithm2_instance_check
 from repro.api.requests import ExploreRequest
 from repro.cli import main
 from repro.lint.engine import lint_paths
-from repro.objects.consensus import MConsensusSpec
-from repro.protocols.consensus import one_shot_consensus_processes
-from repro.protocols.tasks import ConsensusTask, DacDecisionTask
+from repro.protocols.tasks import DacDecisionTask
 
 HIT = " [cache hit]"
-
-
-def one_shot_factory(inputs):
-    return (
-        {"CONS": MConsensusSpec(len(inputs))},
-        one_shot_consensus_processes(list(inputs)),
-    )
 
 
 def _sweep_digest(results):
@@ -58,23 +47,6 @@ def _sweep_digest(results):
 
 
 class TestPooledEqualsSerial:
-    def test_suite_phases_identical(self):
-        serial = verify_task_protocol(
-            ConsensusTask(2),
-            one_shot_factory,
-            simulation_inputs=(0, 1),
-            simulation_seeds=3,
-        )
-        pooled = verify_task_protocol(
-            ConsensusTask(2),
-            one_shot_factory,
-            simulation_inputs=(0, 1),
-            simulation_seeds=3,
-            jobs=2,
-        )
-        assert serial.phases == pooled.phases
-        assert serial.ok and pooled.ok
-
     def test_sweep_digest_identical(self):
         task = DacDecisionTask(2)
         items = [
@@ -248,37 +220,6 @@ class TestWrongShapedRecords:
         assert self._run(capsys, argv)["data"]["cache_hit"] is True
 
 
-class TestSuiteCaching:
-    def test_cold_then_warm_verdicts_identical(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "cache")
-        kwargs = dict(
-            simulation_inputs=(0, 1),
-            simulation_seeds=3,
-            cache=cache,
-            cache_key="one-shot-consensus",
-        )
-        cold = verify_task_protocol(
-            ConsensusTask(2), one_shot_factory, **kwargs
-        )
-        stores = cache.stores
-        assert stores > 0 and cache.hits == 0
-
-        warm = verify_task_protocol(
-            ConsensusTask(2), one_shot_factory, **kwargs
-        )
-        assert warm.phases == cold.phases
-        assert cache.hits == stores  # every item resolved from disk
-        assert cache.stores == stores  # and nothing was recomputed
-
-    def test_uncached_equals_cached(self, tmp_path):
-        cache = ExplorationCache(tmp_path / "cache")
-        plain = verify_task_protocol(ConsensusTask(2), one_shot_factory)
-        cached = verify_task_protocol(
-            ConsensusTask(2), one_shot_factory, cache=cache
-        )
-        assert plain.phases == cached.phases
-
-
 def _verify_answer(report):
     """A check-algorithm2 report without what differs warm vs cold."""
     payload = json.loads(report.to_json())
@@ -290,9 +231,8 @@ def _verify_answer(report):
 
 
 class TestSharedSweep:
-    """Every cached sweep — verify, suite, lint — goes through
-    ``cached_sweep``: cold == warm == uncached, and warm runs nothing
-    (the suite's case is ``TestSuiteCaching``)."""
+    """Every cached sweep — verify, lint — goes through
+    ``cached_sweep``: cold == warm == uncached, and warm runs nothing."""
 
     def test_verify(self, tmp_path):
         cached = dict(n=3, cache=True, cache_dir=str(tmp_path))

@@ -14,9 +14,40 @@ from repro.analysis.properties import audit_dac_run, audit_wait_freedom
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import DacDecisionTask
-from repro.runtime.scheduler import SeededScheduler
+from repro.runtime.scheduler import (
+    AlternatingScheduler,
+    BlockingScheduler,
+    RoundRobinScheduler,
+    SeededScheduler,
+    SoloScheduler,
+)
 from repro.runtime.system import System
-from repro.workloads.schedules import adversary_suite
+
+
+def adversary_suite(
+    num_processes, random_count=10, base_seed=0, include_solos=True
+):
+    """The standard named adversary family for ``num_processes``.
+
+    Includes fair round-robin, seeded randoms, all pairwise
+    alternations, per-process solo runs (optional; only valid for
+    protocols whose solo runs terminate), and single-victim blocking
+    (crash) schedulers.
+    """
+    suite = [("round-robin", RoundRobinScheduler())]
+    for seed in range(base_seed, base_seed + random_count):
+        suite.append((f"random[{seed}]", SeededScheduler(seed=seed)))
+    for first in range(num_processes):
+        for second in range(first + 1, num_processes):
+            suite.append(
+                (f"alternate[{first},{second}]", AlternatingScheduler(first, second))
+            )
+    if include_solos:
+        for pid in range(num_processes):
+            suite.append((f"solo[{pid}]", SoloScheduler(pid)))
+    for victim in range(num_processes):
+        suite.append((f"crash[{victim}]", BlockingScheduler([victim])))
+    return suite
 
 
 def build_system(inputs, distinguished=0):
@@ -72,6 +103,29 @@ class TestAdversarySuite:
             history = system.run(SeededScheduler(seed), max_steps=8000)
             audit = audit_dac_run(task, inputs, history)
             assert audit.ok, (seed, audit.safety.violations)
+
+
+class TestAdversaryFamily:
+    def test_contains_each_family(self):
+        suite = dict(adversary_suite(3, random_count=2))
+        assert isinstance(suite["round-robin"], RoundRobinScheduler)
+        assert any(isinstance(s, SeededScheduler) for s in suite.values())
+        assert isinstance(suite["alternate[0,1]"], AlternatingScheduler)
+        assert isinstance(suite["solo[2]"], SoloScheduler)
+        assert isinstance(suite["crash[1]"], BlockingScheduler)
+
+    def test_solos_optional(self):
+        suite = dict(adversary_suite(2, include_solos=False))
+        assert not any(name.startswith("solo") for name in suite)
+
+    def test_pairwise_alternations_complete(self):
+        suite = dict(adversary_suite(4, random_count=0, include_solos=False))
+        alternations = [n for n in suite if n.startswith("alternate")]
+        assert len(alternations) == 6  # C(4, 2)
+
+    def test_names_unique(self):
+        names = [name for name, _s in adversary_suite(3)]
+        assert len(names) == len(set(names))
 
 
 class TestSingleObjectSufficiency:

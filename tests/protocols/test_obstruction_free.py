@@ -1,11 +1,10 @@
-"""Tests for adopt-commit and obstruction-free consensus from registers."""
+"""Tests for obstruction-free consensus from registers (round-based adopt-commit)."""
 
 import pytest
 
 from repro.analysis.explorer import Explorer
 from repro.analysis.valency import classify, BIVALENT
 from repro.errors import SpecificationError
-from repro.objects.adopt_commit import ADOPT, COMMIT, AdoptCommitSpec
 from repro.protocols.obstruction_free import (
     adopt_commit_round_objects,
     obstruction_free_processes,
@@ -13,51 +12,6 @@ from repro.protocols.obstruction_free import (
 from repro.protocols.tasks import ConsensusTask
 from repro.runtime.scheduler import SoloScheduler
 from repro.runtime.system import ProcessStatus, System
-from repro.types import op
-
-
-class TestAdoptCommitSpec:
-    def test_first_proposer_commits(self):
-        spec = AdoptCommitSpec()
-        _state, responses = spec.run([op("propose", "a")])
-        assert responses == ((COMMIT, "a"),)
-
-    def test_agreeing_proposers_commit(self):
-        spec = AdoptCommitSpec()
-        _state, responses = spec.run([op("propose", "a")] * 3)
-        assert all(response == (COMMIT, "a") for response in responses)
-
-    def test_conflicting_proposer_adopts_fixed_value(self):
-        spec = AdoptCommitSpec()
-        _state, responses = spec.run(
-            [op("propose", "a"), op("propose", "b")]
-        )
-        assert responses[1] == (ADOPT, "a")
-
-    def test_conflict_is_sticky(self):
-        """After a conflict, even matching proposals only adopt —
-        commit-agreement must not be retroactively endangered."""
-        spec = AdoptCommitSpec()
-        _state, responses = spec.run(
-            [op("propose", "a"), op("propose", "b"), op("propose", "a")]
-        )
-        assert responses[2] == (ADOPT, "a")
-
-    def test_validity(self):
-        spec = AdoptCommitSpec()
-        _state, responses = spec.run(
-            [op("propose", "x"), op("propose", "y"), op("propose", "z")]
-        )
-        for _flavor, value in responses:
-            assert value == "x"  # the first proposed value
-
-    def test_rejects_special(self):
-        from repro.errors import InvalidOperationError
-        from repro.types import BOTTOM
-
-        spec = AdoptCommitSpec()
-        with pytest.raises(InvalidOperationError):
-            spec.responses(spec.initial_state(), op("propose", BOTTOM))
 
 
 def build_explorer(inputs, max_rounds=2):

@@ -1,60 +1,39 @@
-"""Tests for crash-failure injection and crash tolerance."""
+"""Crash tolerance: Algorithm 2 and consensus with crashed processes.
 
-import pytest
+In the paper's model a crashed process simply stops taking steps —
+there is no failure notification. A run crashes ``pid`` by stopping
+the step loop once a trigger holds (``System.run(stop_when=...)``),
+calling :meth:`~repro.runtime.system.System.crash`, and resuming with
+the same scheduler.
+"""
 
 from repro.analysis.properties import audit_dac_run
 from repro.core.pac import NPacSpec
-from repro.errors import SpecificationError
 from repro.objects.consensus import MConsensusSpec
 from repro.protocols.consensus import one_shot_consensus_processes
 from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import DacDecisionTask
-from repro.runtime.crash import CrashEvent, CrashPlan, run_with_crashes
 from repro.runtime.scheduler import RoundRobinScheduler, SeededScheduler
 from repro.runtime.system import ProcessStatus, System
 
 
-class TestCrashEvent:
-    def test_requires_exactly_one_trigger(self):
-        with pytest.raises(SpecificationError):
-            CrashEvent(0)
-        with pytest.raises(SpecificationError):
-            CrashEvent(0, after_global_steps=1, after_own_steps=1)
-
-    def test_valid_triggers(self):
-        CrashEvent(0, after_global_steps=3)
-        CrashEvent(1, after_own_steps=2)
+def after_global(steps):
+    """Trigger: the run has taken ``steps`` steps."""
+    return lambda system: len(system.history.steps) >= steps
 
 
-class TestCrashPlan:
-    def make_system(self, inputs=(1, 0, 0)):
-        return System(
-            {"PAC": NPacSpec(len(inputs))}, algorithm2_processes(inputs)
-        )
+def after_own(pid, steps):
+    """Trigger: ``pid`` has taken ``steps`` of its own steps."""
+    return lambda system: system.history.steps_by_pid.get(pid, 0) >= steps
 
-    def test_global_trigger_fires(self):
-        system = self.make_system()
-        plan = CrashPlan().crash_after_global(1, 2)
-        run_with_crashes(system, plan, RoundRobinScheduler(), max_steps=200)
-        assert system.status_of(1) == ProcessStatus.CRASHED
 
-    def test_own_step_trigger_fires(self):
-        system = self.make_system()
-        plan = CrashPlan().crash_after_own(2, 1)
-        run_with_crashes(system, plan, RoundRobinScheduler(), max_steps=200)
-        assert system.status_of(2) == ProcessStatus.CRASHED
-        assert system.history.steps_by_pid.get(2, 0) == 1
-
-    def test_crash_of_terminated_process_is_noop(self):
-        system = self.make_system((1, 0))
-        plan = CrashPlan().crash_after_global(0, 100)
-        run_with_crashes(system, plan, RoundRobinScheduler(), max_steps=500)
-        # 0 terminated before step 100 — its status must reflect the
-        # decision/abort, not a crash.
-        assert system.status_of(0) in (
-            ProcessStatus.DECIDED,
-            ProcessStatus.ABORTED,
-        )
+def run_with_crash(system, crashes, scheduler, max_steps=10_000):
+    """Run ``system``, crashing each ``(pid, trigger)`` in order once its
+    trigger holds, then run the rest under the same scheduler."""
+    for pid, trigger in crashes:
+        system.run(scheduler, max_steps=max_steps, stop_when=trigger)
+        system.crash(pid)
+    return system.run(scheduler, max_steps=max_steps)
 
 
 class TestAlgorithm2CrashTolerance:
@@ -62,11 +41,11 @@ class TestAlgorithm2CrashTolerance:
     surviving non-distinguished processes decide when run after the
     crash (their retry loop clears once contention stops)."""
 
-    def run_case(self, inputs, plan, scheduler, max_steps=2000):
+    def run_case(self, inputs, crashes, scheduler, max_steps=2000):
         system = System(
             {"PAC": NPacSpec(len(inputs))}, algorithm2_processes(inputs)
         )
-        history = run_with_crashes(system, plan, scheduler, max_steps)
+        history = run_with_crash(system, crashes, scheduler, max_steps)
         return system, history
 
     def test_distinguished_crash_mid_pair(self):
@@ -79,9 +58,8 @@ class TestAlgorithm2CrashTolerance:
 
         inputs = (1, 0, 0)
         task = DacDecisionTask(3)
-        plan = CrashPlan().crash_after_own(0, 1)
         system, history = self.run_case(
-            inputs, plan, RoundRobinScheduler(), max_steps=100
+            inputs, [(0, after_own(0, 1))], RoundRobinScheduler(), max_steps=100
         )
         audit = audit_dac_run(task, inputs, history)
         assert audit.ok, audit.safety.violations
@@ -102,8 +80,9 @@ class TestAlgorithm2CrashTolerance:
     def test_other_crash_mid_pair(self):
         inputs = (1, 0, 0)
         task = DacDecisionTask(3)
-        plan = CrashPlan().crash_after_own(1, 1)
-        system, history = self.run_case(inputs, plan, RoundRobinScheduler())
+        system, history = self.run_case(
+            inputs, [(1, after_own(1, 1))], RoundRobinScheduler()
+        )
         audit = audit_dac_run(task, inputs, history)
         assert audit.ok, audit.safety.violations
         # The survivors terminated (decided or aborted).
@@ -117,12 +96,9 @@ class TestAlgorithm2CrashTolerance:
         inputs = (1, 0, 1, 0)
         task = DacDecisionTask(4)
         for seed in range(15):
-            plan = (
-                CrashPlan()
-                .crash_after_global(1 + seed % 3, 1 + seed % 5)
-            )
+            crash = (1 + seed % 3, after_global(1 + seed % 5))
             system, history = self.run_case(
-                inputs, plan, SeededScheduler(seed)
+                inputs, [crash], SeededScheduler(seed)
             )
             audit = audit_dac_run(task, inputs, history)
             assert audit.ok, (seed, audit.safety.violations)
@@ -131,12 +107,8 @@ class TestAlgorithm2CrashTolerance:
         """Termination (b) via crashes: crash everyone except q; q's
         post-crash run is solo, so it must decide."""
         inputs = (1, 0, 0)
-        plan = (
-            CrashPlan()
-            .crash_after_global(0, 0)
-            .crash_after_global(2, 0)
-        )
-        system, history = self.run_case(inputs, plan, RoundRobinScheduler())
+        crashes = [(0, after_global(0)), (2, after_global(0))]
+        system, history = self.run_case(inputs, crashes, RoundRobinScheduler())
         assert history.decisions.get(1) == 0
 
 
@@ -146,8 +118,9 @@ class TestConsensusCrashes:
             {"CONS": MConsensusSpec(3)},
             one_shot_consensus_processes([0, 1, 1]),
         )
-        plan = CrashPlan().crash_after_global(0, 0)
-        history = run_with_crashes(system, plan, RoundRobinScheduler())
+        history = run_with_crash(
+            system, [(0, after_global(0))], RoundRobinScheduler()
+        )
         assert 0 not in history.decisions
         values = {history.decisions[pid] for pid in (1, 2)}
         assert len(values) == 1

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.explorer import Explorer
 from repro.cli import build_parser, main
+from repro.protocols.tasks import DacDecisionTask
+
+_check_safety = Explorer.check_safety
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -230,8 +234,9 @@ class TestCorollary66Views:
         monkeypatch.setattr(relations.Ledger, "__init__", counting)
         assert main([command, "--n", "2"]) == 0
         assert len(ledgers) == 1
-        assert len(explorers_built) == 4
-        assert len(explore_calls) == 4
+        # 4 evidence explorers plus 4 certified power cells.
+        assert len(explorers_built) == 8
+        assert len(explore_calls) == 8
 
     def test_ledger_reports_a_surviving_candidate(
         self, capsys, surviving_candidate
@@ -274,18 +279,46 @@ class TestCorollary66Views:
         assert payload["body"][-1] == "POWER MISMATCH"
         assert [f["kind"] for f in payload["findings"]] == ["power-mismatch"]
 
+    def test_uncertified_cell_is_a_power_mismatch(self, capsys, monkeypatch):
+        from repro.core import relations
+        from repro.core.power_certification import Certification
+
+        def failing_at_level_2(levels, k):
+            return Certification(k, levels[k - 1], "broken", certified=k != 2)
+
+        monkeypatch.setattr(relations, "certify_bundle_level", failing_at_level_2)
+        code, payload, _err = _json_report(capsys, ["separation", "--n", "2"])
+        assert code == 1
+        line = "POWER MISMATCH: O'_2 k=2 not certified"
+        assert payload["body"][-1] == line
+        assert payload["findings"] == [
+            {
+                "kind": "power-mismatch",
+                "subject": "level 2",
+                "detail": line,
+                "data": {},
+            }
+        ]
+        assert main(["ledger", "--n", "2"]) == 1
+        assert "NOT reproduced" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "method, broken",
         [
-            ("check_safety", lambda self, *a, **k: "witness"),
+            # Only the Theorem 4.1 check fails: the power cells run
+            # check_safety on k-set agreement tasks and stay certified.
+            (
+                "check_safety",
+                lambda self, task, *a, **k: "witness"
+                if isinstance(task, DacDecisionTask)
+                else _check_safety(self, task, *a, **k),
+            ),
             ("solo_termination", lambda self, *a, **k: False),
         ],
     )
     def test_separation_on_side_failure(
         self, capsys, monkeypatch, method, broken
     ):
-        from repro.analysis.explorer import Explorer
-
         monkeypatch.setattr(Explorer, method, broken)
         code, payload, _err = _json_report(capsys, ["separation", "--n", "2"])
         assert code == 1
@@ -293,3 +326,33 @@ class TestCorollary66Views:
         assert [f["kind"] for f in payload["findings"]] == ["safety"]
         assert main(["ledger", "--n", "2"]) == 1
         assert "NOT reproduced" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    """A reader that goes away before the first write (``| head``)
+    ends either console entry point with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["-m", "repro", "lint"],
+            ["-c", "import sys; from repro.lint.cli import main; sys.exit(main())"],
+        ],
+        ids=["python-m-repro", "repro-lint"],
+    )
+    def test_no_traceback(self, tmp_path, entry):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )
+        process = subprocess.Popen(
+            [sys.executable, *entry, "--list-rules"],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

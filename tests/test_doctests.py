@@ -12,7 +12,6 @@ import repro.core.combined
 import repro.core.pac
 import repro.core.separation
 import repro.core.set_agreement
-import repro.objects.adopt_commit
 import repro.objects.classic
 import repro.objects.consensus
 import repro.objects.register
@@ -26,7 +25,6 @@ MODULES = [
     repro.core.pac,
     repro.core.separation,
     repro.core.set_agreement,
-    repro.objects.adopt_commit,
     repro.objects.classic,
     repro.objects.consensus,
     repro.objects.register,
