@@ -5,7 +5,9 @@ runs the explore request for Algorithm 2 at n=5 on every one of the 32
 input assignments, in one process, the way a batch of cold requests
 does (n=3 over 8 inputs for the CI smoke). Each request builds an
 explorer, its kernel and its tables, and drops them when it returns.
-Per sweep it records:
+It runs once per available kernel backend (``python``, and
+``compiled`` when the extension is built), each field prefixed by the
+backend. Per backend it records:
 
 * **wall time** of the whole sweep (median of ``repeats``, best-of
   rides along);
@@ -15,10 +17,15 @@ Per sweep it records:
   engine leaves the collector nothing to find
   (``docs/performance.md``, "Graph lifetime");
 * **tracemalloc peak** of one sweep (a separate, untimed pass:
-  tracing allocations slows the sweep several-fold).
+  tracing allocations slows the sweep several-fold);
+* **retained** — the bytes still traced after that pass and a
+  collection. The pass runs over input values no earlier sweep in the
+  process used, so any table that outlives its request (a process-wide
+  memo of object transitions, say) holds new entries and shows here.
+  The bench fails when ``retained_kb`` exceeds :data:`RETAINED_LIMIT_KB`
+  — at both scales, so the CI smoke catches such a memo coming back.
 
-``cpu_count`` and the kernel backend ride along: these are
-single-process numbers.
+``cpu_count`` rides along: these are single-process numbers.
 """
 
 import gc
@@ -30,7 +37,13 @@ import tracemalloc
 
 from _perf_report import perf_scale, record, timed
 from repro import api
-from repro.analysis.kernel import select
+from repro.analysis import kernel as kernel_mod
+from repro.analysis.kernel import compiled_available
+
+#: The most one sweep may leave traced once it returned: tracemalloc's
+#: own bookkeeping (under 1 KiB) with room to spare. A response memo
+#: for the n=3 smoke alone holds about 250 KiB.
+RETAINED_LIMIT_KB = 64
 
 
 def _sweep_n():
@@ -73,50 +86,94 @@ def _sweep(n, assignments):
     return total
 
 
+def _traced_sweep(n, assignments):
+    """(tracemalloc peak, bytes still traced after a collection) of one
+    sweep."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        _sweep(n, assignments)
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, after - before
+
+
 class TestGraphLifetime:
-    def test_bench_graph_lifetime_algorithm2(self, benchmark):
+    def test_bench_graph_lifetime_algorithm2(self, benchmark, monkeypatch):
         n = _sweep_n()
         assignments = list(itertools.product((0, 1), repeat=n))
         repeats = 3 if perf_scale() == "tiny" else 7
+        backends = ["python"]
+        if compiled_available():
+            backends.append("compiled")
 
-        clocks = []
+        fields = {
+            "n": n,
+            "inputs": len(assignments),
+            "backends": list(backends),
+            "cpu_count": multiprocessing.cpu_count(),
+            "repeats": repeats,
+            "retained_kb_limit": RETAINED_LIMIT_KB,
+        }
+        retained = {}
+        for index, kernel in enumerate(backends):
+            # The same seam the graph-lifetime tests use: requests take
+            # their backend from ``select``.
+            monkeypatch.setattr(
+                kernel_mod, "select", lambda kernel=kernel: kernel
+            )
+            clocks = []
 
-        def measured():
-            # Every sweep starts from an empty collector, so each one
-            # pays for exactly the garbage it makes.
-            gc.collect()
-            with _CollectorClock() as clock:
-                configurations = _sweep(n, assignments)
-            clocks.append(clock)
-            return configurations
+            def measured():
+                # Every sweep starts from an empty collector, so each one
+                # pays for exactly the garbage it makes.
+                gc.collect()
+                with _CollectorClock() as clock:
+                    configurations = _sweep(n, assignments)
+                clocks.append(clock)
+                return configurations
 
-        timing = timed(measured, repeats=repeats)
-        configurations = timing.result
+            timing = timed(measured, repeats=repeats)
+            configurations = timing.result
+            # Values no earlier sweep in this process used (the graphs
+            # have the same shape as over {0, 1}).
+            low = 2 + 2 * index
+            unseen = [
+                tuple(low + bit for bit in inputs) for inputs in assignments
+            ]
+            peak, kept = _traced_sweep(n, unseen)
+            retained[kernel] = kept / 1024
+            fields.update(
+                {
+                    "configurations": configurations,
+                    f"{kernel}_wall_seconds": round(timing.median, 6),
+                    f"{kernel}_best_wall_seconds": round(timing.best, 6),
+                    f"{kernel}_gc_seconds": round(
+                        statistics.median(clock.seconds for clock in clocks), 6
+                    ),
+                    f"{kernel}_gc_collections": max(
+                        clock.collections for clock in clocks
+                    ),
+                    f"{kernel}_gc_unreachable": max(
+                        clock.collected for clock in clocks
+                    ),
+                    f"{kernel}_tracemalloc_peak_mb": round(peak / (1 << 20), 3),
+                    f"{kernel}_retained_kb": round(retained[kernel], 2),
+                }
+            )
 
-        gc.collect()
-        tracemalloc.start()
-        try:
-            _sweep(n, assignments)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-
-        record(
-            "graph_lifetime_algorithm2",
-            n=n,
-            inputs=len(assignments),
-            configurations=configurations,
-            kernel=select(),
-            cpu_count=multiprocessing.cpu_count(),
-            repeats=repeats,
-            wall_seconds=round(timing.median, 6),
-            best_wall_seconds=round(timing.best, 6),
-            gc_seconds=round(
-                statistics.median(clock.seconds for clock in clocks), 6
-            ),
-            gc_collections=max(clock.collections for clock in clocks),
-            gc_unreachable=max(clock.collected for clock in clocks),
-            tracemalloc_peak_mb=round(peak / (1 << 20), 3),
+        record("graph_lifetime_algorithm2", **fields)
+        held = {
+            kernel: kb
+            for kernel, kb in retained.items()
+            if kb > RETAINED_LIMIT_KB
+        }
+        assert not held, (
+            f"a sweep left more than {RETAINED_LIMIT_KB} KiB traced after it "
+            f"returned: {held}"
         )
         assert benchmark.pedantic(
             _sweep, args=(n, assignments), rounds=1, iterations=1

@@ -642,6 +642,7 @@ class _CodeSpace:
         "encoder",
         "specs",
         "processes",
+        "object_slots",
         "index_of",
         "status_cache",
         "invokes",
@@ -663,6 +664,11 @@ class _CodeSpace:
         )
         self.specs = specs
         self.processes = processes
+        #: per object: the encoder's live (state -> code, code -> state)
+        #: tables, read directly on every miss.
+        self.object_slots = tuple(
+            self.encoder.object_slot(index) for index in range(len(specs))
+        )
         #: object name -> index in the explorer's object order.
         self.index_of = index_of
         #: per-pid local state -> absorbed status tuple.
@@ -715,7 +721,7 @@ class _CodeSpace:
 
     def compute_delta_codes(
         self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
-    ) -> Tuple[Tuple[int, int, int, int], ...]:
+    ) -> List[Tuple[int, int, int, int]]:
         """Kernel miss hook: one ``(edge id, new local code, new status
         code, new object code)`` row per adversary choice for ``pid``
         stepping against the object state carrying ``obj_code``.
@@ -727,9 +733,13 @@ class _CodeSpace:
         row were computed afresh.
         """
         encoder = self.encoder
-        local_state, operation, _obj_index = self.invoke_of(pid, local_code)
+        info = self.invokes.get((pid, local_code))
+        if info is None:
+            info = self.invoke_of(pid, local_code)
+        local_state, operation, _obj_index = info
+        object_ids, object_values = self.object_slots[obj_index]
         outcomes = self.specs[obj_index].responses(
-            encoder.object_value(obj_index, obj_code), operation
+            object_values[obj_code], operation
         )
         process_deltas = self.process_deltas
         deltas = []
@@ -747,8 +757,11 @@ class _CodeSpace:
                     encoder.status_code(status),
                 )
                 process_deltas[key] = row
-            deltas.append(row + (encoder.object_code(obj_index, new_obj),))
-        return tuple(deltas)
+            new_code = object_ids.get(new_obj)
+            if new_code is None:
+                new_code = encoder.object_code(obj_index, new_obj)
+            deltas.append(row + (new_code,))
+        return deltas
 
     def invoke_of(
         self, pid: ProcessId, local_code: int

@@ -31,7 +31,7 @@ addressed cache fingerprint deliberately excludes the kernel name.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ...errors import AnalysisError
 from .encoding import FIELD_BITS, MAX_CODE, PackedEncoder
@@ -68,7 +68,7 @@ def make_backend(
     n_processes: int,
     resolve_invoke: Callable[[int, int], int],
     compute_deltas: Callable[
-        [int, int, int, int], Tuple[Tuple[int, int, int, int], ...]
+        [int, int, int, int], Sequence[Tuple[int, int, int, int]]
     ],
 ):
     """Instantiate a backend. Returns ``(backend, name)``.

@@ -66,7 +66,7 @@ class PyKernel:
         n_processes: int,
         resolve_invoke: Callable[[int, int], int],
         compute_deltas: Callable[
-            [int, int, int, int], Tuple[Tuple[int, int, int, int], ...]
+            [int, int, int, int], Sequence[Tuple[int, int, int, int]]
         ],
     ) -> None:
         self.n_fields = n_fields
@@ -163,7 +163,7 @@ class PyKernel:
 
     def _make_deltas(
         self, pid: int, local: int, obj_index: int, obj_code: int
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> List[Tuple[int, int]]:
         """Precompute (eid, signed word adjustment) for one miss.
 
         The expanding pid's status is always code 0 (RUNNING), so the
@@ -174,17 +174,19 @@ class PyKernel:
         lshift = pid * FIELD_BITS
         sshift = (n + pid) * FIELD_BITS
         oshift = (2 * n + obj_index) * FIELD_BITS
-        return tuple(
-            (
-                eid,
-                ((nl - local) << lshift)
-                + (ns << sshift)
-                + ((no - obj_code) << oshift),
+        deltas = []
+        for eid, nl, ns, no in self._compute_deltas(
+            pid, local, obj_index, obj_code
+        ):
+            deltas.append(
+                (
+                    eid,
+                    ((nl - local) << lshift)
+                    + (ns << sshift)
+                    + ((no - obj_code) << oshift),
+                )
             )
-            for eid, nl, ns, no in self._compute_deltas(
-                pid, local, obj_index, obj_code
-            )
-        )
+        return deltas
 
     def expand(self, cid: int) -> List[int]:
         """Flat [eid, tid, ...] adjacency of ``cid`` (computed once)."""

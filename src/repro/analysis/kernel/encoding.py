@@ -141,6 +141,13 @@ class PackedEncoder:
             values.append(state)
         return code
 
+    def object_slot(self, obj_index: int) -> Tuple[dict, List[Hashable]]:
+        """The live ``(state -> code, code -> state)`` tables of an
+        object's slot, for a caller's hot loop: a hit read straight
+        from them skips a method call. Allocate through
+        :meth:`object_code` only, so the two stay in step."""
+        return self._object_ids[obj_index], self._object_values[obj_index]
+
     # -- decoding -------------------------------------------------------------
 
     def local_value(self, pid: int, code: int) -> Hashable:

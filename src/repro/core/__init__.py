@@ -31,10 +31,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "Certification",
             "certify_bundle_level",
             "certify_combined_pac",
-            "certify_m_consensus",
-            "certify_power_prefix",
-            "certify_registers",
-            "certify_strong_sa",
         ),
         "relations": (
             "RelationEdge",

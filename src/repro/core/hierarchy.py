@@ -136,7 +136,7 @@ def builtin_catalog(max_count: int = 3) -> Dict[str, HierarchyProbe]:
     from ..objects.register import RegisterSpec
     from ..core.set_agreement import StrongSetAgreementSpec
     from ..protocols.candidates import (
-        consensus_via_exhausted_consensus,
+        ConsensusViaExhaustedConsensus,
         consensus_via_strong_sa,
         consensus_via_test_and_set,
     )
@@ -154,8 +154,13 @@ def builtin_catalog(max_count: int = 3) -> Dict[str, HierarchyProbe]:
             )
 
         def candidate(inputs):
-            system = consensus_via_exhausted_consensus(m)
-            return system.objects, system.processes
+            return (
+                {"CONS": MConsensusSpec(m)},
+                [
+                    ConsensusViaExhaustedConsensus(pid, value)
+                    for pid, value in enumerate(inputs)
+                ],
+            )
 
         return HierarchyProbe(
             f"{m}-consensus", protocol, protocol_reach=m, candidate_factory=candidate

@@ -23,7 +23,7 @@ checked over histories by :func:`check_theorem_3_5` (experiment E1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidOperationError, SpecificationError
@@ -40,7 +40,6 @@ from ..types import (
 from ..objects.spec import Outcome, SequentialSpec, expect_arity, reject_unknown
 
 
-@dataclass(frozen=True)
 class PacState:
     """State of an ``n``-PAC object, mirroring Algorithm 1 exactly.
 
@@ -49,38 +48,87 @@ class PacState:
     * ``last_label`` — the variable ``L`` (label of the last operation if
       it was a propose, else NIL);
     * ``value`` — the variable ``val`` (the consensus value, once fixed).
+
+    An immutable value: assigning a field raises
+    :class:`~dataclasses.FrozenInstanceError`, and equal states hash
+    equally. Every model-checker miss on a PAC object builds one state
+    and looks it up in the explorer's code tables, so the state is a
+    ``__slots__`` record that hashes its fields once, at construction,
+    and compares by identity, then hash, then fields.
     """
+
+    __slots__ = ("upset", "proposals", "last_label", "value", "_hash")
 
     upset: bool
     proposals: Tuple[Value, ...]
     last_label: Value
     value: Value
 
-    def __hash__(self) -> int:
-        # PAC states appear inside every configuration the explorer
-        # interns; cache the field-tuple hash on the instance.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            digest = hash(
-                (self.upset, self.proposals, self.last_label, self.value)
-            )
-            object.__setattr__(self, "_hash", digest)
-            return digest
+    def __init__(
+        self,
+        upset: bool,
+        proposals: Tuple[Value, ...],
+        last_label: Value,
+        value: Value,
+    ) -> None:
+        _set_upset(self, upset)
+        _set_proposals(self, proposals)
+        _set_last_label(self, last_label)
+        _set_value(self, value)
+        _set_hash(self, hash((upset, proposals, last_label, value)))
 
-    def __getstate__(self) -> dict:
-        # Never pickle the cached hash: it is PYTHONHASHSEED-dependent
-        # and would be stale in any other interpreter (worker processes,
-        # the persistent exploration cache).
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash  # type: ignore[attr-defined]
+            and self.proposals == other.proposals  # type: ignore[attr-defined]
+            and self.upset == other.upset  # type: ignore[attr-defined]
+            and self.last_label == other.last_label  # type: ignore[attr-defined]
+            and self.value == other.value  # type: ignore[attr-defined]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PacState(upset={self.upset!r}, proposals={self.proposals!r}, "
+            f"last_label={self.last_label!r}, value={self.value!r})"
+        )
+
+    def __reduce__(self):
+        # Pickle the fields, never the hash: it is PYTHONHASHSEED-
+        # dependent and would be stale in any other interpreter (worker
+        # processes); unpickling rehashes through __init__.
+        return (
+            PacState,
+            (self.upset, self.proposals, self.last_label, self.value),
+        )
 
     @staticmethod
     def initial(n: int) -> "PacState":
         return PacState(
             upset=False, proposals=(NIL,) * n, last_label=NIL, value=NIL
         )
+
+
+# The slot descriptors' setters: __init__ writes through them because
+# __setattr__ refuses every assignment (and they are cheaper than
+# object.__setattr__'s attribute lookup).
+_set_upset = PacState.upset.__set__  # type: ignore[attr-defined]
+_set_proposals = PacState.proposals.__set__  # type: ignore[attr-defined]
+_set_last_label = PacState.last_label.__set__  # type: ignore[attr-defined]
+_set_value = PacState.value.__set__  # type: ignore[attr-defined]
+_set_hash = PacState._hash.__set__  # type: ignore[attr-defined]
 
 
 class NPacSpec(SequentialSpec):
@@ -115,84 +163,59 @@ class NPacSpec(SequentialSpec):
     def operation_names(self) -> Tuple[str, ...]:
         return ("propose", "decide")
 
-    def _check_label(self, label: object) -> int:
-        if not isinstance(label, int) or not 1 <= label <= self.n:
-            raise InvalidOperationError(
-                f"{self.kind}: label must be an integer in [1..{self.n}], "
-                f"got {label!r}"
-            )
-        return label
-
-    #: Class-level memo of the (pure, deterministic) transition relation,
-    #: keyed by (class, n, state, operation). Shared across instances:
-    #: the relation is a function of those values alone, and the state
-    #: space for a given ``n`` is finite. The class is part of the key so
-    #: subclasses (e.g. the mutation-test variants) never see the parent
-    #: relation's entries.
-    _responses_memo: dict = {}
+    def _label_error(self, label: object) -> InvalidOperationError:
+        return InvalidOperationError(
+            f"{self.kind}: label must be an integer in [1..{self.n}], "
+            f"got {label!r}"
+        )
 
     def responses(self, state: Hashable, operation: Operation) -> Sequence[Outcome]:
-        memo = NPacSpec._responses_memo
-        key = (type(self), self.n, state, operation)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        outcomes = self._responses_impl(state, operation)
-        memo[key] = outcomes
-        return outcomes
-
-    def _responses_impl(
-        self, state: Hashable, operation: Operation
-    ) -> Sequence[Outcome]:
+        # Every model-checker miss on a PAC object runs this, so the
+        # arity and label checks are inline tests; the helpers run only
+        # to raise.
         assert isinstance(state, PacState)
-        if operation.name == "propose":
-            expect_arity(operation, 2, self.kind)
-            value, label = operation.args
-            label = self._check_label(label)
+        name = operation.name
+        args = operation.args
+        if name == "propose":
+            if len(args) != 2:
+                expect_arity(operation, 2, self.kind)
+            value, label = args
+            if not (isinstance(label, int) and 1 <= label <= self.n):
+                raise self._label_error(label)
             if is_special(value):
                 raise InvalidOperationError(
                     f"{self.kind}: special value {value!r} may not be proposed"
                 )
             return ((self._propose(state, value, label), DONE),)
-        if operation.name == "decide":
-            expect_arity(operation, 1, self.kind)
-            label = self._check_label(operation.args[0])
+        if name == "decide":
+            if len(args) != 1:
+                expect_arity(operation, 1, self.kind)
+            label = args[0]
+            if not (isinstance(label, int) and 1 <= label <= self.n):
+                raise self._label_error(label)
             return (self._decide(state, label),)
         reject_unknown(self, operation)
         raise AssertionError("unreachable")
 
     def _propose(self, state: PacState, value: Value, label: int) -> PacState:
         """Lines 1-6 of Algorithm 1."""
+        if state.upset:
+            return state  # upset is permanent and freezes the rest
         index = label - 1
-        upset = state.upset or state.proposals[index] is not NIL
-        if upset:
-            return PacState(
-                upset=True,
-                proposals=state.proposals,
-                last_label=state.last_label,
-                value=state.value,
-            )
+        if state.proposals[index] is not NIL:
+            return PacState(True, state.proposals, state.last_label, state.value)
         proposals = list(state.proposals)
         proposals[index] = value
-        return PacState(
-            upset=False,
-            proposals=tuple(proposals),
-            last_label=label,
-            value=state.value,
-        )
+        return PacState(False, tuple(proposals), label, state.value)
 
     def _decide(self, state: PacState, label: int) -> Outcome:
         """Lines 7-17 of Algorithm 1."""
+        if state.upset:
+            return state, BOTTOM  # upset is permanent and freezes the rest
         index = label - 1
-        upset = state.upset or state.proposals[index] is NIL
-        if upset:
+        if state.proposals[index] is NIL:
             return (
-                PacState(
-                    upset=True,
-                    proposals=state.proposals,
-                    last_label=state.last_label,
-                    value=state.value,
-                ),
+                PacState(True, state.proposals, state.last_label, state.value),
                 BOTTOM,
             )
         if state.last_label != label:
@@ -203,15 +226,7 @@ class NPacSpec(SequentialSpec):
             response = value
         proposals = list(state.proposals)
         proposals[index] = NIL
-        return (
-            PacState(
-                upset=False,
-                proposals=tuple(proposals),
-                last_label=NIL,
-                value=value,
-            ),
-            response,
-        )
+        return PacState(False, tuple(proposals), NIL, value), response
 
 
 def permute_pac_state(state: Hashable, perm: Sequence[int]) -> "PacState":

@@ -29,27 +29,20 @@ from typing import Any, Hashable, Tuple
 class _Sentinel:
     """A named singleton used for the paper's special values.
 
-    Instances compare equal only to themselves, hash by name, survive
-    ``copy.deepcopy`` as the same identity, and print as their symbol.
+    Instances compare equal only to themselves, hash by identity, survive
+    ``copy.deepcopy`` and pickling as the same identity, and print as
+    their symbol. Equality and hashing are ``object``'s own C slots:
+    sentinels sit inside nearly every object state the explorer hashes,
+    and a Python-level ``__hash__`` would run once per sentinel per hash.
     """
 
-    __slots__ = ("_name", "_hash")
+    __slots__ = ("_name",)
 
     def __init__(self, name: str) -> None:
         self._name = name
-        # Sentinels sit inside nearly every object state the explorer
-        # hashes; precompute once instead of re-hashing the name tuple
-        # on every container hash.
-        self._hash = hash(("repro.sentinel", name))
 
     def __repr__(self) -> str:
         return self._name
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __copy__(self) -> "_Sentinel":
         return self

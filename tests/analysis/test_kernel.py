@@ -15,16 +15,22 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
 * miss-hook errors — a hook that raises mid-walk surfaces its error
   unchanged, on the first walk and on every later one;
 * graph lifetime — an explorer, its kernel and its code tables form no
-  reference cycle, so dropping the explorer frees them at once, and an
+  reference cycle, so dropping the explorer frees them at once, an
   exploration result that outlives its explorer still answers kernel
-  misses.
+  misses, and no request leaves memory behind once it returns.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import (
@@ -335,6 +341,54 @@ def _live(kind):
     return sum(1 for obj in gc.get_objects() if type(obj) is kind)
 
 
+#: The most a request may leave traced once it returned and the
+#: collector ran: tracemalloc's own bookkeeping, never a table.
+RETAINED_LIMIT = 64 * 1024
+
+#: Runs each request once after a warm-up, in a fresh interpreter with
+#: the backend forced, and prints the bytes still traced after each as
+#: one JSON object. A fresh process has seen no instance the explore
+#: and verify requests model-check, so a response memo that outlives
+#: its request would show in full.
+_RETAINED_PROBE = """
+import gc, json, sys, tracemalloc
+from repro import api
+from repro.analysis import kernel as kernel_mod
+from repro.analysis.explorer import Explorer
+
+kernel_mod.select = lambda: sys.argv[1]
+built = set()
+init = Explorer.__init__
+
+def recording(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.add(self.kernel)
+
+Explorer.__init__ = recording
+# Warm-up: lazy imports and one-off set-up, on other instances.
+api.explore(n=4, inputs=(0, 1, 1, 0))
+api.verify(n=3, jobs=1)
+api.refute(candidate="2-consensus from one 2-SA")
+api.fuzz(candidate="one 2-SA", seed=1, budget=20)
+requests = {
+    "explore": lambda: api.explore(n=5, inputs=(1, 0, 1, 1, 0)),
+    "verify": lambda: api.verify(n=4, jobs=1),
+    "refute": lambda: api.refute(),
+    "fuzz": lambda: api.fuzz(candidate="one 2-SA", seed=7, budget=50),
+}
+retained = {}
+for name, request in requests.items():
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    assert request().ok, name
+    gc.collect()
+    retained[name] = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+json.dump({"retained": retained, "built": sorted(built)}, sys.stdout)
+"""
+
+
 class TestGraphLifetime:
     """Reference counting alone frees an explorer and its kernel: the
     kernel's miss hooks belong to the explorer's code space, which
@@ -397,3 +451,33 @@ class TestGraphLifetime:
         dropped = self._frontier_answers(kernel, keep=False)
         assert kept
         assert dropped == kept
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_nothing_outlives_a_request(self, kernel):
+        """Every table a request fills belongs to one of its explorers,
+        so tracemalloc sees nothing held once the request returns —
+        including no process-wide memo of object transitions."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _RETAINED_PROBE, kernel],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        assert probe["built"] == [kernel]
+        assert sorted(probe["retained"]) == [
+            "explore", "fuzz", "refute", "verify"
+        ]
+        held = {
+            name: size
+            for name, size in probe["retained"].items()
+            if size > RETAINED_LIMIT
+        }
+        assert not held, f"bytes still traced after the request: {held}"

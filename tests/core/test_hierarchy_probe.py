@@ -40,6 +40,18 @@ class TestBuiltinCatalog:
         assert probe.probe(3).grade == SOLVES
         assert probe.probe(4).grade == REFUTED
 
+    @pytest.mark.parametrize("m, count", [(2, 3), (2, 4), (3, 4)])
+    def test_m_consensus_candidate_runs_count_processes(
+        self, explorers_built, m, count
+    ):
+        """Beyond ``m`` the cell grades the candidate built over
+        ``count`` processes, never the (m+1)-process one."""
+        cell = builtin_catalog(max_count=4)[f"{m}-consensus"].probe(count)
+        assert cell.grade == REFUTED
+        assert [len(explorer.processes) for explorer in explorers_built] == [
+            count
+        ]
+
     def test_tas_level_two(self):
         probe = builtin_catalog()["test-and-set"]
         assert probe.probe(2).grade == SOLVES

@@ -1,6 +1,11 @@
 """Tests for the n-PAC object (Algorithm 1) — paper Section 3."""
 
+import dataclasses
+import pickle
+
 import pytest
+
+from repro.analysis.kernel import PackedEncoder
 
 from repro.core.pac import (
     NPacSpec,
@@ -195,6 +200,97 @@ class TestValidation:
         spec = NPacSpec(2)
         with pytest.raises(InvalidOperationError):
             spec.responses(spec.initial_state(), op("propose", 1))
+
+    def test_decide_arity(self):
+        spec = NPacSpec(2)
+        with pytest.raises(InvalidOperationError, match="argument"):
+            spec.responses(spec.initial_state(), op("decide", 1, 2))
+
+    def test_upset_state_still_validates(self):
+        """An upset object answers without changing state, but a
+        malformed operation is rejected all the same."""
+        spec = NPacSpec(2)
+        upset, _responses = spec.run([op("decide", 1)])
+        assert upset.upset
+        for bad in (
+            op("propose", 1, 3),
+            op("decide", 0),
+            op("propose", BOTTOM, 1),
+            op("decide"),
+            op("read"),
+        ):
+            with pytest.raises(InvalidOperationError):
+                spec.responses(upset, bad)
+
+    def test_bool_label_is_an_int_label(self):
+        spec = NPacSpec(2)
+        state = spec.initial_state()
+        assert spec.responses(state, op("propose", 5, True)) == spec.responses(
+            state, op("propose", 5, 1)
+        )
+
+
+class TestPacStateContract:
+    """``PacState`` is an immutable value: equal fields mean equal,
+    same-hash states that stand for one another everywhere — in a
+    pickle round trip and as a key of the explorer's code tables."""
+
+    @staticmethod
+    def _states():
+        return [
+            PacState.initial(3),
+            PacState(False, (5, NIL, NIL), 1, NIL),
+            PacState(False, (NIL, 0, NIL), NIL, 7),
+            PacState(True, (5, 6, NIL), 2, NIL),
+        ]
+
+    def test_pickle_round_trip(self):
+        for state in self._states():
+            clone = pickle.loads(pickle.dumps(state))
+            assert clone == state and clone is not state
+            assert hash(clone) == hash(state)
+            assert repr(clone) == repr(state)
+
+    def test_repr(self):
+        assert repr(PacState(False, (5, NIL), 1, NIL)) == (
+            "PacState(upset=False, proposals=(5, NIL), last_label=1, "
+            "value=NIL)"
+        )
+
+    def test_fields_are_read_only(self):
+        state = PacState.initial(2)
+        for name in ("upset", "proposals", "last_label", "value", "_hash"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(state, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.extra = 1
+        assert state == PacState.initial(2)
+
+    def test_equal_states_built_apart_are_one_key(self):
+        encoder = PackedEncoder(1, 1)
+        for state in self._states():
+            twin = PacState(
+                upset=state.upset,
+                proposals=tuple(list(state.proposals)),
+                last_label=state.last_label,
+                value=state.value,
+            )
+            assert twin == state and twin is not state
+            assert hash(twin) == hash(state)
+            code = encoder.object_code(0, state)
+            assert encoder.object_code(0, twin) == code
+            assert encoder.object_value(0, code) is state
+        assert encoder.slot_sizes()[2] == (len(self._states()),)
+
+    def test_unequal_fields_unequal_states(self):
+        states = self._states()
+        for i, first in enumerate(states):
+            for second in states[i + 1:]:
+                assert first != second
+        assert PacState.initial(2) != (False, (NIL, NIL), NIL, NIL)
+        assert PacState.initial(2) != PacState.initial(3)
 
 
 class TestLegality:

@@ -9,7 +9,9 @@ silently would prove nothing about the real object either.
 
 import pytest
 
+from repro.analysis.explorer import Explorer
 from repro.core.pac import NPacSpec, PacState, check_theorem_3_5, is_legal_history
+from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.types import BOTTOM, DONE, NIL
 from repro.workloads.histories import all_pac_histories, random_pac_history
 
@@ -195,3 +197,33 @@ class TestMutantsAreKilled:
         """Sanity: the real Algorithm 1 is NOT killed."""
         assert not theorem_killed(NPacSpec, tries=200)
         assert not property_killed(NPacSpec, tries=200)
+
+
+def algorithm2_graph(spec_type, inputs=(1, 0, 0)):
+    """Algorithm 2's reachable configurations, in discovery order, over
+    an object of ``spec_type``."""
+    explorer = Explorer(
+        {"PAC": spec_type(len(inputs))}, algorithm2_processes(inputs)
+    )
+    result = explorer.explore()
+    return tuple(repr(result.intern.value(cid)) for cid in result.order_ids)
+
+
+class TestMutantsStayApart:
+    """No transition answer outlives its spec: a mutant explored in the
+    same process as Algorithm 1 sees only its own relation, and the
+    true object's graph is the same before and after."""
+
+    def test_interleaved_explorations_do_not_mix(self):
+        truth = algorithm2_graph(NPacSpec)
+        first = {m: algorithm2_graph(m) for m in MUTANTS}
+        assert algorithm2_graph(NPacSpec) == truth
+        again = {m: algorithm2_graph(m) for m in MUTANTS}
+        assert again == first
+        # ForgivingUpset differs only on upset objects, which Algorithm 2
+        # never reaches; the other three change the reachable graph.
+        assert [m for m in MUTANTS if first[m] != truth] == [
+            ForgetsToClearLabel,
+            FixesValueOnBottom,
+            ForgetsToClearSlot,
+        ]

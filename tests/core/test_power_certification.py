@@ -1,25 +1,88 @@
-"""Tests: every claimed power lower bound survives its own protocol."""
+"""Tests: every claimed power lower bound survives its own protocol.
+
+The separation pair's certifiers ship in
+:mod:`repro.core.power_certification`; the certifiers for the rest of
+the power table (registers, ``m``-consensus, strong ``c``-SA) and the
+prefix runner have no product caller, so they live here.
+"""
 
 import pytest
 
 from repro.core.power import (
+    SetAgreementPower,
     combined_pac_power,
     m_consensus_power,
     on_power,
     register_power,
-    strong_sa_power,
 )
 from repro.core.power_certification import (
     Certification,
+    _check_k_set,
     certify_bundle_level,
     certify_combined_pac,
-    certify_m_consensus,
-    certify_power_prefix,
-    certify_registers,
-    certify_strong_sa,
 )
 from repro.core.separation import make_on_prime
+from repro.core.set_agreement import StrongSetAgreementSpec
 from repro.errors import SpecificationError
+from repro.protocols.set_agreement import (
+    group_partition_objects,
+    group_partition_processes,
+    strong_sa_processes,
+    trivial_processes,
+)
+from repro.types import require
+
+
+def certify_registers(k):
+    """``n_k >= k``: everyone decides its own input."""
+    inputs = tuple(range(k))
+    ok = _check_k_set({}, trivial_processes(inputs), k, inputs)
+    return Certification(k, k, "trivial protocol", ok)
+
+
+def certify_m_consensus(m, k):
+    """``n_k >= m·k``: k groups of m, one consensus object each."""
+    count = m * k
+    inputs = tuple(range(count))
+    ok = _check_k_set(
+        group_partition_objects(count, m),
+        group_partition_processes(inputs, m),
+        k,
+        inputs,
+    )
+    return Certification(k, count, f"group partition ({k} x {m}-consensus)", ok)
+
+
+def certify_strong_sa(c, k, sample_count=5):
+    """``k >= c`` ⇒ unbounded: relay through one strong c-SA object,
+    sampled at ``sample_count`` processes (no finite run certifies ∞)."""
+    require(k >= c, SpecificationError, "the strong c-SA bound needs k >= c")
+    inputs = tuple(range(sample_count))
+    ok = _check_k_set(
+        {"SA": StrongSetAgreementSpec(c)},
+        strong_sa_processes(inputs),
+        k,
+        inputs,
+    )
+    return Certification(
+        k, sample_count, f"strong {c}-SA relay (sampled at {sample_count})", ok
+    )
+
+
+def certify_power_prefix(power: SetAgreementPower, length, certifier):
+    """Certify the first ``length`` components of ``power`` with the
+    given per-component certifier; raises if any claimed finite lower
+    bound fails its own protocol."""
+    results = []
+    for k in range(1, length + 1):
+        certification = certifier(k)
+        if not certification.certified:
+            raise SpecificationError(
+                f"{power.name}: claimed lower bound at k={k} failed its "
+                f"backing protocol ({certification.method})"
+            )
+        results.append(certification)
+    return results
 
 
 class TestIndividualCertifiers:
