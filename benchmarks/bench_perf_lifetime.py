@@ -2,9 +2,11 @@
 
 One entry in ``BENCH_perf.json`` — ``graph_lifetime_algorithm2`` — that
 runs the explore request for Algorithm 2 at n=5 on every one of the 32
-input assignments, in one process, the way a batch of cold requests
-does (n=3 over 8 inputs for the CI smoke). Each request builds an
-explorer, its kernel and its tables, and drops them when it returns.
+input assignments, whole and symmetry-reduced, then one reduced verify
+request at n=4, in one process, the way a batch of cold requests does
+(n=3 over 8 inputs and a verify at n=2 for the CI smoke). Each request
+builds an explorer, its kernel and its tables, and drops them when it
+returns.
 It runs once per available kernel backend (``python``, and
 ``compiled`` when the extension is built), each field prefixed by the
 backend. Per backend it records:
@@ -78,12 +80,18 @@ class _CollectorClock:
 
 
 def _sweep(n, assignments):
-    total = 0
+    """(full, reduced) configurations: each input explored whole and
+    symmetry-reduced, then one reduced verify at ``n - 1``."""
+    total = reduced = 0
     for inputs in assignments:
         report = api.explore(n=n, inputs=inputs)
         assert report.ok
         total += report.data["configurations"]
-    return total
+        report = api.explore(n=n, inputs=inputs, symmetry=True)
+        assert report.ok
+        reduced += report.data["configurations"]
+    assert api.verify(n=n - 1, jobs=1, symmetry=True).ok
+    return total, reduced
 
 
 def _traced_sweep(n, assignments):
@@ -137,7 +145,7 @@ class TestGraphLifetime:
                 return configurations
 
             timing = timed(measured, repeats=repeats)
-            configurations = timing.result
+            configurations, reduced_configurations = timing.result
             # Values no earlier sweep in this process used (the graphs
             # have the same shape as over {0, 1}).
             low = 2 + 2 * index
@@ -149,6 +157,7 @@ class TestGraphLifetime:
             fields.update(
                 {
                     "configurations": configurations,
+                    "reduced_configurations": reduced_configurations,
                     f"{kernel}_wall_seconds": round(timing.median, 6),
                     f"{kernel}_best_wall_seconds": round(timing.best, 6),
                     f"{kernel}_gc_seconds": round(
@@ -177,4 +186,4 @@ class TestGraphLifetime:
         )
         assert benchmark.pedantic(
             _sweep, args=(n, assignments), rounds=1, iterations=1
-        ) == configurations
+        ) == (configurations, reduced_configurations)

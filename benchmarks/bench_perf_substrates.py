@@ -8,10 +8,13 @@ headline benches record machine-readable entries into
 (``REPRO_PERF_SCALE=tiny`` shrinks them for the CI smoke job).
 """
 
+import multiprocessing
+
 import pytest
 
 from _perf_report import perf_scale, record, timed
 from repro.analysis.explorer import Explorer
+from repro.analysis.kernel import compiled_available
 from repro.analysis.valency_analyzer import ValencyAnalyzer
 from repro.core.pac import NPacSpec
 from repro.core.relations import paper_ledger
@@ -93,55 +96,85 @@ class TestValencyAnalyzerPerf:
 
 class TestSymmetryReductionPerf:
     def test_bench_symmetry_reduction(self, benchmark):
-        # Tracks how much the quotient construction buys on the E18
-        # state-space instance: full vs reduced graph size, plus the
+        # What the quotient construction buys on the E18 state-space
+        # instances: full vs reduced graph size and cold wall time (a
+        # fresh explorer and symmetry per run, so no table survives
+        # from one run to the next), per available backend, plus the
         # guarantee that the quotient preserves the decision set.
-        n = 3 if perf_scale() == "tiny" else 4
-        inputs = DacDecisionTask.paper_initial_inputs(n)
-        symmetry = algorithm2_symmetry(inputs)
-        assert symmetry is not None
+        sizes = (3,) if perf_scale() == "tiny" else (4, 5, 6)
+        backends = ["python"]
+        if compiled_available():
+            backends.append("compiled")
+        repeats = 5
+        fields = {
+            "repeats": repeats,
+            "sizes": list(sizes),
+            "backends": list(backends),
+            "cpu_count": multiprocessing.cpu_count(),
+        }
+        decisions_equal = True
+        for n in sizes:
+            inputs = DacDecisionTask.paper_initial_inputs(n)
 
-        def run_full():
-            explorer = Explorer(
-                {"PAC": NPacSpec(n)}, algorithm2_processes(inputs)
-            )
-            return explorer, explorer.explore()
+            def run(kernel, reduce):
+                explorer = Explorer(
+                    {"PAC": NPacSpec(n)},
+                    algorithm2_processes(inputs),
+                    kernel=kernel,
+                )
+                symmetry = algorithm2_symmetry(inputs) if reduce else None
+                assert not reduce or symmetry is not None
+                return explorer, explorer.explore(symmetry=symmetry)
+
+            fields[f"n{n}_inputs"] = list(inputs)
+            for kernel in backends:
+                full_timing = timed(lambda: run(kernel, False), repeats)
+                reduced_timing = timed(lambda: run(kernel, True), repeats)
+                full_explorer, full = full_timing.result
+                reduced_explorer, reduced = reduced_timing.result
+                assert len(reduced) < len(full)
+                full_decisions = full_explorer.decision_table(
+                    exploration=full
+                )[full.order_ids[0]]
+                reduced_decisions = reduced_explorer.decision_table(
+                    exploration=reduced
+                )[reduced.order_ids[0]]
+                decisions_equal &= full_decisions == reduced_decisions
+                prefix = f"n{n}_{kernel}"
+                fields.update(
+                    {
+                        f"n{n}_full_configurations": len(full),
+                        f"n{n}_reduced_configurations": len(reduced),
+                        f"{prefix}_full_wall_seconds": full_timing.median,
+                        f"{prefix}_full_best_wall_seconds": full_timing.best,
+                        f"{prefix}_reduced_wall_seconds": (
+                            reduced_timing.median
+                        ),
+                        f"{prefix}_reduced_best_wall_seconds": (
+                            reduced_timing.best
+                        ),
+                        f"{prefix}_reduced_over_full": (
+                            reduced_timing.median / full_timing.median
+                        ),
+                    }
+                )
+        record(
+            "symmetry_reduction_algorithm2",
+            decision_sets_equal=decisions_equal,
+            **fields,
+        )
+        assert decisions_equal
+
+        n = sizes[0]
+        inputs = DacDecisionTask.paper_initial_inputs(n)
 
         def run_reduced():
             explorer = Explorer(
                 {"PAC": NPacSpec(n)}, algorithm2_processes(inputs)
             )
-            return explorer, explorer.explore(symmetry=symmetry)
+            return explorer.explore(symmetry=algorithm2_symmetry(inputs))
 
-        full_timing = timed(run_full, repeats=3)
-        reduced_timing = timed(run_reduced, repeats=3)
-        full_explorer, full = full_timing.result
-        reduced_explorer, reduced = reduced_timing.result
-        full_decisions = full_explorer.decision_table(exploration=full)[
-            full.order_ids[0]
-        ]
-        reduced_decisions = reduced_explorer.decision_table(
-            exploration=reduced
-        )[reduced.order_ids[0]]
-        record(
-            "symmetry_reduction_algorithm2",
-            n=n,
-            inputs=list(inputs),
-            full_configurations=len(full),
-            reduced_configurations=len(reduced),
-            reduction_ratio=len(full) / len(reduced),
-            full_wall_seconds=full_timing.median,
-            full_best_wall_seconds=full_timing.best,
-            reduced_wall_seconds=reduced_timing.median,
-            reduced_best_wall_seconds=reduced_timing.best,
-            repeats=full_timing.repeats,
-            decision_sets_equal=full_decisions == reduced_decisions,
-        )
-        assert len(reduced) < len(full)
-        assert full_decisions == reduced_decisions
-
-        _explorer, graph = benchmark(run_reduced)
-        assert graph.complete
+        assert benchmark(run_reduced).complete
 
 
 class TestLedgerPerf:

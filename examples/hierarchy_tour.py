@@ -13,6 +13,7 @@ power of each object from :mod:`repro.core.power`.
 Run:  python examples/hierarchy_tour.py
 """
 
+from repro.core.combined import CombinedPacSpec
 from repro.core.hierarchy import REFUTED, SOLVES, HierarchyProbe, builtin_catalog
 from repro.core.power import (
     combined_pac_power,
@@ -22,7 +23,7 @@ from repro.core.power import (
 )
 from repro.core.separation import make_on
 from repro.objects import StickyBitSpec
-from repro.protocols.candidates import consensus_via_pac_retry
+from repro.protocols.candidates import PacRetryConsensusProcess
 from repro.protocols.consensus import (
     CombinedPacConsensusProcess,
     StickyBitConsensusProcess,
@@ -56,8 +57,8 @@ def sticky_bit_probe():
 
 
 def on_probe(n):
-    """O_n's consensus face up to n processes; beyond, the (n+1)-process
-    PAC-retry candidate (Theorem 5.2's upset flooding)."""
+    """O_n's consensus face up to n processes; beyond, the PAC-retry
+    candidate over the probed count (Theorem 5.2's upset flooding)."""
 
     def protocol(inputs):
         return (
@@ -69,8 +70,14 @@ def on_probe(n):
         )
 
     def candidate(inputs):
-        system = consensus_via_pac_retry(n + 1, n)
-        return system.objects, system.processes
+        # Everyone proposes on label 1, so any process count fits.
+        return (
+            {"NMPAC": CombinedPacSpec(n + 1, n)},
+            [
+                PacRetryConsensusProcess(pid, value)
+                for pid, value in enumerate(inputs)
+            ],
+        )
 
     return HierarchyProbe(
         f"O_{n} = ({n + 1},{n})-PAC", protocol, n, candidate_factory=candidate

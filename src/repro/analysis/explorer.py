@@ -53,7 +53,9 @@ packed-kernel rework its bookkeeping is built on four layers (see
   (:meth:`successors`, :meth:`step`) stay memoized per id;
 * **symmetry reduction** (opt-in) — :meth:`explore` accepts a
   :class:`~repro.analysis.symmetry.ProcessSymmetry` and then walks only
-  canonical representatives of process-permutation orbits; witness
+  canonical representatives of process-permutation orbits, over packed
+  ids: each successor row is canonicalized from cached per-slot
+  ``repr`` pieces (:meth:`Explorer.row_canonicalizer`), and witness
   schedules are mapped back through the accumulated permutations so
   they replay bit-for-bit on the *unreduced* system.
 
@@ -1045,14 +1047,15 @@ class Explorer:
         max_configurations: int,
         symmetry: "ProcessSymmetry",
     ) -> ExplorationResult:
-        """The symmetry-reduced walk (object-level: canonicalization
-        permutes whole configurations, which quotient graphs are small
-        enough to afford)."""
-        rep, initial_perm = self._canonicalize(start, symmetry)
-        bfs_start = rep
-
+        """The symmetry-reduced walk, over packed ids end to end: every
+        successor the kernel expands is mapped to its orbit
+        representative by :meth:`row_canonicalizer`, which reads the
+        kernel row and builds no configuration."""
+        canonicalize = self.row_canonicalizer(symmetry)
         intern = self._intern
-        start_id = intern.id_of(bfs_start)
+        start_id, initial_perm = canonicalize(intern.id_of(start))
+        expand = self._backend.expand
+        edge_list = self._edge_list
         order_ids: List[int] = [start_id]
         seen: Set[int] = {start_id}
         parent_ids: Dict[int, Tuple[int, Edge]] = {}
@@ -1079,27 +1082,23 @@ class Explorer:
                 next_frontier: List[int] = []
                 for cid in frontier:
                     expansions += 1
-                    entries = self._successor_entries(cid)
+                    flat = expand(cid)
                     # The quotient graph's edges must target the
                     # canonical representatives, so every id in
                     # successor_ids stays inside order_ids and
                     # graph-level passes (decision fixpoint, livelock
                     # DFS) work unchanged on reduced results.
-                    mapped: List[Tuple[Edge, int]] = []
-                    perm_list: List[Permutation] = []
-                    for edge, tid in entries:
-                        crep, perm = self._canonicalize(
-                            intern.value(tid), symmetry
-                        )
-                        rep_id = intern.id_of(crep)
+                    entries: List[Tuple[Edge, int]] = []
+                    perms: List[Permutation] = []
+                    for k in range(0, len(flat), 2):
+                        tid = flat[k + 1]
+                        rep_id, perm = canonicalize(tid)
                         if rep_id != tid:
                             symmetry_hits += 1
-                        mapped.append((edge, rep_id))
-                        perm_list.append(perm)
-                    entries = tuple(mapped)
-                    perms = tuple(perm_list)
-                    successor_ids[cid] = entries
-                    for index, (edge, tid) in enumerate(entries):
+                        entries.append((edge_list[flat[k]], rep_id))
+                        perms.append(perm)
+                    successor_ids[cid] = tuple(entries)
+                    for (edge, tid), perm in zip(entries, perms):
                         if tid in seen:
                             continue
                         if len(seen) >= max_configurations:
@@ -1108,7 +1107,7 @@ class Explorer:
                         seen.add(tid)
                         order_ids.append(tid)
                         parent_ids[tid] = (cid, edge)
-                        parent_perms[tid] = perms[index]
+                        parent_perms[tid] = perm
                         next_frontier.append(tid)
                 frontier = next_frontier
                 depth += 1
@@ -1126,7 +1125,7 @@ class Explorer:
                 obs.counter("explorer.truncations")
 
         return ExplorationResult(
-            initial=bfs_start,
+            initial=intern.value(start_id),
             complete=complete,
             intern=intern,
             order_ids=order_ids,
@@ -1139,13 +1138,149 @@ class Explorer:
             expansions=expansions,
         )
 
-    def _canonicalize(
-        self, config: Configuration, symmetry: "ProcessSymmetry"
-    ) -> Tuple[Configuration, Permutation]:
-        """Orbit representative of ``config`` (interned) plus the
-        permutation mapping ``config`` onto it."""
-        rep, perm = symmetry.canonical(config, self.object_names)
-        return self._intern.canonical(rep), perm
+    def row_canonicalizer(
+        self, symmetry: "ProcessSymmetry"
+    ) -> Callable[[int], Tuple[int, Permutation]]:
+        """A map ``id -> (representative id, perm)`` for one walk.
+
+        The representative of a configuration's orbit is its permuted
+        variant whose ``(process_states, statuses, object_states)``
+        triple has the least ``repr`` over ``symmetry.permutations``
+        (the first such permutation on a tie, so the identity keeps a
+        configuration that is already least); ``perm`` carries the
+        configuration onto it. A string comparison, so the choice is
+        independent of ``PYTHONHASHSEED`` (R001).
+
+        Each key string is assembled from the kernel row out of cached
+        pieces, exactly as ``repr`` of the permuted triple would print
+        it: a head ``((process_states), (statuses), (`` per permutation
+        for every distinct process/status code segment, and the
+        permuted state and its ``repr`` per (object, code,
+        permutation). A permutation whose head does not start with the
+        least head cannot win, whatever follows, so only the rest are
+        compared in full. No configuration is built; only the winner
+        is encoded and interned. The caches belong to the returned
+        function, so they are freed with the walk that uses it.
+        """
+        n = len(self.processes)
+        perms = symmetry.permutations
+        inverses = [_invert(perm) for perm in perms]
+        identity = tuple(range(n))
+        encoder = self._encoder
+        row_of = self._backend.row
+        intern_row = self._backend.intern_row
+        permuters = [
+            symmetry.object_permuters.get(name) for name in self.object_names
+        ]
+        n_objects = len(permuters)
+        # ``repr`` of a 1-tuple ends in ",)".
+        process_close = ",)" if n == 1 else ")"
+        object_close = (",)" if n_objects == 1 else ")") + ")"
+        #: per pid: local code -> repr; status code -> repr
+        local_reprs: List[Dict[int, str]] = [{} for _ in range(n)]
+        status_reprs: Dict[int, str] = {}
+        #: process/status code segment -> (key head per permutation,
+        #: the permutations whose head starts with the least one)
+        heads: Dict[Tuple[int, ...], Tuple[List[str], List[int]]] = {}
+        #: per object: (code, permutation index) -> (state, its repr)
+        objects: List[Dict[Tuple[int, int], Tuple[Hashable, str]]] = [
+            {} for _ in range(n_objects)
+        ]
+        canon: Dict[int, Tuple[int, Permutation]] = {}
+
+        def head_of(segment: Tuple[int, ...]) -> Tuple[List[str], List[int]]:
+            local_parts = []
+            status_parts = []
+            for pid in range(n):
+                code = segment[pid]
+                part = local_reprs[pid].get(code)
+                if part is None:
+                    part = repr(encoder.local_value(pid, code))
+                    local_reprs[pid][code] = part
+                local_parts.append(part)
+                code = segment[n + pid]
+                part = status_reprs.get(code)
+                if part is None:
+                    part = repr(encoder.status_value(code))
+                    status_reprs[code] = part
+                status_parts.append(part)
+            head = [
+                "(("
+                + ", ".join([local_parts[i] for i in inverse])
+                + process_close
+                + ", ("
+                + ", ".join([status_parts[i] for i in inverse])
+                + process_close
+                + ", ("
+                for inverse in inverses
+            ]
+            least = min(head)
+            contenders = [
+                k for k, start in enumerate(head) if start.startswith(least)
+            ]
+            heads[segment] = (head, contenders)
+            return head, contenders
+
+        def object_variant(
+            index: int, code: int, k: int
+        ) -> Tuple[Hashable, str]:
+            permuter = permuters[index]
+            key = (code, k if permuter is not None else 0)
+            variant = objects[index].get(key)
+            if variant is None:
+                state = encoder.object_value(index, code)
+                if permuter is not None:
+                    state = permuter(state, perms[k])
+                variant = (state, repr(state))
+                objects[index][key] = variant
+            return variant
+
+        def canonicalize(tid: int) -> Tuple[int, Permutation]:
+            result = canon.get(tid)
+            if result is not None:
+                return result
+            row = row_of(tid)
+            segment = row[: 2 * n]
+            head, contenders = heads.get(segment) or head_of(segment)
+            codes = row[2 * n :]
+            best = contenders[0]
+            if len(contenders) > 1:
+                best_key = ""
+                for k in contenders:
+                    key = (
+                        head[k]
+                        + ", ".join(
+                            [
+                                object_variant(index, code, k)[1]
+                                for index, code in enumerate(codes)
+                            ]
+                        )
+                        + object_close
+                    )
+                    if k == contenders[0] or key < best_key:
+                        best, best_key = k, key
+            if perms[best] == identity:
+                result = (tid, identity)
+            else:
+                inverse = inverses[best]
+                rep_codes = [
+                    encoder.local_code(
+                        image, encoder.local_value(source, row[source])
+                    )
+                    for image, source in enumerate(inverse)
+                ]
+                rep_codes.extend(row[n + source] for source in inverse)
+                rep_codes.extend(
+                    encoder.object_code(
+                        index, object_variant(index, code, best)[0]
+                    )
+                    for index, code in enumerate(codes)
+                )
+                result = (intern_row(rep_codes), perms[best])
+            canon[tid] = result
+            return result
+
+        return canonicalize
 
     # -- status segments -------------------------------------------------------
 
@@ -1208,58 +1343,45 @@ class Explorer:
             exploration = self.explore(
                 initial, max_configurations, symmetry=symmetry
             )
-        if exploration.reduced:
-            # BFS order, not set order: the returned counterexample must
-            # be the same one on every run regardless of PYTHONHASHSEED.
-            for config in exploration.order:
+        # The predicate only sees (decisions, aborted), a function of
+        # the status row: audit each distinct row once and scan ids in
+        # BFS order (R001: same counterexample on every run). No
+        # Configuration is materialized unless a violation is reported.
+        status_key = self._backend.status_key
+        verdicts: Dict[Tuple[int, ...], SafetyVerdict] = {}
+        for cid in exploration.order_ids:
+            key = status_key(cid)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                decisions, aborted, _enabled = self._segment_info(key)
+                verdict = task.check_safety(inputs, decisions, aborted)
+                verdicts[key] = verdict
+            if verdict.ok:
+                continue
+            config = self._intern.value(cid)
+            schedule = tuple(exploration.schedule_to(config))
+            if exploration.reduced:
+                # The witness is a representative: replay it on the
+                # concrete system, which must violate safety as well.
+                assert exploration.source_initial is not None
+                config = exploration.source_initial
+                for edge in schedule:
+                    config = self.step(config, edge.pid, edge.choice)
                 verdict = task.check_safety(
                     inputs, config.decisions(), config.aborted()
                 )
-                if not verdict.ok:
-                    schedule = tuple(exploration.schedule_to(config))
-                    assert exploration.source_initial is not None
-                    cursor = exploration.source_initial
-                    for edge in schedule:
-                        cursor = self.step(cursor, edge.pid, edge.choice)
-                    concrete = task.check_safety(
-                        inputs, cursor.decisions(), cursor.aborted()
+                if verdict.ok:
+                    raise AnalysisError(
+                        "symmetry reduction is unsound for this task: the "
+                        "canonical representative violates safety but its "
+                        "concrete preimage does not — the task predicate "
+                        "is not invariant under the supplied symmetry"
                     )
-                    if concrete.ok:
-                        raise AnalysisError(
-                            "symmetry reduction is unsound for this task: the "
-                            "canonical representative violates safety but its "
-                            "concrete preimage does not — the task predicate "
-                            "is not invariant under the supplied symmetry"
-                        )
-                    return SafetyCounterexample(
-                        configuration=cursor,
-                        verdict=concrete,
-                        schedule=schedule,
-                    )
-        else:
-            # Packed walk: the predicate only sees (decisions, aborted),
-            # a function of the status row — audit each distinct row
-            # once and scan ids in BFS order (R001: same counterexample
-            # on every run). No Configuration is materialized unless a
-            # violation is actually reported.
-            backend = self._backend
-            status_key = backend.status_key
-            verdicts: Dict[Tuple[int, ...], SafetyVerdict] = {}
-            for cid in exploration.order_ids:
-                key = status_key(cid)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    decisions, aborted, _enabled = self._segment_info(key)
-                    verdict = task.check_safety(inputs, decisions, aborted)
-                    verdicts[key] = verdict
-                if not verdict.ok:
-                    config = self._intern.value(cid)
-                    schedule = tuple(exploration.schedule_to(config))
-                    return SafetyCounterexample(
-                        configuration=config,
-                        verdict=verdict,
-                        schedule=schedule,
-                    )
+            return SafetyCounterexample(
+                configuration=config,
+                verdict=verdict,
+                schedule=schedule,
+            )
         if not exploration.complete:
             raise ExplorationBudgetExceeded(
                 "no violation found, but the exploration was truncated; "

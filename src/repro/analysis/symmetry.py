@@ -46,6 +46,13 @@ Determinism: the canonical representative is the permuted variant with
 the lexicographically least ``repr`` — a pure string comparison, so the
 choice (and the reduced BFS order) is independent of
 ``PYTHONHASHSEED``, preserving the replayability contract (R001).
+
+Canonicalization runs on the explorer's packed rows
+(:meth:`~repro.analysis.explorer.Explorer.row_canonicalizer`): the
+key strings are assembled from cached per-slot ``repr`` pieces and
+only the winning variant is encoded, so a reduced walk builds no
+configuration per successor. This module describes the group; the
+explorer walks it.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from typing import (
 
 from ..errors import AnalysisError
 from ..types import Value
-from .explorer import Configuration, Permutation
+from .explorer import Permutation
 
 #: Maps an object state through a process permutation.
 StatePermuter = Callable[[Hashable, Permutation], Hashable]
@@ -133,8 +140,6 @@ class ProcessSymmetry:
         self.permutations: Tuple[Permutation, ...] = tuple(
             self._enumerate_permutations()
         )
-        #: configuration -> (canonical representative, mapping perm).
-        self._canon_cache: Dict[Configuration, Tuple[Configuration, Permutation]] = {}
 
     def _enumerate_permutations(self) -> List[Permutation]:
         """Every group element as a full 0..n-1 permutation, identity
@@ -155,63 +160,3 @@ class ProcessSymmetry:
             # first, so extended[0] is always the untouched base order.
             perms = extended
         return perms
-
-    def apply(
-        self,
-        config: Configuration,
-        perm: Permutation,
-        object_names: Sequence[str],
-    ) -> Configuration:
-        """The configuration with every process ``i`` renamed ``perm[i]``
-        (and object states relabelled through their permuters)."""
-        n = self.n
-        states: List[Hashable] = [None] * n
-        statuses: List[Tuple] = [None] * n  # type: ignore[list-item]
-        for source, image in enumerate(perm):
-            states[image] = config.process_states[source]
-            statuses[image] = config.statuses[source]
-        objects = tuple(
-            self._permute_object(name, state, perm)
-            for name, state in zip(object_names, config.object_states)
-        )
-        return Configuration(tuple(states), tuple(statuses), objects)
-
-    def _permute_object(
-        self, name: str, state: Hashable, perm: Permutation
-    ) -> Hashable:
-        permuter = self.object_permuters.get(name)
-        if permuter is None:
-            return state
-        return permuter(state, perm)
-
-    def canonical(
-        self, config: Configuration, object_names: Sequence[str]
-    ) -> Tuple[Configuration, Permutation]:
-        """The orbit representative of ``config`` plus the permutation
-        mapping ``config`` onto it (``rep = apply(config, perm)``).
-
-        The representative is chosen by least ``repr`` over the orbit —
-        a deterministic, hash-seed-independent order. Memoized per
-        configuration.
-        """
-        cached = self._canon_cache.get(config)
-        if cached is not None:
-            return cached
-        best: Optional[Configuration] = None
-        best_key = ""
-        best_perm: Permutation = self.permutations[0]
-        for perm in self.permutations:
-            candidate = self.apply(config, perm, object_names)
-            key = repr(
-                (
-                    candidate.process_states,
-                    candidate.statuses,
-                    candidate.object_states,
-                )
-            )
-            if best is None or key < best_key:
-                best, best_key, best_perm = candidate, key, perm
-        assert best is not None
-        result = (best, best_perm)
-        self._canon_cache[config] = result
-        return result

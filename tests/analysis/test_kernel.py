@@ -367,12 +367,18 @@ def recording(self, *args, **kwargs):
 Explorer.__init__ = recording
 # Warm-up: lazy imports and one-off set-up, on other instances.
 api.explore(n=4, inputs=(0, 1, 1, 0))
+api.explore(n=4, inputs=(0, 1, 1, 0), symmetry=True)
 api.verify(n=3, jobs=1)
+api.verify(n=3, jobs=1, symmetry=True)
 api.refute(candidate="2-consensus from one 2-SA")
 api.fuzz(candidate="one 2-SA", seed=1, budget=20)
 requests = {
     "explore": lambda: api.explore(n=5, inputs=(1, 0, 1, 1, 0)),
+    "explore-reduced": lambda: api.explore(
+        n=5, inputs=(0, 1, 1, 1, 0), symmetry=True
+    ),
     "verify": lambda: api.verify(n=4, jobs=1),
+    "verify-reduced": lambda: api.verify(n=4, jobs=1, symmetry=True),
     "refute": lambda: api.refute(),
     "fuzz": lambda: api.fuzz(candidate="one 2-SA", seed=7, budget=50),
 }
@@ -473,7 +479,12 @@ class TestGraphLifetime:
         probe = json.loads(result.stdout)
         assert probe["built"] == [kernel]
         assert sorted(probe["retained"]) == [
-            "explore", "fuzz", "refute", "verify"
+            "explore",
+            "explore-reduced",
+            "fuzz",
+            "refute",
+            "verify",
+            "verify-reduced",
         ]
         held = {
             name: size
