@@ -74,6 +74,7 @@ hash-seeded set (lint rule R001).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -287,7 +288,9 @@ class ExplorationResult:
     ``parent_perms`` records, per reached id, the permutation applied
     when its concrete successor was canonicalized. ``schedule_to``
     composes these permutations back out, returning a schedule that
-    replays on the *unreduced* system.
+    replays on the *unreduced* system. ``group`` lists every
+    permutation of the symmetry group the walk quotiented by (identity
+    first); it is empty for an unreduced graph.
     """
 
     __slots__ = (
@@ -298,6 +301,7 @@ class ExplorationResult:
         "reduced",
         "source_initial",
         "initial_permutation",
+        "group",
         "parent_perms",
         "expansions",
         "_successor_ids",
@@ -325,6 +329,7 @@ class ExplorationResult:
         edge_resolver: Optional[Callable[[int], Edge]] = None,
         adjacency: Optional[Callable[[int], Sequence[int]]] = None,
         parent_triples: Optional[Sequence[int]] = None,
+        group: Tuple[Permutation, ...] = (),
     ) -> None:
         self.initial = initial
         self.complete = complete
@@ -333,6 +338,7 @@ class ExplorationResult:
         self.reduced = reduced
         self.source_initial = source_initial
         self.initial_permutation = initial_permutation
+        self.group = group
         self.parent_perms: Dict[int, Permutation] = (
             parent_perms if parent_perms is not None else {}
         )
@@ -584,6 +590,16 @@ def _invert(perm: Permutation) -> Permutation:
     for source, image in enumerate(perm):
         inverse[image] = source
     return tuple(inverse)
+
+
+def _row_reader(perm: Permutation) -> Callable[[Tuple], Tuple]:
+    """Maps a per-pid row to the row of the permuted configuration:
+    pid ``i`` moves to ``perm[i]``, so position ``j`` reads the row at
+    the inverse image of ``j``."""
+    inverse = _invert(perm)
+    if len(inverse) == 1:
+        return tuple
+    return itemgetter(*inverse)
 
 
 def _compose(outer: Permutation, inner: Permutation) -> Permutation:
@@ -1134,6 +1150,7 @@ class Explorer:
             reduced=True,
             source_initial=start,
             initial_permutation=initial_perm,
+            group=symmetry.permutations,
             parent_perms=parent_perms,
             expansions=expansions,
         )
@@ -1329,11 +1346,11 @@ class Explorer:
         None from an incomplete exploration raises — absence of evidence
         under a truncated search is not evidence.
 
-        With ``symmetry``, the quotient graph is audited instead; the
-        task predicate must be invariant under the supplied symmetry
-        (checked dynamically: the witness is replayed concretely and
-        must still violate). The returned counterexample is always
-        concrete and replayable on the unreduced system.
+        With ``symmetry``, the quotient graph is audited instead (see
+        :meth:`_check_safety_reduced`): the verdict is the unreduced
+        walk's for any predicate, symmetric or not, from an initial
+        configuration the group fixes. The returned counterexample is
+        always concrete and replayable on the unreduced system.
 
         Pass ``exploration`` (this explorer's graph, reduced or not) to
         audit it instead of re-walking the BFS; ``initial``,
@@ -1343,6 +1360,27 @@ class Explorer:
             exploration = self.explore(
                 initial, max_configurations, symmetry=symmetry
             )
+        if exploration.reduced:
+            counterexample = self._check_safety_reduced(
+                task, inputs, exploration
+            )
+        else:
+            counterexample = self._check_safety_full(
+                task, inputs, exploration
+            )
+        if counterexample is None and not exploration.complete:
+            raise ExplorationBudgetExceeded(
+                "no violation found, but the exploration was truncated; "
+                "raise max_configurations"
+            )
+        return counterexample
+
+    def _check_safety_full(
+        self,
+        task: DecisionTask,
+        inputs: Sequence[Value],
+        exploration: ExplorationResult,
+    ) -> Optional[SafetyCounterexample]:
         # The predicate only sees (decisions, aborted), a function of
         # the status row: audit each distinct row once and scan ids in
         # BFS order (R001: same counterexample on every run). No
@@ -1359,35 +1397,124 @@ class Explorer:
             if verdict.ok:
                 continue
             config = self._intern.value(cid)
-            schedule = tuple(exploration.schedule_to(config))
-            if exploration.reduced:
-                # The witness is a representative: replay it on the
-                # concrete system, which must violate safety as well.
-                assert exploration.source_initial is not None
-                config = exploration.source_initial
-                for edge in schedule:
-                    config = self.step(config, edge.pid, edge.choice)
-                verdict = task.check_safety(
-                    inputs, config.decisions(), config.aborted()
-                )
-                if verdict.ok:
-                    raise AnalysisError(
-                        "symmetry reduction is unsound for this task: the "
-                        "canonical representative violates safety but its "
-                        "concrete preimage does not — the task predicate "
-                        "is not invariant under the supplied symmetry"
-                    )
             return SafetyCounterexample(
                 configuration=config,
                 verdict=verdict,
-                schedule=schedule,
-            )
-        if not exploration.complete:
-            raise ExplorationBudgetExceeded(
-                "no violation found, but the exploration was truncated; "
-                "raise max_configurations"
+                schedule=tuple(exploration.schedule_to(config)),
             )
         return None
+
+    def _check_safety_reduced(
+        self,
+        task: DecisionTask,
+        inputs: Sequence[Value],
+        exploration: ExplorationResult,
+    ) -> Optional[SafetyCounterexample]:
+        """Safety over a quotient graph, for any predicate.
+
+        Every concrete configuration a representative stands for has
+        the representative's status row permuted by some group element
+        (the group fixes inputs), and the predicate sees nothing else.
+        So each distinct representative row is audited under every
+        permutation in ``exploration.group``. A violating permutation's
+        witness is the representative's concrete schedule with its pids
+        relabelled to match, replayed on the unreduced system, where it
+        must violate as well; if no violating permutation replays to a
+        violation the reduction is unsound for this start or task, and
+        that raises rather than returning a verdict.
+        """
+        status_key = self._backend.status_key
+        segment_info = self._segment_info
+        # A reduced result that does not carry its group is audited
+        # under the identity: its representatives only.
+        group = exploration.group or (tuple(range(len(self.processes))),)
+        readers = [(perm, _row_reader(perm)) for perm in group]
+        verdicts: Dict[Tuple[int, ...], SafetyVerdict] = {}
+        audited: Set[Tuple[int, ...]] = set()
+        for cid in exploration.order_ids:
+            key = status_key(cid)
+            if key in audited:
+                continue
+            audited.add(key)
+            clean = True
+            for row in dict.fromkeys([read(key) for _perm, read in readers]):
+                verdict = verdicts.get(row)
+                if verdict is None:
+                    decisions, aborted, _enabled = segment_info(row)
+                    verdict = task.check_safety(inputs, decisions, aborted)
+                    verdicts[row] = verdict
+                clean = clean and verdict.ok
+            if not clean:
+                violating = [
+                    perm
+                    for perm, read in readers
+                    if not verdicts[read(key)].ok
+                ]
+                return self._realize_violation(
+                    task, inputs, exploration, cid, violating
+                )
+        return None
+
+    def _realize_violation(
+        self,
+        task: DecisionTask,
+        inputs: Sequence[Value],
+        exploration: ExplorationResult,
+        cid: int,
+        violating: Sequence[Permutation],
+    ) -> SafetyCounterexample:
+        """A concrete counterexample for representative ``cid`` under
+        one of the ``violating`` permutations of its status row."""
+        assert exploration.source_initial is not None
+        rep = self._intern.value(cid)
+        schedule = exploration.schedule_to(rep)
+        # ``schedule`` reaches the concrete c with to_rep(c) = rep, so
+        # perm(rep) = relabel(c) for relabel = perm ∘ to_rep. The
+        # identity relabelling (c itself) is tried first.
+        to_rep = exploration.permutation_to(rep)
+        identity = tuple(range(len(to_rep)))
+        relabellings = [_compose(perm, to_rep) for perm in violating]
+        relabellings.sort(key=lambda relabel: relabel != identity)
+        source_id = self._intern.intern(exploration.source_initial)
+        for relabel in relabellings:
+            replayed = self._follow_relabelled(source_id, schedule, relabel)
+            if replayed is None:
+                continue
+            edges, tid = replayed
+            config = self._intern.value(tid)
+            verdict = task.check_safety(
+                inputs, config.decisions(), config.aborted()
+            )
+            if not verdict.ok:
+                return SafetyCounterexample(
+                    configuration=config,
+                    verdict=verdict,
+                    schedule=edges,
+                )
+        raise AnalysisError(
+            "symmetry reduction is unsound for this task: a permutation "
+            "of a canonical representative violates safety but no "
+            "relabelling of its witness replays to a concrete violation "
+            "— the initial configuration is not fixed by the symmetry, "
+            "or the symmetry is not an automorphism of the system"
+        )
+
+    def _follow_relabelled(
+        self, cid: int, schedule: Sequence[Edge], relabel: Permutation
+    ) -> Optional[Tuple[Tuple[Edge, ...], int]]:
+        """Replay ``schedule`` from id ``cid`` with every pid mapped
+        through ``relabel``: the edges taken and the id reached, or None
+        when some step has no such move."""
+        edges: List[Edge] = []
+        for edge in schedule:
+            for moved, tid in self._pid_entries(cid, relabel[edge.pid]):
+                if moved.choice == edge.choice:
+                    break
+            else:
+                return None
+            edges.append(moved)
+            cid = tid
+        return tuple(edges), cid
 
     def decision_table(
         self,

@@ -48,12 +48,22 @@ __all__ = [
 ]
 
 def compiled_available() -> bool:
-    """Whether the accelerated extension module is importable."""
-    try:
-        from . import _ckernel  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    """Whether the accelerated extension module is importable.
+
+    The import is tried once per process and the answer kept on the
+    function: a failing import is not cached by ``sys.modules``, and
+    retrying it cost about half of every ``Explorer`` build.
+    """
+    answer = getattr(compiled_available, "answer", None)
+    if answer is None:
+        try:
+            from . import _ckernel  # noqa: F401
+        except ImportError:
+            answer = False
+        else:
+            answer = True
+        compiled_available.answer = answer  # type: ignore[attr-defined]
+    return answer
 
 
 def select() -> str:

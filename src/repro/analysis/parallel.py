@@ -22,6 +22,12 @@ serial path is the parallel path with one worker — equivalence by
 construction, not by testing alone. Items whose callables cannot be
 pickled (closures, lambdas) also fall back to inline execution.
 
+Items of one sweep that need the same costly value (the fuzz shards of
+one campaign all drive one target's explorer) name it as a
+:class:`Shared`: each batch builds it once, hands it to those items,
+and drops it when the batch returns, so it lives for one request and
+never crosses a process boundary.
+
 Work-item callables must be module-level functions: workers import them
 by qualified name. The repo's sweeps define their items next to their
 callers (:mod:`repro.api.execute`, :mod:`repro.lint.engine`); cached
@@ -51,6 +57,34 @@ from .. import obs
 from ..obs.metrics import empty_snapshot
 
 
+class Shared:
+    """A value the items of one batch share: ``factory(*args)``.
+
+    :func:`_run_batch` builds each distinct ``(factory, args)`` once per
+    batch (one worker chunk, or the whole inline run), passes it to
+    every item naming it as the item's first argument, and drops it
+    when the batch returns. A caller that already holds the value
+    passes it as ``value``, and the inline run uses it as is. ``value``
+    never crosses a process boundary: a worker builds its own from
+    ``factory`` (module-level) and ``args`` (hashable, picklable).
+    """
+
+    __slots__ = ("factory", "args", "value")
+
+    def __init__(
+        self,
+        factory: Callable[..., Any],
+        args: Tuple[Hashable, ...] = (),
+        value: Any = None,
+    ) -> None:
+        self.factory = factory
+        self.args = tuple(args)
+        self.value = value
+
+    def __reduce__(self):
+        return (Shared, (self.factory, self.args))
+
+
 @dataclass(frozen=True)
 class WorkItem:
     """One independent verification: ``fn(*args, **kwargs)``.
@@ -58,13 +92,16 @@ class WorkItem:
     ``key`` is the caller's stable identity for the item (inputs tuple,
     candidate name, …); results are merged back in submission order and
     carry the key, so callers never depend on completion order.
-    ``fn`` must be a module-level callable for pooled execution.
+    ``fn`` must be a module-level callable for pooled execution. With
+    ``shared``, the batch's one copy of that value is passed first:
+    ``fn(value, *args, **kwargs)``.
     """
 
     key: Hashable
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
+    shared: Optional[Shared] = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +130,11 @@ class WorkResult:
         return self.failure is None
 
 
-def _run_batch(batch: Sequence[Tuple[int, Callable, tuple, dict]]):
+#: One tagged item: (index, fn, args, kwargs, shared).
+_Tagged = Tuple[int, Callable, tuple, dict, Optional[Shared]]
+
+
+def _run_batch(batch: Sequence[_Tagged]):
     """Execute one chunk of items inside a worker (or inline).
 
     Every exception is captured per item — a bad item never takes the
@@ -102,14 +143,19 @@ def _run_batch(batch: Sequence[Tuple[int, Callable, tuple, dict]]):
     latency travel home in the raw tuple
     ``(index, failure, value, metrics, elapsed)`` so :meth:`run` can
     fold metrics in submission order (identical for inline and pooled
-    execution) and report latencies to the trace only.
+    execution) and report latencies to the trace only. Shared values
+    are built by the first item that needs them (inside its scope) and
+    freed with the batch.
     """
     out = []
-    for index, fn, args, kwargs in batch:
+    built: Dict[Tuple[Callable, tuple], Any] = {}
+    for index, fn, args, kwargs, shared in batch:
         value = failure = None
         started = time.perf_counter()  # repro: noqa[R001] trace-only latency, never in metrics
         with obs.scoped() as scope:
             try:
+                if shared is not None:
+                    args = (_shared_value(shared, built),) + args
                 value = fn(*args, **dict(kwargs))
             except Exception as exc:
                 failure = WorkFailure(
@@ -120,6 +166,17 @@ def _run_batch(batch: Sequence[Tuple[int, Callable, tuple, dict]]):
         elapsed = time.perf_counter() - started  # repro: noqa[R001] trace-only latency, never in metrics
         out.append((index, failure, value, scope.snapshot(), elapsed))
     return out
+
+
+def _shared_value(shared: Shared, built: Dict[Tuple[Callable, tuple], Any]):
+    key = (shared.factory, shared.args)
+    value = built.get(key)
+    if value is None:
+        value = shared.value
+        if value is None:
+            value = shared.factory(*shared.args)
+        built[key] = value
+    return value
 
 
 def _default_context():
@@ -153,9 +210,7 @@ class VerificationPool:
         self.jobs = cpus if jobs is None or jobs <= 0 else min(jobs, cpus)
         self.last_run_parallel = False
 
-    def _chunks(
-        self, tagged: List[Tuple[int, Callable, tuple, dict]]
-    ) -> List[List[Tuple[int, Callable, tuple, dict]]]:
+    def _chunks(self, tagged: List[_Tagged]) -> List[List[_Tagged]]:
         # One chunk per worker: the per-dispatch pickling/IPC cost is on
         # the order of a whole sweep item, so amortizing it over
         # len/jobs items beats the classic 4-chunks-per-worker balancing
@@ -172,7 +227,7 @@ class VerificationPool:
         byte-identical to serial ones.
         """
         tagged = [
-            (index, item.fn, tuple(item.args), dict(item.kwargs))
+            (index, item.fn, tuple(item.args), dict(item.kwargs), item.shared)
             for index, item in enumerate(items)
         ]
         self.last_run_parallel = False
@@ -250,7 +305,7 @@ class VerificationPool:
                         error=type(exc).__name__,
                         items=len(chunk),
                     )
-                    for index, _fn, _args, _kwargs in chunk:
+                    for index, *_item in chunk:
                         raw.append((index, failure, None, empty_snapshot(), 0.0))
         self.last_run_parallel = True
         return raw

@@ -31,8 +31,12 @@ relation, which the constructor cannot fully check. The caller asserts:
    (with its pid-labelled arguments relabelled accordingly);
 3. objects without a permuter have pid-free states and pid-independent
    operations within each group;
-4. any property read off the reduced graph is orbit-invariant — e.g. a
-   task whose safety predicate treats grouped processes uniformly.
+4. any property read off the reduced graph is orbit-invariant — e.g.
+   decision sets or valency labels. Safety is the exception:
+   :meth:`~repro.analysis.explorer.Explorer.check_safety` audits every
+   group permutation of each representative's status row, so any
+   predicate gets the full walk's verdict from an initial
+   configuration the group fixes.
 
 Factories next to the protocols encode these obligations once:
 :func:`repro.protocols.dac_from_pac.algorithm2_symmetry` builds the

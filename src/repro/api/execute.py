@@ -417,6 +417,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
     max_steps = request.max_steps
     lines: List[str] = []
     findings: List[Finding] = []
+    candidates = None
     if request.algorithm2_n is not None:
         n = request.algorithm2_n
         specs: List[Tuple[Any, ...]] = [
@@ -453,7 +454,11 @@ def _fuzz_body(request: FuzzRequest) -> Report:
     with obs.span("fuzz", targets=len(specs), budget=budget, seed=seed), \
             obs.profile_phase("fuzz"):
         for spec in specs:
-            target = target_from_spec(spec)
+            # One executor per target: the campaign's inline shards,
+            # their shrinking and replay, and the rendering below all
+            # run on its explorer, which is freed with the next target.
+            target = target_from_spec(spec, candidates)
+            executor = FuzzExecutor(target, max_steps=max_steps)
             campaign = fuzz_campaign(
                 spec,
                 seed=seed,
@@ -463,6 +468,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 max_steps=max_steps,
                 shrink=request.shrink,
                 corpus=corpus,
+                executor=executor,
             )
             lines.append("")
             lines.append(
@@ -477,7 +483,7 @@ def _fuzz_body(request: FuzzRequest) -> Report:
                 f"(seeded {campaign.corpus_seeded})"
             )
             observed = campaign.observed_failure()
-            renderer = FuzzExecutor(target, max_steps=max_steps).explorer
+            renderer = executor.explorer
             if not campaign.findings:
                 lines.append(
                     f"no violation found in {campaign.executions} "

@@ -12,14 +12,21 @@ corpus)``:
   :class:`~repro.analysis.parallel.VerificationPool` with any worker
   count produces the same shard results, merged in shard order
   (``--jobs 1`` vs ``--jobs 2`` is bit-identical by construction);
-* coverage feedback is the explorer's intern table: a run that
-  allocates new configuration ids is *interesting* and its genes join
-  the corpus, weighting future mutations toward the frontier.
+* coverage feedback is per shard: a run that reaches configurations
+  no earlier run of its shard visited is *interesting* and its genes
+  join the corpus, weighting future mutations toward the frontier.
 
-Workers rebuild their target from its portable spec (explorers never
-cross process boundaries) and return plain picklable records;
-shrinking and the strict replay check run inside the shard, so a
-finding arrives already minimized and replay-verified.
+Every shard of a campaign that runs in one process drives one
+:class:`~repro.fuzz.executor.FuzzExecutor` (one explorer): the inline
+run uses the caller's, and a pool worker builds one per chunk from the
+target's portable spec (explorers never cross process boundaries),
+through the pool's batch-scoped :class:`~repro.analysis.parallel.Shared`.
+That is sound because a shard's outcome depends on the explorer only
+through configurations, never through their ids or through what other
+shards interned: coverage is a per-shard set of configurations. Shards
+return plain picklable records; shrinking and the strict replay check
+run inside the shard on the same executor, so a finding arrives already
+minimized and replay-verified.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..analysis.explorer import Edge
-from ..analysis.parallel import VerificationPool, WorkItem
+from ..analysis.parallel import Shared, VerificationPool, WorkItem
 from ..errors import AnalysisError
 from .corpus import FuzzCorpus, corpus_fingerprint
 from .executor import CYCLE, SAFETY, FuzzExecutor, Genes
@@ -54,11 +61,24 @@ def shard_seed(seed: int, shard: int, key: TargetSpec) -> int:
 
 
 def _fresh(rng: random.Random, max_steps: int) -> Genes:
+    # ``rng.randrange(span)`` draws ``getrandbits(span.bit_length())``
+    # until the draw is below ``span``; these loops make exactly those
+    # draws, so the genes are the same, without randrange's two Python
+    # frames per gene component (most of a long run's mutation cost).
     length = rng.randint(1, max_steps)
-    return tuple(
-        (rng.randrange(_SCHED_SPAN), rng.randrange(_CHOICE_SPAN))
-        for _ in range(length)
-    )
+    bits = rng.getrandbits
+    sched_bits = _SCHED_SPAN.bit_length()
+    choice_bits = _CHOICE_SPAN.bit_length()
+    genes = []
+    for _ in range(length):
+        scheduler_gene = bits(sched_bits)
+        while scheduler_gene >= _SCHED_SPAN:
+            scheduler_gene = bits(sched_bits)
+        choice_gene = bits(choice_bits)
+        while choice_gene >= _CHOICE_SPAN:
+            choice_gene = bits(choice_bits)
+        genes.append((scheduler_gene, choice_gene))
+    return tuple(genes)
 
 
 def mutate(
@@ -87,16 +107,23 @@ def mutate(
     )
 
 
+def shard_executor(spec: TargetSpec, max_steps: int) -> FuzzExecutor:
+    """The executor the shards of one pool batch share, rebuilt from
+    the target's portable spec (the pool's :class:`Shared` factory)."""
+    return FuzzExecutor(target_from_spec(spec), max_steps=max_steps)
+
+
 def run_shard(
+    executor: FuzzExecutor,
     spec: TargetSpec,
     seed: int,
     shard: int,
     executions: int,
-    max_steps: int = 64,
     shrink: bool = True,
     initial_corpus: Tuple[Genes, ...] = (),
 ) -> Dict[str, object]:
-    """One shard's sub-campaign (module-level: pool-ready).
+    """One shard's sub-campaign on ``executor`` (module-level:
+    pool-ready; the pool passes its batch's shared executor first).
 
     The shard stops at its first finding. Returns a plain picklable
     record: executions performed, coverage gained, the coverage growth
@@ -104,8 +131,10 @@ def run_shard(
     new configurations), new corpus entries in discovery order, and the
     finding (if any), already shrunk and replay-verified.
     """
-    target = target_from_spec(spec)
-    executor = FuzzExecutor(target, max_steps=max_steps)
+    max_steps = executor.max_steps
+    # The executor may have served earlier shards: count only this
+    # shard's share of its executions.
+    executed_before = executor.executions
     rng = random.Random(shard_seed(seed, shard, spec))
     coverage: set = set()
     pool: List[Genes] = [tuple(genes) for genes in initial_corpus]
@@ -161,7 +190,9 @@ def run_shard(
     # the pool's scoped registry (inline or in a worker), so these fold
     # back into the campaign's metrics in shard-submission order.
     obs.counter("fuzz.executions", performed)
-    obs.counter("fuzz.shrink_probes", executor.executions - performed)
+    obs.counter(
+        "fuzz.shrink_probes", executor.executions - executed_before - performed
+    )
     obs.counter("fuzz.new_coverage", len(coverage))
     obs.counter("fuzz.corpus_entries", len(new_entries))
     obs.counter("fuzz.findings", len(findings))
@@ -242,6 +273,7 @@ def fuzz_campaign(
     max_steps: int = 64,
     shrink: bool = True,
     corpus: Optional[FuzzCorpus] = None,
+    executor: Optional[FuzzExecutor] = None,
 ) -> FuzzReport:
     """Run one campaign against the target named by ``spec``.
 
@@ -253,9 +285,20 @@ def fuzz_campaign(
     and each shard's interesting discoveries are persisted back
     (content-addressed, so re-runs and sibling shards dedupe to
     identical files).
+
+    ``executor`` (built from ``spec`` and ``max_steps`` when None) runs
+    every shard of the inline run; a caller that keeps it can render
+    the findings on the same explorer. Pool workers build their own.
     """
     spec = tuple(spec)
-    target = target_from_spec(spec)  # validates the spec up front
+    if executor is None:
+        executor = shard_executor(spec, max_steps)  # validates the spec
+    elif executor.max_steps != max_steps:
+        raise AnalysisError(
+            f"executor runs {executor.max_steps} steps, campaign asks "
+            f"for {max_steps}"
+        )
+    target = executor.target
     if budget < 1:
         raise AnalysisError(f"fuzz budget must be >= 1, got {budget}")
     if shards is None:
@@ -264,16 +307,14 @@ def fuzz_campaign(
     initial: Tuple[Genes, ...] = ()
     if corpus is not None:
         initial = tuple(corpus.entries(spec))
+    shared = Shared(shard_executor, (target.key, max_steps), value=executor)
     items = [
         WorkItem(
             key=shard,
             fn=run_shard,
             args=(spec, seed, shard, budgets[shard]),
-            kwargs={
-                "max_steps": max_steps,
-                "shrink": shrink,
-                "initial_corpus": initial,
-            },
+            kwargs={"shrink": shrink, "initial_corpus": initial},
+            shared=shared,
         )
         for shard in range(shards)
         if budgets[shard] > 0

@@ -18,24 +18,27 @@ so a gene sequence IS a replayable artifact, and the executed
 :class:`~repro.analysis.explorer.Edge` list bridges into the strict
 scripted replay of :mod:`repro.analysis.replay`.
 
-Coverage is *novel interned configurations*: the target's explorer
-interns every configuration it ever sees into the packed kernel's
-dense-id row table, so "new id allocated" is exactly "configuration
-never visited by any earlier run of this campaign" — the feedback
-signal that decides which gene sequences enter the corpus.
+Coverage is *novel configurations*: the target's explorer interns
+every configuration into the packed kernel's dense-id row table, and
+the caller's seen-set holds the ids its runs visited, so "id not in
+the set" is exactly "configuration never visited by an earlier run
+under this set" — the feedback signal that decides which gene
+sequences enter the corpus.
 
-The interpreter itself runs on packed ids: each step reads the current
-configuration's status row (enabled set, decisions, aborts are all
-functions of it, memoized per distinct row), picks an edge from the
-kernel's flat adjacency, and only materializes a ``Configuration``
-dataclass once — for the run's final state. Successor ids come from the
-same full-expansion order as the old object-level loop, so coverage ids
-and corpus decisions are bit-identical to the pre-kernel executor.
+The interpreter itself runs on packed ids: each step looks up the
+current configuration's enabled set and task verdict (memoized per id,
+both decoded from the status row once per distinct row) and picks an
+edge from the mover's options, split out of the kernel's full
+expansion once per configuration. It builds no ``Configuration``: a
+run carries its final id, decoded only when asked for. Successor ids
+come from the same full-expansion order as the old object-level loop,
+so coverage and corpus decisions are bit-identical to the pre-kernel
+executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.explorer import Configuration, Edge, Explorer
@@ -62,17 +65,24 @@ class GeneRun:
     ``steps`` counts the genes actually consumed; trailing genes that
     were never interpreted (run ended first) are reported so shrinking
     can drop them wholesale. ``new_coverage`` is the number of
-    configurations this run interned for the first time, against the
-    campaign-wide seen-set it was executed under.
+    configurations this run visited first, against the seen-set it was
+    executed under (its shard's). ``final_id`` is the
+    final configuration's id in the executor's explorer; ``final``
+    decodes it.
     """
 
     edges: Tuple[Edge, ...]
-    final: Configuration
+    final_id: int
     kind: Optional[str]
     verdict: Optional[SafetyVerdict]
     cycle_start: Optional[int]
     steps: int
     new_coverage: int
+    explorer: Explorer = field(repr=False, compare=False)
+
+    @property
+    def final(self) -> Configuration:
+        return self.explorer.interned(self.final_id)
 
     @property
     def violating(self) -> bool:
@@ -84,8 +94,11 @@ class FuzzExecutor:
 
     One executor = one :class:`~repro.analysis.explorer.Explorer`, so
     successor memoization and the intern table amortize across the
-    whole campaign: re-executing a mutated prefix costs dictionary
-    lookups, not transition recomputation.
+    whole campaign — every shard of a request in one process, the
+    shrinker and the renderer — and re-executing a mutated prefix costs
+    dictionary lookups, not transition recomputation. Executions share
+    nothing else: coverage is the caller's set, and a run's outcome is
+    a function of the target and the genes alone.
     """
 
     def __init__(self, target: FuzzTarget, max_steps: int = 64) -> None:
@@ -98,27 +111,28 @@ class FuzzExecutor:
         #: function of the status segment, so one predicate call per
         #: distinct row covers every configuration sharing it.
         self._verdicts: Dict[Tuple[int, ...], SafetyVerdict] = {}
+        #: id -> (enabled pids, task verdict) of a reached configuration.
+        self._facts: Dict[int, Tuple[Tuple[int, ...], SafetyVerdict]] = {}
+        #: id -> per-pid (edge, successor id) options, in the kernel's
+        #: full-expansion order: one split per configuration moved from.
+        self._moves: Dict[int, Dict[int, List[Tuple[Edge, int]]]] = {}
         #: Total :meth:`execute` calls over this executor's lifetime —
-        #: campaign executions *plus* shrinker probes, so the engine can
-        #: report shrink cost as the difference.
+        #: campaign executions *plus* shrinker probes, of every shard
+        #: that shares the executor.
         self.executions = 0
 
     def execute(
         self, genes: Genes, coverage: Optional[Set[int]] = None
     ) -> GeneRun:
         """Run ``genes`` (up to ``max_steps`` of them) from the initial
-        configuration. ``coverage`` is the campaign's seen-id set; pass
+        configuration. ``coverage`` is the shard's seen-id set; pass
         None for side-effect-free evaluation (the shrinker does)."""
         self.executions += 1
-        explorer = self.explorer
-        backend = explorer._backend
-        segment_info = explorer._segment_info
-        successor_entries = explorer._successor_entries
-        task = self.target.task
-        inputs = self.target.inputs
+        facts = self._facts
+        moves = self._moves
         detect_cycles = self.target.detect_cycles
-        verdicts = self._verdicts
         cid = self._initial_id
+        fact = facts.get(cid) or self._reached(cid)
         new_coverage = 0
         if coverage is not None and cid not in coverage:
             coverage.add(cid)
@@ -130,31 +144,21 @@ class FuzzExecutor:
         cycle_start: Optional[int] = None
         steps = 0
         for scheduler_gene, choice_gene in genes[: self.max_steps]:
-            skey = backend.status_key(cid)
-            enabled = segment_info(skey)[2]
+            enabled = fact[0]
             if not enabled:
                 break
-            pid = enabled[scheduler_gene % len(enabled)]
-            options = [
-                entry
-                for entry in successor_entries(cid)
-                if entry[0].pid == pid
-            ]
+            by_pid = moves.get(cid) or self._split_moves(cid)
+            options = by_pid[enabled[scheduler_gene % len(enabled)]]
             edge, cid = options[choice_gene % len(options)]
             edges.append(edge)
             steps += 1
             if coverage is not None and cid not in coverage:
                 coverage.add(cid)
                 new_coverage += 1
-            skey = backend.status_key(cid)
-            checked = verdicts.get(skey)
-            if checked is None:
-                decisions, aborted, _ = segment_info(skey)
-                checked = task.check_safety(inputs, decisions, aborted)
-                verdicts[skey] = checked
-            if not checked.ok:
+            fact = facts.get(cid) or self._reached(cid)
+            if not fact[1].ok:
                 kind = SAFETY
-                verdict = checked
+                verdict = fact[1]
                 break
             first_seen = visited_at.get(cid)
             if first_seen is not None:
@@ -171,10 +175,31 @@ class FuzzExecutor:
                 visited_at[cid] = steps
         return GeneRun(
             edges=tuple(edges),
-            final=explorer.interned(cid),
+            final_id=cid,
             kind=kind,
             verdict=verdict,
             cycle_start=cycle_start,
             steps=steps,
             new_coverage=new_coverage,
+            explorer=self.explorer,
         )
+
+    def _reached(self, cid: int) -> Tuple[Tuple[int, ...], SafetyVerdict]:
+        explorer = self.explorer
+        skey = explorer._backend.status_key(cid)
+        decisions, aborted, enabled = explorer._segment_info(skey)
+        verdict = self._verdicts.get(skey)
+        if verdict is None:
+            target = self.target
+            verdict = target.task.check_safety(target.inputs, decisions, aborted)
+            self._verdicts[skey] = verdict
+        fact = (enabled, verdict)
+        self._facts[cid] = fact
+        return fact
+
+    def _split_moves(self, cid: int) -> Dict[int, List[Tuple[Edge, int]]]:
+        by_pid: Dict[int, List[Tuple[Edge, int]]] = {}
+        for entry in self.explorer._successor_entries(cid):
+            by_pid.setdefault(entry[0].pid, []).append(entry)
+        self._moves[cid] = by_pid
+        return by_pid

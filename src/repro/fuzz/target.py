@@ -24,13 +24,16 @@ against it, so ``repro fuzz`` exits 0 exactly when every target failed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SpecificationError
 from ..objects.spec import SequentialSpec
 from ..protocols.tasks import DecisionTask
 from ..runtime.process import ProcessAutomaton
 from ..types import Value, require
+
+if TYPE_CHECKING:
+    from ..protocols.candidates import CandidateSystem
 
 #: A portable target spec: ("candidate", index) | ("algorithm2", n, inputs).
 TargetSpec = Tuple
@@ -51,11 +54,18 @@ class FuzzTarget:
     notes: str = field(default="", repr=False)
 
 
-def candidate_target(index: int) -> FuzzTarget:
-    """The ``index``-th entry of the doomed-candidate suite as a target."""
-    from ..protocols.candidates import all_candidates
+def candidate_target(
+    index: int, candidates: Optional[Sequence["CandidateSystem"]] = None
+) -> FuzzTarget:
+    """The ``index``-th entry of the doomed-candidate suite as a target.
 
-    candidates = all_candidates()
+    ``candidates`` is a suite the caller already built (one per
+    request); None builds it here.
+    """
+    if candidates is None:
+        from ..protocols.candidates import all_candidates
+
+        candidates = all_candidates()
     require(
         0 <= index < len(candidates),
         SpecificationError,
@@ -104,11 +114,15 @@ def algorithm2_target(n: int, inputs: Tuple[Value, ...]) -> FuzzTarget:
     )
 
 
-def target_from_spec(spec: TargetSpec) -> FuzzTarget:
-    """Rebuild a target from its portable spec (worker-side entry)."""
+def target_from_spec(
+    spec: TargetSpec,
+    candidates: Optional[Sequence["CandidateSystem"]] = None,
+) -> FuzzTarget:
+    """Rebuild a target from its portable spec (worker-side entry);
+    ``candidates`` as for :func:`candidate_target`."""
     kind = spec[0]
     if kind == "candidate":
-        return candidate_target(spec[1])
+        return candidate_target(spec[1], candidates)
     if kind == "algorithm2":
         return algorithm2_target(spec[1], tuple(spec[2]))
     raise SpecificationError(f"unknown fuzz target spec {spec!r}")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.explorer import Configuration, ExplorationResult, Explorer
 from repro.analysis.kernel import compiled_available
+from repro.analysis.replay import verify_replay
 from repro.analysis.symmetry import ProcessSymmetry, groups_by_input
 from repro.core.pac import NIL, NPacSpec, PacState, permute_pac_state
 from repro.errors import AnalysisError
@@ -315,6 +316,36 @@ class TestReducedExploration:
             concrete = explorer.step(concrete, edge.pid, edge.choice)
         assert concrete == counterexample.configuration
         assert len(concrete.decisions()) == 1
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("pid", (None, 0, 1, 2))
+    def test_reduced_verdict_equals_full_for_one_sided_predicates(
+        self, kernel, pid
+    ):
+        # "pid 2 decided alone" holds only at configurations the walk
+        # never keeps as representatives (the least repr renames pid 2
+        # to pid 1), so auditing representatives alone misses it. Every
+        # permutation of each representative's status row is audited,
+        # and the violating one's witness replays concretely.
+        inputs = (1, 0, 0)
+        task = DecidedAlone(3, pid=pid)
+        full = algorithm2_explorer(inputs, kernel).check_safety(task, inputs)
+        explorer = algorithm2_explorer(inputs, kernel)
+        reduced = explorer.check_safety(
+            task, inputs, symmetry=algorithm2_symmetry(inputs)
+        )
+        assert (reduced is None) == (full is None)
+        assert reduced is not None
+        assert not task.check_safety(
+            inputs,
+            reduced.configuration.decisions(),
+            reduced.configuration.aborted(),
+        ).ok
+        concrete = explorer.initial_configuration()
+        for edge in reduced.schedule:
+            concrete = explorer.step(concrete, edge.pid, edge.choice)
+        assert concrete == reduced.configuration
+        assert verify_replay(explorer, reduced.schedule).matches
 
     def test_asymmetric_predicate_is_reported_unsound(self):
         # "pid 1 decided alone" is not invariant under swapping pids 1

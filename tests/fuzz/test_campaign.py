@@ -1,10 +1,13 @@
 """Tests for campaign determinism, sharding, and corpus integration."""
 
+import random
+
 import pytest
 
 from repro.errors import AnalysisError
 from repro.fuzz.corpus import FuzzCorpus
 from repro.fuzz.engine import (
+    _fresh,
     _shard_budgets,
     fuzz_campaign,
     shard_seed,
@@ -35,6 +38,22 @@ class TestShardSeeds:
                 assert sum(budgets) == budget
                 assert len(budgets) == shards
                 assert max(budgets) - min(budgets) <= 1
+
+
+class TestFreshGenes:
+    def test_same_draws_as_randrange(self):
+        # _fresh inlines randrange's rejection sampling; the genes and
+        # the generator's state afterwards must be exactly randrange's.
+        for seed in range(50):
+            reference, inlined = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                length = reference.randint(1, 64)
+                expected = tuple(
+                    (reference.randrange(64), reference.randrange(8))
+                    for _ in range(length)
+                )
+                assert _fresh(inlined, 64) == expected
+            assert reference.getstate() == inlined.getstate()
 
 
 class TestDeterminism:

@@ -80,3 +80,39 @@ def test_request_frees_every_explorer_and_kernel(
     alive = [ref for ref, _name in created if ref() is not None]
     assert alive == []
     assert _live_kernels() == kernels_before
+
+
+@pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+def test_inline_fuzz_request_builds_one_explorer(
+    monkeypatch, collector_off, kernel
+):
+    # Every shard of the inline run, the shrinker, the strict replay
+    # and the report's rendering share one explorer, built from one
+    # candidate suite; it is freed when the request returns.
+    from repro.protocols import candidates as candidates_mod
+
+    monkeypatch.setattr(kernel_mod, "select", lambda: kernel)
+    created = []
+    init = Explorer.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    suites = []
+    build_suite = candidates_mod.all_candidates
+
+    def counting_suite():
+        suites.append(None)
+        return build_suite()
+
+    monkeypatch.setattr(Explorer, "__init__", recording)
+    monkeypatch.setattr(candidates_mod, "all_candidates", counting_suite)
+    kernels_before = _live_kernels()
+    report = api.fuzz(candidate="one 2-SA", seed=1, budget=100)
+    assert report.ok
+    assert report.metrics["counters"]["pool.items"] == 4
+    assert len(created) == 1
+    assert len(suites) == 1
+    assert [ref for ref in created if ref() is not None] == []
+    assert _live_kernels() == kernels_before
