@@ -10,7 +10,6 @@ import pytest
 from repro.core.pac import check_theorem_3_5
 from repro.workloads.histories import (
     all_pac_histories,
-    legal_pac_history,
     random_pac_history,
 )
 

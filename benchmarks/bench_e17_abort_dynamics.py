@@ -30,7 +30,6 @@ RETRY_STEP_CAP = 400
 
 
 def sweep_point(intensity: float):
-    from repro.runtime.scheduler import SoloScheduler
     from repro.runtime.system import ProcessStatus
 
     task = DacDecisionTask(N)

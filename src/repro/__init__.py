@@ -100,12 +100,10 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "SequentialSpec",
             "SharedObject",
             "StickyBitSpec",
-            "SwapSpec",
             "TestAndSetSpec",
             "register_array",
         ),
         "core": (
-            "AbortableDacSpec",
             "CombinedPacSpec",
             "DacTask",
             "NKSetAgreementSpec",
@@ -127,7 +125,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ProcessAutomaton",
             "RoundRobinScheduler",
             "SeededScheduler",
-            "SoloScheduler",
             "System",
         ),
         "analysis": (

@@ -40,7 +40,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "code_salt",
             "explore_cached",
             "fingerprint",
-            "graph_digest",
         ),
         "parallel": (
             "VerificationPool",
@@ -62,10 +61,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         "properties": (
             "RunAudit",
-            "WaitFreedomAudit",
             "audit_dac_run",
             "audit_task_run",
-            "audit_wait_freedom",
         ),
         "valency_analyzer": ("CriticalReport", "HookStep", "ValencyAnalyzer"),
         "valency": (

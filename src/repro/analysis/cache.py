@@ -86,7 +86,6 @@ __all__ = [
     "conforms",
     "explore_cached",
     "fingerprint",
-    "graph_digest",
     "package_digest",
 ]
 
@@ -401,27 +400,3 @@ def explore_cached(
     if cache is None:
         return compute(), False
     return cache.get_or_compute(components, compute)
-
-
-def graph_digest(portable: Mapping[str, Any]) -> str:
-    """Repr-based sha256 over a portable exploration graph.
-
-    The portable form
-    (:meth:`~repro.analysis.explorer.ExplorationResult.to_portable`) is
-    built from lists, tuples, ints and hashable leaf values in
-    deterministic (BFS) order, so its ``repr`` is bit-stable across
-    interpreter runs, ``PYTHONHASHSEED`` values and kernel backends —
-    the canonical graph rendering the equivalence tests compare.
-    """
-    parts = (
-        portable["complete"],
-        portable["nodes"],
-        portable["order_len"],
-        portable["successors"],
-        portable["parents"],
-        portable["reduced"],
-        portable["source_node"],
-        portable["initial_permutation"],
-        portable["parent_perms"],
-    )
-    return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -169,9 +169,6 @@ class Configuration:
             pid for pid, status in enumerate(self.statuses) if status is RUNNING
         )
 
-    def is_quiescent(self) -> bool:
-        return not self.enabled()
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -502,88 +499,6 @@ class ExplorationResult:
     def __len__(self) -> int:
         return len(self.order_ids)
 
-    def to_portable(self) -> Dict[str, object]:
-        """A self-contained, picklable rendering of this graph.
-
-        Intern ids are explorer-local, so the portable form re-keys
-        everything by *position*: ``nodes`` lists each configuration's
-        raw field triple (order first, then any extra ids a truncated
-        search referenced but never visited), and edges/parents refer
-        to node positions. The structure is plain tuples/lists/ints in
-        BFS order — its ``repr`` is bit-stable across interpreter runs,
-        which is what :func:`repro.analysis.cache.graph_digest` relies
-        on (the canonical graph rendering the equivalence tests pin).
-        """
-        assert self.intern is not None
-        value = self.intern.value
-        positions: Dict[int, int] = {}
-        node_ids: List[int] = []
-
-        def register(cid: int) -> int:
-            pos = positions.get(cid)
-            if pos is None:
-                pos = len(node_ids)
-                positions[cid] = pos
-                node_ids.append(cid)
-            return pos
-
-        for cid in self.order_ids:
-            register(cid)
-        order_len = len(node_ids)
-        successors = []
-        for cid, entries in self.successor_ids.items():
-            cpos = register(cid)
-            successors.append(
-                (
-                    cpos,
-                    tuple(
-                        (edge.pid, edge.choice, edge.response, register(tid))
-                        for edge, tid in entries
-                    ),
-                )
-            )
-        parents = []
-        for tid, (cid, edge) in self.parent_ids.items():
-            parents.append(
-                (
-                    register(tid),
-                    register(cid),
-                    edge.pid,
-                    edge.choice,
-                    edge.response,
-                )
-            )
-        parent_perms = [
-            (register(cid), perm) for cid, perm in self.parent_perms.items()
-        ]
-        nodes = [
-            (
-                value(cid).process_states,
-                value(cid).statuses,
-                value(cid).object_states,
-            )
-            for cid in node_ids
-        ]
-        source_node = None
-        if self.source_initial is not None:
-            source_node = (
-                self.source_initial.process_states,
-                self.source_initial.statuses,
-                self.source_initial.object_states,
-            )
-        return {
-            "version": 1,
-            "complete": self.complete,
-            "nodes": nodes,
-            "order_len": order_len,
-            "successors": successors,
-            "parents": parents,
-            "reduced": self.reduced,
-            "source_node": source_node,
-            "initial_permutation": self.initial_permutation,
-            "parent_perms": parent_perms,
-        }
-
 
 def _invert(perm: Permutation) -> Permutation:
     inverse = [0] * len(perm)
@@ -903,10 +818,6 @@ class Explorer:
     def intern_id(self, config: Configuration) -> int:
         """The configuration's dense id in this explorer's intern table."""
         return self._intern.intern(config)
-
-    def interned(self, ident: int) -> Configuration:
-        """The configuration with intern id ``ident``."""
-        return self._intern.value(ident)
 
     def _absorb(self, config: Configuration) -> Configuration:
         """Settle local actions: decided/aborted/halted processes are

@@ -224,13 +224,3 @@ class PackedEncoder:
             for oi in range(self.n_objects)
         )
         return states, statuses, objects
-
-    # -- introspection (property tests, docs) ---------------------------------
-
-    def slot_sizes(self) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
-        """(per-pid local count, status count, per-object state count)."""
-        return (
-            tuple(len(values) for values in self._local_values),
-            len(self._status_values),
-            tuple(len(values) for values in self._object_values),
-        )

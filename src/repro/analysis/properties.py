@@ -7,9 +7,7 @@ adversaries, long workloads) — the statistical half of every experiment.
 * :func:`audit_task_run` — safety of a finished run against any
   :class:`~repro.protocols.tasks.DecisionTask`;
 * :func:`audit_dac_run` — the full ``n``-DAC rubric including
-  Nontriviality (needs step counts) and the termination bookkeeping;
-* :func:`audit_wait_freedom` — per-process step bounds: a wait-free
-  protocol must decide within a known bound of its own steps.
+  Nontriviality (needs step counts) and the termination bookkeeping.
 """
 
 from __future__ import annotations
@@ -75,36 +73,3 @@ def audit_dac_run(
         aborted=base.aborted,
         undecided=base.undecided,
     )
-
-
-@dataclass(frozen=True)
-class WaitFreedomAudit:
-    """Step counts of processes that terminated vs. the bound."""
-
-    ok: bool
-    offenders: Tuple[Tuple[ProcessId, int], ...] = ()
-
-
-def audit_wait_freedom(
-    history: RunHistory,
-    step_bound: int,
-    exempt: Sequence[ProcessId] = (),
-) -> WaitFreedomAudit:
-    """Check that every terminated process used at most ``step_bound``
-    of its *own* steps.
-
-    ``exempt`` lists processes the bound does not apply to (e.g. the
-    non-distinguished n-DAC processes, whose termination guarantee is
-    solo-run only, so an adversary may legitimately starve them into
-    many retries).
-    """
-    counts = history.steps_by_pid
-    terminated = (
-        set(history.decisions) | set(history.aborted) | set(history.halted)
-    )
-    offenders = tuple(
-        (pid, counts.get(pid, 0))
-        for pid in sorted(terminated)
-        if pid not in exempt and counts.get(pid, 0) > step_bound
-    )
-    return WaitFreedomAudit(ok=not offenders, offenders=offenders)

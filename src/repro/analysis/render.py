@@ -1,6 +1,6 @@
 """Human-readable rendering of runs, witnesses, and configurations.
 
-The explorer's outputs — counterexample schedules, livelocks, critical
+The explorer's outputs — counterexample schedules, livelocks,
 configurations — are the artifacts a user actually reads when a theorem
 experiment speaks. These renderers turn them into terse, stable text
 (used by the CLI, the examples, and error messages; covered by
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..runtime.history import ConcurrentHistory, Inv, Res, RunHistory
 from .explorer import (
     Configuration,
     Edge,
@@ -19,7 +18,6 @@ from .explorer import (
     Livelock,
     SafetyCounterexample,
 )
-from .valency_analyzer import CriticalReport
 
 
 def render_schedule(
@@ -81,73 +79,3 @@ def render_livelock(explorer: Explorer, livelock: Livelock) -> str:
     )
     parts.append(f"starving processes: {starving}")
     return "\n".join(parts)
-
-
-def render_configuration(
-    explorer: Explorer, config: Configuration
-) -> str:
-    """Statuses, pending actions, and object states of a configuration."""
-    lines: List[str] = []
-    for pid, status in enumerate(config.statuses):
-        if status[0] == "running":
-            action = explorer.processes[pid].next_action(
-                config.process_states[pid]
-            )
-            lines.append(f"  p{pid}: running, poised at {action}")
-        elif status[0] == "decided":
-            lines.append(f"  p{pid}: decided {status[1]!r}")
-        else:
-            lines.append(f"  p{pid}: {status[0]}")
-    for name, state in zip(explorer.object_names, config.object_states):
-        lines.append(f"  {name}: {state!r}")
-    return "\n".join(lines)
-
-
-def render_critical_report(
-    explorer: Explorer, report: CriticalReport
-) -> str:
-    """A critical configuration with its decisive hook steps."""
-    parts = ["critical configuration:"]
-    parts.append(render_configuration(explorer, report.configuration))
-    for hook in report.hooks:
-        parts.append(
-            f"  if p{hook.edge.pid} steps (choice {hook.edge.choice}) "
-            f"-> {hook.label}"
-        )
-    return "\n".join(parts)
-
-
-def render_run_history(history: RunHistory, limit: int = 50) -> str:
-    """A completed run: steps (truncated) and final outcomes."""
-    lines: List[str] = []
-    for step in history.steps[:limit]:
-        lines.append(f"  {step}")
-    if len(history.steps) > limit:
-        lines.append(f"  ... ({len(history.steps) - limit} more steps)")
-    if history.decisions:
-        rendered = ", ".join(
-            f"p{pid}={value!r}"
-            for pid, value in sorted(history.decisions.items())
-        )
-        lines.append(f"  decisions: {rendered}")
-    if history.aborted:
-        lines.append(f"  aborted: {sorted(history.aborted)}")
-    if history.halted:
-        lines.append(f"  halted: {sorted(history.halted)}")
-    return "\n".join(lines)
-
-
-def render_concurrent_history(history: ConcurrentHistory) -> str:
-    """Invocation/response events with nesting-friendly arrows."""
-    lines: List[str] = []
-    for event in history.events:
-        if isinstance(event, Inv):
-            lines.append(
-                f"  p{event.pid} ---> [{event.op_id}] {event.operation}"
-            )
-        else:
-            assert isinstance(event, Res)
-            lines.append(
-                f"  p{event.pid} <--- [{event.op_id}] {event.response!r}"
-            )
-    return "\n".join(lines)

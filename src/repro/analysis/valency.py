@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import AnalysisError
 from ..runtime.events import Invoke
 from ..types import ProcessId, Value
 from .explorer import Configuration, Edge, Explorer
@@ -52,10 +51,6 @@ class Valency:
     @property
     def bivalent(self) -> bool:
         return self.label == BIVALENT
-
-    @property
-    def univalent(self) -> bool:
-        return self.label in (ZERO_VALENT, ONE_VALENT)
 
 
 def valence_label(
@@ -89,15 +84,6 @@ class InitialValencyReport:
     """Valences of the initial configurations over input assignments."""
 
     entries: Tuple[Tuple[Tuple[Value, ...], str], ...]
-
-    def bivalent_inputs(self) -> List[Tuple[Value, ...]]:
-        return [inputs for inputs, label in self.entries if label == BIVALENT]
-
-    def label_of(self, inputs: Tuple[Value, ...]) -> str:
-        for assignment, label in self.entries:
-            if assignment == inputs:
-                return label
-        raise AnalysisError(f"inputs {inputs} were not analyzed")
 
 
 def initial_valency_report(

@@ -104,15 +104,6 @@ class ValencyAnalyzer:
     def label(self, config: Configuration) -> str:
         return valence_label(self.decision_set(config), self.domain)
 
-    def bivalent_configurations(self) -> List[Configuration]:
-        assert self.graph.intern is not None
-        value = self.graph.intern.value
-        return [
-            value(ident)
-            for ident in self.graph.order_ids
-            if self._label_of_id(ident) == BIVALENT
-        ]
-
     def critical_configurations(self) -> List[CriticalReport]:
         """Every critical configuration in the reachable graph.
 

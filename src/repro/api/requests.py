@@ -30,7 +30,7 @@ are the server's wire format.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import (
     Any,
     ClassVar,
@@ -184,10 +184,6 @@ class Request:
         and grows, so a later identical request may answer differently).
         """
         return True
-
-    def with_options(self, options: ExecutionOptions) -> "Request":
-        """A copy carrying different execution options (same answer)."""
-        return replace(self, options=options)
 
     def to_dict(self) -> Dict[str, Any]:
         """Lossless wire form: semantic fields + nested options."""

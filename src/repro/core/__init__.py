@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "combined": ("CombinedPacSpec", "CombinedPacState"),
-        "dac": ("AbortableDacSpec", "DacTask", "DacVerdict"),
+        "dac": ("DacTask", "DacVerdict"),
         "hierarchy": ("HierarchyProbe", "ProbeCell", "builtin_catalog"),
         "pac": (
             "NPacSpec",

@@ -1,36 +1,21 @@
-"""The ``n``-DAC problem and the abortable ``n``-DAC object — Section 4.
+"""The ``n``-DAC problem — Section 4.
 
-Two artifacts live here:
-
-* :class:`DacTask` — the *problem* statement of [9] reproduced in the
-  paper: ``n >= 2`` processes with binary inputs must decide a common
-  binary value; one distinguished process ``p`` may *abort* instead.
-  The class bundles the Agreement / Validity / Nontriviality safety
-  predicate used by the explorer and the simulation harness
-  (experiments E3 and E5). Termination is a liveness property and is
-  checked by the run/exploration machinery, not by this predicate.
-
-* :class:`AbortableDacSpec` — a directly-usable ``n``-DAC *object*. The
-  object of [9] aborts nondeterministically when operations are
-  concurrent; in a linearized (atomic-step) world, concurrency at the
-  object is visible only as *interleaving*, which is exactly the signal
-  the paper's ``n``-PAC object reconstructs with its ``L`` variable.
-  We therefore expose the determinized behaviour: a port's
-  propose-then-decide round trip aborts iff another port's operation
-  landed in between. This is precisely the object one obtains by
-  running the paper's propose/decide simulation on an ``n``-PAC object,
-  and we *test* that correspondence rather than assume it
-  (``tests/core/test_dac.py``).
+:class:`DacTask` is the *problem* statement of [9] reproduced in the
+paper: ``n >= 2`` processes with binary inputs must decide a common
+binary value; one distinguished process ``p`` may *abort* instead. The
+class bundles the Agreement / Validity / Nontriviality safety predicate
+used by the explorer and the simulation harness (experiments E3 and
+E5). Termination is a liveness property and is checked by the
+run/exploration machinery, not by this predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SpecificationError
-from ..types import ABORT, BOTTOM, Operation, ProcessId, Value, require
-from ..objects.spec import Outcome, SequentialSpec
+from ..types import ProcessId, Value, require
 
 
 @dataclass(frozen=True)
@@ -117,74 +102,3 @@ class DacTask:
                     f"process may abort"
                 )
         return DacVerdict(ok=not violations, violations=tuple(violations))
-
-
-@dataclass(frozen=True)
-class DacObjectState:
-    """Determinized abortable-DAC state: ``pac`` is an embedded
-    ``n``-PAC state (the propose/decide pairing is performed internally
-    by the composite operation)."""
-
-    pac: Hashable
-
-
-class AbortableDacSpec(SequentialSpec):
-    """A one-step-per-round-trip view of the abortable ``n``-DAC object.
-
-    ``try_propose(v, port)`` performs the paper's simulation —
-    ``PROPOSE(v, port)`` followed immediately by ``DECIDE(port)`` on an
-    internal ``n``-PAC — as a *single atomic* operation. Because the
-    pair is atomic, no operation can intervene, so the round trip never
-    aborts spuriously; the object aborts (answers :data:`ABORT`) exactly
-    when the embedded PAC is upset, i.e. when the port discipline was
-    violated — the atomic-world image of "concurrent operations on a
-    port".
-
-    This object exists for client code that wants DAC semantics without
-    managing the two-step PAC protocol; the *interesting* executions —
-    where interleavings between the propose and the decide cause aborts
-    — are produced by running :class:`~repro.protocols.dac_from_pac`
-    (Algorithm 2) on a raw ``n``-PAC object under an adversarial
-    scheduler.
-    """
-
-    kind = "abortable-DAC"
-    deterministic = True
-
-    def __init__(self, n: int) -> None:
-        # Imported here: the task checks (and so a warm check-algorithm2
-        # cache hit) never need the PAC object.
-        from .pac import NPacSpec
-
-        require(n >= 2, SpecificationError, f"n-DAC requires n >= 2, got {n}")
-        self.n = n
-        self.kind = f"{n}-DAC"
-        self._pac = NPacSpec(n)
-
-    def initial_state(self) -> Hashable:
-        return DacObjectState(pac=self._pac.initial_state())
-
-    def operation_names(self) -> Tuple[str, ...]:
-        return ("try_propose",)
-
-    def responses(self, state: Hashable, operation: Operation) -> Sequence[Outcome]:
-        from ..types import op as make_op  # local import avoids cycle at module load
-
-        assert isinstance(state, DacObjectState)
-        if operation.name != "try_propose":
-            from ..objects.spec import reject_unknown
-
-            reject_unknown(self, operation)
-        if len(operation.args) != 2:
-            from ..errors import InvalidOperationError
-
-            raise InvalidOperationError(
-                f"{self.kind}: try_propose expects (value, port), got {operation}"
-            )
-        value, port = operation.args
-        pac_state, _done = self._pac.apply(
-            state.pac, make_op("propose", value, port)
-        )
-        pac_state, decided = self._pac.apply(pac_state, make_op("decide", port))
-        response: Value = ABORT if decided is BOTTOM else decided
-        return ((DacObjectState(pac=pac_state), response),)

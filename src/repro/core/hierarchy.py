@@ -109,19 +109,6 @@ class HierarchyProbe:
     def probe_range(self, max_count: int) -> List[ProbeCell]:
         return [self.probe(count) for count in range(2, max_count + 1)]
 
-    def consensus_number_bounds(
-        self, max_count: int
-    ) -> Tuple[int, Optional[int]]:
-        """(certified lower bound, first refuted count or None)."""
-        lower = 1  # everything solves 1-process consensus trivially
-        first_refuted: Optional[int] = None
-        for cell in self.probe_range(max_count):
-            if cell.grade == SOLVES:
-                lower = max(lower, cell.count)
-            elif cell.grade == REFUTED and first_refuted is None:
-                first_refuted = cell.count
-        return lower, first_refuted
-
 
 def _binary_assignments(count: int):
     import itertools

@@ -109,11 +109,6 @@ class SetAgreementPower:
         what :func:`repro.core.separation.make_on_prime` materializes."""
         return tuple(self[k].lower for k in range(1, length + 1))
 
-    def exact_prefix(self, length: int) -> Tuple[PortCount, ...]:
-        """Exact values for the first ``length`` components; raises when
-        any of them is not pinned."""
-        return tuple(self[k].value for k in range(1, length + 1))
-
     def agrees_with(self, other: "SetAgreementPower", length: int) -> bool:
         """True when both sequences have identical bounds on a prefix.
 
@@ -165,8 +160,7 @@ def m_consensus_power(m: int) -> SetAgreementPower:
 
     Lower bound: partition ``m·k`` processes into ``k`` groups of ``m``;
     each group runs consensus on its own object; at most ``k`` distinct
-    decisions (the protocol is
-    :func:`repro.protocols.set_agreement.group_partition_protocol`).
+    decisions (the group-partition protocol the tests certify it with).
     Upper bound: Chaudhuri–Reiners [6] via the Borowsky–Gafni
     simulation.
     """

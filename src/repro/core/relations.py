@@ -27,7 +27,7 @@ refuted, hence an explicit negative edge from ``O'_n`` to ``O_n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError, SpecificationError
 from ..types import require
@@ -129,9 +129,6 @@ class Ledger:
     def refuted(self, source: str, target: str) -> Optional[Edge]:
         return self._negative.get((source, target))
 
-    def equivalent(self, a: str, b: str) -> bool:
-        return self.implements(a, b) and self.implements(b, a)
-
     def check_consistency(self) -> List[str]:
         """Positive closure must not contradict a negative edge."""
         conflicts = []
@@ -142,13 +139,6 @@ class Ledger:
                     f"({edge.evidence})"
                 )
         return conflicts
-
-    def nodes(self) -> FrozenSet[str]:
-        names: Set[str] = set()
-        for source, target in list(self._positive) + list(self._negative):
-            names.add(source)
-            names.add(target)
-        return frozenset(names)
 
     def edges(self) -> List[Edge]:
         return list(self._positive.values()) + list(self._negative.values())
@@ -231,7 +221,7 @@ class SeparationReport:
         return (
             self.same_power
             and self.on_implements_witness_task
-            and not self.survivors
+            and self.on_prime_refuted
             and not self.conflicts
         )
 

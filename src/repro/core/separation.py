@@ -30,7 +30,7 @@ from ..types import Operation, Value, op, require
 from ..objects.spec import Outcome, SequentialSpec, expect_arity, reject_unknown
 from .combined import CombinedPacSpec
 from .power import SetAgreementPower, on_power
-from .set_agreement import NKSetAgreementSpec, PortCount
+from .set_agreement import NKSetAgreementSpec, PortCount, sa_family_for_power
 
 
 def make_on(n: int) -> CombinedPacSpec:
@@ -61,14 +61,9 @@ class SetAgreementBundleSpec(SequentialSpec):
     deterministic = False
 
     def __init__(self, levels: Sequence[PortCount]) -> None:
-        require(
-            len(levels) >= 1,
-            SpecificationError,
-            "a set agreement bundle needs at least one level",
-        )
         self.levels = tuple(levels)
         self.members: Tuple[NKSetAgreementSpec, ...] = tuple(
-            NKSetAgreementSpec(n_k, k) for k, n_k in enumerate(self.levels, start=1)
+            sa_family_for_power(self.levels)
         )
         self.kind = f"SA-bundle[{len(self.levels)} levels]"
 

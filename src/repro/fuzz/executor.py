@@ -38,10 +38,10 @@ executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.explorer import Configuration, Edge, Explorer
+from ..analysis.explorer import Edge, Explorer
 from ..protocols.tasks import SafetyVerdict
 from .target import FuzzTarget
 
@@ -67,8 +67,7 @@ class GeneRun:
     can drop them wholesale. ``new_coverage`` is the number of
     configurations this run visited first, against the seen-set it was
     executed under (its shard's). ``final_id`` is the
-    final configuration's id in the executor's explorer; ``final``
-    decodes it.
+    final configuration's id in the executor's explorer.
     """
 
     edges: Tuple[Edge, ...]
@@ -78,11 +77,6 @@ class GeneRun:
     cycle_start: Optional[int]
     steps: int
     new_coverage: int
-    explorer: Explorer = field(repr=False, compare=False)
-
-    @property
-    def final(self) -> Configuration:
-        return self.explorer.interned(self.final_id)
 
     @property
     def violating(self) -> bool:
@@ -181,7 +175,6 @@ class FuzzExecutor:
             cycle_start=cycle_start,
             steps=steps,
             new_coverage=new_coverage,
-            explorer=self.explorer,
         )
 
     def _reached(self, cid: int) -> Tuple[Tuple[int, ...], SafetyVerdict]:

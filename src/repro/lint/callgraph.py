@@ -58,12 +58,6 @@ class ProjectIndex:
     def iter_files(self) -> Iterator[FileIndex]:
         return iter(self.files)
 
-    def suppresses(self, display: str, line: int, rule_id: str) -> bool:
-        for file in self.files:
-            if file.display == display:
-                return file.suppresses(line, rule_id)
-        return False
-
     # -- call resolution -------------------------------------------------
 
     def _resolve_target(self, target: str) -> Optional[FunctionKey]:

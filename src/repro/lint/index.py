@@ -172,12 +172,6 @@ class FileIndex:
     imports: Mapping[str, str] = field(default_factory=dict)
     noqa: Mapping[int, Tuple[str, ...]] = field(default_factory=dict)
 
-    def suppresses(self, line: int, rule_id: str) -> bool:
-        rules = self.noqa.get(line)
-        if rules is None:
-            return False
-        return NOQA_ALL in rules or rule_id in rules
-
 
 def module_name(path: Path) -> str:
     """The dotted module name ``path`` would import as.

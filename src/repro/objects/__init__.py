@@ -19,8 +19,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     {
         "base": (
             "FirstOutcomeOracle",
-            "MaximizingOracle",
-            "MinimizingOracle",
             "ResponseOracle",
             "ScriptedOracle",
             "SeededOracle",
@@ -31,7 +29,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "FetchAndAddSpec",
             "QueueSpec",
             "StickyBitSpec",
-            "SwapSpec",
             "TestAndSetSpec",
         ),
         "consensus": ("ConsensusState", "MConsensusSpec"),

@@ -13,9 +13,7 @@ Oracles provided here:
 * :class:`FirstOutcomeOracle` — always the canonical outcome (index 0);
 * :class:`SeededOracle` — reproducible pseudo-random choices;
 * :class:`ScriptedOracle` — an explicit list of choices (used to replay
-  schedules found by the model checker);
-* :class:`MinimizingOracle` / :class:`MaximizingOracle` — deterministic
-  extreme choices, handy for adversarial smoke tests.
+  schedules found by the model checker).
 """
 
 from __future__ import annotations
@@ -71,16 +69,13 @@ class ScriptedOracle(ResponseOracle):
     out-of-range entry) is no longer the counterexample the explorer
     found. With ``strict=True`` the oracle raises
     :class:`~repro.errors.ReplayDivergenceError` the moment the script
-    cannot answer; with ``strict=False`` it falls back to outcome 0 but
-    *records* the divergence, so callers can still audit the run via
-    :attr:`fallbacks` / :attr:`diverged`.
+    cannot answer; with ``strict=False`` it falls back to outcome 0.
     """
 
     def __init__(self, choices: Sequence[int], strict: bool = False) -> None:
         self._choices: List[int] = list(choices)
         self._cursor = 0
         self._strict = strict
-        self._fallbacks = 0
 
     def choose(
         self, obj_name: str, operation: Operation, outcomes: Sequence[Outcome]
@@ -96,53 +91,18 @@ class ScriptedOracle(ResponseOracle):
                     f"is out of range for {operation} on {obj_name!r} "
                     f"({len(outcomes)} outcomes)"
                 )
-            self._fallbacks += 1
             return 0
         if self._strict:
             raise ReplayDivergenceError(
                 f"choice script exhausted after {len(self._choices)} entries; "
                 f"{operation} on {obj_name!r} has no scripted answer"
             )
-        self._fallbacks += 1
         return 0
 
     @property
     def exhausted(self) -> bool:
         """True once every scripted choice has been consumed."""
         return self._cursor >= len(self._choices)
-
-    @property
-    def fallbacks(self) -> int:
-        """How many times a non-strict replay fell back to outcome 0."""
-        return self._fallbacks
-
-    @property
-    def diverged(self) -> bool:
-        """True if any choice was answered off-script (non-strict mode)."""
-        return self._fallbacks > 0
-
-
-class MinimizingOracle(ResponseOracle):
-    """Pick the outcome with the smallest response (by repr ordering).
-
-    Responses are not necessarily mutually comparable, so the ordering
-    key is ``repr`` — stable and total, which is all an adversarial
-    smoke test needs.
-    """
-
-    def choose(
-        self, obj_name: str, operation: Operation, outcomes: Sequence[Outcome]
-    ) -> int:
-        return min(range(len(outcomes)), key=lambda i: repr(outcomes[i][1]))
-
-
-class MaximizingOracle(ResponseOracle):
-    """Pick the outcome with the largest response (by repr ordering)."""
-
-    def choose(
-        self, obj_name: str, operation: Operation, outcomes: Sequence[Outcome]
-    ) -> int:
-        return max(range(len(outcomes)), key=lambda i: repr(outcomes[i][1]))
 
 
 class SharedObject:
@@ -197,11 +157,6 @@ class SharedObject:
         self._state, response = outcomes[choice]
         self._history.append((operation, response))
         return response
-
-    def reset(self) -> None:
-        """Return the object to its initial state and clear its history."""
-        self._state = self.spec.initial_state()
-        self._history.clear()
 
     def __repr__(self) -> str:
         return f"<SharedObject {self.name!r} spec={self.spec.kind!r}>"

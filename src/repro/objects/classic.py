@@ -5,7 +5,7 @@ These are not part of the paper's construction, but the paper's subject
 needs concrete inhabitants of its levels:
 
 * level 1 — registers (:mod:`repro.objects.register`);
-* level 2 — test-and-set, fetch-and-add, swap, FIFO queue (Herlihy);
+* level 2 — test-and-set, fetch-and-add, FIFO queue (Herlihy);
 * level ∞ — compare-and-swap;
 * level m — the ``m``-consensus object
   (:mod:`repro.objects.consensus`).
@@ -116,31 +116,6 @@ class CompareAndSwapSpec(SequentialSpec):
             return ((state, state),)
         reject_unknown(self, operation)
         raise AssertionError("unreachable")
-
-
-class SwapSpec(SequentialSpec):
-    """Atomic swap cell: ``swap(v)`` stores ``v``, returns the old value.
-
-    Consensus number 2.
-    """
-
-    kind = "swap"
-    deterministic = True
-
-    def __init__(self, initial: Value = NIL) -> None:
-        self.initial = initial
-
-    def initial_state(self) -> Hashable:
-        return self.initial
-
-    def operation_names(self) -> Tuple[str, ...]:
-        return ("swap",)
-
-    def responses(self, state: Hashable, operation: Operation) -> Sequence[Outcome]:
-        if operation.name != "swap":
-            reject_unknown(self, operation)
-        expect_arity(operation, 1, self.kind)
-        return ((operation.args[0], state),)
 
 
 class QueueSpec(SequentialSpec):

@@ -19,7 +19,6 @@ from .metrics import (
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
     empty_snapshot,
-    merge_snapshots,
 )
 from .profile import profile_phase
 from .runtime import (
@@ -41,7 +40,6 @@ from .schema import (
     TraceSchemaError,
     VOLATILE_FIELDS,
     load_trace,
-    strip_volatile,
     validate_record,
     validate_trace,
 )
@@ -65,14 +63,12 @@ __all__ = [
     "gauge",
     "histogram",
     "load_trace",
-    "merge_snapshots",
     "profile_phase",
     "profiling",
     "scoped",
     "session",
     "snapshot",
     "span",
-    "strip_volatile",
     "tracing",
     "validate_record",
     "validate_trace",

@@ -34,7 +34,7 @@ Three instrument kinds:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 Number = Union[int, float]
 
@@ -138,13 +138,3 @@ class MetricsRegistry:
         return (
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
-
-
-def merge_snapshots(
-    snapshots: Sequence[Optional[Mapping[str, Any]]],
-) -> Dict[str, Any]:
-    """Fold ``snapshots`` (in order) into one fresh snapshot."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge_snapshot(snapshot)
-    return registry.snapshot()

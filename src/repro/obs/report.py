@@ -4,13 +4,11 @@
 :mod:`repro.obs.schema`, and aggregates it: spans grouped by name
 (count / total / max duration), events grouped by name, the final
 metrics snapshot, and any profile tables. The summary is itself a
-plain dict, so ``--format json`` is just ``json.dumps`` of it —
-the round-trip the tests pin.
+plain dict, carried as the report's ``data``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List
 
 from .schema import load_trace
@@ -131,7 +129,3 @@ def render_text(summary: Dict[str, Any]) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-def render_json(summary: Dict[str, Any]) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True)

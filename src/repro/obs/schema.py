@@ -7,8 +7,7 @@ so there is exactly one statement of what a trace may contain.
 
 Byte-comparison contract: two traces of the same run differ only in
 the fields listed in :data:`VOLATILE_FIELDS` (wall-time offsets and
-durations). :func:`strip_volatile` removes them, which is how the
-golden test and the CI diff normalise before comparing.
+durations); the golden test drops them before comparing.
 """
 
 from __future__ import annotations
@@ -124,20 +123,3 @@ def validate_trace(records: List[Dict[str, Any]]) -> None:
             "end record counts %r records, file has %d"
             % (records[-1]["records"], len(records))
         )
-
-
-def strip_volatile(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``record`` without wall-time fields (for comparison)."""
-    clean = {
-        key: value
-        for key, value in record.items()
-        if key not in VOLATILE_FIELDS
-    }
-    attrs = clean.get("attrs")
-    if isinstance(attrs, dict):
-        clean["attrs"] = {
-            key: value
-            for key, value in attrs.items()
-            if key not in VOLATILE_FIELDS
-        }
-    return clean

@@ -4,8 +4,8 @@
 * :mod:`repro.protocols.dac_from_pac` — Algorithm 2 (Theorem 4.1);
 * :mod:`repro.protocols.consensus` — consensus protocols per catalog
   object (hierarchy tour);
-* :mod:`repro.protocols.set_agreement` — k-set agreement protocols
-  backing every power lower bound;
+* :mod:`repro.protocols.set_agreement` — k-set agreement through an
+  ``O'_n`` bundle;
 * :mod:`repro.protocols.candidates` — doomed candidates for the
   impossibility experiments;
 * :mod:`repro.protocols.implementation` — the implementation framework
@@ -36,11 +36,9 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "CasConsensusProcess",
             "CombinedPacConsensusProcess",
             "OneShotConsensusProcess",
-            "QueueConsensusProcess",
             "StickyBitConsensusProcess",
             "TestAndSetConsensusProcess",
             "one_shot_consensus_processes",
-            "queue_consensus_objects",
         ),
         "dac_from_pac": ("Algorithm2Process", "algorithm2_processes"),
         "embodiment": (
@@ -63,18 +61,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "check_implementation",
             "run_clients",
         ),
-        "set_agreement": (
-            "BundleProcess",
-            "collection_partition",
-            "GroupConsensusProcess",
-            "NkSaProcess",
-            "StrongSaProcess",
-            "bundle_processes",
-            "group_partition_objects",
-            "group_partition_processes",
-            "strong_sa_processes",
-            "trivial_processes",
-        ),
+        "set_agreement": ("BundleProcess", "bundle_processes"),
         "tasks": (
             "ConsensusTask",
             "DacDecisionTask",

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 from ..errors import SpecificationError
 from ..types import BOTTOM, ProcessId, Value, op, require
 from ..objects.consensus import MConsensusSpec
-from ..objects.register import RegisterSpec
+from ..objects.register import RegisterSpec, register_array
 from ..objects.spec import SequentialSpec
 from ..core.combined import CombinedPacSpec
 from ..core.set_agreement import StrongSetAgreementSpec
@@ -455,9 +455,10 @@ def consensus_via_queue(n: int = 3) -> CandidateSystem:
 
     inputs = tuple(pid % 2 for pid in range(n))
     tokens = ("winner",) + tuple(f"loser{i}" for i in range(n - 1))
-    objects: Dict[str, SequentialSpec] = {"Q": QueueSpec(initial=tokens)}
-    for pid in range(n):
-        objects[f"R{pid}"] = RegisterSpec()
+    objects: Dict[str, SequentialSpec] = {
+        "Q": QueueSpec(initial=tokens),
+        **register_array(n),
+    }
     processes: List[ProcessAutomaton] = [
         ScanningRacerProcess(
             pid=pid,
@@ -486,9 +487,10 @@ def consensus_via_test_and_set(n: int = 3) -> CandidateSystem:
     from ..objects.classic import TestAndSetSpec
 
     inputs = tuple(pid % 2 for pid in range(n))
-    objects: Dict[str, SequentialSpec] = {"TAS": TestAndSetSpec()}
-    for pid in range(n):
-        objects[f"R{pid}"] = RegisterSpec()
+    objects: Dict[str, SequentialSpec] = {
+        "TAS": TestAndSetSpec(),
+        **register_array(n),
+    }
     processes: List[ProcessAutomaton] = [
         ScanningRacerProcess(
             pid=pid,

@@ -13,9 +13,10 @@ number claims (and experiment E13's hierarchy tour):
 * :class:`StickyBitConsensusProcess` — binary consensus from one sticky
   bit;
 * :class:`TestAndSetConsensusProcess` — 2-process consensus from a
-  test-and-set bit plus two registers (Herlihy's level-2 protocol);
-* :class:`QueueConsensusProcess` — 2-process consensus from a
-  pre-loaded FIFO queue plus two registers.
+  test-and-set bit plus two registers (Herlihy's level-2 protocol).
+
+The 2-process queue protocol is the candidate suite's positive control,
+:func:`repro.protocols.candidates.consensus_via_queue` at ``n = 2``.
 """
 
 from __future__ import annotations
@@ -176,65 +177,6 @@ class TestAndSetConsensusProcess(ProcessAutomaton):
         return ("decided", response)
 
 
-class QueueConsensusProcess(ProcessAutomaton):
-    """Herlihy's 2-process consensus from a pre-loaded FIFO queue.
-
-    The queue must be initialized to ``("winner", "loser")`` (see
-    :func:`queue_consensus_objects`). Write your input to ``R{pid}``,
-    dequeue; "winner" → decide your input, "loser" → decide the other
-    register's value.
-    """
-
-    def __init__(
-        self,
-        pid: ProcessId,
-        value: Value,
-        queue: str = "Q",
-        register_prefix: str = "R",
-    ) -> None:
-        super().__init__(pid)
-        require(pid in (0, 1), SpecificationError, "2-process protocol: pid in {0,1}")
-        self.value = value
-        self.queue = queue
-        self.register_prefix = register_prefix
-
-    def initial_state(self) -> Hashable:
-        return ("announce",)
-
-    def next_action(self, state: Hashable) -> Action:
-        tag = state[0]
-        if tag == "announce":
-            return Invoke(f"{self.register_prefix}{self.pid}", op("write", self.value))
-        if tag == "race":
-            return Invoke(self.queue, op("dequeue"))
-        if tag == "fetch":
-            return Invoke(f"{self.register_prefix}{1 - self.pid}", op("read"))
-        return Decide(state[1])
-
-    def transition(self, state: Hashable, response: Value) -> Hashable:
-        tag = state[0]
-        if tag == "announce":
-            return ("race",)
-        if tag == "race":
-            if response == "winner":
-                return ("decided", self.value)
-            return ("fetch",)
-        assert tag == "fetch"
-        return ("decided", response)
-
-
-def queue_consensus_objects(register_initial: Value = NIL) -> dict:
-    """Object table for :class:`QueueConsensusProcess` (pre-loaded queue)."""
-    from ..objects.classic import QueueSpec
-    from ..objects.register import RegisterSpec
-
-    return {
-        "Q": QueueSpec(initial=("winner", "loser")),
-        "R0": RegisterSpec(register_initial),
-        "R1": RegisterSpec(register_initial),
-    }
-
-
 def one_shot_consensus_processes(
     inputs: Sequence[Value], obj: str = "CONS"
 ) -> List[OneShotConsensusProcess]:
@@ -243,20 +185,3 @@ def one_shot_consensus_processes(
         OneShotConsensusProcess(pid, value, obj)
         for pid, value in enumerate(inputs)
     ]
-
-
-def one_shot_consensus_symmetry(inputs: Sequence[Value]):
-    """The process symmetry of a one-shot consensus instance, or None.
-
-    Equal-input processes are fully interchangeable: the automaton's
-    operations mention only the proposed value, and the
-    ``m``-consensus object's state (``winner``, ``applied``) is pid-free,
-    so no object permuter is needed (see
-    :mod:`repro.analysis.symmetry`).
-    """
-    from ..analysis.symmetry import ProcessSymmetry, groups_by_input
-
-    groups = groups_by_input(inputs)
-    if not groups:
-        return None
-    return ProcessSymmetry(len(inputs), groups)

@@ -70,10 +70,6 @@ class DecisionTask(ABC):
         properties. Must be monotone: once violated, forever violated —
         the explorer prunes on first violation."""
 
-    def may_abort(self, pid: ProcessId) -> bool:
-        """True if ``pid`` is permitted to abort (n-DAC's ``p`` only)."""
-        return False
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} n={self.num_processes}>"
 
@@ -201,9 +197,6 @@ class DacDecisionTask(DecisionTask):
 
     def input_assignments(self) -> Iterable[Tuple[Value, ...]]:
         return itertools.product((0, 1), repeat=self.num_processes)
-
-    def may_abort(self, pid: ProcessId) -> bool:
-        return pid == self.distinguished
 
     def check_safety(
         self,

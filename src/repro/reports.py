@@ -19,7 +19,7 @@ printer. Now every entry point produces one :class:`Report`:
   (:mod:`repro.obs.metrics`), attached by the CLI driver; deterministic
   across ``--jobs`` by construction.
 
-``to_json()``/``from_json()`` round-trip losslessly; ``--format json``
+``to_dict()``/``from_dict()`` round-trip losslessly; ``--format json``
 on any command is exactly ``to_json()`` of the command's report.
 """
 
@@ -133,10 +133,6 @@ class Report:
             data=dict(payload.get("data", {})),
             metrics=dict(payload.get("metrics", {})),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
 
 def _jsonable(value: Any) -> Any:

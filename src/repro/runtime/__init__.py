@@ -20,17 +20,14 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "RunHistory",
         ),
         "process": (
-            "FunctionalAutomaton",
             "GeneratorProcess",
             "ProcessAutomaton",
         ),
         "scheduler": (
             "AlternatingScheduler",
-            "BlockingScheduler",
             "RoundRobinScheduler",
             "ScriptedScheduler",
             "SeededScheduler",
-            "SoloScheduler",
             "Scheduler",
         ),
         "system": ("ObjectTable", "ProcessStatus", "System"),

@@ -49,19 +49,6 @@ class RunHistory:
             counts[step.pid] = counts.get(step.pid, 0) + 1
         return counts
 
-    def operations_on(self, obj: str) -> Tuple[Operation, ...]:
-        """Project the step log onto one object (the object's sequential
-        history — well-defined because steps are atomic)."""
-        return tuple(
-            step.invoke.operation for step in self.steps if step.invoke.obj == obj
-        )
-
-    def responses_on(self, obj: str) -> Tuple[Value, ...]:
-        """Responses observed on one object, in linearization order."""
-        return tuple(
-            step.response for step in self.steps if step.invoke.obj == obj
-        )
-
     def schedule(self) -> Tuple[ProcessId, ...]:
         """The schedule (sequence of moving pids) this run followed."""
         return tuple(step.pid for step in self.steps)

@@ -106,46 +106,6 @@ class ProcessAutomaton(ABC):
         return f"<{type(self).__name__} pid={self.pid}>"
 
 
-class FunctionalAutomaton(ProcessAutomaton):
-    """Build a small automaton from three plain functions.
-
-    Convenient for tests and candidate algorithms:
-
-    >>> from repro.types import op
-    >>> from repro.runtime.events import Invoke, Decide
-    >>> auto = FunctionalAutomaton(
-    ...     pid=0,
-    ...     initial="start",
-    ...     action=lambda s: Invoke("C", op("propose", 1))
-    ...         if s == "start" else Decide(s),
-    ...     update=lambda s, r: r,
-    ... )
-    >>> auto.next_action("start")
-    C.propose(1)
-    """
-
-    def __init__(
-        self,
-        pid: ProcessId,
-        initial: Hashable,
-        action: Callable[[Hashable], Action],
-        update: Callable[[Hashable, Value], Hashable],
-    ) -> None:
-        super().__init__(pid)
-        self._initial = initial
-        self._action = action
-        self._update = update
-
-    def initial_state(self) -> Hashable:
-        return self._initial
-
-    def next_action(self, state: Hashable) -> Action:
-        return self._action(state)
-
-    def transition(self, state: Hashable, response: Value) -> Hashable:
-        return self._update(state, response)
-
-
 class GeneratorProcess(ProcessAutomaton):
     """Adapter: run a Python generator as a process.
 

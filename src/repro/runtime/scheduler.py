@@ -6,13 +6,8 @@ here each scheduler class is one adversary strategy:
 
 * :class:`RoundRobinScheduler` — fair, deterministic;
 * :class:`SeededScheduler` — reproducible random interleavings;
-* :class:`SoloScheduler` — one process runs alone (the "q-solo
-  histories" the proofs lean on);
 * :class:`ScriptedScheduler` — replay an explicit schedule, e.g. a
   counterexample emitted by the explorer;
-* :class:`BlockingScheduler` — run a victim set only after the rest
-  finish (models crashes of the victims: a crashed process simply stops
-  being scheduled);
 * :class:`AlternatingScheduler` — tight alternation between two pids,
   the classic recipe for making PAC decides observe intervening
   operations.
@@ -39,16 +34,6 @@ class Scheduler(ABC):
     @abstractmethod
     def choose(self, enabled: Sequence[ProcessId], step_index: int) -> ProcessId:
         """Pick one pid from ``enabled`` (guaranteed non-empty)."""
-
-    def _require_enabled(
-        self, pid: ProcessId, enabled: Sequence[ProcessId]
-    ) -> ProcessId:
-        if pid not in enabled:
-            raise SchedulingError(
-                f"scheduler chose process {pid}, which is not enabled "
-                f"(enabled: {list(enabled)})"
-            )
-        return pid
 
 
 class RoundRobinScheduler(Scheduler):
@@ -80,20 +65,6 @@ class SeededScheduler(Scheduler):
         return self._rng.choice(sorted(enabled))
 
 
-class SoloScheduler(Scheduler):
-    """Run exactly one process; error if it is not enabled.
-
-    Solo runs are the workhorse of the paper's proofs (Termination (b)
-    of the n-DAC problem is a solo-run guarantee).
-    """
-
-    def __init__(self, pid: ProcessId) -> None:
-        self.pid = pid
-
-    def choose(self, enabled: Sequence[ProcessId], step_index: int) -> ProcessId:
-        return self._require_enabled(self.pid, enabled)
-
-
 class ScriptedScheduler(Scheduler):
     """Replay an explicit pid sequence; optional fallback afterwards.
 
@@ -112,7 +83,6 @@ class ScriptedScheduler(Scheduler):
         self._cursor = 0
         self._strict = strict
         self._fallback = RoundRobinScheduler()
-        self._fallbacks = 0
 
     def choose(self, enabled: Sequence[ProcessId], step_index: int) -> ProcessId:
         if self._cursor < len(self._schedule):
@@ -125,45 +95,14 @@ class ScriptedScheduler(Scheduler):
                     f"scripted schedule names process {pid} at position "
                     f"{self._cursor - 1}, but it is not enabled"
                 )
-            self._fallbacks += 1
             return self._fallback.choose(enabled, step_index)
         if self._strict:
             raise SchedulingError("scripted schedule exhausted")
-        self._fallbacks += 1
         return self._fallback.choose(enabled, step_index)
 
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self._schedule)
-
-    @property
-    def fallbacks(self) -> int:
-        """How many times a non-strict replay left the script."""
-        return self._fallbacks
-
-    @property
-    def diverged(self) -> bool:
-        """True if any choice was answered off-script (non-strict mode)."""
-        return self._fallbacks > 0
-
-
-class BlockingScheduler(Scheduler):
-    """Suppress a victim set until every other process is done.
-
-    Models crashes: a crashed process is one the scheduler stops
-    picking. If only victims remain enabled, they run round-robin (the
-    adversary cannot suppress everyone forever in a run that must make
-    progress).
-    """
-
-    def __init__(self, victims: Sequence[ProcessId]) -> None:
-        self.victims = frozenset(victims)
-        self._fallback = RoundRobinScheduler()
-
-    def choose(self, enabled: Sequence[ProcessId], step_index: int) -> ProcessId:
-        preferred = [pid for pid in enabled if pid not in self.victims]
-        pool = preferred if preferred else list(enabled)
-        return self._fallback.choose(pool, step_index)
 
 
 class AlternatingScheduler(Scheduler):

@@ -88,10 +88,6 @@ class System:
             if st.status == ProcessStatus.RUNNING
         )
 
-    @property
-    def all_terminated(self) -> bool:
-        return not self.enabled()
-
     def decisions(self) -> Dict[ProcessId, Value]:
         return dict(self.history.decisions)
 

@@ -1,32 +1,22 @@
 """Random client workloads for implementation testing.
 
 The implementation harness (:mod:`repro.protocols.implementation`)
-takes per-process operation sequences; these generators produce them
-for each target object family, so the linearizability experiments can
-sweep random workloads rather than the handful of hand-written ones:
+takes per-process operation sequences; :func:`snapshot_workloads`
+produces update(pid)/scan traffic for a snapshot (single-writer
+discipline respected).
 
-* :func:`queue_workloads` — mixed enqueue/dequeue traffic;
-* :func:`register_workloads` — write/read traffic;
-* :func:`counter_workloads` — fetch-and-add bursts;
-* :func:`snapshot_workloads` — update(pid)/scan traffic (single-writer
-  discipline respected);
-* :func:`bundle_workloads` — ``propose(v, k)`` traffic over an SA
-  bundle's levels;
-* :func:`pac_workloads` — label-disciplined propose/decide pairs.
-
-Each family salts its RNG with its own name, so two families sharing a
-``base_seed`` draw *disjoint* streams: before the salt,
-``register_workloads(2, k, seed)`` and ``snapshot_workloads(2, k, seed)``
-made identical write/read vs update/scan coin flips, which silently
-correlated "independent" sweeps. String seeding is sha512-based in
-CPython, so the salted streams are stable across runs and
-``PYTHONHASHSEED`` values.
+Each workload family salts its RNG with its own name (:func:`_rng`), so
+two families sharing a ``base_seed`` draw *disjoint* streams: unsalted,
+a write/read family and the update/scan family would make identical
+coin flips, which silently correlates "independent" sweeps. String
+seeding is sha512-based in CPython, so the salted streams are stable
+across runs and ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..types import Operation, ProcessId, op
 
@@ -34,51 +24,6 @@ from ..types import Operation, ProcessId, op
 def _rng(seed: int, family: str) -> random.Random:
     """A seeded RNG salted per workload family (seed-disjointness)."""
     return random.Random(f"{family}:{seed}")
-
-
-def queue_workloads(
-    num_processes: int, ops_per_process: int, seed: int = 0
-) -> Dict[ProcessId, List[Operation]]:
-    rng = _rng(seed, "queue")
-    workloads: Dict[ProcessId, List[Operation]] = {}
-    for pid in range(num_processes):
-        operations: List[Operation] = []
-        for index in range(ops_per_process):
-            if rng.random() < 0.6:
-                operations.append(op("enqueue", f"p{pid}v{index}"))
-            else:
-                operations.append(op("dequeue"))
-        workloads[pid] = operations
-    return workloads
-
-
-def register_workloads(
-    num_processes: int, ops_per_process: int, seed: int = 0
-) -> Dict[ProcessId, List[Operation]]:
-    rng = _rng(seed, "register")
-    workloads: Dict[ProcessId, List[Operation]] = {}
-    for pid in range(num_processes):
-        operations: List[Operation] = []
-        for index in range(ops_per_process):
-            if rng.random() < 0.5:
-                operations.append(op("write", f"p{pid}v{index}"))
-            else:
-                operations.append(op("read"))
-        workloads[pid] = operations
-    return workloads
-
-
-def counter_workloads(
-    num_processes: int, ops_per_process: int, seed: int = 0
-) -> Dict[ProcessId, List[Operation]]:
-    rng = _rng(seed, "counter")
-    return {
-        pid: [
-            op("fetch_and_add", rng.randint(1, 5))
-            for _ in range(ops_per_process)
-        ]
-        for pid in range(num_processes)
-    }
 
 
 def snapshot_workloads(
@@ -93,40 +38,5 @@ def snapshot_workloads(
                 operations.append(op("update", pid, f"p{pid}v{index}"))
             else:
                 operations.append(op("scan"))
-        workloads[pid] = operations
-    return workloads
-
-
-def bundle_workloads(
-    num_processes: int,
-    levels: Sequence[int],
-    ops_per_process: int,
-    seed: int = 0,
-) -> Dict[ProcessId, List[Operation]]:
-    rng = _rng(seed, "bundle")
-    workloads: Dict[ProcessId, List[Operation]] = {}
-    for pid in range(num_processes):
-        operations = [
-            op("propose", f"p{pid}v{index}", rng.choice(tuple(levels)))
-            for index in range(ops_per_process)
-        ]
-        workloads[pid] = operations
-    return workloads
-
-
-def pac_workloads(
-    num_processes: int, rounds: int, n_labels: int, seed: int = 0
-) -> Dict[ProcessId, List[Operation]]:
-    """Label-disciplined PAC traffic: process ``pid`` works label
-    ``(pid % n_labels) + 1`` in propose/decide pairs — legal per label,
-    adversarially interleavable across processes."""
-    rng = _rng(seed, "pac")
-    workloads: Dict[ProcessId, List[Operation]] = {}
-    for pid in range(num_processes):
-        label = (pid % n_labels) + 1
-        operations: List[Operation] = []
-        for index in range(rounds):
-            operations.append(op("propose", f"p{pid}r{index}", label))
-            operations.append(op("decide", label))
         workloads[pid] = operations
     return workloads

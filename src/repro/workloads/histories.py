@@ -7,8 +7,6 @@ produce them:
 
 * :func:`random_pac_history` — a random mix of proposes/decides over
   the label space (mostly-legal or fully random, tunable);
-* :func:`legal_pac_history` — guaranteed-legal histories (alternating
-  per label);
 * :func:`all_pac_histories` — exhaustive enumeration up to a length
   (for the small exact sweeps).
 """
@@ -69,25 +67,6 @@ def random_pac_history(
         else:
             expecting_propose[label] = True
         history.append(operation)
-    return history
-
-
-def legal_pac_history(
-    n: int, rounds: int, seed: int = 0, values: Sequence = (0, 1)
-) -> List[Operation]:
-    """A guaranteed-legal history: per-label propose/decide alternation,
-    interleaved across labels in random order."""
-    rng = random.Random(seed)
-    history: List[Operation] = []
-    pending: List[int] = []
-    for _ in range(rounds):
-        label = rng.randint(1, n)
-        if label in pending:
-            history.append(op("decide", label))
-            pending.remove(label)
-        else:
-            history.append(op("propose", rng.choice(tuple(values)), label))
-            pending.append(label)
     return history
 
 

@@ -19,11 +19,11 @@ from repro.analysis.cache import (
     conforms,
     explore_cached,
     fingerprint,
-    graph_digest,
 )
 from repro.analysis.explorer import Explorer
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
+from tests.portable_graph import graph_digest, to_portable
 
 
 def _explorer(n=2, inputs=(1, 0)):
@@ -240,9 +240,9 @@ class TestExploreCached:
     def test_graph_digest_depends_on_graph(self):
         small = _explorer().explore()
         other = _explorer(inputs=(0, 0)).explore()
-        assert graph_digest(small.to_portable()) == graph_digest(
-            _explorer().explore().to_portable()
+        assert graph_digest(to_portable(small)) == graph_digest(
+            to_portable(_explorer().explore())
         )
-        assert graph_digest(small.to_portable()) != graph_digest(
-            other.to_portable()
+        assert graph_digest(to_portable(small)) != graph_digest(
+            to_portable(other)
         )

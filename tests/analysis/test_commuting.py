@@ -56,7 +56,7 @@ class TestDisjointCommutativity:
         2-SA: outcome *sets* must coincide across orders."""
         from repro.core.set_agreement import StrongSetAgreementSpec
         from repro.runtime.events import Decide, Invoke
-        from repro.runtime.process import FunctionalAutomaton
+        from tests.oracles import FunctionalAutomaton
         from repro.types import op
 
         def sa_process(pid):

@@ -24,8 +24,9 @@ from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import ConsensusTask, DacDecisionTask
 from repro.core.pac import NPacSpec
 from repro.runtime.events import Decide, Invoke
-from repro.runtime.process import FunctionalAutomaton, GeneratorProcess
+from repro.runtime.process import GeneratorProcess
 from repro.types import op
+from tests.oracles import FunctionalAutomaton
 
 
 AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
@@ -61,7 +62,6 @@ class TestConfigurations:
         config = explorer.initial_configuration()
         assert config.decisions() == {0: 9}
         assert config.enabled() == ()
-        assert config.is_quiescent()
 
     def test_enabled_and_decisions(self):
         explorer = one_shot_explorer((0, 1))
@@ -114,7 +114,7 @@ class TestExplore:
         assert result.complete
         # initial, two orders of two steps: 1 + 2 + ... small graph
         assert len(result) >= 3
-        quiescent = [c for c in result.configurations if c.is_quiescent()]
+        quiescent = [c for c in result.configurations if not c.enabled()]
         assert quiescent
         for config in quiescent:
             values = set(config.decisions().values())

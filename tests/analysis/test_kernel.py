@@ -46,8 +46,9 @@ from repro.errors import AnalysisError
 from repro.objects.register import RegisterSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.runtime.events import Invoke
-from repro.runtime.process import FunctionalAutomaton
 from repro.types import op
+from tests.oracles import FunctionalAutomaton
+from tests.portable_graph import to_portable
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -67,6 +68,15 @@ def _algorithm2_protocol(n):
 def _algorithm2_explorer(n, kernel=None):
     objects, processes = _algorithm2_protocol(n)
     return Explorer(objects, processes, kernel=kernel)
+
+
+def _slot_sizes(encoder):
+    """(per-pid local count, status count, per-object state count)."""
+    return (
+        tuple(len(values) for values in encoder._local_values),
+        len(encoder._status_values),
+        tuple(len(values) for values in encoder._object_values),
+    )
 
 
 class TestPackedEncoder:
@@ -94,12 +104,12 @@ class TestPackedEncoder:
         again = encoder.encode(("a",), (RUNNING,), ("x",))
         assert first == again
         assert second[0] == first[0] + 1
-        assert encoder.slot_sizes() == ((2,), 1, (2,))
+        assert _slot_sizes(encoder) == ((2,), 1, (2,))
 
     def test_peek_never_allocates(self):
         encoder = PackedEncoder(1, 1, seed_statuses=(RUNNING,))
         assert encoder.peek(("a",), (RUNNING,), ("x",)) is None
-        assert encoder.slot_sizes() == ((0,), 1, (0,))
+        assert _slot_sizes(encoder) == ((0,), 1, (0,))
         row = encoder.encode(("a",), (RUNNING,), ("x",))
         assert encoder.peek(("a",), (RUNNING,), ("x",)) == row
         assert encoder.peek(("a",), (RUNNING,), ("unseen",)) is None
@@ -248,7 +258,7 @@ class TestBackendEquivalence:
                 list(result.successor_ids),
                 result.expansions,
                 result.complete,
-                result.to_portable(),
+                to_portable(result),
             )
         assert results["python"] == results["compiled"]
 

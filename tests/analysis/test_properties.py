@@ -1,10 +1,6 @@
 """Tests for the per-run auditors."""
 
-from repro.analysis.properties import (
-    audit_dac_run,
-    audit_task_run,
-    audit_wait_freedom,
-)
+from repro.analysis.properties import audit_dac_run, audit_task_run
 from repro.objects.consensus import MConsensusSpec
 from repro.core.pac import NPacSpec
 from repro.protocols.consensus import one_shot_consensus_processes
@@ -12,6 +8,7 @@ from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import ConsensusTask, DacDecisionTask
 from repro.runtime.scheduler import RoundRobinScheduler, SeededScheduler
 from repro.runtime.system import System
+from tests.oracles import audit_wait_freedom
 
 
 def run_consensus(inputs, scheduler=None):

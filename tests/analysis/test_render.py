@@ -4,25 +4,16 @@ import pytest
 
 from repro.analysis.explorer import Explorer
 from repro.analysis.render import (
-    render_concurrent_history,
-    render_configuration,
     render_counterexample,
-    render_critical_report,
     render_livelock,
-    render_run_history,
     render_schedule,
 )
-from repro.analysis.valency_analyzer import ValencyAnalyzer
 from repro.objects.consensus import MConsensusSpec
 from repro.protocols.candidates import (
     consensus_via_strong_sa,
     dac_via_consensus,
 )
 from repro.protocols.consensus import one_shot_consensus_processes
-from repro.runtime.history import ConcurrentHistory
-from repro.runtime.scheduler import RoundRobinScheduler
-from repro.runtime.system import System
-from repro.types import op
 
 
 def one_shot_explorer(inputs=(0, 1)):
@@ -37,7 +28,7 @@ class TestRenderSchedule:
         explorer = one_shot_explorer()
         result = explorer.explore()
         quiescent = next(
-            c for c in result.configurations if c.is_quiescent()
+            c for c in result.configurations if not c.enabled()
         )
         text = render_schedule(explorer, result.schedule_to(quiescent))
         assert "p0" in text or "p1" in text
@@ -75,56 +66,3 @@ class TestRenderLivelock:
         assert "cycle" in text
         assert "starving processes" in text
         assert "repeats forever" in text
-
-
-class TestRenderConfiguration:
-    def test_initial_configuration(self):
-        explorer = one_shot_explorer()
-        text = render_configuration(explorer, explorer.initial_configuration())
-        assert "p0: running, poised at CONS.propose(0)" in text
-        assert "CONS:" in text
-
-    def test_decided_configuration(self):
-        explorer = one_shot_explorer()
-        config = explorer.step(explorer.initial_configuration(), 0)
-        text = render_configuration(explorer, config)
-        assert "p0: decided 0" in text
-
-
-class TestRenderCriticalReport:
-    def test_hooks_rendered(self):
-        explorer = one_shot_explorer()
-        analyzer = ValencyAnalyzer(explorer)
-        report = analyzer.critical_configurations()[0]
-        text = render_critical_report(explorer, report)
-        assert "critical configuration" in text
-        assert "0-valent" in text and "1-valent" in text
-
-
-class TestRenderHistories:
-    def test_run_history(self):
-        system = System(
-            {"CONS": MConsensusSpec(2)},
-            one_shot_consensus_processes([0, 1]),
-        )
-        history = system.run(RoundRobinScheduler())
-        text = render_run_history(history)
-        assert "decisions:" in text
-        assert "#0" in text
-
-    def test_run_history_truncation(self):
-        system = System(
-            {"CONS": MConsensusSpec(2)},
-            one_shot_consensus_processes([0, 1]),
-        )
-        history = system.run(RoundRobinScheduler())
-        text = render_run_history(history, limit=1)
-        assert "more steps" in text
-
-    def test_concurrent_history(self):
-        history = ConcurrentHistory()
-        op_id = history.invoke(0, op("propose", "x"))
-        history.respond(op_id, "x")
-        text = render_concurrent_history(history)
-        assert "--->" in text and "<---" in text
-        assert "propose('x')" in text

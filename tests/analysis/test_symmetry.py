@@ -19,10 +19,7 @@ from repro.analysis.replay import verify_replay
 from repro.analysis.symmetry import ProcessSymmetry, groups_by_input
 from repro.core.pac import NIL, NPacSpec, PacState, permute_pac_state
 from repro.errors import AnalysisError
-from repro.protocols.consensus import (
-    one_shot_consensus_processes,
-    one_shot_consensus_symmetry,
-)
+from repro.protocols.consensus import one_shot_consensus_processes
 from repro.protocols.dac_from_pac import (
     algorithm2_processes,
     algorithm2_symmetry,
@@ -111,7 +108,7 @@ def reference_reduced_walk(explorer, sym, max_configurations):
         cid = order_ids[cursor]
         cursor += 1
         entries = []
-        for edge, successor in explorer.successors(explorer.interned(cid)):
+        for edge, successor in explorer.successors(explorer._intern.value(cid)):
             crep, perm = least_repr_canonical(sym, successor, names)
             entries.append((edge, explorer.intern_id(crep), perm))
         successor_ids[cid] = tuple((edge, tid) for edge, tid, _ in entries)
@@ -125,7 +122,7 @@ def reference_reduced_walk(explorer, sym, max_configurations):
             parent_ids[tid] = (cid, edge)
             parent_perms[tid] = perm
     return ExplorationResult(
-        initial=explorer.interned(start_id),
+        initial=explorer._intern.value(start_id),
         complete=complete,
         intern=explorer._intern,
         order_ids=order_ids,
@@ -210,13 +207,13 @@ class TestProcessSymmetry:
         canonicalize = explorer.row_canonicalizer(sym)
         config = explorer.initial_configuration()
         rep_id, perm = canonicalize(explorer.intern_id(config))
-        rep = explorer.interned(rep_id)
+        rep = explorer._intern.value(rep_id)
         assert permute_configuration(sym, config, perm, names) == rep
         # Every orbit member canonicalizes to the same representative.
         for other_perm in sym.permutations:
             member = permute_configuration(sym, config, other_perm, names)
             other_id, _ = canonicalize(explorer.intern_id(member))
-            assert explorer.interned(other_id) == rep
+            assert explorer._intern.value(other_id) == rep
 
 
 class TestPermutePacState:
@@ -256,12 +253,6 @@ class TestSymmetryFactories:
 
     def test_algorithm2_symmetry_none_without_groups(self):
         assert algorithm2_symmetry((1, 0)) is None
-
-    def test_consensus_symmetry_has_no_object_permuter(self):
-        sym = one_shot_consensus_symmetry((0, 0, 0))
-        assert sym is not None
-        assert sym.groups == ((0, 1, 2),)
-        assert sym.object_permuters == {}
 
 
 class TestReducedExploration:
@@ -424,10 +415,10 @@ class TestRowCanonicalizerOracle:
             for cid in full.order_ids:
                 rep_id, perm = canonicalize(cid)
                 rep, oracle_perm = least_repr_canonical(
-                    sym, explorer.interned(cid), names
+                    sym, explorer._intern.value(cid), names
                 )
                 assert perm == oracle_perm
-                assert explorer.interned(rep_id) == rep
+                assert explorer._intern.value(rep_id) == rep
                 checked += 1
         assert checked > 0
 

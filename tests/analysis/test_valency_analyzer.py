@@ -91,11 +91,6 @@ class TestQueries:
         with pytest.raises(AnalysisError):
             analyzer.decision_set(foreign)
 
-    def test_bivalent_configurations_listed(self):
-        _explorer, analyzer = one_shot_analyzer((0, 1))
-        bivalent = analyzer.bivalent_configurations()
-        assert analyzer.graph.initial in bivalent
-
 
 class TestCriticalConfigurations:
     def test_one_shot_initial_is_the_critical_config(self):
@@ -148,5 +143,4 @@ class TestCriticalConfigurations:
 class TestUniformInputs:
     def test_no_bivalent_configs_with_uniform_inputs(self):
         _explorer, analyzer = one_shot_analyzer((1, 1))
-        assert analyzer.bivalent_configurations() == []
         assert analyzer.critical_configurations() == []

@@ -16,6 +16,8 @@ Three contracts:
   included.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -201,7 +203,7 @@ class TestWireFormat:
 
     def test_with_options_keeps_the_answer(self):
         request = VerifyRequest(n=2)
-        pooled = request.with_options(ExecutionOptions(jobs=3))
+        pooled = replace(request, options=ExecutionOptions(jobs=3))
         assert pooled.options.jobs == 3
         assert pooled.fingerprint() == request.fingerprint()
         assert pooled.semantic_fields() == request.semantic_fields()
@@ -228,7 +230,7 @@ class TestOptionsLeaveTheData:
     )
     def test_jobs_is_not_echoed(self, request_):
         serial = execute(request_)
-        pooled = execute(request_.with_options(_POOLED))
+        pooled = execute(replace(request_, options=_POOLED))
         assert serial.status == "ok", serial.summary
         assert pooled.data == serial.data
 

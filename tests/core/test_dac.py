@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.dac import AbortableDacSpec, DacObjectState, DacTask
+from repro.core.dac import DacTask
 from repro.core.pac import NPacSpec
 from repro.errors import InvalidOperationError, SpecificationError
 from repro.types import ABORT, op
+from tests.oracles import AbortableDacSpec, DacObjectState
 
 
 class TestDacTask:

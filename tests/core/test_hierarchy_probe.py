@@ -71,21 +71,16 @@ class TestBuiltinCatalog:
 class TestBounds:
     def test_consensus_number_bounds(self):
         probe = builtin_catalog()["2-consensus"]
-        lower, first_refuted = probe.consensus_number_bounds(3)
-        assert lower == 2
-        assert first_refuted == 3
+        assert [cell.grade for cell in probe.probe_range(3)] == [SOLVES, REFUTED]
 
     def test_cas_bounds_open_above(self):
         probe = builtin_catalog(max_count=4)["compare-and-swap"]
-        lower, first_refuted = probe.consensus_number_bounds(4)
-        assert lower == 4
-        assert first_refuted is None
+        grades = [cell.grade for cell in probe.probe_range(4)]
+        assert grades == [SOLVES, SOLVES, SOLVES]
 
     def test_sa_bounds(self):
         probe = builtin_catalog()["strong 2-SA"]
-        lower, first_refuted = probe.consensus_number_bounds(3)
-        assert lower == 1
-        assert first_refuted == 2
+        assert [cell.grade for cell in probe.probe_range(3)] == [REFUTED, REFUTED]
 
     def test_probe_range_counts(self):
         probe = builtin_catalog()["2-consensus"]

@@ -56,10 +56,13 @@ class TestKnownPowers:
     def test_m_consensus_power_is_multiplicative(self):
         """Chaudhuri–Reiners: n_k = m·k for the m-consensus object."""
         power = m_consensus_power(3)
-        assert power.exact_prefix(4) == (3, 6, 9, 12)
+        assert [power[k].value for k in range(1, 5)] == [3, 6, 9, 12]
 
     def test_one_consensus_matches_registers(self):
-        assert m_consensus_power(1).exact_prefix(5) == register_power().exact_prefix(5)
+        one, registers = m_consensus_power(1), register_power()
+        assert [one[k].value for k in range(1, 6)] == [
+            registers[k].value for k in range(1, 6)
+        ]
 
     def test_strong_sa_power(self):
         power = strong_sa_power(2)
@@ -113,10 +116,6 @@ class TestOnAndOnPrime:
         bounds = power.prefix(2)
         assert bounds[0].exact
         assert not bounds[1].exact
-
-    def test_exact_prefix_raises_on_open_tail(self):
-        with pytest.raises(SpecificationError):
-            on_power(2).exact_prefix(2)
 
 
 class TestSequenceApi:

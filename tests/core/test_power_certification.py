@@ -24,13 +24,13 @@ from repro.core.power_certification import (
 from repro.core.separation import make_on_prime
 from repro.core.set_agreement import StrongSetAgreementSpec
 from repro.errors import SpecificationError
-from repro.protocols.set_agreement import (
+from repro.types import require
+from tests.set_agreement_protocols import (
     group_partition_objects,
     group_partition_processes,
     strong_sa_processes,
     trivial_processes,
 )
-from repro.types import require
 
 
 def certify_registers(k):

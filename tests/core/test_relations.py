@@ -29,13 +29,6 @@ class TestLedgerBasics:
         assert ledger.implements("A", "C")
         assert not ledger.implements("C", "A")
 
-    def test_equivalent_needs_both_directions(self):
-        ledger = Ledger()
-        ledger.verify("A", "B", lambda: True, "ab")
-        assert not ledger.equivalent("A", "B")
-        ledger.verify("B", "A", lambda: True, "ba")
-        assert ledger.equivalent("A", "B")
-
     def test_refute_requires_candidates(self):
         ledger = Ledger()
         with pytest.raises(SpecificationError):
@@ -66,7 +59,6 @@ class TestLedgerBasics:
         ledger = Ledger()
         ledger.verify("A", "B", lambda: True, "ab")
         ledger.refute("C", "D", 1, "cd")
-        assert ledger.nodes() == frozenset({"A", "B", "C", "D"})
         assert len(ledger.edges()) == 2
 
 

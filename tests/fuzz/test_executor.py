@@ -32,7 +32,7 @@ class TestInterpretation:
         second = executor.execute(genes)
         assert first.edges == second.edges
         assert first.kind == second.kind
-        assert first.final == second.final
+        assert first.final_id == second.final_id
 
     def test_two_executors_agree(self):
         genes = ((1, 0), (0, 1), (4, 3))

@@ -41,8 +41,8 @@ from repro.protocols.obstruction_free import (
 )
 from repro.protocols.tasks import ConsensusTask, DacDecisionTask
 from repro.runtime.events import Abort, Decide, Halt, Invoke
-from repro.runtime.process import FunctionalAutomaton
 from repro.types import op
+from tests.oracles import FunctionalAutomaton
 
 #: sha256 over (order, witness schedules, decision sets, safety
 #: verdicts) of the three E18 instances below, computed from the

@@ -30,8 +30,8 @@ from repro.protocols.consensus import (
 )
 from repro.protocols.tasks import ConsensusTask
 from repro.runtime.events import Decide, Invoke
-from repro.runtime.process import FunctionalAutomaton
 from repro.types import op
+from tests.oracles import FunctionalAutomaton
 
 
 class TestLevelMemberships:

@@ -16,12 +16,12 @@ from repro.protocols.implementation import check_implementation
 from repro.protocols.snapshot import AfekSnapshotImplementation
 from repro.protocols.universal import UniversalConstruction
 from repro.runtime.scheduler import SeededScheduler
-from repro.workloads.generators import (
+from repro.workloads.generators import snapshot_workloads
+from tests.random_workloads import (
     bundle_workloads,
     counter_workloads,
     pac_workloads,
     queue_workloads,
-    snapshot_workloads,
 )
 
 

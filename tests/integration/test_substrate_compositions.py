@@ -7,15 +7,14 @@ compositions a downstream user would reach for.
 
 import pytest
 
-from repro.core.dac import AbortableDacSpec
 from repro.objects.snapshot import SnapshotSpec
 from repro.protocols.implementation import check_implementation
 from repro.protocols.universal import UniversalConstruction
 from repro.runtime.events import Decide, Invoke
-from repro.runtime.process import FunctionalAutomaton
 from repro.runtime.scheduler import RoundRobinScheduler, SeededScheduler
 from repro.runtime.system import System
 from repro.types import ABORT, op
+from tests.oracles import AbortableDacSpec, FunctionalAutomaton
 
 
 class TestAbortableDacAsSharedObject:

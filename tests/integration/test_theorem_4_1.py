@@ -10,18 +10,17 @@ larger n. This is experiment E3's test-suite face.
 import pytest
 
 from repro.analysis.explorer import Explorer
-from repro.analysis.properties import audit_dac_run, audit_wait_freedom
+from repro.analysis.properties import audit_dac_run
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
 from repro.protocols.tasks import DacDecisionTask
 from repro.runtime.scheduler import (
     AlternatingScheduler,
-    BlockingScheduler,
     RoundRobinScheduler,
     SeededScheduler,
-    SoloScheduler,
 )
 from repro.runtime.system import System
+from tests.oracles import BlockingScheduler, SoloScheduler, audit_wait_freedom
 
 
 def adversary_suite(

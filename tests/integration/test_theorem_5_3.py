@@ -40,7 +40,7 @@ class TestUpperBound:
         result = explorer.explore()
         # Every maximal path has each process stepping exactly once.
         for config in result.configurations:
-            if config.is_quiescent():
+            if not config.enabled():
                 assert len(result.schedule_to(config)) == 2
 
 

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import InvalidOperationError, ReplayDivergenceError
 from repro.objects.base import (
     FirstOutcomeOracle,
-    MaximizingOracle,
-    MinimizingOracle,
     ScriptedOracle,
     SeededOracle,
     SharedObject,
@@ -32,13 +30,6 @@ class TestSharedObject:
         obj.apply(op("read"))
         obj.apply(op("write", 1))
         assert obj.history == ((op("read"), 0), (op("write", 1), DONE))
-
-    def test_reset(self):
-        obj = SharedObject(RegisterSpec(0))
-        obj.apply(op("write", 9))
-        obj.reset()
-        assert obj.state == 0
-        assert obj.history == ()
 
     def test_default_oracle_is_first_outcome(self):
         obj = make_sa(oracle=None)
@@ -71,16 +62,6 @@ class TestOracles:
         assert oracle.exhausted
         assert obj.apply(op("propose", "c")) == "a"  # fallback 0
 
-    def test_scripted_oracle_counts_fallbacks(self):
-        oracle = ScriptedOracle([1])
-        obj = make_sa(oracle)
-        obj.apply(op("propose", "a"))
-        obj.apply(op("propose", "b"))  # consumes the script
-        assert not oracle.diverged
-        obj.apply(op("propose", "c"))  # exhausted -> silent 0
-        assert oracle.diverged
-        assert oracle.fallbacks == 1
-
     def test_strict_scripted_oracle_raises_on_exhaustion(self):
         oracle = ScriptedOracle([1], strict=True)
         obj = make_sa(oracle)
@@ -88,7 +69,6 @@ class TestOracles:
         obj.apply(op("propose", "b"))
         with pytest.raises(ReplayDivergenceError, match="exhausted"):
             obj.apply(op("propose", "c"))
-        assert oracle.fallbacks == 0
 
     def test_strict_scripted_oracle_raises_on_out_of_range(self):
         oracle = ScriptedOracle([7], strict=True)
@@ -102,8 +82,6 @@ class TestOracles:
         obj = make_sa(oracle)
         obj.apply(op("propose", "a"))
         assert obj.apply(op("propose", "b")) == "a"  # clamped to outcome 0
-        assert oracle.diverged
-        assert oracle.fallbacks == 1
 
     def test_seeded_oracle_is_reproducible(self):
         def run(seed):
@@ -118,14 +96,6 @@ class TestOracles:
             obj = make_sa(SeededOracle(seed))
             outcomes.add(tuple(obj.apply(op("propose", v)) for v in "abcdef"))
         assert len(outcomes) > 1
-
-    def test_minimizing_and_maximizing(self):
-        low = make_sa(MinimizingOracle())
-        low.apply(op("propose", "b"))
-        assert low.apply(op("propose", "a")) == "a"
-        high = make_sa(MaximizingOracle())
-        high.apply(op("propose", "b"))
-        assert high.apply(op("propose", "a")) == "b"
 
     def test_bad_oracle_choice_raises(self):
         class BadOracle(FirstOutcomeOracle):

@@ -8,7 +8,6 @@ from repro.objects.classic import (
     FetchAndAddSpec,
     QueueSpec,
     StickyBitSpec,
-    SwapSpec,
     TestAndSetSpec,
 )
 from repro.types import DONE, NIL, op
@@ -78,18 +77,6 @@ class TestCompareAndSwap:
         spec = CompareAndSwapSpec("x")
         _state, responses = spec.run([op("read")])
         assert responses == ("x",)
-
-
-class TestSwap:
-    def test_swap_returns_old(self):
-        spec = SwapSpec("init")
-        state, responses = spec.run([op("swap", "a"), op("swap", "b")])
-        assert state == "b"
-        assert responses == ("init", "a")
-
-    def test_rejects_unknown(self):
-        with pytest.raises(InvalidOperationError):
-            SwapSpec().responses(NIL, op("read"))
 
 
 class TestQueue:

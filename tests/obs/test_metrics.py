@@ -14,8 +14,15 @@ from repro.obs.metrics import (
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
     empty_snapshot,
-    merge_snapshots,
 )
+
+
+def merge_snapshots(snapshots):
+    """Fold ``snapshots`` (in order) into one fresh snapshot."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.merge_snapshot(snapshot)
+    return registry.snapshot()
 
 
 class TestRegistry:

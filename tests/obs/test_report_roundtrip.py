@@ -5,7 +5,6 @@ import json
 from repro import api
 from repro.cli import main
 from repro.obs.report import (
-    render_json,
     render_text,
     summarize,
     summarize_file,
@@ -44,10 +43,6 @@ class TestSummarize:
         assert "events:" in text
         assert "explorer.frontier" in text
         assert "counter   verify.instances" in text
-
-    def test_render_json_roundtrips_the_summary(self, tmp_path):
-        summary = summarize_file(_write_trace(tmp_path))
-        assert json.loads(render_json(summary)) == summary
 
 
 class TestReportCommand:

@@ -14,10 +14,26 @@ from repro.obs.schema import (
     VOLATILE_FIELDS,
     TraceSchemaError,
     load_trace,
-    strip_volatile,
     validate_record,
     validate_trace,
 )
+
+
+def strip_volatile(record):
+    """A copy of ``record`` without wall-time fields (for comparison)."""
+    clean = {
+        key: value
+        for key, value in record.items()
+        if key not in VOLATILE_FIELDS
+    }
+    attrs = clean.get("attrs")
+    if isinstance(attrs, dict):
+        clean["attrs"] = {
+            key: value
+            for key, value in attrs.items()
+            if key not in VOLATILE_FIELDS
+        }
+    return clean
 
 
 def _verify_trace(tmp_path, name):

@@ -27,12 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache import graph_digest
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import PackedEncoder, compiled_available
 from repro.core.pac import NPacSpec
 from repro.protocols.candidates import all_candidates
 from repro.protocols.dac_from_pac import algorithm2_processes
+from tests.portable_graph import graph_digest, to_portable
 
 AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
     "python",
@@ -118,13 +118,13 @@ def graph_digests():
     ``PYTHONHASHSEED`` below."""
     return {
         kernel: graph_digest(
-            Explorer(
-                {"PAC": NPacSpec(3)},
-                algorithm2_processes((1, 0, 0)),
-                kernel=kernel,
+            to_portable(
+                Explorer(
+                    {"PAC": NPacSpec(3)},
+                    algorithm2_processes((1, 0, 0)),
+                    kernel=kernel,
+                ).explore()
             )
-            .explore()
-            .to_portable()
         )
         for kernel in AVAILABLE_KERNELS
     }
@@ -207,7 +207,7 @@ def _observe(objects, processes, kernel, budget):
         "rounds": rounds,
         "complete": result.complete,
         "expansions": result.expansions,
-        "digest": graph_digest(result.to_portable()),
+        "digest": graph_digest(to_portable(result)),
     }
 
 

@@ -14,8 +14,9 @@ from repro.protocols.obstruction_free import (
     obstruction_free_processes,
 )
 from repro.protocols.tasks import ConsensusTask
-from repro.runtime.scheduler import ScriptedScheduler, SoloScheduler
+from repro.runtime.scheduler import ScriptedScheduler
 from repro.runtime.system import ProcessStatus, System
+from tests.oracles import SoloScheduler
 
 
 def run_schedule(inputs, schedule, max_rounds=3, max_steps=400):

@@ -16,6 +16,7 @@ properties make that key trustworthy:
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -105,7 +106,7 @@ class TestSoundness:
     @given(request=_requests, options=_options)
     def test_options_are_invisible(self, request, options):
         assert (
-            request.with_options(options).fingerprint()
+            replace(request, options=options).fingerprint()
             == request.fingerprint()
         )
 

@@ -105,7 +105,7 @@ class TestScanningRacerCandidates:
             explorer = Explorer(candidate.objects, processes)
             result = explorer.explore()
             for config in result.configurations:
-                if config.is_quiescent():
+                if not config.enabled():
                     assert len(set(config.decisions().values())) == 1
 
 

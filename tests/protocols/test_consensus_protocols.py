@@ -16,13 +16,13 @@ from repro.protocols.consensus import (
     CasConsensusProcess,
     CombinedPacConsensusProcess,
     OneShotConsensusProcess,
-    QueueConsensusProcess,
     StickyBitConsensusProcess,
     TestAndSetConsensusProcess,
     one_shot_consensus_processes,
-    queue_consensus_objects,
 )
+from repro.protocols.candidates import ScanningRacerProcess, consensus_via_queue
 from repro.protocols.tasks import ConsensusTask
+from repro.types import op
 
 
 def check_all_schedules(objects, processes, task, inputs):
@@ -152,23 +152,29 @@ class TestTestAndSetConsensus:
 
 
 class TestQueueConsensus:
+    """Herlihy's 2-process queue protocol: the candidate suite's
+    ``consensus_via_queue(2)`` positive control."""
+
     @pytest.mark.parametrize("inputs", [(0, 1), (1, 0)])
     def test_two_processes_all_schedules(self, inputs):
         processes = [
-            QueueConsensusProcess(pid, value)
+            ScanningRacerProcess(
+                pid,
+                value,
+                num_processes=2,
+                race_obj="Q",
+                race_operation=op("dequeue"),
+                win_response="winner",
+            )
             for pid, value in enumerate(inputs)
         ]
         check_all_schedules(
-            queue_consensus_objects(),
+            consensus_via_queue(2).objects,
             processes,
             ConsensusTask(2),
             inputs,
         )
 
     def test_objects_preload_queue(self):
-        objects = queue_consensus_objects()
-        assert objects["Q"].initial_state() == ("winner", "loser")
-
-    def test_rejects_third_process(self):
-        with pytest.raises(SpecificationError):
-            QueueConsensusProcess(2, 0)
+        objects = consensus_via_queue(2).objects
+        assert objects["Q"].initial_state() == ("winner", "loser0")

@@ -13,10 +13,10 @@ from repro.runtime.scheduler import (
     AlternatingScheduler,
     RoundRobinScheduler,
     SeededScheduler,
-    SoloScheduler,
 )
 from repro.runtime.system import System
 from repro.types import BOTTOM, op
+from tests.oracles import SoloScheduler
 
 
 class TestAutomatonShape:

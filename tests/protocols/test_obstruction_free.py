@@ -10,8 +10,8 @@ from repro.protocols.obstruction_free import (
     obstruction_free_processes,
 )
 from repro.protocols.tasks import ConsensusTask
-from repro.runtime.scheduler import SoloScheduler
 from repro.runtime.system import ProcessStatus, System
+from tests.oracles import SoloScheduler
 
 
 def build_explorer(inputs, max_rounds=2):

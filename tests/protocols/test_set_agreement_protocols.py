@@ -9,15 +9,16 @@ from repro.core.set_agreement import (
     StrongSetAgreementSpec,
     UNBOUNDED,
 )
-from repro.protocols.set_agreement import (
-    bundle_processes,
+from repro.protocols.set_agreement import bundle_processes
+from repro.protocols.tasks import KSetAgreementTask
+from tests.set_agreement_protocols import (
+    NkSaProcess,
+    collection_partition,
     group_partition_objects,
     group_partition_processes,
     strong_sa_processes,
     trivial_processes,
-    NkSaProcess,
 )
-from repro.protocols.tasks import KSetAgreementTask
 
 
 def check_k_set_agreement(objects, processes, k, inputs):
@@ -83,7 +84,7 @@ class TestGroupPartition:
         )
         result = explorer.explore()
         for config in result.configurations:
-            if config.is_quiescent():
+            if not config.enabled():
                 decisions = config.decisions()
                 # Within a group all decisions agree.
                 assert decisions[0] == decisions[1]
@@ -184,8 +185,6 @@ class TestCollectionPartition:
     and strong-SA objects composed into one k-set agreement solution."""
 
     def test_consensus_plus_sa_collection(self):
-        from repro.protocols.set_agreement import collection_partition
-
         inputs = (0, 1, 2, 3, 4)
         objects, processes, k_total = collection_partition(
             inputs, [("consensus", 2), ("strong_sa", 2, 3)]
@@ -194,8 +193,6 @@ class TestCollectionPartition:
         check_k_set_agreement(objects, processes, k_total, inputs)
 
     def test_two_consensus_groups(self):
-        from repro.protocols.set_agreement import collection_partition
-
         inputs = (0, 1, 2, 3)
         objects, processes, k_total = collection_partition(
             inputs, [("consensus", 2), ("consensus", 2)]
@@ -207,7 +204,6 @@ class TestCollectionPartition:
         """The composed protocol does NOT solve (k_total - 1)-set
         agreement: the adversary realizes all k_total values."""
         from repro.analysis.explorer import Explorer
-        from repro.protocols.set_agreement import collection_partition
 
         inputs = (0, 1, 2, 3)
         objects, processes, k_total = collection_partition(
@@ -219,14 +215,12 @@ class TestCollectionPartition:
 
     def test_plan_must_cover_inputs(self):
         from repro.errors import SpecificationError
-        from repro.protocols.set_agreement import collection_partition
 
         with pytest.raises(SpecificationError, match="covers"):
             collection_partition((0, 1, 2), [("consensus", 2)])
 
     def test_unknown_group_kind(self):
         from repro.errors import SpecificationError
-        from repro.protocols.set_agreement import collection_partition
 
         with pytest.raises(SpecificationError, match="unknown group"):
             collection_partition((0,), [("mystery", 1)])

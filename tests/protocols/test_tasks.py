@@ -57,9 +57,6 @@ class TestConsensusTask:
         verdict = task.check_safety((0, 1), {}, aborted=[0])
         assert not verdict.ok
 
-    def test_may_abort_false(self):
-        assert not ConsensusTask(2).may_abort(0)
-
     def test_domain_must_have_two_values(self):
         with pytest.raises(SpecificationError):
             ConsensusTask(2, domain=(0,))
@@ -116,9 +113,10 @@ class TestDacDecisionTask:
 
     def test_may_abort_only_distinguished(self):
         task = DacDecisionTask(3, distinguished=1)
-        assert task.may_abort(1)
-        assert not task.may_abort(0)
-        assert not task.may_abort(2)
+        inputs = (0, 1, 0)
+        assert task.check_safety(inputs, {}, aborted=[1]).ok
+        assert not task.check_safety(inputs, {}, aborted=[0]).ok
+        assert not task.check_safety(inputs, {}, aborted=[2]).ok
 
     def test_binary_input_assignments(self):
         task = DacDecisionTask(2)

@@ -54,7 +54,7 @@ class TestAlgorithm2CrashTolerance:
         guarantee is solo-run only), but safety holds throughout, and
         once each survivor gets a solo window it decides — p's
         abandoned proposal upsets nobody."""
-        from repro.runtime.scheduler import SoloScheduler
+        from tests.oracles import SoloScheduler
 
         inputs = (1, 0, 0)
         task = DacDecisionTask(3)

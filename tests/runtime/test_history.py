@@ -24,18 +24,6 @@ class TestRunHistory:
         )
         assert history.steps_by_pid == {0: 2, 1: 1}
 
-    def test_operations_and_responses_on_object(self):
-        history = RunHistory(
-            steps=[
-                make_step(0, 0, obj="A", operation=op("write", 1), response="d"),
-                make_step(1, 1, obj="B", operation=op("read"), response=9),
-                make_step(2, 0, obj="A", operation=op("read"), response=1),
-            ]
-        )
-        assert history.operations_on("A") == (op("write", 1), op("read"))
-        assert history.responses_on("A") == ("d", 1)
-        assert history.operations_on("C") == ()
-
     def test_schedule_and_choices(self):
         history = RunHistory(steps=[make_step(0, 2), make_step(1, 0)])
         assert history.schedule() == (2, 0)

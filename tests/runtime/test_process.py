@@ -5,11 +5,11 @@ import pytest
 from repro.errors import ProtocolError
 from repro.runtime.events import Decide, Halt, Invoke
 from repro.runtime.process import (
-    FunctionalAutomaton,
     GeneratorProcess,
     ProcessAutomaton,
 )
 from repro.types import op
+from tests.oracles import FunctionalAutomaton
 
 
 class TestFunctionalAutomaton:

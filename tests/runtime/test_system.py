@@ -6,10 +6,11 @@ from repro.errors import ProtocolError, SchedulingError
 from repro.objects.consensus import MConsensusSpec
 from repro.objects.register import RegisterSpec
 from repro.runtime.events import Decide, Invoke
-from repro.runtime.process import FunctionalAutomaton, GeneratorProcess
-from repro.runtime.scheduler import RoundRobinScheduler, SoloScheduler
+from repro.runtime.process import GeneratorProcess
+from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.system import ProcessStatus, System
 from repro.types import DONE, op
+from tests.oracles import FunctionalAutomaton, SoloScheduler
 
 
 def writer_reader(pid, value):
@@ -102,7 +103,7 @@ class TestStepLoop:
         system = System({"R": RegisterSpec()}, [GeneratorProcess(0, spinner)])
         history = system.run(max_steps=25)
         assert len(history.steps) == 25
-        assert not system.all_terminated
+        assert system.enabled()
 
     def test_immediate_decider_takes_no_steps(self):
         auto = FunctionalAutomaton(

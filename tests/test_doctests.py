@@ -17,7 +17,6 @@ import repro.objects.consensus
 import repro.objects.register
 import repro.objects.snapshot
 import repro.objects.spec
-import repro.runtime.process
 import repro.types
 
 MODULES = [
@@ -30,7 +29,6 @@ MODULES = [
     repro.objects.register,
     repro.objects.snapshot,
     repro.objects.spec,
-    repro.runtime.process,
     repro.types,
 ]
 

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy."""
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -131,7 +133,7 @@ class TestErrorReport:
         from repro.reports import Report
 
         report = error_report("serve", ServerOverloadedError("queue full"))
-        rebuilt = Report.from_json(report.to_json())
+        rebuilt = Report.from_dict(json.loads(report.to_json()))
         assert rebuilt.data["error_code"] == "OVERLOADED"
         assert rebuilt.exit_code == 7
 

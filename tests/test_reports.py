@@ -56,7 +56,7 @@ def _sample_report():
 class TestRoundTrip:
     def test_report_survives_json(self):
         report = _sample_report()
-        assert Report.from_json(report.to_json()) == report
+        assert Report.from_dict(json.loads(report.to_json())) == report
 
     def test_finding_survives_dict(self):
         finding = Finding(kind="lint", subject="R001", data={"line": 4})

@@ -1,4 +1,4 @@
-"""Every product module has a shipped caller.
+"""Every product module, and every public name in it, has a shipped caller.
 
 A module under ``src/repro`` ships only if something that ships imports
 it: another product module, a bench, an example, or a ``python -m``
@@ -9,12 +9,23 @@ own ``__init__`` re-export is not a use, unless the ``__init__`` reads
 the name itself or is ``repro/lint/rules/__init__.py``, whose imports
 register the rules.
 
+A public top-level function or class, or a public method of a public
+class, ships only if something that ships names it outside its own
+definition: product code, a bench, an example, or ``perfbench``
+(including the attribute paths its ``PATCHES`` table wraps by string).
+A read, an attribute or an import names it; a package
+``__init__``'s re-export, a ``_lazy_exports`` string, ``__all__`` and
+the docs do not. Names match by identifier, so an override of a method
+the engine calls by name (``spec.responses(...)``) is used through that
+call.
+
 The check reads the source with :mod:`ast` and never imports the
 package, so importing a module here cannot be what reaches it.
 """
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,9 +35,18 @@ SHIPPED_SCRIPTS = ("benchmarks", "examples")
 #: Packages whose ``__init__`` imports its modules to register them.
 REGISTRATION_PACKAGES = {"repro.lint.rules"}
 
+#: Scripts that name product code without shipping inside ``repro``.
+NAME_CALLERS = (*SHIPPED_SCRIPTS, "perfbench")
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+#: Public names kept with no shipped caller, and why.
+TEST_SEAMS = {
+    # Crash-stop injection: the crash tests' seam into a running system.
+    "repro.runtime.system.System.crash",
+}
+
+
+def _module_name(path: Path, src: Path = SRC) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -40,7 +60,10 @@ def _product_modules():
 
 
 def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    with warnings.catch_warnings():
+        # An invalid escape in a scanned docstring is not this check's concern.
+        warnings.simplefilter("ignore")
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _package_exports(modules):
@@ -192,3 +215,139 @@ def test_the_check_sees_the_shipped_importers():
     tour = ROOT / "examples" / "hierarchy_tour.py"
     assert "repro.objects.classic" in {m for m, _n in reach.of_file(tour, "")}
     assert {"repro", "repro.analysis.kernel._build"} <= _makefile_targets()
+
+
+def _definitions(src: Path):
+    """``{dotted name: (path, node)}`` for every public top-level
+    function or class under ``src/repro`` and every public method of a
+    public class; ``@register``-decorated lint rules are left out."""
+    found = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = _module_name(path, src)
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or any(
+                getattr(decorator, "id", None) == "register"
+                for decorator in node.decorator_list
+            ):
+                continue
+            found[f"{module}.{node.name}"] = (path, node)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not (
+                        method.name.startswith("_")
+                    ):
+                        found[f"{module}.{node.name}.{method.name}"] = (
+                            path,
+                            method,
+                        )
+    return found
+
+
+def _name_uses(path: Path):
+    """``(identifier, line)`` for each name ``path`` reads: a loaded
+    name, seen through its ``import ... as`` alias, an attribute, or a
+    name imported outside a package ``__init__`` (deleting it would
+    break the import)."""
+    tree = _parse(path)
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+                if path.name != "__init__.py":
+                    yield alias.name, node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield aliases.get(node.id, node.id), node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _patched_names(root: Path):
+    """Each part of an attribute path that ``perfbench/spans.py``
+    patches by string."""
+    names = set()
+    for node in _parse(root / "perfbench" / "spans.py").body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "PATCHES" for target in node.targets
+        ):
+            for value in ast.walk(node.value):
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    names.update(value.value.split("."))
+    return names
+
+
+def _unused_names(root: Path = ROOT):
+    """Public names under ``root/src/repro`` that nothing shipped names."""
+    src = root / "src"
+    uses = {}
+    callers = list((src / "repro").rglob("*.py"))
+    for directory in NAME_CALLERS:
+        callers += sorted((root / directory).glob("*.py"))
+    for path in callers:
+        for name, line in _name_uses(path):
+            uses.setdefault(name, []).append((path, line))
+    patched = _patched_names(root)
+    unused = []
+    for dotted, (path, node) in _definitions(src).items():
+        name = node.name
+        if dotted in TEST_SEAMS or name in patched:
+            continue
+        if not any(
+            use_path != path or not node.lineno <= line <= node.end_lineno
+            for use_path, line in uses.get(name, ())
+        ):
+            unused.append(dotted)
+    return sorted(unused)
+
+
+def test_every_public_name_has_a_shipped_caller():
+    assert _unused_names() == []
+
+
+def test_the_name_check_flags_a_name_only_tests_call(tmp_path):
+    """A planted tree: a re-exported name only a test calls is flagged;
+    a name perfbench patches by string, a registered lint rule and an
+    override of a method the engine calls by name are not."""
+    files = {
+        "src/repro/__init__.py": (
+            '_lazy_exports("repro", {"mod": ("only_tested", "Spec")})\n'
+            "from .mod import only_tested\n"
+            '__all__ = ["only_tested"]\n'
+        ),
+        "src/repro/mod.py": (
+            "def only_tested():\n"
+            "    return only_tested\n"
+            "def patched():\n"
+            "    pass\n"
+            "@register\n"
+            "class Rule:\n"
+            "    pass\n"
+            "class Spec(Base):\n"
+            "    def responses(self, state, operation):\n"
+            "        return ()\n"
+            "if __name__ == '__main__':\n"
+            "    Spec().responses(None, None)\n"
+        ),
+        "perfbench/spans.py": (
+            'PATCHES = {"repro.mod": [("patched", "x", "y", None)]}\n'
+        ),
+        "tests/test_mod.py": "from repro.mod import only_tested\nonly_tested()\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    assert _unused_names(tmp_path) == ["repro.mod.only_tested"]
+
+
+def test_the_name_check_sees_the_tree():
+    """The real tree's definitions and patched paths are found, so the
+    main test cannot pass vacuously."""
+    definitions = _definitions(SRC)
+    assert "repro.core.pac.NPacSpec.responses" in definitions
+    assert "repro.runtime.system.System.crash" in definitions
+    assert not any(".lint.rules.r001_" in name for name in definitions)
+    assert {"Request", "fingerprint", "run_bfs"} <= _patched_names(ROOT)

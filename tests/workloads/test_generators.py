@@ -3,13 +3,13 @@
 import pytest
 
 from repro.types import op
-from repro.workloads.generators import (
+from repro.workloads.generators import snapshot_workloads
+from tests.random_workloads import (
     bundle_workloads,
     counter_workloads,
     pac_workloads,
     queue_workloads,
     register_workloads,
-    snapshot_workloads,
 )
 
 

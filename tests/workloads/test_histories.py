@@ -5,7 +5,6 @@ import pytest
 from repro.core.pac import is_legal_history
 from repro.workloads.histories import (
     all_pac_histories,
-    legal_pac_history,
     pac_operation_space,
     random_pac_history,
 )
@@ -54,18 +53,6 @@ class TestRandomHistories:
                 else operation.args[0]
             )
             assert 1 <= label <= 3
-
-
-class TestLegalHistories:
-    def test_always_legal(self):
-        for seed in range(15):
-            history = legal_pac_history(3, 40, seed=seed)
-            assert is_legal_history(history, 3), seed
-
-    def test_reproducible(self):
-        assert legal_pac_history(2, 20, seed=4) == legal_pac_history(
-            2, 20, seed=4
-        )
 
 
 class TestExhaustiveHistories:
