@@ -13,8 +13,9 @@ kernel-ext:
 
 # Build the compiled kernel in place under AddressSanitizer and UBSan
 # (gcc), run the kernel unit, property and graph-lifetime suites (the
-# last frees KernelState by refcount mid-run) and the naive-reference
-# equivalence suite against it with the sanitizer runtimes preloaded (the interpreter itself is not
+# last frees KernelState by refcount mid-run), the naive-reference
+# equivalence suite and the n-PAC codec suite (footprint-keyed deltas)
+# against it with the sanitizer runtimes preloaded (the interpreter itself is not
 # instrumented), then rebuild the optimized extension. Any sanitizer
 # report fails the run and reaches the terminal (pytest captures at
 # the sys level only, so an aborting report is never swallowed).
@@ -30,7 +31,7 @@ kernel-ext-asan:
 	sh -c 'python -c "import sys; from repro.analysis.kernel import compiled_available; sys.exit(0 if compiled_available() else 1)" && \
 		python -m pytest -q --capture=sys tests/analysis/test_kernel.py tests/property/test_hypothesis_kernel.py \
 			tests/integration/test_graph_lifetime.py \
-			tests/integration/test_fast_core_equivalence.py'; \
+			tests/integration/test_fast_core_equivalence.py tests/core/test_pac_codec.py'; \
 	status=$$?; python -m repro.analysis.kernel._build; exit $$status
 
 test:

@@ -11,7 +11,11 @@ smoke) through every available kernel backend and records, per backend:
   interning and BFS machinery;
 * **warm** — re-running the BFS on the already-expanded graph: pure
   backend replay with zero callbacks, the regime where the backends'
-  raw loop speed is actually visible.
+  raw loop speed is actually visible;
+* **cold misses** — the ``compute_deltas`` callbacks of one cold walk,
+  i.e. the kernel's delta-table misses. The kernel keys a step on the
+  object code bits its operation touches, so at n=6 they must stay
+  under a tenth of the configurations.
 
 The discovery orders are asserted identical across backends before
 anything is recorded — the speedup is never bought with a result
@@ -27,7 +31,7 @@ never fails over a missing optional accelerator.
 import multiprocessing
 
 from _perf_report import perf_scale, record, timed
-from repro.analysis.explorer import Explorer
+from repro.analysis.explorer import Explorer, _CodeSpace
 from repro.analysis.kernel import compiled_available
 from repro.core.pac import NPacSpec
 from repro.protocols.dac_from_pac import algorithm2_processes
@@ -47,6 +51,26 @@ def _protocol(n, inputs):
 def _make_explorer(n, inputs, kernel):
     objects, processes = _protocol(n, inputs)
     return Explorer(objects, processes, kernel=kernel)
+
+
+def _cold_misses(n, inputs, kernel):
+    """``(compute_deltas calls, configurations)`` of one cold walk."""
+    calls = 0
+    compute = _CodeSpace.compute_delta_codes
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return compute(self, *args)
+
+    _CodeSpace.compute_delta_codes = counting
+    try:
+        result = _make_explorer(n, inputs, kernel).explore(
+            max_configurations=_BUDGET
+        )
+    finally:
+        _CodeSpace.compute_delta_codes = compute
+    return calls, len(result.order_ids)
 
 
 class TestKernelBackends:
@@ -88,6 +112,11 @@ class TestKernelBackends:
             warm_timing = timed(warm, repeats=repeats)
             assert warm_timing.result.order_ids == result.order_ids
 
+            misses, miss_configs = _cold_misses(n, inputs, kernel)
+            assert miss_configs == configs
+            if n >= 6:
+                assert misses * 10 < configs, (kernel, misses, configs)
+
             fields.update(
                 {
                     "configurations": configs,
@@ -101,6 +130,7 @@ class TestKernelBackends:
                     f"{kernel}_warm_configs_per_sec": (
                         configs / warm_timing.median
                     ),
+                    f"{kernel}_cold_compute_deltas_calls": misses,
                 }
             )
 

@@ -73,9 +73,11 @@ hash-seeded set (lint rule R001).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -87,18 +89,19 @@ from typing import (
     Set,
     Tuple,
     TYPE_CHECKING,
+    TypeVar,
     Union,
 )
 
 from .. import obs
-from ..errors import AnalysisError, ExplorationBudgetExceeded
+from ..errors import AnalysisError, CodecOverflowError, ExplorationBudgetExceeded
 from ..objects.spec import SequentialSpec
 from ..runtime.events import Abort, Decide, Halt, Invoke
 from ..runtime.process import ProcessAutomaton
 from ..types import ProcessId, Value
 from ..protocols.tasks import DecisionTask, SafetyVerdict
 from .kernel import PackedEncoder, make_backend
-from .kernel.encoding import FIELD_BITS  # noqa: F401  (re-exported for docs)
+from .kernel.encoding import FIELD_BITS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .symmetry import ProcessSymmetry
@@ -566,16 +569,23 @@ class _CodeSpace:
     The hooks are called only on the kernel's first miss per key, in
     deterministic (pid-ascending, outcome-order) sequence — which is
     what makes edge and configuration ids identical across backends.
-    They answer from code-keyed tables: the n-PAC object changes state
-    on nearly every step, so the kernel's ``(pid, local, object)`` table
-    rarely hits, but the process side of a miss repeats constantly.
+    The kernel keys a step on ``(pid, local, object code & footprint)``:
+    an object slot with a spec codec (the n-PAC object) masks its code
+    down to the bits the pending operation touches, a first-seen slot
+    keeps every bit. ``spec_codecs=False`` gives every slot first-seen
+    codes (the explorer's fallback when a spec codec overflows). A
+    masked key's first miss comes at the first configuration with any
+    full key of its class, so every id is allocated in the order an
+    unmasked walk allocates it. Each miss
+    still runs the spec's ``responses`` with all its checks, and the
+    process side of a miss is answered from a code-keyed table.
     """
 
     __slots__ = (
         "encoder",
         "specs",
         "processes",
-        "object_slots",
+        "codecs",
         "index_of",
         "status_cache",
         "invokes",
@@ -589,29 +599,33 @@ class _CodeSpace:
         specs: Tuple[SequentialSpec, ...],
         processes: Tuple[ProcessAutomaton, ...],
         index_of: Dict[str, int],
+        spec_codecs: bool = True,
     ) -> None:
         #: Structural slot codes; statuses seeded so RUNNING is code 0
         #: (the kernel's "enabled" test is a zero-test on that field).
         self.encoder = PackedEncoder(
-            len(processes), len(specs), seed_statuses=(RUNNING, HALTED, ABORTED)
+            len(processes),
+            len(specs),
+            seed_statuses=(RUNNING, HALTED, ABORTED),
+            codecs=[
+                spec.packed_codec(FIELD_BITS) if spec_codecs else None
+                for spec in specs
+            ],
         )
         self.specs = specs
         self.processes = processes
-        #: per object: the encoder's live (state -> code, code -> state)
-        #: tables, read directly on every miss.
-        self.object_slots = tuple(
-            self.encoder.object_slot(index) for index in range(len(specs))
-        )
+        #: per object: the encoder's codec for its slot.
+        self.codecs = self.encoder.codecs
         #: object name -> index in the explorer's object order.
         self.index_of = index_of
         #: per-pid local state -> absorbed status tuple.
         self.status_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
             {} for _ in processes
         )
-        #: (pid, local code) -> (local state, operation, object index) of
-        #: the Invoke the process is poised at.
+        #: (pid, local code) -> (local state, operation, object index,
+        #: footprint) of the Invoke the process is poised at.
         self.invokes: Dict[
-            Tuple[ProcessId, int], Tuple[Hashable, Hashable, int]
+            Tuple[ProcessId, int], Tuple[Hashable, Hashable, int, int]
         ] = {}
         #: (pid, local code, choice, response) -> (edge id, new local
         #: code, new status code): the process half of a delta row.
@@ -647,10 +661,15 @@ class _CodeSpace:
             cache[state] = status
         return status
 
-    def resolve_invoke_codes(self, pid: ProcessId, local_code: int) -> int:
-        """Kernel miss hook: the object index ``pid`` invokes from the
-        local state carrying ``local_code``."""
-        return self.invoke_of(pid, local_code)[2]
+    def resolve_invoke_codes(
+        self, pid: ProcessId, local_code: int
+    ) -> Tuple[int, int]:
+        """Kernel miss hook: ``(object index, footprint)`` of the Invoke
+        ``pid`` is poised at in the local state carrying ``local_code``.
+        The kernel keys the step's deltas on the object code's bits
+        under the footprint."""
+        info = self.invoke_of(pid, local_code)
+        return info[2], info[3]
 
     def compute_delta_codes(
         self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
@@ -659,20 +678,23 @@ class _CodeSpace:
         code, new object code)`` row per adversary choice for ``pid``
         stepping against the object state carrying ``obj_code``.
 
-        Only the object half is computed per call. The process half is
-        looked up per ``(pid, local code, choice, response)``; a miss
-        there is the first sight of anything it could allocate, so
-        codes and edge ids are allocated in the same order as if every
-        row were computed afresh.
+        Only the object half is computed per call, by the spec's
+        ``responses``; a new object code that differs from ``obj_code``
+        outside the footprint raises :class:`AnalysisError`, as the
+        kernel keeps those bits. The process half is looked up per
+        ``(pid, local code, choice, response)``; a miss there is the
+        first sight of anything it could allocate, so codes and edge
+        ids are allocated in the same order as if every row were
+        computed afresh.
         """
         encoder = self.encoder
         info = self.invokes.get((pid, local_code))
         if info is None:
             info = self.invoke_of(pid, local_code)
-        local_state, operation, _obj_index = info
-        object_ids, object_values = self.object_slots[obj_index]
+        local_state, operation, _obj_index, footprint = info
+        codec = self.codecs[obj_index]
         outcomes = self.specs[obj_index].responses(
-            object_values[obj_code], operation
+            codec.state(obj_code), operation
         )
         process_deltas = self.process_deltas
         deltas = []
@@ -690,18 +712,23 @@ class _CodeSpace:
                     encoder.status_code(status),
                 )
                 process_deltas[key] = row
-            new_code = object_ids.get(new_obj)
-            if new_code is None:
-                new_code = encoder.object_code(obj_index, new_obj)
+            new_code = codec.code(new_obj)
+            if (new_code ^ obj_code) & ~footprint:
+                raise AnalysisError(
+                    f"{operation} on object {obj_index} changed code bits "
+                    f"{(new_code ^ obj_code) & ~footprint:#x} outside its "
+                    f"footprint {footprint:#x}"
+                )
             deltas.append(row + (new_code,))
         return deltas
 
     def invoke_of(
         self, pid: ProcessId, local_code: int
-    ) -> Tuple[Hashable, Hashable, int]:
-        """(local state, operation, object index) of the Invoke ``pid``
-        is poised at in the local state carrying ``local_code``
-        (validated: a well-formed Invoke on a known object)."""
+    ) -> Tuple[Hashable, Hashable, int, int]:
+        """(local state, operation, object index, footprint) of the
+        Invoke ``pid`` is poised at in the local state carrying
+        ``local_code`` (validated: a well-formed Invoke on a known
+        object)."""
         key = (pid, local_code)
         info = self.invokes.get(key)
         if info is None:
@@ -716,7 +743,12 @@ class _CodeSpace:
                 raise AnalysisError(
                     f"process {pid} invoked unknown object {action.obj!r}"
                 )
-            info = (local_state, action.operation, obj_index)
+            info = (
+                local_state,
+                action.operation,
+                obj_index,
+                self.codecs[obj_index].footprint(action.operation),
+            )
             self.invokes[key] = info
         return info
 
@@ -729,6 +761,34 @@ class _CodeSpace:
             self.edge_ids[key] = eid
             self.edge_list.append(Edge(pid, choice, response))
         return eid
+
+
+_Method = TypeVar("_Method", bound=Callable[..., Any])
+
+
+def _walks_again(method: _Method) -> _Method:
+    """Make a public :class:`Explorer` method that may reach the kernel
+    survive a spec codec's overflow: the explorer drops its codecs
+    (:meth:`Explorer._drop_codecs`, keeping every id allocated before
+    the call) and repeats the call. Only the outermost call repeats; a nested one may hold the
+    old code space's tables and lets the overflow pass."""
+
+    @functools.wraps(method)
+    def call(self: "Explorer", *args: Any, **kwargs: Any) -> Any:
+        if self._in_call:
+            return method(self, *args, **kwargs)
+        self._in_call = True
+        keep = len(self._intern)
+        try:
+            try:
+                return method(self, *args, **kwargs)
+            except CodecOverflowError:
+                self._drop_codecs(keep)
+            return method(self, *args, **kwargs)
+        finally:
+            self._in_call = False
+
+    return call  # type: ignore[return-value]
 
 
 class Explorer:
@@ -773,31 +833,10 @@ class Explorer:
             objects[name] for name in self.object_names
         )
         self.processes: Tuple[ProcessAutomaton, ...] = tuple(processes)
-        # -- packed kernel --------------------------------------------
-        # The kernel holds the code space's hooks, never the explorer's:
-        # nothing points back here, so the explorer is freed by
-        # reference counting (docs/performance.md, "Graph lifetime").
-        codes = _CodeSpace(
-            self.specs,
-            self.processes,
-            {name: i for i, name in enumerate(self.object_names)},
-        )
-        self._codes = codes
-        self._encoder = codes.encoder
-        self._backend, self.kernel = make_backend(
-            kernel,
-            self._encoder.n_fields,
-            len(self.processes),
-            codes.resolve_invoke_codes,
-            codes.compute_delta_codes,
-        )
-        #: edge id -> the one Edge object for it (the code space's list).
-        self._edge_list: List[Edge] = codes.edge_list
-        # -- fast-core caches ----------------------------------------
-        #: Configuration <-> dense id bijection (discovery order).
-        self._intern: PackedConfigTable = PackedConfigTable(
-            self._encoder, self._backend
-        )
+        self._kernel_choice = kernel
+        #: True while a public method runs (see :func:`_walks_again`).
+        self._in_call = False
+        self._build_code_space(spec_codecs=True)
         #: id -> tuple[(Edge, successor id)] — the memoized object-level
         #: relation (populated on demand; the kernel BFS bypasses it).
         self._succ_cache: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
@@ -807,14 +846,65 @@ class Explorer:
         #: id -> reachable decision set (shared valency memo).
         self._decision_sets: Dict[int, FrozenSet[Value]] = {}
 
+    def _build_code_space(self, spec_codecs: bool) -> None:
+        """A fresh code space, kernel backend and intern table."""
+        # The kernel holds the code space's hooks, never the explorer's:
+        # nothing points back here, so the explorer is freed by
+        # reference counting (docs/performance.md, "Graph lifetime").
+        codes = _CodeSpace(
+            self.specs,
+            self.processes,
+            {name: i for i, name in enumerate(self.object_names)},
+            spec_codecs,
+        )
+        self._codes = codes
+        self._encoder = codes.encoder
+        self._backend, self.kernel = make_backend(
+            self._kernel_choice,
+            self._encoder.n_fields,
+            len(self.processes),
+            codes.resolve_invoke_codes,
+            codes.compute_delta_codes,
+        )
+        #: edge id -> the one Edge object for it (the code space's list).
+        self._edge_list: List[Edge] = codes.edge_list
+        #: Configuration <-> dense id bijection (discovery order).
+        self._intern: PackedConfigTable = PackedConfigTable(
+            self._encoder, self._backend
+        )
+
+    def _drop_codecs(self, keep: int) -> None:
+        """Rebuild the code space with first-seen object codes, after a
+        spec codec overflowed in a call that began with ``keep``
+        configurations interned.
+
+        Those are interned again in id order, so each keeps its id; the
+        failed call's part-walk is dropped, and repeating the call
+        allocates ids in the order a walk without codecs allocates
+        them. Results built before keep the old table and kernel, which
+        stay consistent with each other.
+        """
+        old = self._intern
+        configurations = [old.value(cid) for cid in range(keep)]
+        self._build_code_space(spec_codecs=False)
+        for configuration in configurations:
+            self._intern.intern(configuration)
+        self._succ_cache.clear()
+        self._segment_cache.clear()
+        for cid in [cid for cid in self._decision_sets if cid >= keep]:
+            del self._decision_sets[cid]
+        obs.counter("explorer.codec_fallbacks")
+
     # -- configuration construction -----------------------------------------
 
+    @_walks_again
     def initial_configuration(self) -> Configuration:
         states = tuple(auto.initial_state() for auto in self.processes)
         statuses = tuple(RUNNING for _ in self.processes)
         objects = tuple(spec.initial_state() for spec in self.specs)
         return self._absorb(Configuration(states, statuses, objects))
 
+    @_walks_again
     def intern_id(self, config: Configuration) -> int:
         """The configuration's dense id in this explorer's intern table."""
         return self._intern.intern(config)
@@ -874,6 +964,7 @@ class Explorer:
             if edge_list[flat[k]].pid == pid
         )
 
+    @_walks_again
     def successors(
         self, config: Configuration
     ) -> List[Tuple[Edge, Configuration]]:
@@ -884,6 +975,7 @@ class Explorer:
             (edge, value(tid)) for edge, tid in self._successor_entries(cid)
         ]
 
+    @_walks_again
     def step(
         self, config: Configuration, pid: ProcessId, choice: int = 0
     ) -> Configuration:
@@ -903,6 +995,7 @@ class Explorer:
 
     # -- graph exploration ---------------------------------------------------
 
+    @_walks_again
     def explore(
         self,
         initial: Optional[Configuration] = None,
@@ -1242,6 +1335,7 @@ class Explorer:
 
     # -- analyses ------------------------------------------------------------
 
+    @_walks_again
     def check_safety(
         self,
         task: DecisionTask,
@@ -1427,6 +1521,7 @@ class Explorer:
             cid = tid
         return tuple(edges), cid
 
+    @_walks_again
     def decision_table(
         self,
         initial: Optional[Configuration] = None,
@@ -1493,6 +1588,7 @@ class Explorer:
         for cid, values in sets.items():
             known[cid] = frozenset(values)
 
+    @_walks_again
     def decision_values(
         self, config: Configuration, max_configurations: int = 200_000
     ) -> FrozenSet[Value]:
@@ -1508,6 +1604,7 @@ class Explorer:
         table = self.decision_table(config, max_configurations)
         return table[self._intern.id_of(self._intern.canonical(config))]
 
+    @_walks_again
     def find_livelock(
         self,
         max_configurations: int = 200_000,
@@ -1581,6 +1678,7 @@ class Explorer:
                 stack.append((tid, 0))
         return None
 
+    @_walks_again
     def find_violation(
         self, task: DecisionTask, inputs: Sequence[Value]
     ) -> Tuple[str, Optional[Union[SafetyCounterexample, Livelock]]]:
@@ -1599,6 +1697,7 @@ class Explorer:
             return "liveness", livelock
         return "none", None
 
+    @_walks_again
     def solo_termination(
         self,
         pid: ProcessId,

@@ -76,7 +76,7 @@ def make_backend(
     kernel: Optional[str],
     n_fields: int,
     n_processes: int,
-    resolve_invoke: Callable[[int, int], int],
+    resolve_invoke: Callable[[int, int], Tuple[int, int]],
     compute_deltas: Callable[
         [int, int, int, int], Sequence[Tuple[int, int, int, int]]
     ],

@@ -3,12 +3,22 @@
  * One KernelState holds the interned configuration rows (fixed-width
  * uint32 fields, one per process local state / process status / object
  * state — the packed encoding of repro.analysis.kernel.encoding), an
- * open-addressing row hash table, the per-(pid, local[, object-state])
- * invoke and delta tables, and the recorded adjacency lists. The BFS
- * (run_bfs) runs entirely in C; protocol semantics reach it through
- * the explorer's callbacks (resolve_invoke / compute_deltas), called
+ * open-addressing row hash table, the invoke table per (pid, local) and
+ * the delta table per (pid, local, object code & footprint), and the
+ * recorded adjacency lists. The BFS (run_bfs) runs entirely in C;
+ * protocol semantics reach it through the explorer's callbacks, called
  * exactly once per key on a map miss and memoized forever after — an
- * empty map slot is the not-yet-seen sentinel.
+ * empty map slot is the not-yet-seen sentinel:
+ *
+ *   resolve_invoke(pid, local) -> (obj_index, mask): the object the
+ *     process is poised at and the footprint of its operation, the
+ *     object code bits it reads or writes (mask = (1 << 24) - 1 keys
+ *     on the whole code);
+ *   compute_deltas(pid, local, obj_index, obj_code) -> ((eid, new_local,
+ *     new_status, new_obj), ...): the outcomes from the first object
+ *     code seen under the masked key. new_obj equals obj_code outside
+ *     the mask, so a successor's object field is
+ *     (src_obj & ~mask) | (new_obj & mask) for every code in the class.
  *
  * run_bfs walks step for step like the python backend's: each
  * unexpanded frontier cid is expanded by kernel_expand_new (a memo hit,
@@ -217,6 +227,13 @@ typedef struct {
     uint32_t *vals; /* n * 4: eid, new_local, new_status, new_obj */
 } DeltaSet;
 
+/* What one (pid, local) invokes: the object and the operation's
+ * footprint on its code. */
+typedef struct {
+    int32_t obj_index;
+    uint32_t mask;
+} InvokeTarget;
+
 /* ---------------------------------------------------------------------
  * KernelState
  * ------------------------------------------------------------------ */
@@ -240,8 +257,12 @@ typedef struct {
     /* Adjacency per cid: flat [eid, tid, ...]; len < 0 = unexpanded. */
     int32_t **adj;
     int32_t *adj_len;
-    U64Map invoke; /* (pid << 24 | local) -> object index */
-    U64Map deltas; /* (pid << 48 | local << 24 | obj) -> delta set id */
+    U64Map invoke; /* (pid << 24 | local) -> target id */
+    InvokeTarget *targets;
+    Py_ssize_t target_count;
+    Py_ssize_t target_cap;
+    /* (pid << 48 | local << 24 | obj & mask) -> delta set id */
+    U64Map deltas;
     DeltaSet *delta_sets;
     Py_ssize_t ds_count;
     Py_ssize_t ds_cap;
@@ -485,15 +506,15 @@ kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
     return index;
 }
 
-/* Resolve the delta set for (pid, local, obj_index, obj_code), calling
- * back into Python on the first miss. Returns the delta-set id, -1 on
- * error. */
+/* Resolve the delta set for (pid, local, obj_index, obj_code & mask),
+ * calling back into Python with the full obj_code on the first miss.
+ * Returns the delta-set id, -1 on error. */
 static Py_ssize_t
 kernel_delta_set(KernelState *self, int pid, uint32_t local, int obj_index,
-                 uint32_t obj_code)
+                 uint32_t obj_code, uint32_t mask)
 {
     uint64_t ikey = ((uint64_t)pid << FIELD_BITS) | local;
-    uint64_t dkey = (ikey << FIELD_BITS) | obj_code;
+    uint64_t dkey = (ikey << FIELD_BITS) | (obj_code & mask);
     int32_t dsi = u64map_get(&self->deltas, dkey);
     if (dsi >= 0) {
         return dsi;
@@ -509,35 +530,66 @@ kernel_delta_set(KernelState *self, int pid, uint32_t local, int obj_index,
     return index;
 }
 
-/* Resolve the invoked object index for (pid, local), calling back into
- * Python on the first miss. Returns the index, -1 on error. */
+/* Resolve what (pid, local) invokes into *target, calling back into
+ * Python on the first miss. Returns 0/-1 with a Python error set. */
 static int
-kernel_invoke_index(KernelState *self, int pid, uint32_t local)
+kernel_invoke_target(KernelState *self, int pid, uint32_t local,
+                     InvokeTarget *target)
 {
     uint64_t ikey = ((uint64_t)pid << FIELD_BITS) | local;
-    int32_t obj_index = u64map_get(&self->invoke, ikey);
-    if (obj_index >= 0) {
-        return obj_index;
+    int32_t index = u64map_get(&self->invoke, ikey);
+    if (index >= 0) {
+        *target = self->targets[index];
+        return 0;
     }
     PyObject *result = PyObject_CallFunction(self->resolve_invoke, "ii", pid,
                                              (int)local);
     if (result == NULL) {
         return -1;
     }
-    long value = PyLong_AsLong(result);
+    long obj_index, mask;
+    if (!PyTuple_Check(result) || PyTuple_GET_SIZE(result) != 2) {
+        Py_DECREF(result);
+        PyErr_SetString(PyExc_TypeError,
+                        "resolve_invoke must return (obj_index, mask)");
+        return -1;
+    }
+    obj_index = PyLong_AsLong(PyTuple_GET_ITEM(result, 0));
+    mask = PyErr_Occurred() ? -1 : PyLong_AsLong(PyTuple_GET_ITEM(result, 1));
     Py_DECREF(result);
-    if (value == -1 && PyErr_Occurred()) {
+    if (PyErr_Occurred()) {
         return -1;
     }
-    if (value < 0 || 2 * self->n_processes + value >= self->n_fields) {
-        PyErr_Format(PyExc_ValueError, "object index %ld out of range", value);
+    if (obj_index < 0 || 2 * self->n_processes + obj_index >= self->n_fields) {
+        PyErr_Format(PyExc_ValueError, "object index %ld out of range",
+                     obj_index);
         return -1;
     }
-    if (u64map_set(&self->invoke, ikey, (int32_t)value) < 0) {
+    if (mask < 0 || mask >= (1L << FIELD_BITS)) {
+        PyErr_Format(PyExc_ValueError, "footprint %ld out of range", mask);
+        return -1;
+    }
+    if (self->target_count >= self->target_cap) {
+        Py_ssize_t cap = self->target_cap ? self->target_cap * 2 : 64;
+        InvokeTarget *targets = PyMem_RawRealloc(
+            self->targets, (size_t)cap * sizeof(InvokeTarget));
+        if (targets == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->targets = targets;
+        self->target_cap = cap;
+    }
+    index = (int32_t)self->target_count;
+    self->targets[index].obj_index = (int32_t)obj_index;
+    self->targets[index].mask = (uint32_t)mask;
+    self->target_count++;
+    if (u64map_set(&self->invoke, ikey, index) < 0) {
         PyErr_NoMemory();
         return -1;
     }
-    return (int)value;
+    *target = self->targets[index];
+    return 0;
 }
 
 /* Expand one pid of `cid` into `entries` as flat (eid, tid) pairs.
@@ -552,15 +604,19 @@ kernel_expand_pid_into(KernelState *self, int pid, IntBuf *entries)
         return 0; /* status != RUNNING: nothing enabled */
     }
     uint32_t local = src[pid];
-    int obj_index = kernel_invoke_index(self, pid, local);
-    if (obj_index < 0) {
+    InvokeTarget target;
+    if (kernel_invoke_target(self, pid, local, &target) < 0) {
         return -1;
     }
+    int obj_index = target.obj_index;
+    uint32_t mask = target.mask;
     uint32_t obj_code = src[2 * n + obj_index];
-    Py_ssize_t dsi = kernel_delta_set(self, pid, local, obj_index, obj_code);
+    Py_ssize_t dsi =
+        kernel_delta_set(self, pid, local, obj_index, obj_code, mask);
     if (dsi < 0) {
         return -1;
     }
+    uint32_t kept = obj_code & ~mask;
     /* The callback cannot re-enter this kernel, so the delta set and
      * the source copy stay valid across the loop. */
     const DeltaSet *set = &self->delta_sets[dsi];
@@ -570,7 +626,7 @@ kernel_expand_pid_into(KernelState *self, int pid, IntBuf *entries)
         memcpy(self->scratch, src, (size_t)n_fields * sizeof(uint32_t));
         self->scratch[pid] = vals[1];
         self->scratch[n + pid] = vals[2];
-        self->scratch[2 * n + obj_index] = vals[3];
+        self->scratch[2 * n + obj_index] = kept | (vals[3] & mask);
         Py_ssize_t tid = kernel_intern(self, self->scratch);
         if (tid < 0) {
             return -1;
@@ -978,6 +1034,8 @@ KernelState_init(KernelState *self, PyObject *args, PyObject *kwargs)
     }
     self->delta_sets = NULL;
     self->ds_count = self->ds_cap = 0;
+    self->targets = NULL;
+    self->target_count = self->target_cap = 0;
     return 0;
 }
 
@@ -1013,6 +1071,7 @@ KernelState_dealloc(KernelState *self)
     PyMem_RawFree(self->adj);
     PyMem_RawFree(self->adj_len);
     u64map_free(&self->invoke);
+    PyMem_RawFree(self->targets);
     u64map_free(&self->deltas);
     for (Py_ssize_t i = 0; i < self->ds_count; i++) {
         PyMem_RawFree(self->delta_sets[i].vals);

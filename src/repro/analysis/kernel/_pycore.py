@@ -6,15 +6,19 @@ packed row of :mod:`~repro.analysis.kernel.encoding` folded as
 
 * one list (``_words``, cid -> word),
 * one dict (``_ids``, word -> cid) hit once per *generated* successor,
-* per-``(pid, local, object-state)`` **delta tables**: a transition is
-  applied as a single integer add (the precomputed signed adjustment of
-  the three affected fields), not dataclass construction.
+* per-``(pid, local, object code & footprint)`` **delta tables**: a
+  transition is applied as a single integer add (the precomputed signed
+  adjustment of the three affected fields), not dataclass construction.
 
 Protocol semantics stay in Python land: when a ``(pid, local)`` or
-``(pid, local, obj)`` key misses its table the kernel calls back into
-the explorer's code space (``resolve_invoke`` / ``compute_deltas``)
-exactly once, then replays the memoized result forever after. The compiled backend
-mirrors this contract byte-for-byte — same ids, same edge order.
+``(pid, local, obj & footprint)`` key misses its table the kernel calls
+back into the explorer's code space (``resolve_invoke`` /
+``compute_deltas``) exactly once, then replays the memoized result
+forever after. The footprint is the mask of the object code bits the
+pending operation reads or writes; the step never changes a bit outside
+it, so one adjustment serves every object code under the masked key.
+The compiled backend mirrors this contract byte-for-byte — same ids,
+same edge order.
 """
 
 from __future__ import annotations
@@ -37,12 +41,16 @@ def _unknown_cid(cid: int) -> IndexError:
 class PyKernel:
     """Flat exploration core over packed big-int configuration words.
 
-    ``resolve_invoke(pid, local_code) -> obj_index`` names the object a
-    running process is poised at; ``compute_deltas(pid, local_code,
-    obj_index, obj_code) -> ((edge_id, new_local, new_status,
-    new_obj), ...)`` enumerates its outcomes. Both are called only on
-    table misses, in deterministic (pid-ascending, outcome-order)
-    sequence, so edge-id allocation is identical across backends.
+    ``resolve_invoke(pid, local_code) -> (obj_index, mask)`` names the
+    object a running process is poised at and the footprint of its
+    operation (``MAX_CODE - 1`` keys on the whole object code);
+    ``compute_deltas(pid, local_code, obj_index, obj_code) ->
+    ((edge_id, new_local, new_status, new_obj), ...)`` enumerates its
+    outcomes from the first object code seen under the masked key, and
+    ``new_obj`` must equal ``obj_code`` outside ``mask``. Both are
+    called only on table misses, in deterministic (pid-ascending,
+    outcome-order) sequence, so edge-id allocation is identical across
+    backends.
     """
 
     __slots__ = (
@@ -64,7 +72,7 @@ class PyKernel:
         self,
         n_fields: int,
         n_processes: int,
-        resolve_invoke: Callable[[int, int], int],
+        resolve_invoke: Callable[[int, int], Tuple[int, int]],
         compute_deltas: Callable[
             [int, int, int, int], Sequence[Tuple[int, int, int, int]]
         ],
@@ -77,9 +85,10 @@ class PyKernel:
         self._words: List[int] = []
         #: cid -> flat [eid, tid, eid, tid, ...] or None if unexpanded.
         self._adjacency: List[Optional[List[int]]] = []
-        #: (pid << FIELD_BITS | local) -> object index.
+        #: (pid << FIELD_BITS | local) -> (object index, footprint).
         self._invoke: dict = {}
-        #: ((pid << F | local) << F | obj_code) -> ((eid, adjustment), ...).
+        #: ((pid << F | local) << F | obj_code & footprint)
+        #: -> ((eid, adjustment), ...).
         self._deltas: dict = {}
         #: Status segment (the P status fields as one int) -> its tuple.
         self._status_shift = n_processes * FIELD_BITS
@@ -138,12 +147,12 @@ class PyKernel:
                 continue  # status != RUNNING(0): nothing enabled
             local = (word >> (pid * FIELD_BITS)) & _MASK
             ikey = (pid << FIELD_BITS) | local
-            obj_index = invoke.get(ikey)
-            if obj_index is None:
-                obj_index = self._resolve_invoke(pid, local)
-                invoke[ikey] = obj_index
+            target = invoke.get(ikey)
+            if target is None:
+                target = invoke[ikey] = self._resolve_invoke(pid, local)
+            obj_index, mask = target
             obj_code = (word >> ((2 * n + obj_index) * FIELD_BITS)) & _MASK
-            dkey = (ikey << FIELD_BITS) | obj_code
+            dkey = (ikey << FIELD_BITS) | (obj_code & mask)
             deltas = delta_tables.get(dkey)
             if deltas is None:
                 deltas = self._make_deltas(pid, local, obj_index, obj_code)
@@ -168,7 +177,9 @@ class PyKernel:
 
         The expanding pid's status is always code 0 (RUNNING), so the
         adjustment covers all three touched fields exactly:
-        local += nl-local, status += ns-0, object += no-obj_code.
+        local += nl-local, status += ns-0, object += no-obj_code. ``no``
+        equals ``obj_code`` outside the footprint, so ``no - obj_code``
+        is the same for every object code under the masked key.
         """
         n = self.n_processes
         lshift = pid * FIELD_BITS
@@ -221,12 +232,12 @@ class PyKernel:
             return entries
         local = (word >> (pid * FIELD_BITS)) & _MASK
         ikey = (pid << FIELD_BITS) | local
-        obj_index = self._invoke.get(ikey)
-        if obj_index is None:
-            obj_index = self._resolve_invoke(pid, local)
-            self._invoke[ikey] = obj_index
+        target = self._invoke.get(ikey)
+        if target is None:
+            target = self._invoke[ikey] = self._resolve_invoke(pid, local)
+        obj_index, mask = target
         obj_code = (word >> ((2 * n + obj_index) * FIELD_BITS)) & _MASK
-        dkey = (ikey << FIELD_BITS) | obj_code
+        dkey = (ikey << FIELD_BITS) | (obj_code & mask)
         deltas = self._deltas.get(dkey)
         if deltas is None:
             deltas = self._make_deltas(pid, local, obj_index, obj_code)

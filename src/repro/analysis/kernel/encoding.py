@@ -10,27 +10,34 @@ fixed-width row of ``2·P + M`` codes (``P`` processes, ``M`` objects)::
     contents    local state     process status    object state
                 of pid i        of pid i          of object j
 
-Each code is allocated first-seen (discovery order — deterministic and
-independent of ``PYTHONHASHSEED``, the R001 contract) and fits in
-:data:`FIELD_BITS` bits, so a whole row packs into one machine-friendly
-word: the pure-Python backend folds it into a single big int
-(``code << FIELD_BITS·slot``), the compiled backend keeps it as a
-``uint32`` row. Applying a transition is then integer arithmetic on
-three fields instead of tuple surgery plus a deep hash.
+Local-state and status codes, and the codes of an object slot without
+a codec, are allocated first-seen (discovery order — deterministic and
+independent of ``PYTHONHASHSEED``, the R001 contract). An object whose
+spec offers a codec (:meth:`~repro.objects.spec.SequentialSpec.packed_codec`,
+the ``n``-PAC object) gets structural codes from it instead: bit fields
+per component of the state, so the kernel can key a step on the bits
+the operation touches (its footprint) rather than on the whole state.
+Every code fits in :data:`FIELD_BITS` bits, so a whole row packs into
+one machine-friendly word: the pure-Python backend folds it into a
+single big int (``code << FIELD_BITS·slot``), the compiled backend
+keeps it as a ``uint32`` row. Applying a transition is then integer
+arithmetic on three fields instead of tuple surgery plus a deep hash.
 
 Status code 0 is reserved for ``RUNNING`` (the seed statuses are
 pre-interned at construction), which makes "is this process enabled" a
 zero-test on the packed status field.
 
 Decoding returns the *original* interned objects — the first-seen local
-state / status / object state — so configurations materialized from a
-row are value- and repr-identical to the ones the old object-level
-explorer built (seed-digest equivalence is bit-for-bit).
+state / status / object state; a codec returns the first state encoded
+under a code and builds one from its fields otherwise — so
+configurations materialized from a row are value- and repr-identical to
+the ones the old object-level explorer built (seed-digest equivalence
+is bit-for-bit).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ...errors import AnalysisError
 
@@ -44,28 +51,67 @@ FIELD_BITS = 24
 MAX_CODE = 1 << FIELD_BITS
 
 
+class DenseCodec:
+    """First-seen codes for an object slot whose spec offers no codec.
+
+    The same interface as a spec's codec: ``code(state)`` allocates,
+    ``peek(state)`` answers None rather than allocate, ``state(code)``
+    decodes, and ``footprint(operation)`` keeps every bit, so the
+    kernel keys each step on the whole state. ``peek`` and ``state``
+    are the live tables' bound methods, so a hit skips a Python call.
+    """
+
+    __slots__ = ("obj_index", "peek", "state", "_ids", "_values")
+
+    def __init__(self, obj_index: int) -> None:
+        self.obj_index = obj_index
+        self._ids: Dict[Hashable, int] = {}
+        self._values: List[Hashable] = []
+        self.peek: Callable[[Hashable], Optional[int]] = self._ids.get
+        self.state: Callable[[int], Hashable] = self._values.__getitem__
+
+    def code(self, state: Hashable) -> int:
+        """The code of ``state`` (allocating)."""
+        code = self._ids.get(state)
+        if code is None:
+            code = len(self._values)
+            if code >= MAX_CODE:
+                raise AnalysisError(
+                    f"packed encoding overflow: object {self.obj_index} has "
+                    f"more than {MAX_CODE} distinct states"
+                )
+            self._ids[state] = code
+            self._values.append(state)
+        return code
+
+    def footprint(self, operation: Hashable) -> int:
+        """Every bit of the slot."""
+        return MAX_CODE - 1
+
+
 class PackedEncoder:
     """Bidirectional (state object) <-> (slot code) tables for one
     protocol instance.
 
     One encoder belongs to one explorer: the code spaces are built
-    around a fixed process/object count, and codes are allocated in
-    first-seen order per slot. ``encode`` allocates; the ``peek``
-    variants never allocate (they answer None for unseen values), which
-    is what keeps :meth:`~repro.analysis.explorer.PackedConfigTable.get_id`
-    queries side-effect-free.
+    around a fixed process/object count. Local-state and status codes
+    are allocated in first-seen order; object ``j``'s codes come from
+    ``codecs[j]``, or from a :class:`DenseCodec` where that is None.
+    ``encode`` allocates; the ``peek`` variants never allocate (they
+    answer None for unseen values), which is what keeps
+    :meth:`~repro.analysis.explorer.PackedConfigTable.get_id` queries
+    side-effect-free.
     """
 
     __slots__ = (
         "n_processes",
         "n_objects",
         "n_fields",
+        "codecs",
         "_local_ids",
         "_local_values",
         "_status_ids",
         "_status_values",
-        "_object_ids",
-        "_object_values",
     )
 
     def __init__(
@@ -73,6 +119,7 @@ class PackedEncoder:
         n_processes: int,
         n_objects: int,
         seed_statuses: Sequence[Tuple] = (),
+        codecs: Sequence[Optional[Any]] = (),
     ) -> None:
         self.n_processes = n_processes
         self.n_objects = n_objects
@@ -86,10 +133,13 @@ class PackedEncoder:
         for status in seed_statuses:
             self._status_ids[status] = len(self._status_values)
             self._status_values.append(status)
-        self._object_ids: List[dict] = [{} for _ in range(n_objects)]
-        self._object_values: List[List[Hashable]] = [
-            [] for _ in range(n_objects)
-        ]
+        given = tuple(codecs) or (None,) * n_objects
+        #: per object slot: its codec (``code``/``peek``/``state``/
+        #: ``footprint``).
+        self.codecs: Tuple[Any, ...] = tuple(
+            DenseCodec(index) if codec is None else codec
+            for index, codec in enumerate(given)
+        )
 
     # -- per-slot allocation ------------------------------------------------
 
@@ -127,26 +177,7 @@ class PackedEncoder:
 
     def object_code(self, obj_index: int, state: Hashable) -> int:
         """The code of ``state`` in an object's slot (allocating)."""
-        ids = self._object_ids[obj_index]
-        code = ids.get(state)
-        if code is None:
-            values = self._object_values[obj_index]
-            code = len(values)
-            if code >= MAX_CODE:
-                raise AnalysisError(
-                    f"packed encoding overflow: object {obj_index} has more "
-                    f"than {MAX_CODE} distinct states"
-                )
-            ids[state] = code
-            values.append(state)
-        return code
-
-    def object_slot(self, obj_index: int) -> Tuple[dict, List[Hashable]]:
-        """The live ``(state -> code, code -> state)`` tables of an
-        object's slot, for a caller's hot loop: a hit read straight
-        from them skips a method call. Allocate through
-        :meth:`object_code` only, so the two stay in step."""
-        return self._object_ids[obj_index], self._object_values[obj_index]
+        return self.codecs[obj_index].code(state)
 
     # -- decoding -------------------------------------------------------------
 
@@ -159,8 +190,8 @@ class PackedEncoder:
         return self._status_values[code]
 
     def object_value(self, obj_index: int, code: int) -> Hashable:
-        """The first-seen object state carrying ``code``."""
-        return self._object_values[obj_index][code]
+        """The object state carrying ``code``, from the slot's codec."""
+        return self.codecs[obj_index].state(code)
 
     # -- whole-row encoding ---------------------------------------------------
 
@@ -200,8 +231,8 @@ class PackedEncoder:
             if code is None:
                 return None
             row.append(code)
-        for oi, state in enumerate(object_states):
-            code = self._object_ids[oi].get(state)
+        for codec, state in zip(self.codecs, object_states):
+            code = codec.peek(state)
             if code is None:
                 return None
             row.append(code)
@@ -211,7 +242,7 @@ class PackedEncoder:
         self, row: Sequence[int]
     ) -> Tuple[Tuple[Hashable, ...], Tuple[Tuple, ...], Tuple[Hashable, ...]]:
         """The (process_states, statuses, object_states) triple of a row,
-        built from the first-seen interned objects."""
+        built from the first-seen interned objects (and the codecs)."""
         n = self.n_processes
         states = tuple(
             self._local_values[pid][row[pid]] for pid in range(n)
@@ -220,7 +251,6 @@ class PackedEncoder:
             self._status_values[row[n + pid]] for pid in range(n)
         )
         objects = tuple(
-            self._object_values[oi][row[2 * n + oi]]
-            for oi in range(self.n_objects)
+            codec.state(code) for codec, code in zip(self.codecs, row[2 * n :])
         )
         return states, statuses, objects

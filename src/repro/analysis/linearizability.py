@@ -24,7 +24,7 @@ harnesses produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from ..errors import NotLinearizableError
 from ..objects.spec import SequentialSpec

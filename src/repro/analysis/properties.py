@@ -13,7 +13,7 @@ adversaries, long workloads) — the statistical half of every experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..runtime.history import RunHistory
 from ..protocols.tasks import DacDecisionTask, DecisionTask, SafetyVerdict

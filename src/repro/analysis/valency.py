@@ -24,7 +24,7 @@ module computes it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.events import Invoke
 from ..types import ProcessId, Value

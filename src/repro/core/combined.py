@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence, Tuple
 
 from ..errors import SpecificationError
-from ..types import Operation, Value, op, require
+from ..types import Operation, op, require
 from ..objects.consensus import MConsensusSpec
 from ..objects.spec import Outcome, SequentialSpec, expect_arity, reject_unknown
 from .pac import NPacSpec

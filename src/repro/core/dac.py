@@ -12,7 +12,7 @@ run/exploration machinery, not by this predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from ..errors import SpecificationError
 from ..types import ProcessId, Value, require

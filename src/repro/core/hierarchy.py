@@ -121,7 +121,6 @@ def builtin_catalog(max_count: int = 3) -> Dict[str, HierarchyProbe]:
     from ..objects.classic import CompareAndSwapSpec, TestAndSetSpec
     from ..objects.consensus import MConsensusSpec
     from ..objects.register import RegisterSpec
-    from ..core.set_agreement import StrongSetAgreementSpec
     from ..protocols.candidates import (
         ConsensusViaExhaustedConsensus,
         consensus_via_strong_sa,

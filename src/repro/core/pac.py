@@ -24,19 +24,15 @@ checked over histories by :func:`check_theorem_3_5` (experiment E1).
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidOperationError, SpecificationError
-from ..types import (
-    BOTTOM,
-    DONE,
-    NIL,
-    Label,
-    Operation,
-    Value,
-    is_special,
-    require,
+from ..errors import (
+    AnalysisError,
+    CodecOverflowError,
+    InvalidOperationError,
+    SpecificationError,
 )
+from ..types import BOTTOM, DONE, NIL, Operation, Value, is_special, require
 from ..objects.spec import Outcome, SequentialSpec, expect_arity, reject_unknown
 
 
@@ -197,6 +193,26 @@ class NPacSpec(SequentialSpec):
         reject_unknown(self, operation)
         raise AssertionError("unreachable")
 
+    def packed_codec(self, bits: int) -> Optional["PacCodec"]:
+        """A :class:`PacCodec` packing ``upset``, ``L``, ``val`` and
+        ``V[1..n]`` into ``bits`` bits, or None when a proposal value
+        would get fewer than 2 bits (n >= 9 in a 24-bit field).
+
+        The footprints are proven for Algorithm 1 as written here, so a
+        subclass that changes what an operation does gets no codec.
+        """
+        own = type(self)
+        if (
+            own.responses is not NPacSpec.responses
+            or own._propose is not NPacSpec._propose
+            or own._decide is not NPacSpec._decide
+        ):
+            return None
+        width = (bits - 1 - self.n.bit_length()) // (self.n + 1)
+        if width < 2:
+            return None
+        return PacCodec(self.n, width)
+
     def _propose(self, state: PacState, value: Value, label: int) -> PacState:
         """Lines 1-6 of Algorithm 1."""
         if state.upset:
@@ -227,6 +243,155 @@ class NPacSpec(SequentialSpec):
         proposals = list(state.proposals)
         proposals[index] = NIL
         return PacState(False, tuple(proposals), NIL, value), response
+
+
+class PacCodec:
+    """Structural codes of ``n``-PAC states, for one explorer.
+
+    A state packs into bit fields, low to high: ``upset`` (1 bit),
+    ``L`` (``n.bit_length()`` bits: 0 for NIL, else the label), then
+    ``val`` and ``V[1..n]`` (``width`` bits each: 0 for NIL, else the
+    value's sub-code). Sub-codes are allocated in first-seen order, per
+    codec; a value that would need sub-code ``2**width`` raises a
+    "packed encoding overflow" :class:`~repro.errors.CodecOverflowError`
+    (the explorer then drops the codec and walks again).
+
+    An operation with label ``i`` reads and writes only ``upset``,
+    ``L``, ``V[i]`` and, for a decide, ``val`` (:meth:`footprint`), so
+    the model checker keys a step on those bits alone.
+
+    Decoding returns the first state encoded under a code, as a dense
+    slot does, and builds one from the fields otherwise.
+    """
+
+    __slots__ = (
+        "n",
+        "width",
+        "_value_shift",
+        "_label_mask",
+        "_field_mask",
+        "_masks",
+        "_all",
+        "_values",
+        "_sub_codes",
+        "_codes",
+        "_states",
+    )
+
+    def __init__(self, n: int, width: int) -> None:
+        self.n = n
+        self.width = width
+        self._value_shift = 1 + n.bit_length()
+        self._label_mask = ((1 << n.bit_length()) - 1) << 1
+        self._field_mask = (1 << width) - 1
+        head = 1 | self._label_mask
+        val_mask = self._field_mask << self._value_shift
+        propose = tuple(
+            head | (self._field_mask << (self._value_shift + width * label))
+            for label in range(n + 1)
+        )
+        #: operation name -> (arity, footprint per label; index 0 unused).
+        self._masks: Dict[str, Tuple[int, Tuple[int, ...]]] = {
+            "propose": (2, propose),
+            "decide": (1, tuple(mask | val_mask for mask in propose)),
+        }
+        self._all = (1 << (self._value_shift + width * (n + 1))) - 1
+        #: sub-code -> value, and back; NIL is sub-code 0.
+        self._values: List[Value] = [NIL]
+        self._sub_codes: Dict[Value, int] = {NIL: 0}
+        #: encoded or decoded states, both ways.
+        self._codes: Dict[PacState, int] = {}
+        self._states: Dict[int, PacState] = {}
+
+    def footprint(self, operation: Operation) -> int:
+        """The code bits ``operation`` reads or writes: ``upset``,
+        ``L``, ``V[label]`` and, for a decide, ``val``. A malformed
+        operation gets every bit (the step then raises as usual)."""
+        arity, masks = self._masks.get(operation.name, (-1, ()))
+        args = operation.args
+        if len(args) == arity:
+            label = args[-1]
+            if isinstance(label, int) and 1 <= label <= self.n:
+                return masks[label]
+        return self._all
+
+    def code(self, state: PacState) -> int:
+        """The code of ``state``, allocating sub-codes for new values."""
+        code = self._codes.get(state)
+        if code is None:
+            if not self._fits(state):
+                raise AnalysisError(
+                    f"{self.n}-PAC codec: {state!r} is not a {self.n}-PAC state"
+                )
+            code = self._pack(state, self._sub_code)
+            self._codes[state] = code
+            self._states.setdefault(code, state)
+        return code
+
+    def peek(self, state: Hashable) -> Optional[int]:
+        """The code of ``state``, or None if encoding it would allocate."""
+        code = self._codes.get(state)  # type: ignore[call-overload]
+        if code is not None or not self._fits(state):
+            return code
+        try:
+            return self._pack(state, self._sub_codes.__getitem__)  # type: ignore[arg-type]
+        except KeyError:  # a value without a sub-code
+            return None
+
+    def state(self, code: int) -> PacState:
+        """The state carrying ``code``."""
+        state = self._states.get(code)
+        if state is None:
+            values = self._values
+            mask = self._field_mask
+            width = self.width
+            shift = self._value_shift
+            value = values[(code >> shift) & mask]
+            proposals = []
+            for _ in range(self.n):
+                shift += width
+                proposals.append(values[(code >> shift) & mask])
+            label = (code & self._label_mask) >> 1
+            state = PacState(
+                bool(code & 1), tuple(proposals), label or NIL, value
+            )
+            self._states[code] = state
+            self._codes.setdefault(state, code)
+        return state
+
+    def _pack(self, state: PacState, sub_code: Callable[[Value], int]) -> int:
+        label = state.last_label
+        shift = self._value_shift
+        code = int(state.upset) | ((0 if label is NIL else label) << 1)
+        code |= sub_code(state.value) << shift
+        for value in state.proposals:
+            shift += self.width
+            code |= sub_code(value) << shift
+        return code
+
+    def _fits(self, state: Hashable) -> bool:
+        return (
+            state.__class__ is PacState
+            and len(state.proposals) == self.n  # type: ignore[attr-defined]
+            and (
+                state.last_label is NIL  # type: ignore[attr-defined]
+                or state.last_label in range(1, self.n + 1)  # type: ignore[attr-defined]
+            )
+        )
+
+    def _sub_code(self, value: Value) -> int:
+        sub = self._sub_codes.get(value)
+        if sub is None:
+            sub = len(self._values)
+            if sub > self._field_mask:
+                raise CodecOverflowError(
+                    f"packed encoding overflow: a {self.n}-PAC state code "
+                    f"holds at most {self._field_mask} distinct proposal "
+                    f"values; {value!r} would be value {sub}"
+                )
+            self._sub_codes[value] = sub
+            self._values.append(value)
+        return sub
 
 
 def permute_pac_state(state: Hashable, perm: Sequence[int]) -> "PacState":

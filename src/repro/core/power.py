@@ -27,8 +27,8 @@ Known-power constructors provided, each annotated with its source:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from ..errors import SpecificationError
 from ..types import require

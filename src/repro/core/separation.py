@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence, Tuple
 
 from ..errors import InvalidOperationError, SpecificationError
-from ..types import Operation, Value, op, require
+from ..types import Operation, op, require
 from ..objects.spec import Outcome, SequentialSpec, expect_arity, reject_unknown
 from .combined import CombinedPacSpec
 from .power import SetAgreementPower, on_power

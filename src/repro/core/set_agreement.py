@@ -26,7 +26,7 @@ deterministic, O is a 2-SA object") depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Sequence, Tuple, Union
 
 from ..errors import InvalidOperationError, SpecificationError
 from ..types import BOTTOM, Operation, Value, is_special, require

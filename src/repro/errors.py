@@ -131,6 +131,18 @@ class ServerOverloadedError(ReproError):
     """
 
 
+class CodecOverflowError(AnalysisError):
+    """A structural object code has no room for a state.
+
+    Raised by a spec's packed codec (the ``n``-PAC object's
+    :class:`~repro.core.pac.PacCodec`) when a state needs a field value
+    its layout cannot hold. :class:`~repro.analysis.explorer.Explorer`
+    catches it, rebuilds its code space with first-seen object codes
+    (every configuration id kept) and repeats the call, so a request
+    never sees it.
+    """
+
+
 class KernelUnavailableError(AnalysisError):
     """A specific exploration backend was requested but cannot run.
 

@@ -20,7 +20,7 @@ now records ``fallbacks``/``diverged`` and raises
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..engine import Finding, ModuleContext, Rule, register
 

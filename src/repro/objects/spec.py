@@ -27,7 +27,7 @@ explorer can memoize.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Sequence, Tuple
+from typing import Any, Hashable, Optional, Sequence, Tuple
 
 from ..errors import InvalidOperationError
 from ..types import Operation, Value
@@ -116,6 +116,21 @@ class SequentialSpec(ABC):
             state, response = self.apply(state, operation, choice)
             collected.append(response)
         return state, tuple(collected)
+
+    def packed_codec(self, bits: int) -> Optional[Any]:
+        """A fresh structural code for this object's states, or None.
+
+        The model checker's encoder asks once per explorer and object
+        slot, with the slot's width in ``bits``. A codec answers
+        ``code(state)`` (allocating), ``peek(state)`` (None rather than
+        allocate), ``state(code)`` and ``footprint(operation)``: the
+        mask of the code bits ``operation`` reads or writes. States
+        equal under an operation's footprint must get the same
+        responses and the same new bits under it, and no bit outside
+        it may change. None, the default, keeps the slot's dense
+        first-seen codes and keys every step on the whole state.
+        """
+        return None
 
     def operation_names(self) -> Tuple[str, ...]:
         """Names of the operations this object supports (for docs/tools).

@@ -19,8 +19,8 @@ experiment harness can run them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Tuple
 
 from ..errors import SpecificationError
 from ..types import BOTTOM, ProcessId, Value, op, require

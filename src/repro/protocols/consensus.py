@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Hashable, List, Sequence
 
 from ..errors import SpecificationError
-from ..types import BOTTOM, NIL, ProcessId, Value, op, require
+from ..types import NIL, ProcessId, Value, op, require
 from ..runtime.events import Action, Decide, Invoke
 from ..runtime.process import ProcessAutomaton
 

@@ -23,16 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Generator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence
 
 from ..objects.base import ResponseOracle
 from ..objects.spec import SequentialSpec

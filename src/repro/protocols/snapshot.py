@@ -28,7 +28,7 @@ classical construction (experiment-grade test:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from ..errors import InvalidOperationError, SpecificationError
 from ..objects.register import RegisterSpec

@@ -19,15 +19,16 @@ printer. Now every entry point produces one :class:`Report`:
   (:mod:`repro.obs.metrics`), attached by the CLI driver; deterministic
   across ``--jobs`` by construction.
 
-``to_dict()``/``from_dict()`` round-trip losslessly; ``--format json``
-on any command is exactly ``to_json()`` of the command's report.
+``to_dict()`` is the JSON envelope, with every field under a stable
+name; ``--format json`` on any command is exactly ``to_json()`` of the
+command's report.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Report JSON layout version; bumped when field names change.
 REPORT_SCHEMA = 1
@@ -60,15 +61,6 @@ class Finding:
             "detail": self.detail,
             "data": dict(self.data),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Finding":
-        return cls(
-            kind=payload["kind"],
-            subject=payload["subject"],
-            detail=payload.get("detail", ""),
-            data=dict(payload.get("data", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -113,26 +105,6 @@ class Report:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Report":
-        if payload.get("schema") != REPORT_SCHEMA:
-            raise ValueError(
-                f"unsupported report schema: {payload.get('schema')!r}"
-            )
-        return cls(
-            command=payload["command"],
-            status=payload["status"],
-            exit_code=payload["exit_code"],
-            summary=payload.get("summary", ""),
-            body=tuple(payload.get("body", ())),
-            findings=tuple(
-                Finding.from_dict(entry)
-                for entry in payload.get("findings", ())
-            ),
-            data=dict(payload.get("data", {})),
-            metrics=dict(payload.get("metrics", {})),
-        )
 
 
 def _jsonable(value: Any) -> Any:

@@ -24,7 +24,7 @@ outcome the adversary chose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 from ..types import Operation, ProcessId, Value
 

@@ -19,7 +19,7 @@ Two granularities matter in this library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..types import Operation, ProcessId, Value

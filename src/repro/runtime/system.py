@@ -16,7 +16,7 @@ supplied predicate fires.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import InvalidOperationError, ProtocolError, SchedulingError
 from ..objects.base import FirstOutcomeOracle, ResponseOracle, SharedObject

@@ -49,7 +49,7 @@ from ..errors import (
     error_report,
     http_status_for,
 )
-from .jobs import EVENT_STREAM_END, Job, JobManager
+from .jobs import EVENT_STREAM_END, JobManager
 
 __all__ = ["ServerConfig", "ReproServer", "run_server"]
 

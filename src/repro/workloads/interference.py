@@ -13,7 +13,7 @@ and measures abort/retry dynamics.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..runtime.scheduler import RoundRobinScheduler, Scheduler
 from ..types import ProcessId

@@ -165,11 +165,10 @@ class TestExplore:
 
 
 class TestMissPath:
-    """The kernel's first-miss callback answers the process side of a
-    delta row from a table keyed by ``(pid, local code, choice,
-    response)``: the n-PAC object changes state on nearly every step, so
-    the kernel's ``(pid, local, object)`` table rarely hits, but the
-    process side of its misses repeats constantly."""
+    """The kernel keys its delta table on ``(pid, local, object code &
+    footprint)``, and its first-miss callback answers the process side
+    of a delta row from a table keyed by ``(pid, local code, choice,
+    response)``."""
 
     @staticmethod
     def _count(monkeypatch, objects, processes, kernel):
@@ -210,8 +209,23 @@ class TestMissPath:
             kernel,
         )
         assert len(transitions) <= len(keys)
-        # The table earns its keep: misses outnumber process keys.
-        assert misses > 10 * len(keys)
+        # The process table earns its keep: footprint keys still miss
+        # more than five times per process key (113 misses, 20 keys).
+        assert misses > 5 * len(keys)
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    def test_algorithm2_keys_on_the_footprint(self, monkeypatch, kernel):
+        """A propose or decide touches ``upset``, ``L``, ``V[i]`` and
+        (decide) ``val``; keyed on those bits, the n=6 walk misses 162
+        times, where keying on the whole object state missed 3,857."""
+        misses, _keys, _transitions = self._count(
+            monkeypatch,
+            {"PAC": NPacSpec(6)},
+            algorithm2_processes((0, 1, 0, 1, 1, 0)),
+            kernel,
+        )
+        assert misses <= 300
+        assert misses < 3972 // 10  # configurations in the graph
 
     @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
     def test_2sa_candidate_process_side_once_per_key(self, monkeypatch, kernel):

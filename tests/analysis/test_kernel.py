@@ -75,7 +75,7 @@ def _slot_sizes(encoder):
     return (
         tuple(len(values) for values in encoder._local_values),
         len(encoder._status_values),
-        tuple(len(values) for values in encoder._object_values),
+        tuple(len(codec._values) for codec in encoder.codecs),
     )
 
 

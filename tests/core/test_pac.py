@@ -282,7 +282,7 @@ class TestPacStateContract:
             code = encoder.object_code(0, state)
             assert encoder.object_code(0, twin) == code
             assert encoder.object_value(0, code) is state
-        assert len(encoder._object_values[0]) == len(self._states())
+        assert len(encoder.codecs[0]._values) == len(self._states())
 
     def test_unequal_fields_unequal_states(self):
         states = self._states()

@@ -130,10 +130,10 @@ class TestErrorReport:
 
     def test_round_trips_through_report_json(self):
         from repro.errors import ServerOverloadedError, error_report
-        from repro.reports import Report
+        from tests.test_reports import report_from_dict
 
         report = error_report("serve", ServerOverloadedError("queue full"))
-        rebuilt = Report.from_dict(json.loads(report.to_json()))
+        rebuilt = report_from_dict(json.loads(report.to_json()))
         assert rebuilt.data["error_code"] == "OVERLOADED"
         assert rebuilt.exit_code == 7
 

@@ -33,6 +33,35 @@ ENVELOPE_KEYS = {
 }
 
 
+def finding_from_dict(payload):
+    """The :class:`Finding` a ``to_dict()`` payload describes."""
+    return Finding(
+        kind=payload["kind"],
+        subject=payload["subject"],
+        detail=payload.get("detail", ""),
+        data=dict(payload.get("data", {})),
+    )
+
+
+def report_from_dict(payload):
+    """The :class:`Report` a ``to_dict()`` envelope describes: the
+    inverse the round-trip tests check ``to_dict`` against."""
+    if payload.get("schema") != REPORT_SCHEMA:
+        raise ValueError(f"unsupported report schema: {payload.get('schema')!r}")
+    return Report(
+        command=payload["command"],
+        status=payload["status"],
+        exit_code=payload["exit_code"],
+        summary=payload.get("summary", ""),
+        body=tuple(payload.get("body", ())),
+        findings=tuple(
+            finding_from_dict(entry) for entry in payload.get("findings", ())
+        ),
+        data=dict(payload.get("data", {})),
+        metrics=dict(payload.get("metrics", {})),
+    )
+
+
 def _sample_report():
     return Report(
         command="check-algorithm2",
@@ -56,11 +85,11 @@ def _sample_report():
 class TestRoundTrip:
     def test_report_survives_json(self):
         report = _sample_report()
-        assert Report.from_dict(json.loads(report.to_json())) == report
+        assert report_from_dict(json.loads(report.to_json())) == report
 
     def test_finding_survives_dict(self):
         finding = Finding(kind="lint", subject="R001", data={"line": 4})
-        assert Finding.from_dict(finding.to_dict()) == finding
+        assert finding_from_dict(finding.to_dict()) == finding
 
     def test_dict_layout_is_the_envelope(self):
         payload = _sample_report().to_dict()
@@ -77,7 +106,7 @@ class TestRoundTrip:
         payload = _sample_report().to_dict()
         payload["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
-            Report.from_dict(payload)
+            report_from_dict(payload)
 
     def test_tuples_in_data_become_lists(self):
         report = Report(command="x", data={"inputs": (0, 1)})
