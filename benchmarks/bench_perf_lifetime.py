@@ -38,7 +38,7 @@ import time
 import tracemalloc
 
 from _perf_report import perf_scale, record, timed
-from repro import api
+from repro.api import ExploreRequest, VerifyRequest, execute
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.kernel import compiled_available
 
@@ -84,13 +84,13 @@ def _sweep(n, assignments):
     symmetry-reduced, then one reduced verify at ``n - 1``."""
     total = reduced = 0
     for inputs in assignments:
-        report = api.explore(n=n, inputs=inputs)
+        report = execute(ExploreRequest(n=n, inputs=inputs))
         assert report.ok
         total += report.data["configurations"]
-        report = api.explore(n=n, inputs=inputs, symmetry=True)
+        report = execute(ExploreRequest(n=n, inputs=inputs, symmetry=True))
         assert report.ok
         reduced += report.data["configurations"]
-    assert api.verify(n=n - 1, jobs=1, symmetry=True).ok
+    assert execute(VerifyRequest(n=n - 1, symmetry=True)).ok
     return total, reduced
 
 

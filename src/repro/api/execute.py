@@ -1,8 +1,7 @@
 """One executor for every typed request: :func:`execute`.
 
-The four phase bodies (moved here from the pre-request ``repro/api.py``)
-are private; everything — the keyword-only façade wrappers, the CLI
-adapters, the server's job runner — funnels through
+The four phase bodies are private; every caller — the CLI commands,
+the server's job runner, library code — funnels through
 ``execute(request)``:
 
 * opens an observation session (joining the ambient one when the CLI
@@ -12,11 +11,11 @@ adapters, the server's job runner — funnels through
   :class:`repro.reports.Report` with the session's metrics snapshot
   embedded.
 
-``execute`` raises on failure (preserving the façade's exception
-semantics); callers that must always produce an envelope — the server's
-job runner, the CLI driver — catch :class:`repro.errors.ReproError`
-and fold it through :func:`repro.errors.error_report`, which is how the
-error taxonomy reaches HTTP statuses and exit codes from one table.
+``execute`` raises on failure; callers that must always produce an
+envelope — the server's job runner, the CLI driver — catch
+:class:`repro.errors.ReproError` and fold it through
+:func:`repro.errors.error_report`, which is how the error taxonomy
+reaches HTTP statuses and exit codes from one table.
 """
 
 from __future__ import annotations
@@ -40,20 +39,19 @@ __all__ = ["execute"]
 def execute(request: Request, *, trace: Optional[Any] = None) -> Report:
     """Run one typed request to its Report.
 
-    ``trace`` overrides ``request.options.trace`` — a filesystem path
-    (or any object with ``write``) receiving the run's JSONL trace;
-    the server passes each job's spool file here so subscribers can
-    stream the tracer's spans and events as they happen.
+    ``trace`` is a filesystem path (or any object with ``write``)
+    receiving the run's JSONL trace. The server passes each job's spool
+    file here so subscribers can stream the tracer's spans and events
+    as they happen; the CLI's ``--trace`` opens the ambient session
+    this call joins instead.
     """
     body = _BODIES.get(type(request))
     if body is None:
         raise InvalidRequestError(
             f"not an executable request: {request!r}"
         )
-    options = request.options  # type: ignore[attr-defined]
-    trace_path = trace if trace is not None else options.trace
     with obs.session(
-        trace_path=trace_path, meta={"command": request.report_command}
+        trace_path=trace, meta={"command": request.report_command}
     ) as sess:
         report = body(request)
         return report.with_metrics(sess.snapshot())

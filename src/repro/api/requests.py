@@ -1,6 +1,6 @@
 """Typed request objects — the canonical form of every API question.
 
-The façade's four activities (verify / refute / fuzz / explore) are
+The API's four activities (verify / refute / fuzz / explore) are
 each described by one frozen dataclass here. A request splits cleanly
 into two kinds of field:
 
@@ -9,10 +9,11 @@ into two kinds of field:
   produce byte-identical Report bodies, by the library's determinism
   contract.
 * :class:`ExecutionOptions` — *how* the answer is computed (``jobs``,
-  ``cache``, ``trace``). Every option is
-  observable-identical by contract, so options are deliberately
-  **excluded** from the fingerprint: a pooled run coalesces with a
-  serial run, a traced one with an untraced one.
+  ``cache``, ``cache_dir``). Every option is observable-identical by
+  contract, so options are deliberately **excluded** from the
+  fingerprint: a pooled run coalesces with a serial one. A trace is
+  not an option at all; it is :func:`repro.api.execute`'s ``trace=``
+  argument.
 
 :meth:`Request.fingerprint` renders the semantic fields through the
 exploration cache's canonicalizer and sha256 scheme
@@ -89,22 +90,24 @@ def _check_opt_str(name: str, value: Any) -> None:
 class ExecutionOptions:
     """How a request is executed — never *what* it answers.
 
+    ``jobs`` is the worker-process count (``1`` runs inline); ``cache``
+    and ``cache_dir`` select the content-addressed exploration cache.
     Every knob here is observable-identical by the library's
-    determinism contract (reports are byte-identical across ``jobs``,
-    cache states, and tracing), so none of them participates
-    in :meth:`Request.fingerprint`.
+    determinism contract (reports are byte-identical across ``jobs``
+    and cache states), so none of them participates in
+    :meth:`Request.fingerprint`. ``repro serve`` refuses
+    ``cache_dir``: the server, not its client, owns the files it
+    writes.
     """
 
     jobs: int = 1
     cache: bool = False
     cache_dir: Optional[str] = None
-    trace: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_int("jobs", self.jobs, 1)
         _check_bool("cache", self.cache)
         _check_opt_str("cache_dir", self.cache_dir)
-        _check_opt_str("trace", self.trace)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -175,16 +178,6 @@ class Request:
 
         return fingerprint(command=self.command, **self.semantic_fields())
 
-    @property
-    def cacheable(self) -> bool:
-        """May a completed Report be replayed for an equal fingerprint?
-
-        True for every pure request; :class:`FuzzRequest` with a
-        ``corpus_dir`` is the one impure case (the corpus both seeds
-        and grows, so a later identical request may answer differently).
-        """
-        return True
-
     def to_dict(self) -> Dict[str, Any]:
         """Lossless wire form: semantic fields + nested options."""
         payload: Dict[str, Any] = {"command": self.command}
@@ -249,7 +242,12 @@ class RefuteRequest(Request):
 
 @dataclass(frozen=True)
 class FuzzRequest(Request):
-    """Seeded coverage-guided schedule/response fuzzing."""
+    """Seeded coverage-guided schedule/response fuzzing.
+
+    ``corpus_dir`` persists the campaign's corpus across runs; ``repro
+    serve`` refuses it, so every served answer is a pure function of
+    the request.
+    """
 
     command: ClassVar[str] = "fuzz"
     report_command: ClassVar[str] = "fuzz"
@@ -273,12 +271,6 @@ class FuzzRequest(Request):
         _check_opt_str("corpus_dir", self.corpus_dir)
         _check_bool("shrink", self.shrink)
         _check_int("max_steps", self.max_steps, 1)
-
-    @property
-    def cacheable(self) -> bool:
-        # A persistent corpus both seeds the campaign and absorbs its
-        # discoveries: the same request later is a different question.
-        return self.corpus_dir is None
 
 
 @dataclass(frozen=True)

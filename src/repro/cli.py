@@ -45,7 +45,8 @@ json`` prints the full serialized report, metrics snapshot included.
 Sweep commands (``check-algorithm2``, ``refute``, ``fuzz``) accept
 ``--jobs N`` to fan their independent instances over a worker pool;
 all paths report byte-identical results to the serial run. The heavy
-commands are thin adapters over :mod:`repro.api`.
+commands (``check-algorithm2``, ``refute``, ``fuzz``, ``explore``)
+build a typed request and run it through :func:`repro.api.execute`.
 
 Every command exits 0 on "the paper's claim reproduced" and 1
 otherwise, so the CLI doubles as a smoke-check in CI. Failures that
@@ -104,44 +105,50 @@ def _cmd_demo(_args: argparse.Namespace) -> Report:
 
 
 def _cmd_check_algorithm2(args: argparse.Namespace) -> Report:
-    from .api import verify
+    from .api import ExecutionOptions, VerifyRequest, execute
 
-    return verify(
-        n=args.n,
-        symmetry=bool(args.symmetry),
-        jobs=args.jobs,
-        cache=args.cache,
-        cache_dir=args.cache_dir,
+    return execute(
+        VerifyRequest(
+            n=args.n,
+            symmetry=args.symmetry,
+            options=ExecutionOptions(
+                jobs=args.jobs, cache=args.cache, cache_dir=args.cache_dir
+            ),
+        )
     )
 
 
 def _cmd_refute(args: argparse.Namespace) -> Report:
-    from .api import refute
+    from .api import ExecutionOptions, RefuteRequest, execute
 
-    return refute(
-        candidate=args.candidate,
-        jobs=args.jobs,
+    return execute(
+        RefuteRequest(
+            candidate=args.candidate,
+            options=ExecutionOptions(jobs=args.jobs),
+        )
     )
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> Report:
-    from .api import fuzz
+    from .api import ExecutionOptions, FuzzRequest, execute
 
-    return fuzz(
-        candidate=args.candidate,
-        algorithm2_n=args.algorithm2_n,
-        budget=args.budget,
-        seed=args.seed,
-        jobs=args.jobs,
-        shards=args.shards,
-        corpus_dir=args.corpus_dir,
-        shrink=args.shrink,
-        max_steps=args.max_steps,
+    return execute(
+        FuzzRequest(
+            candidate=args.candidate,
+            algorithm2_n=args.algorithm2_n,
+            budget=args.budget,
+            seed=args.seed,
+            shards=args.shards,
+            corpus_dir=args.corpus_dir,
+            shrink=args.shrink,
+            max_steps=args.max_steps,
+            options=ExecutionOptions(jobs=args.jobs),
+        )
     )
 
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
-    from .api import explore
+    from .api import ExecutionOptions, ExploreRequest, execute
 
     inputs = None
     if args.inputs is not None:
@@ -155,13 +162,16 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
             raise InvalidRequestError(
                 f"inputs must be comma-separated integers, got {args.inputs!r}"
             ) from None
-    return explore(
-        n=args.n,
-        inputs=inputs,
-        symmetry=bool(args.symmetry),
-        cache=args.cache,
-        cache_dir=args.cache_dir,
-        max_configurations=args.max_configurations,
+    return execute(
+        ExploreRequest(
+            n=args.n,
+            inputs=inputs,
+            symmetry=args.symmetry,
+            max_configurations=args.max_configurations,
+            options=ExecutionOptions(
+                cache=args.cache, cache_dir=args.cache_dir
+            ),
+        )
     )
 
 

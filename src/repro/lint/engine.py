@@ -454,7 +454,6 @@ def _error_payload(display: str, message: str) -> Dict[str, object]:
 
 def lint_paths(
     paths: Sequence[Path],
-    rules: Optional[Sequence[Rule]] = None,
     select: Optional[Iterable[str]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
@@ -465,12 +464,11 @@ def lint_paths(
     project rules alike). ``jobs`` fans phase 1 over worker processes;
     results merge in submission order, so findings are byte-identical
     for any job count. ``cache_dir`` enables the content-addressed
-    phase-1 cache (ignored when explicit ``rules`` instances are
-    passed — their behaviour is not captured by the fingerprint).
+    phase-1 cache.
     Files are visited in sorted order and findings sorted at the end,
     so reports are deterministic — the linter holds itself to R001.
     """
-    active_rules = list(rules) if rules is not None else all_rules()
+    active_rules = all_rules()
     if select is not None:
         wanted = {rule_id.upper() for rule_id in select}
         unknown = wanted - {rule.rule_id for rule in active_rules}
@@ -483,7 +481,7 @@ def lint_paths(
     rule_key = ",".join(rule_ids)
 
     cache = None
-    if cache_dir is not None and rules is None:
+    if cache_dir is not None:
         from ..analysis.cache import ExplorationCache
 
         cache = ExplorationCache(cache_dir)

@@ -158,7 +158,7 @@ def session(
     tables only when ``profile`` is set as well. With ``reuse`` (the
     default) an already-active session is yielded as-is instead of
     nesting — the pattern that lets
-    :mod:`repro.api` functions open sessions unconditionally while the
+    :func:`repro.api.execute` open sessions unconditionally while the
     CLI wraps them in one outer session.
     """
     if reuse and _STACK:

@@ -5,8 +5,8 @@ A stdlib-only asyncio HTTP/JSON server exposing the four phases
 
 * request **coalescing** — identical in-flight requests (by the typed
   request's canonical fingerprint) share one running job;
-* a bounded **warm result cache** — repeats of cacheable requests are
-  answered without touching an engine;
+* a bounded **warm result cache** — repeats are answered without
+  touching an engine;
 * **streaming traces** — ``GET /v1/jobs/<id>/events`` follows the
   job's JSONL observation trace live;
 * **bounded intake** — a job-queue cap and per-phase concurrency

@@ -11,11 +11,12 @@ ExecutionOptions` knobs). A submission whose fingerprint matches a
   job that is still queued or running attaches to that job instead of
   spawning a second identical run; all attached submitters await the
   same future and stream the same events.
-* **Warm results** — completed non-error reports of cacheable requests
-  land in a bounded :class:`~repro.serve.lru.LRUCache` keyed by the
-  same fingerprint, so repeats are answered in microseconds without
-  touching an engine. Fuzz jobs with a ``corpus_dir`` coalesce but are
-  never cached (the corpus grows between runs).
+* **Warm results** — completed non-error reports land in a bounded
+  :class:`~repro.serve.lru.LRUCache` keyed by the same fingerprint, so
+  repeats are answered in microseconds without touching an engine.
+  Every served request is pure: the server owns every file it writes,
+  so it refuses the client-chosen paths ``options.cache_dir`` and
+  ``corpus_dir`` (HTTP 400), and the only trace is its own spool file.
 * **Bounded intake** — at most ``max_queue`` jobs may be live
   (queued or running) and at most :data:`CLASS_LIMIT` of one phase
   may run concurrently; past either bound ``submit`` raises
@@ -106,7 +107,6 @@ class Job:
     report_command: str
     fingerprint: str
     payload: Dict[str, Any]
-    cacheable: bool
     trace_path: Optional[str]
     state: str = "queued"  # queued | running | done
     disposition: str = "new"  # new | cached (how this job came to be)
@@ -160,7 +160,6 @@ class Job:
             "state": self.state,
             "disposition": self.disposition,
             "waiters": self.waiters,
-            "cacheable": self.cacheable,
             "events": len(self.events),
             "events_dropped": self.events_dropped,
             "done": self.state == "done",
@@ -233,19 +232,18 @@ class JobManager:
         self.counters["submitted"] += 1
         fingerprint = request.fingerprint()
 
-        if request.cacheable:
-            cached = self.results.get(fingerprint)
-            if cached is not None:
-                self.counters["cache_hits"] += 1
-                job = self._make_job(request, fingerprint, spool=False)
-                job.state = "done"
-                job.disposition = "cached"
-                job.result = cached
-                job.future.set_result(cached)
-                job.publish_eof()
-                self._remember(job)
-                self._retire(job)
-                return job, "cached"
+        cached = self.results.get(fingerprint)
+        if cached is not None:
+            self.counters["cache_hits"] += 1
+            job = self._make_job(request, fingerprint, spool=False)
+            job.state = "done"
+            job.disposition = "cached"
+            job.result = cached
+            job.future.set_result(cached)
+            job.publish_eof()
+            self._remember(job)
+            self._retire(job)
+            return job, "cached"
 
         inflight = self._inflight.get(fingerprint)
         if inflight is not None:
@@ -273,19 +271,21 @@ class JobManager:
         return job, "new"
 
     def _parse(self, payload: Mapping[str, Any]) -> Request:
-        if not isinstance(payload, Mapping):
-            raise InvalidRequestError("request body must be a JSON object")
-        options = payload.get("options")
-        if isinstance(options, Mapping) and options.get("trace"):
-            # The trace channel belongs to the server's spool files —
-            # that is what /jobs/<id>/events streams. A client-supplied
-            # path would make the worker write inside the server host's
-            # filesystem at a caller-chosen location.
-            raise InvalidRequestError(
-                "options.trace is not accepted over the wire; "
-                "stream /jobs/<id>/events instead"
-            )
-        return request_from_dict(payload)
+        request = request_from_dict(payload)
+        options = request.options  # type: ignore[attr-defined]
+        # The server owns every file it writes. A client-chosen
+        # directory would let a caller write, and for the cache
+        # unpickle, at any path on the server host.
+        for name, value in (
+            ("options.cache_dir", options.cache_dir),
+            ("corpus_dir", getattr(request, "corpus_dir", None)),
+        ):
+            if value is not None:
+                raise InvalidRequestError(
+                    f"{name} is not accepted over the wire; "
+                    f"the server chooses where it writes"
+                )
+        return request
 
     def _make_job(
         self, request: Request, fingerprint: str, *, spool: bool
@@ -301,7 +301,6 @@ class JobManager:
             report_command=request.report_command,
             fingerprint=fingerprint,
             payload=dict(request.to_dict()),
-            cacheable=request.cacheable,
             trace_path=trace_path,
         )
 
@@ -370,7 +369,7 @@ class JobManager:
             self.counters["completed"] += 1
             if result.get("status") == "error":
                 self.counters["errors"] += 1
-            elif job.cacheable:
+            else:
                 self.results.put(job.fingerprint, result)
             if not job.future.done():
                 job.future.set_result(result)

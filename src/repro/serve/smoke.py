@@ -3,10 +3,10 @@
 Boots an in-process server, replays a mixed workload **twice**, and
 checks the service's contract rather than its speed:
 
-1. every served Report body is byte-identical to the Report the direct
-   :mod:`repro.api` call produces for the same request — the service
-   is a transport, not a different engine;
-2. the second pass of every cacheable request is answered from the
+1. every served Report body is byte-identical to the Report
+   :func:`repro.api.execute` produces in process for the same request
+   — the service is a transport, not a different engine;
+2. the second pass of every request is answered from the
    warm result cache (disposition ``cached``), and the bodies of the
    two passes are byte-identical — warm answers are the same answers;
 3. a burst of identical concurrent submissions coalesces onto one job
@@ -43,9 +43,9 @@ BURST = 6
 
 
 def _direct_body(command: str, fields: Dict[str, Any]) -> List[str]:
-    from .. import api
+    from ..api import execute, request_from_dict
 
-    report = getattr(api, command)(**fields)
+    report = execute(request_from_dict({"command": command, **fields}))
     return list(report.body)
 
 

@@ -362,7 +362,9 @@ RETAINED_LIMIT = 64 * 1024
 #: its request would show in full.
 _RETAINED_PROBE = """
 import gc, json, sys, tracemalloc
-from repro import api
+from repro.api import (
+    ExploreRequest, FuzzRequest, RefuteRequest, VerifyRequest, execute
+)
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import Explorer
 
@@ -376,28 +378,31 @@ def recording(self, *args, **kwargs):
 
 Explorer.__init__ = recording
 # Warm-up: lazy imports and one-off set-up, on other instances.
-api.explore(n=4, inputs=(0, 1, 1, 0))
-api.explore(n=4, inputs=(0, 1, 1, 0), symmetry=True)
-api.verify(n=3, jobs=1)
-api.verify(n=3, jobs=1, symmetry=True)
-api.refute(candidate="2-consensus from one 2-SA")
-api.fuzz(candidate="one 2-SA", seed=1, budget=20)
+for warm_up in (
+    ExploreRequest(n=4, inputs=(0, 1, 1, 0)),
+    ExploreRequest(n=4, inputs=(0, 1, 1, 0), symmetry=True),
+    VerifyRequest(n=3),
+    VerifyRequest(n=3, symmetry=True),
+    RefuteRequest(candidate="2-consensus from one 2-SA"),
+    FuzzRequest(candidate="one 2-SA", seed=1, budget=20),
+):
+    execute(warm_up)
 requests = {
-    "explore": lambda: api.explore(n=5, inputs=(1, 0, 1, 1, 0)),
-    "explore-reduced": lambda: api.explore(
+    "explore": ExploreRequest(n=5, inputs=(1, 0, 1, 1, 0)),
+    "explore-reduced": ExploreRequest(
         n=5, inputs=(0, 1, 1, 1, 0), symmetry=True
     ),
-    "verify": lambda: api.verify(n=4, jobs=1),
-    "verify-reduced": lambda: api.verify(n=4, jobs=1, symmetry=True),
-    "refute": lambda: api.refute(),
-    "fuzz": lambda: api.fuzz(candidate="one 2-SA", seed=7, budget=50),
+    "verify": VerifyRequest(n=4),
+    "verify-reduced": VerifyRequest(n=4, symmetry=True),
+    "refute": RefuteRequest(),
+    "fuzz": FuzzRequest(candidate="one 2-SA", seed=7, budget=50),
 }
 retained = {}
 for name, request in requests.items():
     gc.collect()
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    assert request().ok, name
+    assert execute(request).ok, name
     gc.collect()
     retained[name] = tracemalloc.get_traced_memory()[0] - before
     tracemalloc.stop()

@@ -1,9 +1,9 @@
 """The typed request model behind :mod:`repro.api`.
 
-Three contracts:
+Four contracts:
 
-* the keyword-only façade functions are *exactly* request + execute —
-  same reports, byte for byte;
+* :func:`~repro.api.execute` runs every request type to its Report,
+  metrics snapshot included;
 * fingerprints cover the semantic fields and nothing else — every
   :class:`ExecutionOptions` knob is invisible to them (that is what
   lets the server coalesce a pooled run with a serial one), while any
@@ -30,21 +30,45 @@ from repro.api import (
     execute,
     request_from_dict,
 )
-from repro import api
 from repro.errors import InvalidRequestError
+from repro.reports import Report
+
+
+class TestBehaviour:
+    def test_verify_returns_an_ok_report_with_metrics(self):
+        report = execute(VerifyRequest(n=2))
+        assert isinstance(report, Report)
+        assert report.ok
+        assert report.metrics["counters"]["verify.instances"] == 4
+        assert report.body
+
+    def test_explore_reports_the_graph(self):
+        report = execute(ExploreRequest(n=2))
+        assert report.ok
+        assert report.metrics["counters"]["explorer.explorations"] == 1
+
+    def test_refute_single_candidate(self):
+        report = execute(RefuteRequest(candidate="one 2-SA"))
+        assert report.ok
+        assert report.findings == ()
+
+    def test_fuzz_clean_candidate(self):
+        report = execute(
+            FuzzRequest(candidate="2-consensus from queue", seed=1, budget=50)
+        )
+        assert report.ok
+        assert report.metrics["counters"]["fuzz.executions"] > 0
+
+    def test_positional_arguments_are_rejected(self):
+        # The trace sink is keyword-only: a second positional argument
+        # could be mistaken for an option.
+        with pytest.raises(TypeError):
+            execute(VerifyRequest(n=2), "trace.jsonl")  # type: ignore[misc]
 
 
 class TestFacadeEquivalence:
-    def test_verify_wrapper_is_request_plus_execute(self):
-        via_wrapper = api.verify(n=2, symmetry=True)
-        via_request = execute(VerifyRequest(n=2, symmetry=True))
-        assert via_wrapper.body == via_request.body
-        assert via_wrapper.to_dict() == via_request.to_dict()
-
-    def test_explore_wrapper_is_request_plus_execute(self):
-        via_wrapper = api.explore(n=2)
-        via_request = execute(ExploreRequest(n=2))
-        assert via_wrapper.to_dict() == via_request.to_dict()
+    """Each request type renders as its CLI command, and ``execute``
+    runs request types only."""
 
     def test_report_commands_match_cli_names(self):
         assert VerifyRequest.report_command == "check-algorithm2"
@@ -70,7 +94,6 @@ class TestFingerprints:
             ExecutionOptions(jobs=4),
             ExecutionOptions(cache=True),
             ExecutionOptions(cache=True, cache_dir="/tmp/elsewhere"),
-            ExecutionOptions(trace="/tmp/trace.jsonl"),
         ):
             assert (
                 VerifyRequest(n=3, options=options).fingerprint()
@@ -115,17 +138,6 @@ class TestFingerprints:
         )
 
 
-class TestCacheability:
-    def test_pure_requests_are_cacheable(self):
-        assert VerifyRequest(n=2).cacheable
-        assert RefuteRequest().cacheable
-        assert ExploreRequest(n=2).cacheable
-        assert FuzzRequest(candidate="x").cacheable
-
-    def test_corpus_backed_fuzz_is_not(self):
-        assert not FuzzRequest(candidate="x", corpus_dir="/tmp/c").cacheable
-
-
 class TestValidation:
     @pytest.mark.parametrize(
         "build",
@@ -147,6 +159,8 @@ class TestValidation:
             lambda: ExecutionOptions.from_dict({"kernel_tables": "on"}),
             lambda: ExecutionOptions.from_dict({"kernel_threads": 2}),
             lambda: ExecutionOptions(cache="yes"),
+            # The trace sink is execute's argument, not an option.
+            lambda: ExecutionOptions.from_dict({"trace": "t.jsonl"}),
         ],
     )
     def test_bad_fields_raise_before_any_engine(self, build):

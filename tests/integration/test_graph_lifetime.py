@@ -17,7 +17,13 @@ import weakref
 
 import pytest
 
-from repro import api
+from repro.api import (
+    ExploreRequest,
+    FuzzRequest,
+    RefuteRequest,
+    VerifyRequest,
+    execute,
+)
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import Explorer
 from repro.analysis.kernel import PyKernel, compiled_available
@@ -27,10 +33,10 @@ AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
 )
 
 REQUESTS = {
-    "explore": lambda: api.explore(n=4, inputs=(0, 1, 1, 0)),
-    "verify": lambda: api.verify(n=3, jobs=1),
-    "refute": lambda: api.refute(),
-    "fuzz": lambda: api.fuzz(candidate="one 2-SA", seed=1, budget=50),
+    "explore": ExploreRequest(n=4, inputs=(0, 1, 1, 0)),
+    "verify": VerifyRequest(n=3),
+    "refute": RefuteRequest(),
+    "fuzz": FuzzRequest(candidate="one 2-SA", seed=1, budget=50),
 }
 
 
@@ -73,7 +79,7 @@ def test_request_frees_every_explorer_and_kernel(
 
     monkeypatch.setattr(Explorer, "__init__", recording)
     kernels_before = _live_kernels()
-    report = REQUESTS[command]()
+    report = execute(REQUESTS[command])
     assert report.ok
     assert created, "the request built no explorer"
     assert {name for _ref, name in created} == {kernel}
@@ -109,7 +115,7 @@ def test_inline_fuzz_request_builds_one_explorer(
     monkeypatch.setattr(Explorer, "__init__", recording)
     monkeypatch.setattr(candidates_mod, "all_candidates", counting_suite)
     kernels_before = _live_kernels()
-    report = api.fuzz(candidate="one 2-SA", seed=1, budget=100)
+    report = execute(FuzzRequest(candidate="one 2-SA", seed=1, budget=100))
     assert report.ok
     assert report.metrics["counters"]["pool.items"] == 4
     assert len(created) == 1

@@ -23,20 +23,25 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro import api
 from repro.analysis.cache import ExplorationCache, fingerprint
 from repro.analysis.parallel import VerificationPool, WorkItem
+from repro.api import ExecutionOptions, ExploreRequest, VerifyRequest, execute
 from repro.api.execute import algorithm2_instance_check
-from repro.api.requests import ExploreRequest
 from repro.cli import main
 from repro.lint.engine import lint_paths
 from repro.protocols.tasks import DacDecisionTask
 
 HIT = " [cache hit]"
+
+
+def _cache(root):
+    """Options that read and write the exploration cache under ``root``."""
+    return ExecutionOptions(cache=True, cache_dir=str(root))
 
 
 def _sweep_digest(results):
@@ -91,12 +96,11 @@ def _repro(*argv, seed="0"):
 class TestWarmEqualsCold:
     def test_warm_reports_equal_cold(self, tmp_path):
         for n, inputs in [(2, (1, 0)), (3, (1, 0, 0)), (4, (0, 1, 1, 0))]:
-            cached = dict(
-                n=n, inputs=inputs, cache=True, cache_dir=str(tmp_path)
-            )
-            cold = api.explore(**cached)
-            warm = api.explore(**cached)
-            plain = api.explore(n=n, inputs=inputs)
+            plain = ExploreRequest(n=n, inputs=inputs)
+            cached = replace(plain, options=_cache(tmp_path))
+            cold = execute(cached)
+            warm = execute(cached)
+            plain = execute(plain)
             assert cold.data["cache_hit"] is False
             assert warm.data["cache_hit"] is True
             assert warm.summary == cold.summary + HIT
@@ -124,27 +128,28 @@ class TestWarmEqualsCold:
 
 class TestExploreRecords:
     def test_budget_is_part_of_the_key(self, tmp_path):
-        options = dict(n=4, cache=True, cache_dir=str(tmp_path))
-        bounded = api.explore(max_configurations=50, **options)
+        request = ExploreRequest(n=4, options=_cache(tmp_path))
+        bounded_request = replace(request, max_configurations=50)
+        bounded = execute(bounded_request)
         assert (bounded.data["configurations"], bounded.data["complete"]) == (
             50,
             False,
         )
         # A truncated record is never served to an unbounded request.
-        unbounded = api.explore(**options)
+        unbounded = execute(request)
         assert unbounded.data["cache_hit"] is False
         assert unbounded.data["complete"] is True
         assert unbounded.data["configurations"] > 50
         assert ExplorationCache(tmp_path).stats().entries == 2
-        warm_bounded = api.explore(max_configurations=50, **options)
+        warm_bounded = execute(bounded_request)
         assert warm_bounded.data["cache_hit"] is True
         assert _without_hit(warm_bounded) == _without_hit(bounded)
-        assert api.explore(**options).data["cache_hit"] is True
+        assert execute(request).data["cache_hit"] is True
 
     @pytest.mark.parametrize("damage", ["truncate", "bit-flip"])
     def test_damaged_record_recomputes(self, tmp_path, damage):
-        options = dict(n=3, cache=True, cache_dir=str(tmp_path))
-        cold = api.explore(**options)
+        request = ExploreRequest(n=3, options=_cache(tmp_path))
+        cold = execute(request)
         [path] = ExplorationCache(tmp_path)._entry_files()
         raw = bytearray(path.read_bytes())
         if damage == "truncate":
@@ -152,12 +157,12 @@ class TestExploreRecords:
         else:
             raw[len(raw) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
-        again = api.explore(**options)
+        again = execute(request)
         assert again.status == "ok"
         assert again.data["cache_hit"] is False
         assert again.metrics["counters"]["cache.corrupt_entries"] == 1
         assert _without_hit(again) == _without_hit(cold)
-        assert api.explore(**options).data["cache_hit"] is True
+        assert execute(request).data["cache_hit"] is True
 
 
 class TestWrongShapedRecords:
@@ -235,10 +240,11 @@ class TestSharedSweep:
     ``cached_sweep``: cold == warm == uncached, and warm runs nothing."""
 
     def test_verify(self, tmp_path):
-        cached = dict(n=3, cache=True, cache_dir=str(tmp_path))
-        plain = api.verify(n=3)
-        cold = api.verify(jobs=2, **cached)
-        warm = api.verify(**cached)
+        plain = execute(VerifyRequest(n=3))
+        cold = execute(
+            VerifyRequest(n=3, options=replace(_cache(tmp_path), jobs=2))
+        )
+        warm = execute(VerifyRequest(n=3, options=_cache(tmp_path)))
         assert cold.data["cache"] == {"hits": 0, "misses": 8}
         assert warm.data["cache"] == {"hits": 8, "misses": 0}
         assert "cache.stores" not in warm.metrics["counters"]
@@ -275,15 +281,15 @@ class TestSharedSweep:
             "algorithm2_instance_check",
             flaky_check,
         )
-        cached = dict(n=2, cache=True, cache_dir=str(tmp_path))
-        failed = api.verify(**cached)
+        cached = VerifyRequest(n=2, options=_cache(tmp_path))
+        failed = execute(cached)
         assert failed.status == "error"
         assert failed.summary == (
             "ERROR at inputs (0, 0): RuntimeError: worker lost"
         )
         assert failed.metrics["counters"]["cache.stores"] == 3
         monkeypatch.undo()
-        fixed = api.verify(**cached)
+        fixed = execute(cached)
         assert fixed.status == "ok"
         assert fixed.data["cache"] == {"hits": 3, "misses": 1}
         assert fixed.metrics["counters"]["cache.stores"] == 1

@@ -68,23 +68,6 @@ class TestCacheGranularity:
             f.as_dict() for f in cold.findings
         ]
 
-    def test_cache_ignored_for_custom_rule_instances(self, tmp_path):
-        # Explicit rule objects are not captured by the fingerprint, so
-        # the engine must not serve them cached payloads.
-        class Nope(Rule):
-            rule_id = "R999"
-            severity = "error"
-            title = "never fires"
-
-            def check(self, module):
-                return iter(())
-
-        cache = str(tmp_path / "cache")
-        lint_paths([PROJECT], cache_dir=cache)
-        report = lint_paths([PROJECT], rules=[Nope()], cache_dir=cache)
-        assert report.findings == []
-        assert report.cache_hits == 0
-
 
 class TestInterproceduralVisibility:
     """The acceptance criterion: every R10x violation is flagged by the

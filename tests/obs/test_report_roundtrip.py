@@ -2,7 +2,7 @@
 
 import json
 
-from repro import api
+from repro.api import VerifyRequest, execute
 from repro.cli import main
 from repro.obs.report import (
     render_text,
@@ -14,7 +14,7 @@ from repro.obs.schema import load_trace
 
 def _write_trace(tmp_path):
     path = tmp_path / "verify.jsonl"
-    report = api.verify(n=2, trace=str(path))
+    report = execute(VerifyRequest(n=2), trace=str(path))
     assert report.ok
     return str(path)
 

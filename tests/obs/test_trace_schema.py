@@ -8,7 +8,7 @@ nondeterminism a trace may contain.
 
 import pytest
 
-from repro import api
+from repro.api import VerifyRequest, execute
 from repro.obs.schema import (
     RECORD_FIELDS,
     VOLATILE_FIELDS,
@@ -38,7 +38,7 @@ def strip_volatile(record):
 
 def _verify_trace(tmp_path, name):
     path = tmp_path / name
-    report = api.verify(n=2, trace=str(path))
+    report = execute(VerifyRequest(n=2), trace=str(path))
     assert report.ok
     return load_trace(str(path))
 

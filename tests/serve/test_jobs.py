@@ -27,6 +27,27 @@ def _manager(**overrides):
 
 VERIFY2 = {"command": "verify", "n": 2}
 
+#: One payload per field naming a server-side path, each pointing into
+#: the directory it is given. The server owns every file it writes.
+CLIENT_PATHS = {
+    "trace": lambda root: {
+        "command": "verify",
+        "n": 2,
+        "options": {"trace": str(root / "trace.jsonl")},
+    },
+    "cache_dir": lambda root: {
+        "command": "explore",
+        "n": 2,
+        "options": {"cache": True, "cache_dir": str(root)},
+    },
+    "corpus_dir": lambda root: {
+        "command": "fuzz",
+        "candidate": "one 2-SA",
+        "budget": 20,
+        "corpus_dir": str(root),
+    },
+}
+
 
 class TestSubmission:
     def test_new_job_runs_to_an_ok_report(self):
@@ -115,22 +136,19 @@ class TestSubmission:
 
         _run(scenario())
 
-    def test_client_supplied_trace_is_rejected(self):
+    @pytest.mark.parametrize("field", sorted(CLIENT_PATHS))
+    def test_client_chosen_path_is_rejected(self, tmp_path, field):
         async def scenario():
             manager = _manager()
             try:
-                with pytest.raises(InvalidRequestError):
-                    manager.submit(
-                        {
-                            "command": "verify",
-                            "n": 2,
-                            "options": {"trace": "/tmp/owned"},
-                        }
-                    )
+                with pytest.raises(InvalidRequestError, match=field):
+                    manager.submit(CLIENT_PATHS[field](tmp_path))
+                assert manager.counters["submitted"] == 0
             finally:
                 await manager.close()
 
         _run(scenario())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBounds:
@@ -258,27 +276,6 @@ class TestErrorsAndEvents:
         assert report["data"]["error_code"] == "INVALID_REQUEST"
         report = run_job_worker({"command": "launch"}, None)
         assert report["data"]["error_code"] == "INVALID_REQUEST"
-
-    def test_fuzz_with_corpus_dir_is_never_cached(self, tmp_path):
-        async def scenario():
-            manager = _manager()
-            try:
-                payload = {
-                    "command": "fuzz",
-                    "candidate": "2-consensus from queue",
-                    "budget": 20,
-                    "seed": 1,
-                    "corpus_dir": str(tmp_path / "corpus"),
-                }
-                first, _ = manager.submit(payload)
-                await first.future
-                second, disposition = manager.submit(payload)
-                assert disposition == "new"
-                await second.future
-            finally:
-                await manager.close()
-
-        _run(scenario())
 
     def test_killed_worker_fails_inflight_jobs_and_the_pool_recovers(self):
         async def scenario():

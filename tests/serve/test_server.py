@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro import api
+from repro.api import VerifyRequest, execute
 from repro.serve import ServeClient, ServerConfig
 from repro.serve.testing import BackgroundServer
 
@@ -33,7 +33,7 @@ class TestPhaseEndpoints:
     def test_verify_report_matches_direct_api_call(self, client):
         response = client.verify(n=2)
         assert response.status == 200
-        direct = api.verify(n=2)
+        direct = execute(VerifyRequest(n=2))
         assert response.payload["body"] == list(direct.body)
         assert response.payload["summary"] == direct.summary
         assert response.payload["schema"] == 1
@@ -96,9 +96,28 @@ class TestErrorMapping:
         assert response.status == 400
         assert response.payload["data"]["error_code"] == "INVALID_REQUEST"
 
-    def test_client_supplied_trace_is_rejected(self, client):
-        response = client.verify(n=2, options={"trace": "/tmp/x"})
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("verify", lambda root: {"options": {"trace": f"{root}/t.jsonl"}}),
+            (
+                "explore",
+                lambda root: {"options": {"cache": True, "cache_dir": str(root)}},
+            ),
+            ("fuzz", lambda root: {"budget": 20, "corpus_dir": str(root)}),
+        ],
+        ids=["trace", "cache_dir", "corpus_dir"],
+    )
+    def test_client_chosen_path_is_rejected(
+        self, client, tmp_path, command, fields
+    ):
+        # The server owns every file it writes: a trace, an exploration
+        # cache (whose entries it would unpickle) or a fuzz corpus at a
+        # client-chosen path is refused before any job runs.
+        response = client.submit(command, **fields(tmp_path))
         assert response.status == 400
+        assert response.payload["data"]["error_code"] == "INVALID_REQUEST"
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatched_endpoint_command_is_400(self, client):
         response = client.request(

@@ -1,6 +1,9 @@
 """Public-API hygiene: everything exported must resolve and be stable."""
 
+import inspect
 import pickle
+import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -96,3 +99,66 @@ class TestValuePickling:
         clone = pickle.loads(pickle.dumps(step))
         assert clone == step
         assert clone.response is BOTTOM
+
+
+class TestSignatures:
+    def test_public_surface(self):
+        # One way in: a typed request run through ``execute``.
+        from repro import api
+
+        assert sorted(api.__all__) == [
+            "ExecutionOptions",
+            "ExploreRequest",
+            "FuzzRequest",
+            "REQUEST_TYPES",
+            "RefuteRequest",
+            "VerifyRequest",
+            "execute",
+            "request_from_dict",
+        ]
+        functions = {
+            name
+            for name, value in vars(api).items()
+            if inspect.isfunction(value)
+        }
+        assert functions == {"execute", "request_from_dict"}
+        assert [f.name for f in fields(api.ExecutionOptions)] == [
+            "jobs",
+            "cache",
+            "cache_dir",
+        ]
+
+
+class TestFuzzEngineNamesRemoved:
+    """The PR-5 deprecation window closed: the shim is gone for good."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "FuzzFinding",
+            "FuzzReport",
+            "fuzz_campaign",
+            "mutate",
+            "run_shard",
+            "shard_seed",
+        ],
+    )
+    def test_engine_names_no_longer_resolve_from_the_package(self, name):
+        import repro.fuzz
+
+        assert name not in repro.fuzz.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro.fuzz, name)
+
+    def test_engine_module_is_the_supported_home(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from repro.fuzz.engine import (  # noqa: F401
+                FuzzReport,
+                fuzz_campaign,
+            )
+
+    def test_supported_names_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from repro.fuzz import FuzzExecutor, FuzzTarget  # noqa: F401

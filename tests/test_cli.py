@@ -67,6 +67,76 @@ class TestOneWayToSetEachThing:
         assert "unrecognized arguments" in run.stderr
 
 
+#: (CLI argv, wire payload) pairs that ask the same question. ``{root}``
+#: is a fresh directory per side, so each side's cache starts cold.
+SAME_REQUEST = {
+    "check-algorithm2-cache": (
+        ["check-algorithm2", "--n", "2", "--cache", "--cache-dir", "{root}"],
+        {"command": "verify", "n": 2,
+         "options": {"cache": True, "cache_dir": "{root}"}},
+    ),
+    "check-algorithm2-symmetry-jobs": (
+        ["check-algorithm2", "--n", "2", "--symmetry", "--jobs", "2"],
+        {"command": "verify", "n": 2, "symmetry": True,
+         "options": {"jobs": 2}},
+    ),
+    "explore-cache": (
+        ["explore", "--n", "2", "--cache", "--cache-dir", "{root}"],
+        {"command": "explore", "n": 2,
+         "options": {"cache": True, "cache_dir": "{root}"}},
+    ),
+    "fuzz-algorithm2-max-steps": (
+        ["fuzz", "--algorithm2-n", "2", "--seed", "1", "--budget", "30",
+         "--max-steps", "32"],
+        {"command": "fuzz", "algorithm2_n": 2, "seed": 1, "budget": 30,
+         "max_steps": 32},
+    ),
+    "refute": (
+        ["refute", "--candidate", "one 2-SA"],
+        {"command": "refute", "candidate": "one 2-SA"},
+    ),
+    "fuzz-no-shrink-shards": (
+        ["fuzz", "--candidate", "one 2-SA", "--seed", "3", "--budget", "40",
+         "--shards", "2", "--no-shrink"],
+        {"command": "fuzz", "candidate": "one 2-SA", "seed": 3, "budget": 40,
+         "shards": 2, "shrink": False},
+    ),
+    "explore-inputs-budget": (
+        ["explore", "--n", "3", "--inputs", "1,0,1",
+         "--max-configurations", "100"],
+        {"command": "explore", "n": 3, "inputs": [1, 0, 1],
+         "max_configurations": 100},
+    ),
+}
+
+
+def _rooted(value, root):
+    """``value`` with every ``{root}`` string replaced by ``root``."""
+    if isinstance(value, dict):
+        return {key: _rooted(item, root) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rooted(item, root) for item in value]
+    return str(root) if value == "{root}" else value
+
+
+class TestCliMatchesWire:
+    """The CLI builds the same typed request the server parses: one
+    question gives one report, body, data and metrics alike."""
+
+    @pytest.mark.parametrize("case", sorted(SAME_REQUEST))
+    def test_same_report(self, capsys, tmp_path, case):
+        from repro.api import execute, request_from_dict
+
+        argv, payload = SAME_REQUEST[case]
+        capsys.readouterr()
+        code = main(_rooted(argv, tmp_path / "cli") + ["--format", "json"])
+        via_cli = json.loads(capsys.readouterr().out)
+        wire = request_from_dict(_rooted(payload, tmp_path / "wire"))
+        via_wire = json.loads(execute(wire).to_json())
+        assert code == via_wire["exit_code"]
+        assert via_cli == via_wire
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro import api
+from repro.api import VerifyRequest, execute
 from repro.cli import main
 from repro.reports import (
     REPORT_SCHEMA,
@@ -203,7 +203,7 @@ class TestCliJsonEnvelope:
 
     def test_report(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        assert api.verify(n=2, trace=str(trace)).ok
+        assert execute(VerifyRequest(n=2), trace=str(trace)).ok
         payload = self._payload(capsys, ["report", str(trace)])
         assert payload["data"]["records"] > 0
 
