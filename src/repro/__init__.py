@@ -43,12 +43,12 @@ def _lazy_exports(
 ) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
     """PEP 562 ``(__getattr__, __dir__, __all__)`` for ``package``.
 
-    ``table`` maps a submodule to the names the package exports from
-    it. A name is imported from ``package.<submodule>`` on first access
-    and then cached in the package namespace, so ``import package``
-    loads nothing and a command pays only for the names it touches.
-    The table's submodules are attributes too, as eager imports made
-    them. Every package ``__init__`` that re-exports uses this helper.
+    ``table`` maps a module below the package (``"core.pac"``) to the
+    names the package exports from it. A name is imported from its
+    module on first access and then cached in the package namespace,
+    so ``import package`` loads nothing and a command pays only for the
+    names it touches. The table's modules are attributes too, as eager
+    imports made them: reading ``package.core`` loads ``core.pac``.
     """
     origin = {name: sub for sub, names in table.items() for name in names}
     namespace = sys.modules[package].__dict__
@@ -56,11 +56,14 @@ def _lazy_exports(
     def __getattr__(name: str) -> object:
         sub = origin.get(name)
         if sub is None:
-            if name in table:
-                return import_module(f"{package}.{name}")
-            raise AttributeError(
-                f"module {package!r} has no attribute {name!r}"
-            )
+            named = [path for path in table if path.partition(".")[0] == name]
+            if not named:
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                )
+            for path in named:
+                import_module(f"{package}.{path}")
+            return import_module(f"{package}.{name}")
         value = getattr(import_module(f"{package}.{sub}"), name)
         namespace[name] = value
         return value
@@ -73,76 +76,5 @@ def _lazy_exports(
 
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
-    {
-        "errors": (
-            "AnalysisError",
-            "CacheIntegrityError",
-            "ExplorationBudgetExceeded",
-            "InvalidOperationError",
-            "InvalidRequestError",
-            "KernelUnavailableError",
-            "NotLinearizableError",
-            "ProtocolError",
-            "ReproError",
-            "SchedulingError",
-            "ServerOverloadedError",
-            "SpecificationError",
-            "classify_error",
-            "error_report",
-        ),
-        "types": ("ABORT", "BOTTOM", "DONE", "NIL", "Operation", "op"),
-        "objects": (
-            "CompareAndSwapSpec",
-            "FetchAndAddSpec",
-            "MConsensusSpec",
-            "QueueSpec",
-            "RegisterSpec",
-            "SequentialSpec",
-            "SharedObject",
-            "StickyBitSpec",
-            "TestAndSetSpec",
-            "register_array",
-        ),
-        "core": (
-            "CombinedPacSpec",
-            "DacTask",
-            "NKSetAgreementSpec",
-            "NPacSpec",
-            "SetAgreementBundleSpec",
-            "SetAgreementPower",
-            "StrongSetAgreementSpec",
-            "UNBOUNDED",
-            "check_theorem_3_5",
-            "is_legal_history",
-            "make_on",
-            "make_on_prime",
-            "on_power",
-            "on_prime_power",
-            "separation_pair",
-        ),
-        "runtime": (
-            "GeneratorProcess",
-            "ProcessAutomaton",
-            "RoundRobinScheduler",
-            "SeededScheduler",
-            "System",
-        ),
-        "analysis": (
-            "Explorer",
-            "LinearizabilityChecker",
-            "check_linearizable",
-            "classify",
-            "find_critical_configuration",
-        ),
-        "protocols": (
-            "ConsensusTask",
-            "DacDecisionTask",
-            "KSetAgreementTask",
-            "UniversalConstruction",
-            "algorithm2_processes",
-            "all_candidates",
-            "check_implementation",
-            "on_prime_from_consensus_and_sa",
-        ),
-    },
+    {"core.pac": ("NPacSpec",), "types": ("BOTTOM", "op")},
 )

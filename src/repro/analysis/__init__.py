@@ -21,62 +21,15 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "commuting": (
-            "CommutingViolation",
-            "check_pair_commutes",
             "verify_disjoint_commutativity",
             "verify_read_transparency",
         ),
-        "explorer": (
-            "Configuration",
-            "Edge",
-            "ExplorationResult",
-            "Explorer",
-            "Livelock",
-            "SafetyCounterexample",
-        ),
-        "cache": (
-            "CacheStats",
-            "ExplorationCache",
-            "code_salt",
-            "explore_cached",
-            "fingerprint",
-        ),
-        "parallel": (
-            "VerificationPool",
-            "WorkFailure",
-            "WorkItem",
-            "WorkResult",
-        ),
-        "symmetry": ("ProcessSymmetry", "groups_by_input"),
-        "linearizability": (
-            "LinearizabilityChecker",
-            "LinearizabilityVerdict",
-            "check_linearizable",
-        ),
-        "replay": (
-            "ReplayReport",
-            "oracle_script",
-            "replay_counterexample",
-            "verify_replay",
-        ),
-        "properties": (
-            "RunAudit",
-            "audit_dac_run",
-            "audit_task_run",
-        ),
-        "valency_analyzer": ("CriticalReport", "HookStep", "ValencyAnalyzer"),
+        "explorer": ("Explorer",),
+        "valency_analyzer": ("ValencyAnalyzer",),
         "valency": (
-            "BIVALENT",
-            "CriticalConfiguration",
-            "DECISIONLESS",
-            "InitialValencyReport",
-            "ONE_VALENT",
-            "Valency",
-            "ZERO_VALENT",
             "classify",
             "contended_object",
             "find_critical_configuration",
-            "initial_valency_report",
         ),
     },
 )

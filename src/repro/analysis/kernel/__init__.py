@@ -34,14 +34,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 from ...errors import AnalysisError
-from .encoding import FIELD_BITS, MAX_CODE, PackedEncoder
+from .encoding import PackedEncoder
 from ._pycore import PyKernel
 
 __all__ = [
-    "FIELD_BITS",
-    "MAX_CODE",
     "PackedEncoder",
-    "PyKernel",
     "compiled_available",
     "make_backend",
     "select",

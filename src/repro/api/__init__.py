@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from .execute import execute
 from .requests import (
-    REQUEST_TYPES,
     ExecutionOptions,
     ExploreRequest,
     FuzzRequest,
@@ -54,5 +53,4 @@ __all__ = [
     "RefuteRequest",
     "FuzzRequest",
     "ExploreRequest",
-    "REQUEST_TYPES",
 ]

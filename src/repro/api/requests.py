@@ -95,9 +95,9 @@ class ExecutionOptions:
     Every knob here is observable-identical by the library's
     determinism contract (reports are byte-identical across ``jobs``
     and cache states), so none of them participates in
-    :meth:`Request.fingerprint`. ``repro serve`` refuses
-    ``cache_dir``: the server, not its client, owns the files it
-    writes.
+    :meth:`Request.fingerprint`. ``repro serve`` refuses ``cache:
+    true`` and ``cache_dir``: the server, not its client, owns the
+    files it writes.
     """
 
     jobs: int = 1

@@ -19,21 +19,7 @@ Layering:
 * :mod:`repro.fuzz.shrink` — fixpoint ddmin + strict replay bridge;
 * :mod:`repro.fuzz.engine` — seeded shards fanned over the
   verification pool, merged deterministically.
+
+The package exports nothing: run a campaign with
+``repro.api.execute(FuzzRequest(...))`` or import from the modules.
 """
-
-from .. import _lazy_exports
-
-__getattr__, __dir__, __all__ = _lazy_exports(
-    __name__,
-    {
-        "corpus": ("FuzzCorpus", "corpus_fingerprint"),
-        "executor": ("CYCLE", "SAFETY", "FuzzExecutor", "GeneRun", "Genes"),
-        "shrink": ("replay_shrunk", "shrink_genes"),
-        "target": (
-            "FuzzTarget",
-            "algorithm2_target",
-            "candidate_target",
-            "target_from_spec",
-        ),
-    },
-)

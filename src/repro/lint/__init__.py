@@ -37,17 +37,5 @@ from .. import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
-    {
-        "engine": (
-            "Finding",
-            "LintReport",
-            "ModuleContext",
-            "ProjectRule",
-            "Rule",
-            "all_rules",
-            "lint_paths",
-            "register",
-        ),
-        "sarif": ("render_sarif",),
-    },
+    {"engine": ("lint_paths",)},
 )

@@ -17,23 +17,14 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "base": (
-            "FirstOutcomeOracle",
-            "ResponseOracle",
-            "ScriptedOracle",
-            "SeededOracle",
-            "SharedObject",
-        ),
+        "base": ("SeededOracle",),
         "classic": (
-            "CompareAndSwapSpec",
             "FetchAndAddSpec",
             "QueueSpec",
             "StickyBitSpec",
             "TestAndSetSpec",
         ),
-        "consensus": ("ConsensusState", "MConsensusSpec"),
-        "register": ("RegisterSpec", "register_array"),
-        "snapshot": ("SnapshotSpec",),
-        "spec": ("Outcome", "SequentialSpec"),
+        "consensus": ("MConsensusSpec",),
+        "register": ("RegisterSpec",),
     },
 )

@@ -11,25 +11,11 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "events": ("Abort", "Action", "Decide", "Halt", "Invoke", "Step"),
-        "history": (
-            "CompletedOp",
-            "ConcurrentHistory",
-            "Inv",
-            "Res",
-            "RunHistory",
-        ),
-        "process": (
-            "GeneratorProcess",
-            "ProcessAutomaton",
-        ),
         "scheduler": (
             "AlternatingScheduler",
             "RoundRobinScheduler",
-            "ScriptedScheduler",
             "SeededScheduler",
-            "Scheduler",
         ),
-        "system": ("ObjectTable", "ProcessStatus", "System"),
+        "system": ("System",),
     },
 )

@@ -14,25 +14,13 @@ A stdlib-only asyncio HTTP/JSON server exposing the four phases
 * **graceful drain** — SIGTERM stops intake and lets live jobs finish.
 
 Entry points: ``repro serve`` (the CLI command wrapping
-:func:`run_server`), :class:`ServeClient` (blocking client),
+:func:`run_server` and its :class:`ServerConfig`),
+:class:`repro.serve.client.ServeClient` (blocking client),
 :class:`repro.serve.testing.BackgroundServer` (in-process server for
 tests), and :mod:`repro.serve.smoke` (the CI correctness harness).
 See ``docs/serve.md`` for the protocol.
 """
 
-from .client import ServeClient, ServeResponse
-from .jobs import Job, JobManager, run_job_worker
-from .lru import LRUCache
-from .server import ReproServer, ServerConfig, run_server
+from .server import ServerConfig, run_server
 
-__all__ = [
-    "Job",
-    "JobManager",
-    "LRUCache",
-    "ReproServer",
-    "ServeClient",
-    "ServeResponse",
-    "ServerConfig",
-    "run_job_worker",
-    "run_server",
-]
+__all__ = ["ServerConfig", "run_server"]

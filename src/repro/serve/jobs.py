@@ -15,8 +15,10 @@ ExecutionOptions` knobs). A submission whose fingerprint matches a
   :class:`~repro.serve.lru.LRUCache` keyed by the same fingerprint, so
   repeats are answered in microseconds without touching an engine.
   Every served request is pure: the server owns every file it writes,
-  so it refuses the client-chosen paths ``options.cache_dir`` and
-  ``corpus_dir`` (HTTP 400), and the only trace is its own spool file.
+  so it refuses ``options.cache: true`` (the on-disk cache under the
+  server's launch directory) and the client-chosen paths
+  ``options.cache_dir`` and ``corpus_dir`` (HTTP 400), and the only
+  trace is its own spool file.
 * **Bounded intake** — at most ``max_queue`` jobs may be live
   (queued or running) and at most :data:`CLASS_LIMIT` of one phase
   may run concurrently; past either bound ``submit`` raises
@@ -273,14 +275,16 @@ class JobManager:
     def _parse(self, payload: Mapping[str, Any]) -> Request:
         request = request_from_dict(payload)
         options = request.options  # type: ignore[attr-defined]
-        # The server owns every file it writes. A client-chosen
+        # The server owns every file it writes. The on-disk cache
+        # (under the launch directory, or ``cache_dir``) or a corpus
         # directory would let a caller write, and for the cache
-        # unpickle, at any path on the server host.
-        for name, value in (
-            ("options.cache_dir", options.cache_dir),
-            ("corpus_dir", getattr(request, "corpus_dir", None)),
+        # unpickle, at a path the server did not choose.
+        for name, chosen in (
+            ("options.cache_dir", options.cache_dir is not None),
+            ("corpus_dir", getattr(request, "corpus_dir", None) is not None),
+            ("options.cache", options.cache),
         ):
-            if value is not None:
+            if chosen:
                 raise InvalidRequestError(
                     f"{name} is not accepted over the wire; "
                     f"the server chooses where it writes"

@@ -1,17 +1,4 @@
-"""Workload generators: operation histories, client workloads, interference."""
-
-from .generators import snapshot_workloads
-from .interference import InterferenceScheduler
-from .histories import (
-    all_pac_histories,
-    pac_operation_space,
-    random_pac_history,
-)
-
-__all__ = [
-    "InterferenceScheduler",
-    "snapshot_workloads",
-    "all_pac_histories",
-    "pac_operation_space",
-    "random_pac_history",
-]
+"""Workload generators, imported from their modules (the package exports
+nothing): PAC operation histories (:mod:`repro.workloads.histories`),
+snapshot client workloads (:mod:`repro.workloads.generators`) and the
+interference scheduler (:mod:`repro.workloads.interference`)."""

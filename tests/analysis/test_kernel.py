@@ -34,13 +34,13 @@ import repro
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import (
-    MAX_CODE,
     PackedEncoder,
-    PyKernel,
     compiled_available,
     make_backend,
     select,
 )
+from repro.analysis.kernel._pycore import PyKernel
+from repro.analysis.kernel.encoding import MAX_CODE
 from repro.core.pac import NPacSpec
 from repro.errors import AnalysisError
 from repro.objects.register import RegisterSpec

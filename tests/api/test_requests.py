@@ -24,12 +24,12 @@ from repro.api import (
     ExecutionOptions,
     ExploreRequest,
     FuzzRequest,
-    REQUEST_TYPES,
     RefuteRequest,
     VerifyRequest,
     execute,
     request_from_dict,
 )
+from repro.api.requests import REQUEST_TYPES
 from repro.errors import InvalidRequestError
 from repro.reports import Report
 

@@ -14,8 +14,8 @@ import itertools
 import pytest
 
 from repro.analysis.explorer import Explorer
-from repro.analysis.kernel import FIELD_BITS, MAX_CODE, compiled_available
-from repro.analysis.kernel.encoding import DenseCodec
+from repro.analysis.kernel import compiled_available
+from repro.analysis.kernel.encoding import FIELD_BITS, MAX_CODE, DenseCodec
 from repro.api import ExploreRequest, execute
 from repro.core.pac import NPacSpec, PacCodec, PacState
 from repro.errors import AnalysisError, CodecOverflowError

@@ -26,7 +26,8 @@ from repro.api import (
 )
 from repro.analysis import kernel as kernel_mod
 from repro.analysis.explorer import Explorer
-from repro.analysis.kernel import PyKernel, compiled_available
+from repro.analysis.kernel import compiled_available
+from repro.analysis.kernel._pycore import PyKernel
 
 AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
     "python",

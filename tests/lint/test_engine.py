@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli as repro_cli
-from repro.lint import all_rules, cli as lint_cli, lint_paths
+from repro.lint import cli as lint_cli, lint_paths
+from repro.lint.engine import all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

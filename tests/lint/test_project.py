@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from repro import cli as repro_cli
-from repro.lint import ProjectRule, Rule, lint_paths, render_sarif
+from repro.lint import lint_paths
+from repro.lint.engine import ProjectRule, Rule
+from repro.lint.sarif import render_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PROJECT = FIXTURES / "project"

@@ -15,6 +15,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     empty_snapshot,
 )
+from repro.obs.runtime import snapshot as ambient_snapshot
 
 
 def merge_snapshots(snapshots):
@@ -154,4 +155,4 @@ class TestPoolFoldDeterminism:
             [WorkItem(key=0, fn=_observed_work, args=(0, 1))]
         )
         assert results[0].value == 2
-        assert obs.snapshot() == empty_snapshot()
+        assert ambient_snapshot() == empty_snapshot()

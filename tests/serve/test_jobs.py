@@ -30,6 +30,12 @@ VERIFY2 = {"command": "verify", "n": 2}
 #: One payload per field naming a server-side path, each pointing into
 #: the directory it is given. The server owns every file it writes.
 CLIENT_PATHS = {
+    # The on-disk cache lands under the working directory, ``root`` here.
+    "cache": lambda root: {
+        "command": "verify",
+        "n": 2,
+        "options": {"cache": True},
+    },
     "trace": lambda root: {
         "command": "verify",
         "n": 2,
@@ -137,7 +143,11 @@ class TestSubmission:
         _run(scenario())
 
     @pytest.mark.parametrize("field", sorted(CLIENT_PATHS))
-    def test_client_chosen_path_is_rejected(self, tmp_path, field):
+    def test_client_chosen_path_is_rejected(
+        self, tmp_path, monkeypatch, field
+    ):
+        monkeypatch.chdir(tmp_path)
+
         async def scenario():
             manager = _manager()
             try:

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.api import VerifyRequest, execute
-from repro.serve import ServeClient, ServerConfig
+from repro.serve import ServerConfig
+from repro.serve.client import ServeClient
 from repro.serve.testing import BackgroundServer
 
 
@@ -99,6 +100,7 @@ class TestErrorMapping:
     @pytest.mark.parametrize(
         "command, fields",
         [
+            ("verify", lambda root: {"options": {"cache": True}}),
             ("verify", lambda root: {"options": {"trace": f"{root}/t.jsonl"}}),
             (
                 "explore",
@@ -106,14 +108,17 @@ class TestErrorMapping:
             ),
             ("fuzz", lambda root: {"budget": 20, "corpus_dir": str(root)}),
         ],
-        ids=["trace", "cache_dir", "corpus_dir"],
+        ids=["cache", "trace", "cache_dir", "corpus_dir"],
     )
     def test_client_chosen_path_is_rejected(
-        self, client, tmp_path, command, fields
+        self, client, tmp_path, monkeypatch, command, fields
     ):
         # The server owns every file it writes: a trace, an exploration
-        # cache (whose entries it would unpickle) or a fuzz corpus at a
-        # client-chosen path is refused before any job runs.
+        # cache (whose entries it would unpickle) under its working
+        # directory or at a client-chosen path, or a fuzz corpus, is
+        # refused before any job runs. The server runs in this process,
+        # so ``tmp_path`` is its working directory too.
+        monkeypatch.chdir(tmp_path)
         response = client.submit(command, **fields(tmp_path))
         assert response.status == 400
         assert response.payload["data"]["error_code"] == "INVALID_REQUEST"

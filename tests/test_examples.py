@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -34,6 +35,16 @@ def test_example_runs_clean(path):
 
 def test_we_ship_at_least_five_examples():
     assert len(example_paths()) >= 5
+
+
+def test_readme_quickstart_runs():
+    """The README's Quickstart block is the documented user of the
+    package-level import paths; it must run as written."""
+    readme = os.path.join(EXAMPLES_DIR, "..", "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("\n## Quickstart\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md (Quickstart)", "exec"), {})
 
 
 def _load_example(name):

@@ -19,6 +19,13 @@ the docs do not. Names match by identifier, so an override of a method
 the engine calls by name (``spec.responses(...)``) is used through that
 call.
 
+A package exports a name (its ``_lazy_exports`` table, its
+``__all__``, or a ``from .sub import name`` its ``__init__`` does not
+read itself) only if something that ships reads the name through the
+package: ``from repro.pkg import X``, ``pkg.X`` on a bound package, or
+a ``PATCHES`` path on the package. Every other caller imports the name
+from its defining module, so the re-export is a second path to it.
+
 The check reads the source with :mod:`ast` and never imports the
 package, so importing a module here cannot be what reaches it.
 """
@@ -52,10 +59,11 @@ def _module_name(path: Path, src: Path = SRC) -> str:
     return ".".join(parts)
 
 
-def _product_modules():
+def _product_modules(src: Path = SRC):
     """``{module name: path}`` for every ``.py`` file under ``src/repro``."""
     return {
-        _module_name(path): path for path in sorted((SRC / "repro").rglob("*.py"))
+        _module_name(path, src): path
+        for path in sorted((src / "repro").rglob("*.py"))
     }
 
 
@@ -108,9 +116,13 @@ class _Reach:
             return []
         return [target, *self.through(target, name)]
 
-    def of_file(self, path: Path, importer: str):
-        """``(reached module, bound names)`` per import in ``path``;
-        ``importer`` is its dotted name ("" for a script)."""
+    def reads(self, path: Path, importer: str):
+        """``(module, name, local)`` per name ``path`` reads off a
+        module: ``from module import name`` (bound as ``local``), the
+        attribute ``module.name`` (``local`` None; chains such as
+        ``repro.obs.span`` included), and ``(module, None, None)`` per
+        ``import module``. ``importer`` is its dotted name ("" for a
+        script)."""
         is_package = path.name == "__init__.py"
         package = importer if is_package else importer.rpartition(".")[0]
         tree = _parse(path)
@@ -119,7 +131,7 @@ class _Reach:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name in self.modules:
-                        yield alias.name, ()
+                        yield alias.name, None, None
                     local = alias.asname or alias.name.partition(".")[0]
                     bound[local] = alias.name if alias.asname else local
             elif isinstance(node, ast.ImportFrom):
@@ -129,20 +141,36 @@ class _Reach:
                     base = ".".join(anchor + ([node.module] if node.module else []))
                 else:
                     base = node.module
-                if base in self.modules:
-                    yield base, tuple(a.asname or a.name for a in node.names)
                 for alias in node.names:
                     local = alias.asname or alias.name
-                    for module in self.through(base, alias.name):
-                        yield module, (local,)
+                    yield base, alias.name, local
                     if f"{base}.{alias.name}" in self.modules:
                         bound[local] = f"{base}.{alias.name}"
+
+        def module_of(node):
+            if isinstance(node, ast.Name):
+                return bound.get(node.id)
+            if isinstance(node, ast.Attribute):
+                parent = module_of(node.value)
+                if f"{parent}.{node.attr}" in self.modules:
+                    return f"{parent}.{node.attr}"
+            return None
+
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                module = bound.get(node.value.id)
+            if isinstance(node, ast.Attribute):
+                module = module_of(node.value)
                 if module is not None:
-                    for target in self.through(module, node.attr):
-                        yield target, ()
+                    yield module, node.attr, None
+
+    def of_file(self, path: Path, importer: str):
+        """``(reached module, bound names)`` per read in ``path``."""
+        for module, name, local in self.reads(path, importer):
+            names = () if local is None else (local,)
+            if name is None or (local is not None and module in self.modules):
+                yield module, names
+            if name is not None:
+                for target in self.through(module, name):
+                    yield target, names
 
 
 def _used_names(path: Path):
@@ -265,18 +293,24 @@ def _name_uses(path: Path):
             yield node.attr, node.lineno
 
 
-def _patched_names(root: Path):
-    """Each part of an attribute path that ``perfbench/spans.py``
-    patches by string."""
-    names = set()
+def _patched_paths(root: Path):
+    """``(module, attribute path)`` per entry of the ``PATCHES`` table
+    in ``perfbench/spans.py``."""
     for node in _parse(root / "perfbench" / "spans.py").body:
         if isinstance(node, ast.Assign) and any(
             getattr(target, "id", None) == "PATCHES" for target in node.targets
         ):
-            for value in ast.walk(node.value):
-                if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    names.update(value.value.split("."))
-    return names
+            for module, entries in zip(node.value.keys, node.value.values):
+                for entry in entries.elts:
+                    yield module.value, entry.elts[0].value
+
+
+def _patched_names(root: Path):
+    """Each part of an attribute path that ``perfbench/spans.py``
+    patches by string."""
+    return {
+        part for _module, path in _patched_paths(root) for part in path.split(".")
+    }
 
 
 def _unused_names(root: Path = ROOT):
@@ -351,3 +385,93 @@ def test_the_name_check_sees_the_tree():
     assert "repro.runtime.system.System.crash" in definitions
     assert not any(".lint.rules.r001_" in name for name in definitions)
     assert {"Request", "fingerprint", "run_bfs"} <= _patched_names(ROOT)
+
+
+def _dunder_all(path: Path):
+    """The names a literal ``__all__ = [...]`` in ``path`` lists."""
+    for node in _parse(path).body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        ):
+            return {element.value for element in node.value.elts}
+    return set()
+
+
+def _unread_reexports(root: Path = ROOT):
+    """``package.name`` for each name a package under ``root/src/repro``
+    exports that nothing shipped reads through the package."""
+    modules = _product_modules(root / "src")
+    exports = _package_exports(modules)
+    reach = _Reach(modules, exports)
+    callers = [(path, importer) for importer, path in modules.items()]
+    for directory in NAME_CALLERS:
+        callers += [(path, "") for path in sorted((root / directory).glob("*.py"))]
+    read = {
+        (module, name)
+        for path, importer in callers
+        for module, name, _local in reach.reads(path, importer)
+        if module != importer
+    }
+    read.update(
+        (module, path.partition(".")[0]) for module, path in _patched_paths(root)
+    )
+    unread = []
+    for package, table in sorted(exports.items()):
+        init = modules[package]
+        # An import the ``__init__`` reads itself is a use, not a re-export.
+        listed = (set(table) - _used_names(init)) | _dunder_all(init)
+        unread += [
+            f"{package}.{name}"
+            for name in sorted(listed)
+            if (package, name) not in read
+        ]
+    return unread
+
+
+def test_every_reexport_has_a_shipped_caller():
+    assert _unread_reexports() == []
+
+
+def test_the_reexport_check_flags_an_export_only_its_module_serves(tmp_path):
+    """A planted tree: a re-export that product code reaches only
+    through its defining module is flagged; one a script reads through
+    the package (imported or as an attribute) and one perfbench patches
+    on the package by string are not."""
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": (
+            "from .. import _lazy_exports\n"
+            "__getattr__, __dir__, __all__ = _lazy_exports(\n"
+            '    __name__, {"mod": ("direct", "imported", "patched")}\n'
+            ")\n"
+            "from .other import attribute\n"
+        ),
+        "src/repro/pkg/mod.py": (
+            "def direct(): pass\n"
+            "def imported(): pass\n"
+            "def patched(): pass\n"
+        ),
+        "src/repro/pkg/other.py": "def attribute(): pass\n",
+        "src/repro/user.py": "from repro.pkg.mod import direct\ndirect()\n",
+        "examples/demo.py": "from repro.pkg import imported\nimported()\n",
+        "benchmarks/bench.py": "import repro.pkg\nrepro.pkg.attribute()\n",
+        "perfbench/spans.py": 'PATCHES = {"repro.pkg": [("patched", None)]}\n',
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    assert _unread_reexports(tmp_path) == ["repro.pkg.direct"]
+
+
+def test_the_reexport_check_sees_the_tree():
+    """The real tree's tables, ``__all__`` lists and patched package
+    paths are found, so the main test cannot pass vacuously."""
+    modules = _product_modules()
+    exports = _package_exports(modules)
+    assert exports["repro"]["NPacSpec"] == "repro.core.pac"
+    assert exports["repro.analysis"]["Explorer"] == "repro.analysis.explorer"
+    assert "select" in _dunder_all(modules["repro.analysis.kernel"])
+    assert ("repro.obs", "session") in set(_patched_paths(ROOT))

@@ -26,11 +26,9 @@ SRC = Path(repro.__file__).resolve().parent.parent
 LAZY_PACKAGES = (
     "repro",
     "repro.analysis",
-    "repro.core",
     "repro.protocols",
     "repro.objects",
     "repro.runtime",
-    "repro.fuzz",
     "repro.lint",
 )
 
