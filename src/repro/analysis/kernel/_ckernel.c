@@ -20,12 +20,14 @@
  *     the mask, so a successor's object field is
  *     (src_obj & ~mask) | (new_obj & mask) for every code in the class.
  *
- * run_bfs walks step for step like the python backend's: each
- * unexpanded frontier cid is expanded by kernel_expand_new (a memo hit,
- * or a callback on the first miss), then its adjacency is scanned under
- * the same budget rules. So configuration ids, edge order, budget
- * truncation, orders, parents, and digests are byte-identical to the
- * python backend.
+ * run_bfs discovers configurations in the python backend's sequence:
+ * each unexpanded frontier cid is expanded by kernel_expand_new (a memo
+ * hit, or a callback on the first miss), then its adjacency is scanned
+ * under the same budget rules. The python backend discovers each
+ * successor while it expands instead (a second pass is dear in Python,
+ * cheap in C); the sequence is the same. So configuration ids, edge
+ * order, budget truncation, orders, parents, and digests are
+ * byte-identical to the python backend.
  *
  * The low-level helpers (intbuf, u64map, grow, intern) return -1 on
  * allocation failure WITHOUT setting a Python error; the methods that
@@ -852,13 +854,13 @@ KernelState_status_key(KernelState *self, PyObject *arg)
     return result;
 }
 
-/* Breadth-first expansion of the whole reachable graph, step for step
- * like PyKernel.run_bfs: each unexpanded frontier cid is expanded (a
- * memo hit, or a callback on the first miss), then its adjacency is
- * scanned. The budget is charged per newly discovered successor, the
- * truncating cid's adjacency is already recorded, and the walk stops
- * mid-scan (later frontier members stay unexpanded; rounds counts only
- * fully completed frontiers). */
+/* Breadth-first expansion of the whole reachable graph, in
+ * PyKernel.run_bfs's discovery sequence: each unexpanded frontier cid
+ * is expanded (a memo hit, or a callback on the first miss), then its
+ * adjacency is scanned. The budget is charged per newly discovered
+ * successor, the truncating cid's adjacency is already recorded, and
+ * the walk stops mid-scan (later frontier members stay unexpanded;
+ * rounds counts only fully completed frontiers). */
 static PyObject *
 KernelState_run_bfs(KernelState *self, PyObject *args)
 {

@@ -10,6 +10,11 @@ packed row of :mod:`~repro.analysis.kernel.encoding` folded as
   transition is applied as a single integer add (the precomputed signed
   adjustment of the three affected fields), not dataclass construction.
 
+The walk makes one pass per configuration: it discovers each successor
+the moment it interns it, instead of expanding a configuration and then
+scanning the adjacency it recorded. The compiled backend expands and
+then scans, which is cheap in C; the discovery sequence is the same.
+
 Protocol semantics stay in Python land: when a ``(pid, local)`` or
 ``(pid, local, obj & footprint)`` key misses its table the kernel calls
 back into the explorer's code space (``resolve_invoke`` /
@@ -66,6 +71,7 @@ class PyKernel:
         "_status_shift",
         "_status_mask",
         "_status_keys",
+        "_running",
     )
 
     def __init__(
@@ -85,7 +91,8 @@ class PyKernel:
         self._words: List[int] = []
         #: cid -> flat [eid, tid, eid, tid, ...] or None if unexpanded.
         self._adjacency: List[Optional[List[int]]] = []
-        #: (pid << FIELD_BITS | local) -> (object index, footprint).
+        #: (pid << FIELD_BITS | local) -> (object shift, footprint,
+        #: delta-key base, object index).
         self._invoke: dict = {}
         #: ((pid << F | local) << F | obj_code & footprint)
         #: -> ((eid, adjustment), ...).
@@ -94,6 +101,8 @@ class PyKernel:
         self._status_shift = n_processes * FIELD_BITS
         self._status_mask = (1 << self._status_shift) - 1
         self._status_keys: dict = {}
+        #: Status segment -> the pids it marks RUNNING.
+        self._running: dict = {}
 
     # -- interning ------------------------------------------------------------
 
@@ -132,48 +141,37 @@ class PyKernel:
 
     # -- expansion ------------------------------------------------------------
 
-    def _expand_new(self, cid: int) -> List[int]:
-        """Compute, intern, and record the full adjacency of ``cid``."""
-        word = self._words[cid]
-        n = self.n_processes
-        words = self._words
-        ids = self._ids
-        adjacency = self._adjacency
-        invoke = self._invoke
-        delta_tables = self._deltas
-        entries: List[int] = []
-        for pid in range(n):
-            if (word >> ((n + pid) * FIELD_BITS)) & _MASK:
-                continue  # status != RUNNING(0): nothing enabled
-            local = (word >> (pid * FIELD_BITS)) & _MASK
-            ikey = (pid << FIELD_BITS) | local
-            target = invoke.get(ikey)
-            if target is None:
-                target = invoke[ikey] = self._resolve_invoke(pid, local)
-            obj_index, mask = target
-            obj_code = (word >> ((2 * n + obj_index) * FIELD_BITS)) & _MASK
-            dkey = (ikey << FIELD_BITS) | (obj_code & mask)
-            deltas = delta_tables.get(dkey)
-            if deltas is None:
-                deltas = self._make_deltas(pid, local, obj_index, obj_code)
-                delta_tables[dkey] = deltas
-            for eid, adjustment in deltas:
-                tword = word + adjustment
-                tid = ids.get(tword)
-                if tid is None:
-                    tid = len(words)
-                    ids[tword] = tid
-                    words.append(tword)
-                    adjacency.append(None)
-                entries.append(eid)
-                entries.append(tid)
-        adjacency[cid] = entries
-        return entries
+    def _running_of(self, word: int) -> Tuple[int, ...]:
+        """The pids RUNNING (status code 0) in ``word``, ascending; one
+        tuple per distinct status segment."""
+        segment = (word >> self._status_shift) & self._status_mask
+        running = self._running.get(segment)
+        if running is None:
+            running = self._running[segment] = tuple(
+                pid
+                for pid in range(self.n_processes)
+                if not (segment >> (pid * FIELD_BITS)) & _MASK
+            )
+        return running
+
+    def _step_of(self, pid: int, local: int) -> Tuple[int, int, int, int]:
+        """``(object shift, footprint, delta-key base, object index)`` of
+        ``pid`` poised in ``local``, resolved on the key's first miss."""
+        ikey = (pid << FIELD_BITS) | local
+        obj_index, mask = self._resolve_invoke(pid, local)
+        step = self._invoke[ikey] = (
+            (2 * self.n_processes + obj_index) * FIELD_BITS,
+            mask,
+            ikey << FIELD_BITS,
+            obj_index,
+        )
+        return step
 
     def _make_deltas(
-        self, pid: int, local: int, obj_index: int, obj_code: int
+        self, pid: int, local: int, obj_index: int, obj_code: int, dkey: int
     ) -> List[Tuple[int, int]]:
-        """Precompute (eid, signed word adjustment) for one miss.
+        """Precompute and record (eid, signed word adjustment) for the
+        missed delta key ``dkey``.
 
         The expanding pid's status is always code 0 (RUNNING), so the
         adjustment covers all three touched fields exactly:
@@ -185,19 +183,49 @@ class PyKernel:
         lshift = pid * FIELD_BITS
         sshift = (n + pid) * FIELD_BITS
         oshift = (2 * n + obj_index) * FIELD_BITS
-        deltas = []
-        for eid, nl, ns, no in self._compute_deltas(
-            pid, local, obj_index, obj_code
-        ):
-            deltas.append(
-                (
-                    eid,
-                    ((nl - local) << lshift)
-                    + (ns << sshift)
-                    + ((no - obj_code) << oshift),
-                )
+        deltas = self._deltas[dkey] = [
+            (
+                eid,
+                ((nl - local) << lshift)
+                + (ns << sshift)
+                + ((no - obj_code) << oshift),
             )
+            for eid, nl, ns, no in self._compute_deltas(
+                pid, local, obj_index, obj_code
+            )
+        ]
         return deltas
+
+    def _entries(self, word: int, pids: Sequence[int]) -> List[int]:
+        """Flat [eid, tid, ...] of the running ``pids`` stepping from
+        ``word``, interning each new successor. :meth:`run_bfs` inlines
+        this step to discover successors as it interns them."""
+        ids = self._ids
+        words = self._words
+        entries: List[int] = []
+        for pid in pids:
+            local = (word >> (pid * FIELD_BITS)) & _MASK
+            step = self._invoke.get((pid << FIELD_BITS) | local)
+            if step is None:
+                step = self._step_of(pid, local)
+            oshift, mask, dbase, obj_index = step
+            obj_code = (word >> oshift) & _MASK
+            dkey = dbase | (obj_code & mask)
+            deltas = self._deltas.get(dkey)
+            if deltas is None:
+                deltas = self._make_deltas(
+                    pid, local, obj_index, obj_code, dkey
+                )
+            for eid, adjustment in deltas:
+                tword = word + adjustment
+                tid = ids.get(tword)
+                if tid is None:
+                    tid = ids[tword] = len(words)
+                    words.append(tword)
+                    self._adjacency.append(None)
+                entries.append(eid)
+                entries.append(tid)
+        return entries
 
     def expand(self, cid: int) -> List[int]:
         """Flat [eid, tid, ...] adjacency of ``cid`` (computed once)."""
@@ -205,7 +233,10 @@ class PyKernel:
             raise _unknown_cid(cid)
         adj = self._adjacency[cid]
         if adj is None:
-            adj = self._expand_new(cid)
+            word = self._words[cid]
+            adj = self._adjacency[cid] = self._entries(
+                word, self._running_of(word)
+            )
         return adj
 
     def adjacency(self, cid: int) -> Optional[List[int]]:
@@ -223,39 +254,12 @@ class PyKernel:
         """
         if not 0 <= cid < len(self._words):
             raise _unknown_cid(cid)
-        n = self.n_processes
-        if not 0 <= pid < n:
+        if not 0 <= pid < self.n_processes:
             raise IndexError(f"unknown pid {pid}")
         word = self._words[cid]
-        entries: List[int] = []
-        if (word >> ((n + pid) * FIELD_BITS)) & _MASK:
-            return entries
-        local = (word >> (pid * FIELD_BITS)) & _MASK
-        ikey = (pid << FIELD_BITS) | local
-        target = self._invoke.get(ikey)
-        if target is None:
-            target = self._invoke[ikey] = self._resolve_invoke(pid, local)
-        obj_index, mask = target
-        obj_code = (word >> ((2 * n + obj_index) * FIELD_BITS)) & _MASK
-        dkey = (ikey << FIELD_BITS) | (obj_code & mask)
-        deltas = self._deltas.get(dkey)
-        if deltas is None:
-            deltas = self._make_deltas(pid, local, obj_index, obj_code)
-            self._deltas[dkey] = deltas
-        ids = self._ids
-        words = self._words
-        adjacency = self._adjacency
-        for eid, adjustment in deltas:
-            tword = word + adjustment
-            tid = ids.get(tword)
-            if tid is None:
-                tid = len(words)
-                ids[tword] = tid
-                words.append(tword)
-                adjacency.append(None)
-            entries.append(eid)
-            entries.append(tid)
-        return entries
+        if pid not in self._running_of(word):
+            return []
+        return self._entries(word, (pid,))
 
     # -- batch traversal --------------------------------------------------------
 
@@ -275,16 +279,32 @@ class PyKernel:
         truncated the walk. ``on_round(depth, width, seen)`` fires once
         per frontier before it is scanned (tracing hook).
 
+        One pass per configuration: a frontier cid's recorded adjacency
+        is scanned; an unexpanded cid is expanded with the step of
+        :meth:`_entries` inlined, each successor discovered as it is
+        yielded. An id this walk interns is new to it, so only the ids
+        interned before the walk carry a seen flag (the miss hooks
+        never intern). Ids, edges and discovery order are those of
+        expanding each cid and then scanning its adjacency.
+
         Truncation replicates the object-level loop exactly: the budget
         is charged per *newly discovered* successor, the truncating
-        configuration's adjacency is already recorded, and the walk
-        stops mid-scan (later frontier members stay unexpanded).
+        configuration's full adjacency is recorded before returning,
+        and later frontier members stay unexpanded.
         """
-        if not 0 <= start_id < len(self._words):
-            raise _unknown_cid(start_id)
         words = self._words
+        if not 0 <= start_id < len(words):
+            raise _unknown_cid(start_id)
         adjacency = self._adjacency
-        seen = bytearray(len(words))
+        intern = self._ids.setdefault
+        running_of = self._running
+        steps = self._invoke
+        delta_tables = self._deltas
+        status_shift = self._status_shift
+        status_mask = self._status_mask
+        # Ids from ``known`` on are interned, and discovered, by this walk.
+        known = size = len(words)
+        seen = bytearray(known)
         seen[start_id] = 1
         seen_count = 1
         order = [start_id]
@@ -292,34 +312,78 @@ class PyKernel:
         frontier = [start_id]
         expansions = 0
         rounds = 0
-        depth = 0
+        complete = True
         while frontier:
             if on_round is not None:
-                on_round(depth, len(frontier), seen_count)
+                on_round(rounds, len(frontier), seen_count)
             next_frontier: List[int] = []
             for cid in frontier:
                 expansions += 1
                 adj = adjacency[cid]
-                if adj is None:
-                    adj = self._expand_new(cid)
-                    if len(seen) < len(words):
-                        seen.extend(bytes(len(words) - len(seen)))
-                # Iterate a C-built slice of the target ids: on warm
-                # replay this loop is the whole walk, and slicing beats
-                # stride-2 indexing by a wide margin.
-                for index, tid in enumerate(adj[1::2]):
-                    if not seen[tid]:
-                        if seen_count >= max_configurations:
-                            return order, parents, False, expansions, rounds
-                        seen[tid] = 1
-                        seen_count += 1
-                        order.append(tid)
-                        parents.append(tid)
-                        parents.append(cid)
-                        parents.append(adj[index * 2])
-                        next_frontier.append(tid)
+                if adj is not None:
+                    # Iterate a C-built slice of the target ids: on warm
+                    # replay this loop is the whole walk, and slicing
+                    # beats stride-2 indexing by a wide margin.
+                    for index, tid in enumerate(adj[1::2]):
+                        if not seen[tid]:
+                            if seen_count >= max_configurations:
+                                order += next_frontier
+                                return order, parents, False, expansions, rounds
+                            seen[tid] = 1
+                            seen_count += 1
+                            parents.append(tid)
+                            parents.append(cid)
+                            parents.append(adj[index * 2])
+                            next_frontier.append(tid)
+                    continue
+                word = words[cid]
+                running = running_of.get((word >> status_shift) & status_mask)
+                if running is None:
+                    running = self._running_of(word)
+                entries: List[int] = []
+                for pid in running:
+                    local = (word >> (pid * FIELD_BITS)) & _MASK
+                    step = steps.get((pid << FIELD_BITS) | local)
+                    if step is None:
+                        step = self._step_of(pid, local)
+                    oshift, mask, dbase, obj_index = step
+                    obj_code = (word >> oshift) & _MASK
+                    dkey = dbase | (obj_code & mask)
+                    deltas = delta_tables.get(dkey)
+                    if deltas is None:
+                        deltas = self._make_deltas(
+                            pid, local, obj_index, obj_code, dkey
+                        )
+                    for eid, adjustment in deltas:
+                        tword = word + adjustment
+                        tid = intern(tword, size)
+                        entries.append(eid)
+                        entries.append(tid)
+                        if tid == size:
+                            size += 1
+                            words.append(tword)
+                            adjacency.append(None)
+                        elif tid >= known or seen[tid]:
+                            continue
+                        else:
+                            seen[tid] = 1
+                        # Past the budget the walk ends after this cid,
+                        # so a flag set above for an undiscovered id is
+                        # never read.
+                        if seen_count < max_configurations:
+                            seen_count += 1
+                            parents.append(tid)
+                            parents.append(cid)
+                            parents.append(eid)
+                            next_frontier.append(tid)
+                        else:
+                            complete = False
+                adjacency[cid] = entries
+                if not complete:
+                    order += next_frontier
+                    return order, parents, False, expansions, rounds
             rounds += 1
-            depth += 1
+            order += next_frontier
             frontier = next_frontier
         return order, parents, True, expansions, rounds
 

@@ -378,17 +378,19 @@ class JobManager:
             if not job.future.done():
                 job.future.set_result(result)
             self._inflight.pop(job.fingerprint, None)
-            await pump
-            job.publish_eof()
-            self._retire(job)
+        # The phase slot is free once the worker returns; the pump's
+        # final read wakes on the future, not after a poll interval.
+        await pump
+        job.publish_eof()
+        self._retire(job)
 
     async def _pump_events(self, job: Job) -> None:
         """Tail the job's spool file, fanning complete JSONL lines out.
 
         Polls rather than watches — the writer is a separate process
         and the interval is tiny against engine runtimes. One final
-        read happens after the job completes so no trailing events are
-        lost.
+        read happens as soon as the job completes so no trailing events
+        are lost.
         """
         if job.trace_path is None:
             return
@@ -419,7 +421,7 @@ class JobManager:
                         job.publish(event)
             if finished:
                 return
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.wait({job.future}, timeout=self.poll_interval)
 
     def _retire(self, job: Job) -> None:
         """Record completion; evict the oldest finished jobs past cap."""

@@ -10,8 +10,8 @@ checks the service's contract rather than its speed:
    warm result cache (disposition ``cached``), and the bodies of the
    two passes are byte-identical — warm answers are the same answers;
 3. a burst of identical concurrent submissions coalesces onto one job
-   (asserted via ``/v1/metrics``: ``coalesced`` > 0 while ``started``
-   counts one engine run for the burst);
+   (asserted via ``/v1/metrics``: ``started`` counts one engine run for
+   the burst, and every other client coalesced or hit the warm cache);
 4. the streamed ``/v1/jobs/<id>/events`` trace is well-formed and
    carries the run's spans.
 
@@ -129,9 +129,11 @@ def run_smoke() -> Report:
                 "burst",
                 f"{BURST} clients but coalesced={coalesced} hits={hits}",
             )
+        # The coalesced/warm split depends on arrival timing; their sum
+        # does not, so the line is byte-stable across runs.
         lines.append(
             f"burst: {BURST} clients -> {started} run, "
-            f"{coalesced} coalesced, {hits} warm"
+            f"{coalesced + hits} coalesced or warm"
         )
 
         # Event streaming: submit without waiting, then drain the stream.

@@ -17,13 +17,17 @@ product against.
   one process runs alone (the "q-solo histories" the proofs lean on),
   or a victim set runs only after the rest finish (crashes);
 * :func:`audit_wait_freedom` — per-process step bounds: a wait-free
-  protocol must decide within a known bound of its own steps.
+  protocol must decide within a known bound of its own steps;
+* :func:`reference_run_bfs` — the kernel walk in its plainest form:
+  expand a configuration, then scan its adjacency. The backends'
+  ``run_bfs`` must return what it returns and leave the kernel as it
+  leaves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.pac import NPacSpec
 from repro.errors import InvalidOperationError, SchedulingError, SpecificationError
@@ -186,3 +190,48 @@ def audit_wait_freedom(
         if pid not in exempt and counts.get(pid, 0) > step_bound
     )
     return WaitFreedomAudit(ok=not offenders, offenders=offenders)
+
+
+def reference_run_bfs(
+    backend,
+    start_id: int,
+    max_configurations: int,
+    on_round: Optional[Callable[[int, int, int], None]] = None,
+) -> Tuple[List[int], List[int], bool, int, int]:
+    """``backend.run_bfs`` as expand-then-scan, through the public API.
+
+    Each frontier cid is expanded in full (``backend.expand`` records
+    its adjacency), then its adjacency is scanned for successors this
+    walk has not seen. The budget is charged per newly discovered
+    successor; the walk stops at the first one past it, so the
+    truncating cid's adjacency is recorded and later frontier members
+    stay unexpanded.
+    """
+    if not 0 <= start_id < len(backend):
+        raise IndexError(f"unknown configuration id {start_id}")
+    seen = {start_id}
+    order = [start_id]
+    parents: List[int] = []
+    frontier = [start_id]
+    expansions = 0
+    rounds = 0
+    while frontier:
+        if on_round is not None:
+            on_round(rounds, len(frontier), len(seen))
+        next_frontier: List[int] = []
+        for cid in frontier:
+            expansions += 1
+            adj = backend.expand(cid)
+            for k in range(0, len(adj), 2):
+                eid, tid = adj[k], adj[k + 1]
+                if tid in seen:
+                    continue
+                if len(seen) >= max_configurations:
+                    return order, parents, False, expansions, rounds
+                seen.add(tid)
+                order.append(tid)
+                parents += (tid, cid, eid)
+                next_frontier.append(tid)
+        rounds += 1
+        frontier = next_frontier
+    return order, parents, True, expansions, rounds

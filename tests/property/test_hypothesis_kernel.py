@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the packed-state kernel.
 
-Three families:
+Four families:
 
 * **encode/decode round-trip** — for arbitrary hashable slot values,
   ``decode(encode(x)) == x`` and re-encoding is stable (codes are
@@ -15,7 +15,14 @@ Three families:
   exploration budgets, every available backend produces identical BFS
   orders, parents, round events, completeness verdicts, expansion
   counts, and portable-graph digests. With only the python backend
-  built, this still pins that fresh explorers reproduce each other.
+  built, this still pins that fresh explorers reproduce each other;
+* **walk oracle** — on every available backend, ``run_bfs`` returns
+  what the plain expand-then-scan walk of
+  :func:`tests.oracles.reference_run_bfs` returns, and leaves the same
+  rows and recorded adjacency behind, at every small budget and around
+  the full size: on a fresh explorer, walking it again at the same
+  budget, and once more at twice the budget.
+  This needs no second backend.
 """
 
 import hashlib
@@ -32,6 +39,7 @@ from repro.analysis.kernel import PackedEncoder, compiled_available
 from repro.core.pac import NPacSpec
 from repro.protocols.candidates import all_candidates
 from repro.protocols.dac_from_pac import algorithm2_processes
+from tests.oracles import reference_run_bfs
 from tests.portable_graph import graph_digest, to_portable
 
 AVAILABLE_KERNELS = ("python", "compiled") if compiled_available() else (
@@ -245,3 +253,82 @@ class TestKernelEquivalence:
         digests = graph_digests()
         assert repr(digests) in outputs
         assert len(set(digests.values())) == 1, digests
+
+
+#: The walk oracle's instances: every family, and Algorithm 2 up to n=5.
+ORACLE_FAMILIES = FAMILIES + [
+    (
+        f"algorithm2-n{n}",
+        {"PAC": NPacSpec(n)},
+        algorithm2_processes(tuple([1] + [0] * (n - 1))),
+    )
+    for n in (4, 5)
+]
+
+
+def _walk_thrice(objects, processes, kernel, budget, walk):
+    """What ``walk`` returns and leaves in the kernel: walking a fresh
+    explorer's graph, walking it again, then walking at twice the
+    budget from the last configuration the first walk discovered. The
+    last walk meets ids interned before it that it has not yet seen."""
+    explorer = Explorer(objects, processes, kernel=kernel)
+    backend = explorer._backend
+    start_id = explorer.intern_id(explorer.initial_configuration())
+    walks = []
+    for walk_budget in (budget, budget, 2 * budget):
+        rounds = []
+        returned = walk(
+            backend,
+            start_id,
+            walk_budget,
+            lambda depth, width, seen: rounds.append((depth, width, seen)),
+        )
+        order, parents, complete, expansions, bfs_rounds = returned
+        size = len(backend)
+        walks.append(
+            {
+                "returned": (
+                    list(order),
+                    list(parents),
+                    bool(complete),
+                    expansions,
+                    bfs_rounds,
+                ),
+                "round_events": rounds,
+                "size": size,
+                "rows": [backend.row(cid) for cid in range(size)],
+                "adjacency": [backend.adjacency(cid) for cid in range(size)],
+            }
+        )
+        if len(walks) == 2:
+            start_id = walks[0]["returned"][0][-1]
+    return walks
+
+
+def _backend_walk(backend, start_id, budget, on_round):
+    return backend.run_bfs(start_id, budget, on_round)
+
+
+class TestWalkOracle:
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize(
+        "index",
+        range(len(ORACLE_FAMILIES)),
+        ids=[name for name, _, _ in ORACLE_FAMILIES],
+    )
+    def test_run_bfs_matches_expand_then_scan(self, index, kernel):
+        _, objects, processes = ORACLE_FAMILIES[index]
+        full = len(
+            _walk_thrice(
+                objects, processes, kernel, 1 << 30, _backend_walk
+            )[0]["returned"][0]
+        )
+        budgets = sorted({*range(1, 151), full - 1, full, full + 1})
+        for budget in budgets:
+            expected = _walk_thrice(
+                objects, processes, kernel, budget, reference_run_bfs
+            )
+            observed = _walk_thrice(
+                objects, processes, kernel, budget, _backend_walk
+            )
+            assert observed == expected, f"budget={budget}"

@@ -12,7 +12,12 @@ import signal
 import pytest
 
 from repro.errors import InvalidRequestError, ServerOverloadedError
-from repro.serve.jobs import EVENT_STREAM_END, JobManager, run_job_worker
+from repro.serve.jobs import (
+    CLASS_LIMIT,
+    EVENT_STREAM_END,
+    JobManager,
+    run_job_worker,
+)
 
 
 def _run(coroutine):
@@ -216,6 +221,42 @@ class TestBounds:
                     if manager.get(job_id) is not None
                 ]
                 assert len(retained) <= 2
+            finally:
+                await manager.close()
+
+        _run(scenario())
+
+
+    def test_a_finished_job_frees_its_phase_slot_at_once(self):
+        """One phase's quick jobs past its slot limit do not wait out
+        the pump's poll interval: a slot frees when its worker returns
+        and the pump's final read follows the job's future."""
+
+        async def scenario():
+            manager = _manager(poll_interval=1.0)
+            try:
+                # Start both pool workers on another phase first, so
+                # worker start-up is not what gets timed.
+                warm = [
+                    manager.submit({"command": "verify", "n": n})[0]
+                    for n in (2, 3)
+                ]
+                await asyncio.gather(*(job.future for job in warm))
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                jobs = [
+                    manager.submit(
+                        {
+                            "command": "explore",
+                            "n": 2,
+                            "max_configurations": 10_000 + index,
+                        }
+                    )[0]
+                    for index in range(CLASS_LIMIT + 1)
+                ]
+                await asyncio.gather(*(job.future for job in jobs))
+                await manager.drain()
+                assert loop.time() - started < 0.5
             finally:
                 await manager.close()
 
