@@ -58,6 +58,7 @@ import functools
 import hashlib
 import os
 import pickle
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -66,7 +67,6 @@ from typing import (
     Dict,
     Hashable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,

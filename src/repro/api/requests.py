@@ -31,7 +31,7 @@ are the server's wire format.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     ClassVar,
@@ -110,7 +110,13 @@ class ExecutionOptions:
         _check_opt_str("cache_dir", self.cache_dir)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # The fields by hand: ``dataclasses.asdict`` deep-copies, and
+        # every served submission (warm hits too) calls this.
+        return {
+            "jobs": self.jobs,
+            "cache": self.cache,
+            "cache_dir": self.cache_dir,
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionOptions":

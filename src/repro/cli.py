@@ -679,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="protocol-aware static analysis (replayability contract "
-        "R001-R006)",
+        help="protocol-aware static analysis of the replayability "
+        "contract (--list-rules names every rule)",
     )
     add_lint_arguments(lint)
     _add_observability_arguments(lint, include_format=False)

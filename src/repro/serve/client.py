@@ -16,17 +16,18 @@ __all__ = ["ServeClient", "ServeResponse"]
 
 
 class ServeResponse:
-    """One decoded server answer: status, headers, parsed JSON."""
+    """One server answer: status, headers, raw body, parsed JSON."""
 
     def __init__(
         self,
         status: int,
         headers: Mapping[str, str],
-        payload: Any,
+        raw: bytes,
     ) -> None:
         self.status = status
         self.headers = dict(headers)
-        self.payload = payload
+        self.raw = raw  # the body exactly as sent, for byte comparisons
+        self.payload = json.loads(raw.decode("utf-8")) if raw else None
 
     @property
     def job_id(self) -> Optional[str]:
@@ -127,9 +128,7 @@ class ServeClient:
         path: str,
         body: Optional[Mapping[str, Any]] = None,
     ) -> ServeResponse:
-        status, headers, raw = self._roundtrip(method, path, body)
-        payload = json.loads(raw.decode("utf-8")) if raw else None
-        return ServeResponse(status, headers, payload)
+        return ServeResponse(*self._roundtrip(method, path, body))
 
     def _roundtrip(
         self,

@@ -12,8 +12,10 @@ ExecutionOptions` knobs). A submission whose fingerprint matches a
   spawning a second identical run; all attached submitters await the
   same future and stream the same events.
 * **Warm results** — completed non-error reports land in a bounded
-  :class:`~repro.serve.lru.LRUCache` keyed by the same fingerprint, so
-  repeats are answered in microseconds without touching an engine.
+  :class:`~repro.serve.lru.LRUCache` keyed by the same fingerprint,
+  each beside its wire bytes (encoded once, when the job finishes), so
+  repeats are answered in microseconds without touching an engine or
+  the JSON encoder.
   Every served request is pure: the server owns every file it writes,
   so it refuses ``options.cache: true`` (the on-disk cache under the
   server's launch directory) and the client-chosen paths
@@ -58,7 +60,13 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 from ..errors import InvalidRequestError, ServerOverloadedError, error_report
 from ..api.requests import REQUEST_TYPES, Request, request_from_dict
 
-__all__ = ["Job", "JobManager", "run_job_worker", "EVENT_STREAM_END"]
+__all__ = [
+    "Job",
+    "JobManager",
+    "run_job_worker",
+    "encode_json",
+    "EVENT_STREAM_END",
+]
 
 #: Sentinel pushed to every subscriber queue when a job's event stream
 #: is complete (the job finished and the spool file has been read dry).
@@ -70,6 +78,15 @@ MAX_RETAINED_EVENTS = 10_000
 
 #: Jobs of one phase that may run at once.
 CLASS_LIMIT = 2
+
+
+def encode_json(payload: Mapping[str, Any]) -> bytes:
+    """The wire form of a JSON answer: ``Report.to_json()`` plus a
+    newline, UTF-8 encoded (so a report dict encodes byte-identically
+    to the direct :func:`repro.api.execute` call's ``to_json()``)."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
+        "utf-8"
+    )
 
 
 def run_job_worker(
@@ -114,6 +131,7 @@ class Job:
     disposition: str = "new"  # new | cached (how this job came to be)
     waiters: int = 1  # submissions attached (1 + coalesced)
     result: Optional[Dict[str, Any]] = None
+    body: Optional[bytes] = None  # encode_json(result), set with it
     future: "asyncio.Future[Dict[str, Any]]" = field(
         default_factory=lambda: asyncio.get_running_loop().create_future()
     )
@@ -240,8 +258,8 @@ class JobManager:
             job = self._make_job(request, fingerprint, spool=False)
             job.state = "done"
             job.disposition = "cached"
-            job.result = cached
-            job.future.set_result(cached)
+            job.result, job.body = cached
+            job.future.set_result(job.result)
             job.publish_eof()
             self._remember(job)
             self._retire(job)
@@ -368,13 +386,16 @@ class JobManager:
                 # run_job_worker never raises, so reaching here means the
                 # worker process itself died (OOM kill, BrokenProcessPool).
                 result = error_report(job.report_command, exc).to_dict()
-            job.result = result
+            # Encoded once here; every waiter and every warm hit writes
+            # these bytes.
+            body = encode_json(result)
+            job.result, job.body = result, body
             job.state = "done"
             self.counters["completed"] += 1
             if result.get("status") == "error":
                 self.counters["errors"] += 1
             else:
-                self.results.put(job.fingerprint, result)
+                self.results.put(job.fingerprint, (result, body))
             if not job.future.done():
                 job.future.set_result(result)
             self._inflight.pop(job.fingerprint, None)

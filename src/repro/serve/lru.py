@@ -1,10 +1,11 @@
 """A small counted LRU — the server's memory bound.
 
 One instance caps the resident footprint of a long-lived ``repro
-serve`` process: the warm result cache of completed Report payloads,
-keyed by request fingerprint. Retained job records are bounded
-separately, by ``JobManager``'s retirement deque. Interned exploration
-graphs live and die with the worker processes.
+serve`` process: the warm result cache of completed Report payloads
+and their encoded wire bytes, keyed by request fingerprint. Retained
+job records are bounded separately, by ``JobManager``'s retirement
+deque. Interned exploration graphs live and die with the worker
+processes.
 
 ``OrderedDict``-backed: get refreshes recency, put evicts the
 least-recently-used entry past ``capacity``. Eviction order is pure

@@ -49,7 +49,7 @@ from ..errors import (
     error_report,
     http_status_for,
 )
-from .jobs import EVENT_STREAM_END, JobManager
+from .jobs import EVENT_STREAM_END, JobManager, encode_json
 
 __all__ = ["ServerConfig", "ReproServer", "run_server"]
 
@@ -315,10 +315,11 @@ class ReproServer:
             )
             return
         result = await asyncio.shield(job.future)
-        self._send_json(
+        # The job encoded its report once; every waiter writes its bytes.
+        self._send_body(
             writer,
             _status_for_result(result),
-            result,
+            job.body,
             keep_alive,
             extra_headers=headers,
         )
@@ -408,9 +409,18 @@ class ReproServer:
         keep_alive: bool,
         extra_headers: Optional[Mapping[str, str]] = None,
     ) -> None:
-        body = (
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        self._send_body(
+            writer, status, encode_json(payload), keep_alive, extra_headers
+        )
+
+    def _send_body(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        keep_alive: bool,
+        extra_headers: Optional[Mapping[str, str]] = None,
+    ) -> None:
         reason = _REASONS.get(status, "OK")
         lines = [
             f"HTTP/1.1 {status} {reason}",

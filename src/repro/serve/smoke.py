@@ -3,15 +3,18 @@
 Boots an in-process server, replays a mixed workload **twice**, and
 checks the service's contract rather than its speed:
 
-1. every served Report body is byte-identical to the Report
+1. every served response body is byte-identical to
+   ``Report.to_json()``, plus a newline, of the Report
    :func:`repro.api.execute` produces in process for the same request
    — the service is a transport, not a different engine;
 2. the second pass of every request is answered from the
-   warm result cache (disposition ``cached``), and the bodies of the
-   two passes are byte-identical — warm answers are the same answers;
+   warm result cache (disposition ``cached``), and the raw bodies of
+   the two passes are byte-identical — warm answers are the same
+   answers;
 3. a burst of identical concurrent submissions coalesces onto one job
    (asserted via ``/v1/metrics``: ``started`` counts one engine run for
-   the burst, and every other client coalesced or hit the warm cache);
+   the burst, and every other client coalesced or hit the warm cache)
+   and every burst client reads the same raw bytes;
 4. the streamed ``/v1/jobs/<id>/events`` trace is well-formed and
    carries the run's spans.
 
@@ -42,11 +45,11 @@ WORKLOAD: Tuple[Tuple[str, Dict[str, Any]], ...] = (
 BURST = 6
 
 
-def _direct_body(command: str, fields: Dict[str, Any]) -> List[str]:
+def _direct_bytes(command: str, fields: Dict[str, Any]) -> bytes:
     from ..api import execute, request_from_dict
 
     report = execute(request_from_dict({"command": command, **fields}))
-    return list(report.body)
+    return (report.to_json() + "\n").encode("utf-8")
 
 
 def run_smoke() -> Report:
@@ -66,9 +69,9 @@ def run_smoke() -> Report:
     with BackgroundServer(config) as handle:
         client = handle.client
 
-        # Pass 1 (cold) and pass 2 (warm): byte-diff bodies both against
-        # the direct api call and against each other.
-        bodies: Dict[int, List[str]] = {}
+        # Pass 1 (cold) and pass 2 (warm): byte-diff raw bodies both
+        # against the direct api call and against each other.
+        bodies: Dict[int, bytes] = {}
         for pass_index in (1, 2):
             for index, (command, fields) in enumerate(WORKLOAD):
                 response = client.submit(command, **fields)
@@ -76,9 +79,9 @@ def run_smoke() -> Report:
                 if response.status != 200:
                     fail(label, f"HTTP {response.status}")
                     continue
-                body = list(response.payload.get("body", []))
+                body = response.raw
                 if pass_index == 1:
-                    direct = _direct_body(command, fields)
+                    direct = _direct_bytes(command, fields)
                     if body != direct:
                         fail(
                             label,
@@ -101,13 +104,13 @@ def run_smoke() -> Report:
         before = client.metrics()["counters"]
         burst_fields = {"n": 2, "max_configurations": 399_999}
 
-        def one_burst_call(_: int) -> Tuple[int, str, List[str]]:
+        def one_burst_call(_: int) -> Tuple[int, str, bytes]:
             with ServeClient(handle.host, handle.port) as burst_client:
                 response = burst_client.explore(**burst_fields)
                 return (
                     response.status,
                     response.disposition or "",
-                    list(response.payload.get("body", [])),
+                    response.raw,
                 )
 
         with concurrent.futures.ThreadPoolExecutor(BURST) as pool:
@@ -116,7 +119,7 @@ def run_smoke() -> Report:
         statuses = sorted({status for status, _, _ in outcomes})
         if statuses != [200]:
             fail("burst", f"statuses {statuses}")
-        burst_bodies = {tuple(body) for _, _, body in outcomes}
+        burst_bodies = {body for _, _, body in outcomes}
         if len(burst_bodies) != 1:
             fail("burst", "coalesced clients saw different bodies")
         coalesced = after["coalesced"] - before["coalesced"]

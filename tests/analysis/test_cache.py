@@ -7,6 +7,9 @@ entries are dropped as misses and recomputed, never returned.
 """
 
 import pickle
+import typing
+from collections import OrderedDict
+from types import MappingProxyType
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.analysis.cache import (
     CACHE_SCHEMA,
     EXPLORE_RECORD,
     ExplorationCache,
+    canonicalize,
     code_salt,
     conforms,
     explore_cached,
@@ -76,6 +80,58 @@ class TestFingerprint:
         assert salt == code_salt()
         assert len(salt) == 64
         int(salt, 16)
+
+
+def _typing_canonical(value):
+    """The canonicalizer as it was, testing against ``typing.Mapping``."""
+    if isinstance(value, typing.Mapping):
+        items = [
+            (_typing_canonical(k), _typing_canonical(v))
+            for k, v in value.items()
+        ]
+        items.sort(key=repr)
+        return ("mapping",) + tuple(items)
+    if isinstance(value, (set, frozenset)):
+        rendered = [_typing_canonical(v) for v in sorted(value, key=repr)]
+        return ("set",) + tuple(rendered)
+    if isinstance(value, (list, tuple)):
+        return tuple(_typing_canonical(v) for v in value)
+    return value
+
+
+class _UserMapping(typing.Mapping):
+    """A Mapping that is no dict: only the ABC makes it one."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+class TestCanonicalize:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"b": 2, "a": 1},
+            OrderedDict([("y", (1, 2)), ("x", [3, {"z": None}])]),
+            MappingProxyType({"k": frozenset({3, 1}), 0: "v"}),
+            _UserMapping({"m": {2, 1}, "n": _UserMapping({"o": [1, 2]})}),
+            {3, 1, 2},
+            frozenset({"b", "a"}),
+            [1, (2, [3, (4,)]), {"q": [5, 6]}],
+            ((), [], {}, set(), "s", 7, None, True, 2.5),
+            ("api-explore", 4, (0, 1, 1, 0), {"symmetry": False}),
+        ],
+    )
+    def test_same_canonical_form_as_the_typing_check(self, value):
+        assert repr(canonicalize(value)) == repr(_typing_canonical(value))
 
 
 class TestEntryStore:

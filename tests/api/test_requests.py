@@ -16,7 +16,7 @@ Four contracts:
   included.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -190,6 +190,20 @@ class TestWireFormat:
         rebuilt = request_from_dict(request_.to_dict())
         assert rebuilt == request_
         assert rebuilt.fingerprint() == request_.fingerprint()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExecutionOptions(),
+            ExecutionOptions(jobs=4),
+            ExecutionOptions(cache=True),
+            ExecutionOptions(jobs=2, cache=True, cache_dir="cache-root"),
+            ExecutionOptions(cache_dir=""),
+        ],
+    )
+    def test_options_to_dict_is_asdict(self, options):
+        assert options.to_dict() == asdict(options)
+        assert list(options.to_dict()) == list(asdict(options))
 
     def test_unknown_command_rejected(self):
         with pytest.raises(InvalidRequestError):

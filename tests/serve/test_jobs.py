@@ -5,6 +5,7 @@ engine work in the manager's process pool.
 """
 
 import asyncio
+import json
 import multiprocessing
 import os
 import signal
@@ -16,6 +17,7 @@ from repro.serve.jobs import (
     CLASS_LIMIT,
     EVENT_STREAM_END,
     JobManager,
+    encode_json,
     run_job_worker,
 )
 
@@ -88,6 +90,33 @@ class TestSubmission:
                 assert warm == cold
                 assert manager.counters["cache_hits"] == 1
                 assert manager.counters["started"] == 1
+            finally:
+                await manager.close()
+
+        _run(scenario())
+
+    def test_a_warm_hit_encodes_nothing(self, monkeypatch):
+        calls = []
+        real_dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return real_dumps(*args, **kwargs)
+
+        async def scenario():
+            manager = _manager()
+            try:
+                first, _ = manager.submit(VERIFY2)
+                cold = await first.future
+                assert first.body == encode_json(cold)
+                monkeypatch.setattr(json, "dumps", counting_dumps)
+                second, disposition = manager.submit(VERIFY2)
+                warm = await second.future
+                monkeypatch.undo()
+                assert disposition == "cached"
+                assert calls == []
+                assert warm == cold
+                assert second.body is first.body
             finally:
                 await manager.close()
 
@@ -276,13 +305,19 @@ class TestErrorsAndEvents:
                 )
                 result = await job.future
                 assert result["status"] == "error"
+                assert job.body == encode_json(result)
                 assert manager.counters["errors"] == 1
-                # Engine errors are never cached.
+                # Engine errors are never cached, nor their bytes reused.
+                assert len(manager.results) == 0
                 again, disposition = manager.submit(
                     {"command": "refute", "candidate": "no such candidate"}
                 )
-                assert disposition in ("new", "coalesced")
+                assert disposition == "new"
+                assert again is not job
                 await again.future
+                assert again.body == job.body
+                assert again.body is not job.body
+                assert manager.counters["started"] == 2
             finally:
                 await manager.close()
 

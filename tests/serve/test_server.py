@@ -7,13 +7,18 @@ as deployed. The serve-smoke CI job runs the heavier
 details — statuses, headers, envelopes, streaming framing.
 """
 
+import asyncio
+import concurrent.futures
 import json
+import threading
+import time
 
 import pytest
 
-from repro.api import VerifyRequest, execute
+from repro.api import VerifyRequest, execute, request_from_dict
 from repro.serve import ServerConfig
 from repro.serve.client import ServeClient
+from repro.serve.jobs import CLASS_LIMIT
 from repro.serve.testing import BackgroundServer
 
 
@@ -39,11 +44,24 @@ class TestPhaseEndpoints:
         assert response.payload["summary"] == direct.summary
         assert response.payload["schema"] == 1
 
-    def test_repeat_is_cached_and_byte_identical(self, client):
+    def test_repeat_is_cached_and_byte_identical(self, client, monkeypatch):
         first = client.explore(n=2)
+        server_dumps = []
+        real_dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            if threading.current_thread().name == "repro-serve-test":
+                server_dumps.append(args)
+            return real_dumps(*args, **kwargs)
+
+        # A warm hit writes the job's stored bytes: no encode on the
+        # server thread.
+        monkeypatch.setattr(json, "dumps", counting_dumps)
         second = client.explore(n=2)
+        monkeypatch.undo()
         assert second.disposition == "cached"
-        assert second.payload["body"] == first.payload["body"]
+        assert second.raw == first.raw
+        assert server_dumps == []
 
     def test_submission_headers(self, client):
         response = client.verify(n=2, symmetry=True)
@@ -199,3 +217,70 @@ class TestColdWarmEquivalence:
             assert response.disposition == "cached", command
             warm.append(response.payload["body"])
         assert warm == cold
+
+
+#: One request per phase that no other test in this module sends, so
+#: its first submission is a new job.
+WIRE_PAYLOADS = [
+    {"command": "verify", "n": 3},
+    {"command": "refute", "candidate": "2-consensus from queue + registers"},
+    {
+        "command": "fuzz",
+        "candidate": "2-consensus from queue",
+        "seed": 5,
+        "budget": 30,
+    },
+    {"command": "explore", "n": 2, "max_configurations": 80_000},
+]
+
+
+def _direct_bytes(payload):
+    report = execute(request_from_dict(payload))
+    return (report.to_json() + "\n").encode("utf-8")
+
+
+def _post(server, payload):
+    fields = {k: v for k, v in payload.items() if k != "command"}
+    with ServeClient(server.host, server.port) as client:
+        return client.submit(payload["command"], **fields)
+
+
+def _await_submitted(client, count, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while client.metrics()["counters"]["submitted"] < count:
+        assert time.monotonic() < deadline, "submission never arrived"
+        time.sleep(0.005)
+
+
+class TestWireBytes:
+    @pytest.mark.parametrize(
+        "payload", WIRE_PAYLOADS, ids=[p["command"] for p in WIRE_PAYLOADS]
+    )
+    def test_new_coalesced_and_cached_answers_are_the_direct_bytes(
+        self, server, client, payload
+    ):
+        expected = _direct_bytes(payload)
+        loop = server._loop
+        # Hold every slot of the phase on the server's loop: the first
+        # submission stays queued, so the second must coalesce onto it.
+        slots = server.server.manager._class_limits[payload["command"]]
+        for _ in range(CLASS_LIMIT):
+            asyncio.run_coroutine_threadsafe(slots.acquire(), loop).result(10)
+        submitted = client.metrics()["counters"]["submitted"]
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            first = pool.submit(_post, server, payload)
+            _await_submitted(client, submitted + 1)
+            second = pool.submit(_post, server, payload)
+            _await_submitted(client, submitted + 2)
+            for _ in range(CLASS_LIMIT):
+                loop.call_soon_threadsafe(slots.release)
+            answers = [first.result(60), second.result(60)]
+        answers.append(_post(server, payload))
+        assert [a.disposition for a in answers] == [
+            "new",
+            "coalesced",
+            "cached",
+        ]
+        for answer in answers:
+            assert answer.status == 200
+            assert answer.raw == expected
